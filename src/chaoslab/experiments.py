@@ -55,6 +55,9 @@ def moment_norm(values, n: int, seed: int = 0, tag: int = 0) -> MomentEstimate:
     m = len(values)
     if m == 0:
         raise ValueError("empty sample")
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ValueError(f"{bad} of {m} sample values are not finite")
     powers = np.abs(values) ** (2 * n)
     point = float(np.mean(powers) ** (1.0 / (2 * n)))
     if np.all(values == 0.0):

@@ -48,15 +48,12 @@ class ScalingGeometry:
 def metric(x, g: ScalingGeometry) -> float:
     """Anisotropic distance of ``x`` from the origin.
 
-    Returns ``max_i |x_i|**(1/s_i)``; zero iff ``x == 0``.
+    Returns ``max_i |x_i|**(1/s_i)``; zero iff ``x == 0``.  A scalar is a
+    point of a one-dimensional geometry.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != g.d and not (g.d == 1 and x.ndim == 0):
-        if x.ndim == 0 and g.d == 1:
-            pass
-        else:
-            raise ValueError(f"point has {x.shape[-1] if x.ndim else 1} coordinates, geometry has {g.d}")
-    x = np.atleast_1d(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != g.d:
+        raise ValueError(f"point has {x.shape[-1]} coordinates, geometry has {g.d}")
     exps = 1.0 / np.asarray(g.s)
     return float(np.max(np.abs(x) ** exps))
 

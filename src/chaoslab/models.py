@@ -221,17 +221,24 @@ def attach_renorm(spec: ModelObjectSpec, mf: ModelField, n_samples: int = 200,
 def eval_object_field(spec: ModelObjectSpec, mf: ModelField,
                       values: np.ndarray) -> np.ndarray:
     """Renormalised object on the whole lattice for one field draw."""
+    if spec.order == 3:
+        c = renorm_constant(replace(spec, symbol="2'"), mf.sigma2)
+    else:
+        c = spec.renorm_constant
+        if c is None:
+            c = renorm_constant(spec, mf.sigma2)
+    return _object_field(spec, values, c)
+
+
+def _object_field(spec: ModelObjectSpec, values: np.ndarray, c: float) -> np.ndarray:
+    """The object with its constant given: c_j, or c_2 for the top object 3'."""
     j = spec.order
     k = _FAMILY_ORDER[spec.family]
     x = math.sqrt(spec.epsilon) * values
     out = _object_prefactor(spec) * spec.nonlinearity.deriv(k - j, x)
     if j == 3:
         # top object subtracts 3 * second-slot constant * field
-        c2 = renorm_constant(replace(spec, symbol="2'"), mf.sigma2)
-        return out - 3.0 * c2 * values
-    c = spec.renorm_constant
-    if c is None:
-        c = renorm_constant(spec, mf.sigma2)
+        return out - 3.0 * c * values
     return out - c
 
 
@@ -297,31 +304,36 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
 # two-frequency remainder pairings and the mollification gap
 
 
-def _truncated_inner(spec: ModelObjectSpec, mf: ModelField,
-                     values: np.ndarray) -> np.ndarray:
+def _pairing_constant(spec: ModelObjectSpec, mf: ModelField) -> float:
+    """The draw-invariant constant of the two-frequency object.
+
+    Growth family: the Gaussian mean of F.  Phase family: the second-slot
+    constant c_2 of the 2' spec, shared by the top object 3' and by 2'.
+    """
+    if spec.family == "kpz":
+        fl = spec.nonlinearity
+        return gaussian_mean(lambda u: fl.deriv(0, np.asarray(u, dtype=float)),
+                             mf.sigma2)
+    return renorm_constant(spec, mf.sigma2)
+
+
+def _truncated_inner(spec: ModelObjectSpec, values: np.ndarray,
+                     c: float) -> np.ndarray:
     """The kernel-side factor of the two-frequency object.
 
     Growth family: the nonlinearity with its mean removed (first truncation).
     Phase family: the full top object (3') including its linear subtraction.
     """
-    x = math.sqrt(spec.epsilon) * values
-    fl = spec.nonlinearity
     if spec.family == "kpz":
-        mean = gaussian_mean(lambda u: fl.deriv(0, np.asarray(u, dtype=float)),
-                             mf.sigma2)
-        return fl.deriv(0, x) - mean
-    top = replace(spec, symbol="3'")
-    return eval_object_field(top, mf, values)
+        return spec.nonlinearity.deriv(0, math.sqrt(spec.epsilon) * values) - c
+    return _object_field(replace(spec, symbol="3'"), values, c)
 
 
-def _outer_factor(spec: ModelObjectSpec, mf: ModelField,
-                  values: np.ndarray) -> np.ndarray:
-    x = math.sqrt(spec.epsilon) * values
-    fl = spec.nonlinearity
+def _outer_factor(spec: ModelObjectSpec, values: np.ndarray,
+                  c: float) -> np.ndarray:
     if spec.family == "kpz":
-        return fl.deriv(1, x)
-    two = replace(spec, symbol="2'")
-    return eval_object_field(two, mf, values)
+        return spec.nonlinearity.deriv(1, math.sqrt(spec.epsilon) * values)
+    return _object_field(replace(spec, symbol="2'"), values, c)
 
 
 def _pairing_kernel_fft(mf: ModelField) -> tuple[np.ndarray, np.ndarray]:
@@ -345,8 +357,9 @@ def _pairing_kernel_fft(mf: ModelField) -> tuple[np.ndarray, np.ndarray]:
 
 def _two_freq_object(spec: ModelObjectSpec, mf: ModelField, values: np.ndarray,
                      kern_fft: np.ndarray, taylor_row: np.ndarray,
-                     prefactor: float) -> np.ndarray:
-    inner = _truncated_inner(spec, mf, values)
+                     prefactor: float, c: float) -> np.ndarray:
+    """One draw of the object; c is its draw-invariant constant."""
+    inner = _truncated_inner(spec, values, c)
     conv = np.real(np.fft.ifftn(np.fft.fftn(inner) * kern_fft)) * mf.lattice.cell_volume
     # Taylor (r_e = 1) part: subtract the constant row integral K0(-y) inner(y)
     g = mf.lattice.geometry
@@ -354,7 +367,7 @@ def _two_freq_object(spec: ModelObjectSpec, mf: ModelField, values: np.ndarray,
     flipped = np.flip(taylor_row, axis=axes)
     flipped = np.roll(flipped, 1, axis=axes)  # align -y on the periodic grid
     const = float(np.sum(flipped * inner)) * mf.lattice.cell_volume
-    outer = _outer_factor(spec, mf, values)
+    outer = _outer_factor(spec, values, c)
     return prefactor * outer * (conv - const)
 
 
@@ -366,6 +379,7 @@ def remainder_pairing(family: str, nonlin: NonlinearitySpec, a: float,
     Both objects are evaluated directly from the nonlinearity; the mollified
     version replaces it by its bump convolution at scale delta everywhere,
     including the renormalisation constants.  delta = 0 gives exactly zero.
+    The constants do not depend on the draw and are computed once per call.
     """
     if mfspec.epsilon < 2 * mfspec.h:
         raise ValueError("resolution guard: eps >= 2h required")
@@ -375,6 +389,8 @@ def remainder_pairing(family: str, nonlin: NonlinearitySpec, a: float,
     spec = ModelObjectSpec(family=family, symbol="2'", nonlinearity=nonlin,
                            a=a, epsilon=mfspec.epsilon)
     spec_d = replace(spec, nonlinearity=mollify(nonlin, delta))
+    c = _pairing_constant(spec, mf)
+    c_d = _pairing_constant(spec_d, mf)
     kern_fft, taylor_row = _pairing_kernel_fft(mf)
     if family == "kpz":
         pref = 1.0 / (2.0 * a**2 * mfspec.epsilon ** 1.5)
@@ -386,8 +402,8 @@ def remainder_pairing(family: str, nonlin: NonlinearitySpec, a: float,
     out = np.empty(n_samples)
     for i in range(n_samples):
         vals = sample_model_field(mf, seed, i)
-        tau = _two_freq_object(spec, mf, vals, kern_fft, taylor_row, pref)
-        tau_d = _two_freq_object(spec_d, mf, vals, kern_fft, taylor_row, pref)
+        tau = _two_freq_object(spec, mf, vals, kern_fft, taylor_row, pref, c)
+        tau_d = _two_freq_object(spec_d, mf, vals, kern_fft, taylor_row, pref, c_d)
         out[i] = float(np.sum(phi * (tau - tau_d)) * lat.cell_volume)
     return moment_norm(out, n, seed=seed, tag=11)
 

@@ -4,7 +4,8 @@ The canonical instances are the even power |u|^(2+beta) (two derivatives
 plus a beta-Holder second derivative) and the odd power sign(u)|u|^(3+beta);
 polynomials cover the exactly-solvable comparisons.  Mollification convolves
 the requested derivative with a fixed smooth bump at scale delta, evaluated
-by two-panel Gauss-Legendre quadrature split at the integrand's kink.
+by Gauss-Legendre quadrature, split into two panels at the integrand's
+kink where it has one.
 
 Window norms are certified lower bounds: the true norm is a sup over an
 infinite ball of test functions, which is not computable; we maximise the
@@ -28,6 +29,8 @@ from scipy.special import roots_hermitenorm, roots_legendre
 from .geometry import bump_profile
 
 _GL_NODES = 96
+# points per block of the mollified derivative: 4096 x 96 doubles is 3 MB
+_BLOCK = 4096
 
 
 class TailTruncationError(RuntimeError):
@@ -110,32 +113,58 @@ def _mollifier_mass() -> float:
     return float(np.sum(w * bump_profile(t)))
 
 
-def _mollified_deriv(spec: NonlinearitySpec, ell: int, u):
-    """(F^(ell) * rho_delta)(u) by two-panel quadrature split at the kink.
+@lru_cache(maxsize=1)
+def _mollifier_weights() -> np.ndarray:
+    """Legendre weights times the normalised bump: one full panel on (-1, 1)."""
+    t, w = _legendre_rule()
+    return w * bump_profile(t) / _mollifier_mass()
 
-    For the power kinds the integrand t -> F^(ell)(u - delta t) has a kink
-    at t = u/delta; splitting there keeps Gauss-Legendre at full accuracy.
+
+def _mollified_deriv(spec: NonlinearitySpec, ell: int, u):
+    """(F^(ell) * rho_delta)(u) by Gauss-Legendre quadrature in t on (-1, 1).
+
+    The integrand t -> F^(ell)(u - delta t) of a power kind has a kink at
+    t = u/delta.  Points with |u| >= delta (and every point of a polynomial
+    kind) have no kink inside the bump's support and take one panel, which
+    reaches double precision.  Points inside (-delta, delta) take two panels
+    split at the kink; each ends at the |t - t*|^beta singularity of the top
+    derivative and converges only like n^-(2 + 2 beta), a relative error of
+    up to 3.5e-7 at beta = 0.5 with 96 nodes.  Points are walked in blocks
+    so that the (points x nodes) temporaries stay a few MB.
     """
     u_in = np.asarray(u, dtype=float)
-    u = np.atleast_1d(u_in)
+    flat = u_in.reshape(-1)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        stop = start + _BLOCK
+        out[start:stop] = _mollified_block(spec, ell, flat[start:stop])
+    return float(out[0]) if u_in.ndim == 0 else out.reshape(u_in.shape)
+
+
+def _mollified_block(spec: NonlinearitySpec, ell: int, u: np.ndarray) -> np.ndarray:
     delta = spec.delta
-    base = replace(spec, delta=0.0)
     t, w = _legendre_rule()
-    mass = _mollifier_mass()
+    out = np.empty_like(u)
     if spec.kind == "polynomial":
-        vals = base._raw_deriv(ell, u[..., None] - delta * t)
-        out = (vals * bump_profile(t)) @ w / mass
+        smooth = np.ones(u.shape, dtype=bool)
     else:
-        tstar = np.clip(u / delta, -1.0, 1.0)
-        out = np.zeros_like(u)
-        panels = ((np.full_like(u, -1.0), tstar), (tstar, np.full_like(u, 1.0)))
-        for a, b in panels:
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            tt = mid[..., None] + half[..., None] * t
-            vals = base._raw_deriv(ell, u[..., None] - delta * tt)
-            out += half * ((bump_profile(tt) * vals) @ w) / mass
-    return float(out[0]) if u_in.ndim == 0 else out
+        smooth = np.abs(u) >= delta
+    us = u[smooth]
+    out[smooth] = spec._raw_deriv(ell, us[:, None] - delta * t) @ _mollifier_weights()
+    if smooth.all():
+        return out
+    ui = u[~smooth]
+    mass = _mollifier_mass()
+    tstar = np.clip(ui / delta, -1.0, 1.0)
+    acc = np.zeros_like(ui)
+    for a, b in ((np.full_like(ui, -1.0), tstar), (tstar, np.full_like(ui, 1.0))):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        tt = mid[:, None] + half[:, None] * t
+        vals = spec._raw_deriv(ell, ui[:, None] - delta * tt)
+        acc += half * ((bump_profile(tt) * vals) @ w) / mass
+    out[~smooth] = acc
+    return out
 
 
 def mollify(spec: NonlinearitySpec, delta: float) -> NonlinearitySpec:

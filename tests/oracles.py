@@ -10,7 +10,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermitenorm
+from scipy.special import roots_hermitenorm, roots_legendre
 
 
 def _orthonormal_hermite(x, order):
@@ -152,3 +152,41 @@ def random_correlation(gen, k: int) -> np.ndarray:
     c = a @ a.T / (k + 2)
     d = np.sqrt(np.diag(c))
     return c / np.outer(d, d)
+
+
+def _bump(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
+    return out
+
+
+def two_panel_mollified_deriv(spec, ell: int, u, nodes: int = 96):
+    """(F^(ell) * rho_delta)(u) with two Gauss-Legendre panels at every point.
+
+    The slow route the package used before it took one panel away from the
+    kink: a power kind splits (-1, 1) at t* = clip(u / delta) for every
+    point, so points with |u| >= delta carry a zero-width second panel; a
+    polynomial kind takes one panel.  Only ``spec._raw_deriv`` is shared
+    with the package.
+    """
+    u_in = np.asarray(u, dtype=float)
+    u = np.atleast_1d(u_in)
+    delta = spec.delta
+    t, w = roots_legendre(nodes)
+    mass = float(np.sum(w * _bump(t)))
+    if spec.kind == "polynomial":
+        vals = spec._raw_deriv(ell, u[..., None] - delta * t)
+        out = (vals * _bump(t)) @ w / mass
+    else:
+        tstar = np.clip(u / delta, -1.0, 1.0)
+        out = np.zeros_like(u)
+        panels = ((np.full_like(u, -1.0), tstar), (tstar, np.full_like(u, 1.0)))
+        for a, b in panels:
+            mid = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            tt = mid[..., None] + half[..., None] * t
+            vals = spec._raw_deriv(ell, u[..., None] - delta * tt)
+            out += half * ((_bump(tt) * vals) @ w) / mass
+    return float(out[0]) if u_in.ndim == 0 else out

@@ -38,6 +38,14 @@ def test_moment_norm_zero():
     assert est.ci == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_moment_norm_rejects_non_finite(bad):
+    values = np.ones(300)
+    values[[3, 17]] = bad
+    with pytest.raises(ValueError, match="2 of 300 sample values are not finite"):
+        moment_norm(values, 1)
+
+
 def test_moment_norm_gaussian():
     z = rng.substream(5, 1).standard_normal(60_000)
     est2 = moment_norm(z, 1, seed=5)

@@ -29,6 +29,14 @@ def test_metric_dimension_mismatch():
     g = ScalingGeometry((2.0, 1.0))
     with pytest.raises(ValueError):
         metric((1.0, 2.0, 3.0), g)
+    with pytest.raises(ValueError, match="1 coordinates"):
+        metric(0.5, g)
+
+
+def test_metric_scalar_in_one_dimension():
+    g1 = ScalingGeometry((1.0,))
+    assert metric(0.5, g1) == metric((0.5,), g1) == pytest.approx(0.5)
+    assert metric(np.float64(-4.0), ScalingGeometry((2.0,))) == pytest.approx(2.0)
 
 
 def test_geometry_invariants():

@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chaoslab import models
+from chaoslab.experiments import moment_norm
+from chaoslab.geometry import TestFunction, eval_test_function_many
 from chaoslab.models import (
     KPZ_GEOMETRY,
     ModelFieldSpec,
@@ -18,7 +22,7 @@ from chaoslab.models import (
     renorm_constant,
     sample_model_field,
 )
-from chaoslab.nonlinearity import make_nonlinearity
+from chaoslab.nonlinearity import gaussian_mean, make_nonlinearity, mollify
 
 KPZ_SPEC = ModelFieldSpec(family="kpz", epsilon=0.3, h=0.125, counts=(48, 24),
                           kernel_cut=0.4)
@@ -173,6 +177,64 @@ def test_remainder_pairing_polynomial_small():
     est_rough = remainder_pairing("kpz", f, a=1.0, mfspec=KPZ_SPEC,
                                   delta=0.05, lam=0.4, n=1, n_samples=40, seed=7)
     assert est_poly.value < est_rough.value
+
+
+def _per_draw_pairing(family, nonlin, a, mfspec, delta, lam, n, n_samples, seed):
+    """remainder_pairing with every constant recomputed on every draw."""
+    mf = build_model_field(mfspec)
+    lat = mf.lattice
+    g = lat.geometry
+    kern_fft, taylor_row = models._pairing_kernel_fft(mf)
+    axes = tuple(range(g.d))
+    row = np.roll(np.flip(taylor_row, axis=axes), 1, axis=axes)
+    pref = 1.0 / (2.0 * a**2 * mfspec.epsilon ** 1.5) if family == "kpz" else 1.0
+    pts = lat.points().reshape(lat.shape + (g.d,))
+    phi = eval_test_function_many(TestFunction(geometry=g, scale=lam), pts)
+    out = np.empty(n_samples)
+    for i in range(n_samples):
+        vals = sample_model_field(mf, seed, i)
+        x = math.sqrt(mfspec.epsilon) * vals
+        taus = []
+        for fl in (nonlin, mollify(nonlin, delta)):
+            two = ModelObjectSpec(family=family, symbol="2'", nonlinearity=fl,
+                                  a=a, epsilon=mfspec.epsilon)
+            if family == "kpz":
+                inner = fl.deriv(0, x) - gaussian_mean(fl, mf.sigma2)
+                outer = fl.deriv(1, x)
+            else:
+                inner = eval_object_field(replace(two, symbol="3'"), mf, vals)
+                outer = eval_object_field(two, mf, vals)
+            conv = np.real(np.fft.ifftn(np.fft.fftn(inner) * kern_fft))
+            taylor = float(np.sum(row * inner))
+            taus.append(pref * outer * (conv - taylor) * lat.cell_volume)
+        out[i] = float(np.sum(phi * (taus[0] - taus[1])) * lat.cell_volume)
+    return moment_norm(out, n, seed=seed, tag=11)
+
+
+@pytest.mark.parametrize("family, nonlin, mfspec", [
+    ("kpz", make_nonlinearity("power_even", beta=0.5), KPZ_SPEC),
+    ("phi43", make_nonlinearity("power_odd", beta=0.5), PHI4_SPEC),
+], ids=["kpz", "phi43"])
+def test_remainder_pairing_matches_per_draw_constants(monkeypatch, family, nonlin,
+                                                      mfspec):
+    args = dict(family=family, nonlin=nonlin, a=1.0, mfspec=mfspec, delta=0.2,
+                lam=0.4, n=1, seed=5)
+    want = _per_draw_pairing(n_samples=3, **args)
+    calls = []
+
+    def counted(fn, sigma2):
+        calls.append(sigma2)
+        return gaussian_mean(fn, sigma2)
+
+    monkeypatch.setattr(models, "gaussian_mean", counted)
+    counts = []
+    for n_samples in (1, 3):
+        calls.clear()
+        got = remainder_pairing(n_samples=n_samples, **args)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 2
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    np.testing.assert_allclose(got.ci, want.ci, rtol=1e-12)
 
 
 def test_mollification_gap_zero_delta():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import rng
+from chaoslab import nonlinearity, rng
 from chaoslab.nonlinearity import (
     NonlinearitySpec,
     WindowNormQuery,
@@ -16,7 +16,7 @@ from chaoslab.nonlinearity import (
     window_norm_difference,
 )
 
-from oracles import gauss_expect
+from oracles import gauss_expect, two_panel_mollified_deriv
 
 
 def test_power_even_second_derivative():
@@ -95,6 +95,37 @@ def test_mollify_remainder_bound():
         lhs = np.abs(f.deriv(2, u) - md.deriv(2, u))
         cs.append(float(np.max(lhs / (delta**beta * (1 + np.abs(u)) ** m_growth))))
     assert max(cs) / min(cs) < 3.0
+
+
+MOLLIFY_KINDS = [make_nonlinearity("power_even", beta=0.5),
+                 make_nonlinearity("power_odd", beta=0.3),
+                 make_nonlinearity("polynomial", coeffs=[1.0, -2.0, 0.5, 0.25])]
+
+
+@pytest.mark.parametrize("spec", MOLLIFY_KINDS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("delta", [0.4, 0.2])
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_mollified_deriv_matches_two_panel_oracle(spec, delta, ell):
+    # points inside (-delta, delta), outside it, at +-delta and out to 750;
+    # the 2-D grid has a size that is no multiple of the block size
+    md = mollify(spec, delta)
+    gen = rng.substream(11, 5)
+    u = np.concatenate([gen.uniform(-delta, delta, 200), [-delta, delta, 0.0],
+                        gen.uniform(-750.0, 750.0, 2 * nonlinearity._BLOCK)])
+    u2 = gen.uniform(-3.0, 3.0, (nonlinearity._BLOCK // 3, 5))
+    assert u2.size % nonlinearity._BLOCK != 0
+
+    def close(got, want):
+        assert np.shape(got) == np.shape(want)
+        err = np.abs(np.asarray(got) - want) / np.maximum(1.0, np.abs(want))
+        assert float(np.max(err)) <= 1e-13
+
+    close(md.deriv(ell, u), two_panel_mollified_deriv(md, ell, u))
+    close(md.deriv(ell, u2), two_panel_mollified_deriv(md, ell, u2))
+    for point in (-delta, 0.3 * delta, delta, 1.5, -750.0):
+        got = md.deriv(ell, point)
+        assert isinstance(got, float)
+        close(got, two_panel_mollified_deriv(md, ell, point))
 
 
 def test_mollification_commutes_with_derivative():
