@@ -22,7 +22,7 @@ from .field import CovarianceSpec, Spectrum, build_spectrum, sample_field_values
 from .geometry import Lattice, ScalingGeometry, TestFunction, build_lattice, \
     eval_test_function_many, metric_many
 from .kernel import RenormKernel, compute_re, eval_K_many
-from .operator import OperatorConfig, apply_batch
+from .operator import OperatorConfig, OperatorSetup, apply_batch
 
 BOOTSTRAP_RESAMPLES = 500
 
@@ -121,15 +121,19 @@ class StudyDesign:
             CovarianceSpec(alpha=self.alpha, epsilon=eps,
                            lambda_const=self.lambda_budget), lattice)
 
-    def operator_config(self, lam: float, theta, kernel=None,
-                        lattice=None) -> OperatorConfig:
+    def operator_setup(self, lam: float, kernel=None,
+                       lattice=None) -> OperatorSetup:
         lat = lattice if lattice is not None else self.lattice()
         kern = kernel if kernel is not None else self.kernel()
         test = TestFunction(geometry=self.geometry, scale=lam)
-        return OperatorConfig(kernel=kern, test=test,
-                              functional=self.functional(theta), lattice=lat,
-                              diagonal_policy=self.diagonal_policy,
-                              y_radius=self.y_radius)
+        return OperatorSetup(kernel=kern, test=test, lattice=lat,
+                             diagonal_policy=self.diagonal_policy,
+                             y_radius=self.y_radius)
+
+    def operator_config(self, lam: float, theta, kernel=None,
+                        lattice=None) -> OperatorConfig:
+        return OperatorConfig(self.operator_setup(lam, kernel, lattice),
+                              self.functional(theta))
 
 
 @dataclass
@@ -155,24 +159,24 @@ def _chunk_values(args):
     Top-level so process pools can pickle it.  The chunk boundaries are fixed
     by SAMPLE_CHUNK, never by the worker count, and every sample's noise comes
     from its own counter substream, so any pool size reproduces identical
-    numbers.
+    numbers.  The spectrum and the configs come from the study call: its
+    cells share one operator set-up per lambda, whose arrays are built at
+    first use, after this chunk's draws are sampled, and then reused by every
+    later cell and chunk (a pool task builds them once per lambda in its own
+    copy).
     """
-    design, eps, cells, lo, hi, seed = args
-    lat = design.lattice()
-    spec = design.spectrum(eps, lat)
-    kern = design.kernel()
+    design, eps, spec, configs, lo, hi, seed = args
     values = sample_field_values(spec, seed, np.arange(lo, hi))
-    out = {}
-    for lam, theta in cells:
-        cfg = design.operator_config(lam, theta, kernel=kern, lattice=lat)
-        out[(lam, theta)] = apply_batch(cfg, values, spec.sigma2, design.alpha, eps)
+    out = {cell: apply_batch(cfg, values, spec.sigma2, design.alpha, eps)
+           for cell, cfg in configs.items()}
     return lo, out
 
 
-def _run_cells(design: StudyDesign, eps: float, cells, n_samples: int,
-               seed: int, workers: int) -> dict:
-    tasks = [(design, eps, tuple(cells), lo, min(lo + SAMPLE_CHUNK, n_samples), seed)
-             for lo in range(0, n_samples, SAMPLE_CHUNK)]
+def _run_cells(design: StudyDesign, eps: float, spec: Spectrum, configs: dict,
+               n_samples: int, seed: int, workers: int) -> dict:
+    """Operator values per cell of ``configs`` (cell -> config) for one eps."""
+    tasks = [(design, eps, spec, configs, lo, min(lo + SAMPLE_CHUNK, n_samples),
+              seed) for lo in range(0, n_samples, SAMPLE_CHUNK)]
     results = {}
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -181,7 +185,7 @@ def _run_cells(design: StudyDesign, eps: float, cells, n_samples: int,
     else:
         chunks = [_chunk_values(t) for t in tasks]
     chunks.sort(key=lambda c: c[0])
-    for cell in cells:
+    for cell in configs:
         results[cell] = np.concatenate([c[1][cell] for c in chunks])
     return results
 
@@ -194,8 +198,13 @@ def freq_sweep(design: StudyDesign, eps: float, lam: float, theta_grid,
     Sharing the draws across frequencies removes sampling noise from the
     headline max/min ratio, which is the experiment's statistic.
     """
+    lat = design.lattice()
+    setup = design.operator_setup(float(lam), lattice=lat)
     cells = [(float(lam), (float(t[0]), float(t[1]))) for t in theta_grid]
-    values = _run_cells(design, eps, cells, n_samples, seed, workers)
+    configs = {cell: OperatorConfig(setup, design.functional(cell[1]))
+               for cell in cells}
+    values = _run_cells(design, eps, design.spectrum(eps, lat), configs,
+                        n_samples, seed, workers)
     rows = []
     for tag, cell in enumerate(cells):
         rows.append(FreqRow(theta=cell[1],
@@ -239,13 +248,20 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
     a_t = design.alpha * (design.m1 + design.m2) / 2.0
     b_t = design.gamma - a_t
     theta = (float(theta[0]), float(theta[1]))
+    # the operator set-ups do not depend on eps: one per lambda for the call
+    lat = design.lattice()
+    kern = design.kernel()
+    fn = design.functional(theta)
+    cells = [(float(lam), theta) for lam in lambda_grid]
+    configs = {cell: OperatorConfig(design.operator_setup(cell[0], kern, lat), fn)
+               for cell in cells}
     rows: list[ScalingRow] = []
     tag = 0
     for eps in eps_grid:
         if eps < 2 * design.h:
             raise ValueError(f"eps {eps} below resolution 2h = {2 * design.h}")
-        cells = [(float(lam), theta) for lam in lambda_grid]
-        values = _run_cells(design, float(eps), cells, n_samples, seed, workers)
+        values = _run_cells(design, float(eps), design.spectrum(float(eps), lat),
+                            configs, n_samples, seed, workers)
         for cell in cells:
             est = moment_norm(values[cell], n, seed=seed, tag=tag)
             tag += 1

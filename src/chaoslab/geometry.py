@@ -49,11 +49,15 @@ def metric(x, g: ScalingGeometry) -> float:
     """Anisotropic distance of ``x`` from the origin.
 
     Returns ``max_i |x_i|**(1/s_i)``; zero iff ``x == 0``.  A scalar is a
-    point of a one-dimensional geometry.
+    point of a one-dimensional geometry.  Several points are rejected: their
+    distances come from :func:`metric_many`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != g.d:
         raise ValueError(f"point has {x.shape[-1]} coordinates, geometry has {g.d}")
+    if x.size != g.d:
+        raise ValueError(f"metric takes one point, got {x.size // g.d}; "
+                         "use metric_many for several")
     exps = 1.0 / np.asarray(g.s)
     return float(np.max(np.abs(x) ** exps))
 
@@ -162,12 +166,6 @@ class Lattice:
         """All lattice points, shape (n_points, d), row-major order."""
         grids = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([gr.reshape(-1) for gr in grids], axis=-1)
-
-    def axis_points(self) -> np.ndarray:
-        # convenience for d = 1
-        if self.geometry.d != 1:
-            raise ValueError("axis_points is only defined for d = 1")
-        return self.axes[0]
 
 
 def build_lattice(g: ScalingGeometry, h: float, extent,

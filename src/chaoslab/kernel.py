@@ -75,11 +75,6 @@ class RenormKernel:
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
 
-    @classmethod
-    def auto(cls, gamma: float, alpha: float, m2: int, g: ScalingGeometry,
-             cutoff: float = 1.0) -> "RenormKernel":
-        return cls(gamma=gamma, g=g, r_e=compute_re(gamma, alpha, m2), cutoff=cutoff)
-
     @property
     def singularity_power(self) -> float:
         return self.g.total - self.gamma

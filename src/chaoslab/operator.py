@@ -10,14 +10,21 @@ ball of radius 2.  Kernel cells within the diagonal exclusion radius, and
 cells where the renormalised kernel is singular (y = 0 at positive Taylor
 depth), are dropped; for gamma > 0 the excluded mass is O(h^gamma).
 
-The kernel matrix and test-function weights depend only on the
-configuration, so they are built once and reused across samples; per-sample
-work is two small matrix products, which also gives an exact batched path.
+The kernel matrix and test-function weights do not depend on the frequency
+theta.  An ``OperatorSetup`` (kernel, test function, lattice, diagonal
+policy, y radius) builds them at first use and keeps them for its lifetime;
+its fields are frozen, so the arrays cannot go stale.  An ``OperatorConfig``
+pairs a set-up with the theta-dependent functional, so configs that differ
+only in theta share one set-up: the studies in ``experiments`` build one per
+lambda per call and share it across theta cells and sample chunks.
+Per-sample work is two small matrix products, which also gives an exact
+batched path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,20 +38,19 @@ class ResolutionError(RuntimeError):
     """Test-function support contains no lattice point (scale below the step)."""
 
 
-@dataclass
-class OperatorConfig:
+@dataclass(frozen=True)
+class OperatorSetup:
+    """The theta-independent part of the operator, with its arrays built once."""
+
     kernel: RenormKernel
     test: TestFunction
-    functional: TwoPointFunctional
     lattice: Lattice
     diagonal_policy: int = 1
     y_radius: float = 2.0
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    def _static(self):
+    @cached_property
+    def arrays(self) -> dict:
         """x/y index sets, test weights and the masked kernel matrix."""
-        if "kmat" in self._cache:
-            return self._cache
         lat = self.lattice
         pts = lat.points()
         phi = eval_test_function_many(self.test, pts)
@@ -61,19 +67,23 @@ class OperatorConfig:
         dist = metric_many(x_pts[:, None, :] - y_pts[None, :, :], g)
         kmat[dist < self.diagonal_policy * lat.base_step] = 0.0
         kmat[~np.isfinite(kmat)] = 0.0  # singular Taylor cell at y = 0
-        self._cache.update(
-            x_idx=x_idx, y_idx=y_idx, xw=phi[x_idx] * lat.cell_volume,
-            kmat=kmat, yw=np.full(len(y_idx), lat.cell_volume))
-        return self._cache
+        return dict(x_idx=x_idx, y_idx=y_idx, xw=phi[x_idx] * lat.cell_volume,
+                    kmat=kmat, yw=np.full(len(y_idx), lat.cell_volume))
+
+
+@dataclass(frozen=True)
+class OperatorConfig:
+    setup: OperatorSetup
+    functional: TwoPointFunctional
 
     def sanity_envelope(self, f_sup: float) -> float:
         """Crude bound sup|F| * sum |K| |phi| * cell volumes for per-run checks."""
-        st = self._static()
+        st = self.setup.arrays
         return float(f_sup * np.abs(st["xw"]) @ np.abs(st["kmat"]) @ st["yw"])
 
 
 def _factors(cfg: OperatorConfig, norm_values: np.ndarray, sigma2: float):
-    st = cfg._static()
+    st = cfg.setup.arrays
     fn = cfg.functional
     tx, ty = fn.theta
     r1, r2 = fn.deriv
@@ -88,7 +98,7 @@ def _factors(cfg: OperatorConfig, norm_values: np.ndarray, sigma2: float):
 def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
                 alpha: float, epsilon: float) -> np.ndarray:
     """Operator values for a batch of raw field arrays, shape (B, *lattice)."""
-    st = cfg._static()
+    st = cfg.setup.arrays
     norm = epsilon ** (alpha / 2.0) * values
     fx, gy = _factors(cfg, norm, sigma2)
     inner = gy @ (st["kmat"].T * st["yw"][:, None])  # (B, Nx)
@@ -97,8 +107,8 @@ def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
 
 def apply(cfg: OperatorConfig, sample: FieldSample) -> float:
     """Double Riemann sum of phi_lam * K * F over one field sample."""
-    if sample.lattice.shape != cfg.lattice.shape or \
-            sample.lattice.steps != cfg.lattice.steps:
+    lat = cfg.setup.lattice
+    if sample.lattice.shape != lat.shape or sample.lattice.steps != lat.steps:
         raise ValueError("sample lattice does not match operator lattice")
     out = apply_batch(cfg, sample.values[None, ...], sample.sigma2,
                       sample.alpha, sample.epsilon)

@@ -1,10 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chaoslab import rng
+from chaoslab import operator, rng
 from chaoslab.experiments import (
+    SAMPLE_CHUNK,
     MomentEstimate,
     QuadratureRefinementNeeded,
     StudyDesign,
@@ -89,6 +92,59 @@ def test_scaling_scan_smoke():
     assert rep.target_eps_exponent == pytest.approx(0.6)
     assert rep.target_lam_exponent == pytest.approx(-0.2)
     assert math.isfinite(rep.eps_slope)
+
+
+def _estimate(e):
+    return {"value": e.value, "ci": list(e.ci), "n_samples": e.n_samples}
+
+
+def test_studies_match_golden_fixture():
+    # golden_operator_studies.json was recorded before the operator set-up
+    # was shared across cells and chunks; three chunks per call
+    want = json.loads(Path(__file__).with_name(
+        "golden_operator_studies.json").read_text())
+    n_samples = 2 * SAMPLE_CHUNK + 1
+    assert want["n_samples"] == n_samples
+    fs = freq_sweep(DESIGN, eps=0.2, lam=0.4,
+                    theta_grid=[(0.0, 0.0), (1.0, 1.0), (3.0, 2.0)], n=1,
+                    n_samples=n_samples, seed=7)
+    assert [_estimate(r.estimate) for r in fs.rows] == want["freq_sweep"]["rows"]
+    assert fs.max_min_ratio == want["freq_sweep"]["max_min_ratio"]
+    sc = scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
+                      lambda_grid=[0.8, 0.6, 0.4], n=1, n_samples=n_samples,
+                      seed=5)
+    got = {"rows": [dict(eps=r.eps, lam=r.lam, **_estimate(r.estimate))
+                    for r in sc.rows],
+           "eps_slope": sc.eps_slope, "lam_slope": sc.lam_slope,
+           "bound_constant": sc.bound_constant}
+    assert got == want["scaling_scan"]
+
+
+@pytest.mark.parametrize("n_samples", [100, 2 * SAMPLE_CHUNK + 1])
+def test_studies_build_each_setup_once(monkeypatch, n_samples):
+    builds = []
+    eval_K_many = operator.eval_K_many
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return eval_K_many(*args, **kwargs)
+
+    monkeypatch.setattr(operator, "eval_K_many", counting)
+    freq_sweep(DESIGN, eps=0.2, lam=0.4,
+               theta_grid=[(0.5, 0.5), (1.0, 1.0), (3.0, 2.0)], n=1,
+               n_samples=n_samples, seed=1)
+    assert len(builds) == 1
+    builds.clear()
+    scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
+                 lambda_grid=[0.8, 0.6, 0.4], n=1, n_samples=n_samples, seed=2)
+    assert len(builds) == 3
+
+
+def test_freq_sweep_pool_matches_serial():
+    kwargs = dict(eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0), (3.0, 2.0)], n=1,
+                  n_samples=600, seed=3)
+    assert freq_sweep(DESIGN, workers=2, **kwargs) == \
+        freq_sweep(DESIGN, workers=1, **kwargs)
 
 
 def test_scaling_scan_resolution_guard():

@@ -31,6 +31,8 @@ def test_metric_dimension_mismatch():
         metric((1.0, 2.0, 3.0), g)
     with pytest.raises(ValueError, match="1 coordinates"):
         metric(0.5, g)
+    with pytest.raises(ValueError, match="metric_many"):
+        metric([[1.0, 0.0], [0.0, 4.0]], g)
 
 
 def test_metric_scalar_in_one_dimension():

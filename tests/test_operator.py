@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from chaoslab.geometry import ScalingGeometry, TestFunction, build_lattice, \
 from chaoslab.kernel import RenormKernel
 from chaoslab.operator import (
     OperatorConfig,
+    OperatorSetup,
     ResolutionError,
     apply,
     apply_batch,
@@ -26,8 +28,9 @@ def make_setup(h=0.05, extent=2.0, eps=0.2, theta=(1.0, 1.0), m=(1, 1),
     kern = RenormKernel(gamma=gamma, g=G1, r_e=r_e)
     fn = TwoPointFunctional(ChaosTruncSpec(trig[0], m[0]),
                             ChaosTruncSpec(trig[1], m[1]), theta, deriv)
-    cfg = OperatorConfig(kernel=kern, test=TestFunction(geometry=G1, scale=lam),
-                         functional=fn, lattice=lat)
+    setup = OperatorSetup(kernel=kern, test=TestFunction(geometry=G1, scale=lam),
+                          lattice=lat)
+    cfg = OperatorConfig(setup, fn)
     return cfg, spec
 
 
@@ -47,22 +50,19 @@ def test_zero_test_function():
     cfg, spec = make_setup()
     zero_tf = TestFunction(geometry=G1, scale=0.4, profile=lambda r: np.zeros_like(r))
     with pytest.raises(ResolutionError):
-        OperatorConfig(kernel=cfg.kernel, test=zero_tf,
-                       functional=cfg.functional, lattice=cfg.lattice)._static()
+        dataclasses.replace(cfg.setup, test=zero_tf).arrays
 
 
 def test_scale_below_step_raises():
     cfg, spec = make_setup()
     tiny = TestFunction(geometry=G1, scale=0.01)
-    bad = OperatorConfig(kernel=cfg.kernel, test=tiny, functional=cfg.functional,
-                         lattice=cfg.lattice)
+    bad = dataclasses.replace(cfg.setup, test=tiny)
     # scale 0.01 < h = 0.05: only the center point x=0 has phi > 0, which is
     # still resolvable; shift the center off-grid to empty the support
     off = TestFunction(geometry=G1, scale=0.01, center=(0.024,))
-    bad = OperatorConfig(kernel=cfg.kernel, test=off, functional=cfg.functional,
-                         lattice=cfg.lattice)
+    bad = dataclasses.replace(cfg.setup, test=off)
     with pytest.raises(ResolutionError):
-        bad._static()
+        bad.arrays
 
 
 def test_linearity_in_test_function():
@@ -81,8 +81,7 @@ def test_linearity_in_test_function():
     vals = []
     for prof in (p1, p2, psum):
         tf = TestFunction(geometry=G1, scale=0.4, profile=prof)
-        c = OperatorConfig(kernel=cfg.kernel, test=tf, functional=cfg.functional,
-                           lattice=cfg.lattice)
+        c = OperatorConfig(dataclasses.replace(cfg.setup, test=tf), cfg.functional)
         vals.append(apply(c, s))
     assert vals[2] == pytest.approx(vals[0] + vals[1], rel=1e-12)
 
@@ -104,7 +103,7 @@ def test_two_grid_agreement():
     vals = {}
     for h in (0.01, 0.005, 0.0025):
         cfg, spec = make_setup(h=h, extent=2.0, gamma=0.5, r_e=0, theta=theta)
-        s = synthetic_sample(cfg.lattice, lambda x: np.sin(2.0 * x) + 0.3)
+        s = synthetic_sample(cfg.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
         vals[h] = apply(cfg, s)
     d1 = abs(vals[0.01] - vals[0.005])
     d2 = abs(vals[0.005] - vals[0.0025])
@@ -118,15 +117,32 @@ def test_diagonal_policy_robust():
     theta = (0.9, 1.3)
     h = 0.0025
     cfg1, _ = make_setup(h=h, extent=2.0, gamma=0.5, r_e=0, theta=theta)
-    s = synthetic_sample(cfg1.lattice, lambda x: np.sin(2.0 * x) + 0.3)
+    s = synthetic_sample(cfg1.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
     cfg_half, _ = make_setup(h=2 * h, extent=2.0, gamma=0.5, r_e=0, theta=theta)
-    s_half = synthetic_sample(cfg_half.lattice, lambda x: np.sin(2.0 * x) + 0.3)
+    s_half = synthetic_sample(cfg_half.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
     two_grid_err = abs(apply(cfg1, s) - apply(cfg_half, s_half))
-    cfg2 = OperatorConfig(kernel=cfg1.kernel, test=cfg1.test,
-                          functional=cfg1.functional, lattice=cfg1.lattice,
-                          diagonal_policy=2)
+    cfg2 = OperatorConfig(dataclasses.replace(cfg1.setup, diagonal_policy=2),
+                          cfg1.functional)
     policy_diff = abs(apply(cfg2, s) - apply(cfg1, s))
     assert policy_diff < 2.0 * two_grid_err
+
+
+def test_setup_is_frozen_and_replace_rebuilds():
+    # the set-up's arrays are built once; changing a field must give a new
+    # set-up with its own arrays, never the old kernel matrix
+    cfg, spec = make_setup(h=0.025)
+    narrow = np.count_nonzero(cfg.setup.arrays["kmat"])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.setup.diagonal_policy = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.setup = dataclasses.replace(cfg.setup, diagonal_policy=3)
+    wide = dataclasses.replace(cfg, setup=dataclasses.replace(cfg.setup,
+                                                              diagonal_policy=3))
+    fresh = OperatorSetup(kernel=cfg.setup.kernel, test=cfg.setup.test,
+                          lattice=cfg.setup.lattice, diagonal_policy=3)
+    assert np.array_equal(wide.setup.arrays["kmat"], fresh.arrays["kmat"])
+    assert np.count_nonzero(wide.setup.arrays["kmat"]) < narrow
+    assert np.count_nonzero(cfg.setup.arrays["kmat"]) == narrow
 
 
 def test_sanity_envelope():
@@ -139,19 +155,19 @@ def test_sanity_envelope():
 def test_apply_single_zero_theta():
     cfg, spec = make_setup()
     s = sample_field(spec, seed=1, index=0)
-    assert apply_single(0.0, ChaosTruncSpec("sin", 1), cfg.test, s) == 0.0
+    assert apply_single(0.0, ChaosTruncSpec("sin", 1), cfg.setup.test, s) == 0.0
 
 
 def test_apply_single_constant_field():
     cfg, spec = make_setup()
     c = 0.7
-    s = synthetic_sample(cfg.lattice, lambda x: np.full_like(x, c), eps=0.2)
+    s = synthetic_sample(cfg.setup.lattice, lambda x: np.full_like(x, c), eps=0.2)
     theta = 1.1
     xnorm = 0.2 ** 0.3 * c  # eps^{alpha/2} * c
-    got = apply_single(theta, ChaosTruncSpec("sin", 1), cfg.test, s)
-    pts = cfg.lattice.points()
-    phi_int = float(np.sum(eval_test_function_many(cfg.test, pts))
-                    * cfg.lattice.cell_volume)
+    got = apply_single(theta, ChaosTruncSpec("sin", 1), cfg.setup.test, s)
+    pts = cfg.setup.lattice.points()
+    phi_int = float(np.sum(eval_test_function_many(cfg.setup.test, pts))
+                    * cfg.setup.lattice.cell_volume)
     assert got == pytest.approx(math.sin(theta * xnorm) * phi_int, rel=1e-12)
 
 
@@ -159,8 +175,8 @@ def test_apply_single_two_grid():
     vals = {}
     for h in (0.02, 0.01):
         cfg, spec = make_setup(h=h)
-        s = synthetic_sample(cfg.lattice, lambda x: np.cos(3 * x))
-        vals[h] = apply_single(1.3, ChaosTruncSpec("sin", 1), cfg.test, s)
+        s = synthetic_sample(cfg.setup.lattice, lambda x: np.cos(3 * x))
+        vals[h] = apply_single(1.3, ChaosTruncSpec("sin", 1), cfg.setup.test, s)
     assert vals[0.02] == pytest.approx(vals[0.01], rel=0.05)
 
 
