@@ -25,6 +25,9 @@ from .kernel import RenormKernel, compute_re, eval_K_many
 from .operator import OperatorConfig, OperatorSetup, apply_batch
 
 BOOTSTRAP_RESAMPLES = 500
+# resample indices drawn per block in moment_norm: bounds its temporaries
+# to about 1 MB whatever the sample size
+BOOTSTRAP_BLOCK = 65536
 
 
 class QuadratureRefinementNeeded(RuntimeError):
@@ -62,11 +65,15 @@ def moment_norm(values, n: int, seed: int = 0, tag: int = 0) -> MomentEstimate:
     point = float(np.mean(powers) ** (1.0 / (2 * n)))
     if np.all(values == 0.0):
         return MomentEstimate(n=n, value=0.0, ci=(0.0, 0.0), n_samples=m)
+    # one (rows, m) draw walks the stream exactly as rows draws of size m,
+    # so the resample indices do not depend on the block size
     gen = rng.substream(seed, rng.BOOTSTRAP, tag)
     boot = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        pick = gen.integers(0, m, size=m)
-        boot[b] = np.mean(powers[pick]) ** (1.0 / (2 * n))
+    rows = max(1, BOOTSTRAP_BLOCK // m)
+    for lo in range(0, BOOTSTRAP_RESAMPLES, rows):
+        hi = min(lo + rows, BOOTSTRAP_RESAMPLES)
+        pick = gen.integers(0, m, size=(hi - lo, m))
+        boot[lo:hi] = np.mean(powers[pick], axis=1) ** (1.0 / (2 * n))
     lo, hi = np.percentile(boot, [2.5, 97.5])
     lo = min(lo, point)
     hi = max(hi, point)

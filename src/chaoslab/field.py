@@ -3,7 +3,10 @@
 The target covariance is C(x) = (|x| + eps)^(-alpha) in the anisotropic
 metric.  On a periodic lattice the covariance operator is circulant, so its
 eigenvalues are the FFT of the covariance at torus lags; sampling is
-spectral synthesis at O(N log N) per draw and is exactly stationary.
+spectral synthesis, C^{1/2} w = F^{-1} diag(sqrt(lambda)) F w for white
+noise w, and is exactly stationary.  C^{1/2} is a real operator, so
+C^{1/2}(w_a + i w_b) = C^{1/2} w_a + i C^{1/2} w_b: draws 2j and 2j + 1 are
+the real and imaginary parts of one complex transform, O(N log N) per pair.
 Negative circulant eigenvalues (the embedding is not always non-negative)
 are clipped to zero and the clipped relative mass is reported; the variance
 entering downstream chaos coefficients is computed exactly from the clipped
@@ -125,21 +128,48 @@ def sample_field(spectrum: Spectrum, seed: int, index: int) -> FieldSample:
                        alpha=spectrum.spec.alpha, epsilon=spectrum.spec.epsilon)
 
 
+def _draw_indices(indices) -> np.ndarray:
+    """Draw indices as a 1-D int64 array; non-integer or negative ones raise."""
+    arr = np.asarray(indices)
+    if arr.ndim != 1:
+        raise ValueError(f"indices must be one-dimensional, got shape {arr.shape}")
+    with np.errstate(invalid="ignore"):
+        idx = arr.astype(np.int64)
+    if not np.array_equal(idx, arr) or np.any(idx < 0):
+        raise ValueError("indices must be non-negative integers")
+    return idx
+
+
 def sample_field_values(spectrum: Spectrum, seed: int, indices) -> np.ndarray:
     """Batched draws, shape (len(indices), *lattice.shape).
 
-    Noise comes from one counter substream per index, so batching and worker
-    splits cannot change any sample.
+    Draw k is the real part (k even) or the imaginary part (k odd) of
+    C^{1/2}(w_{2j} + i w_{2j+1}) with j = k // 2, one complex transform per
+    pair.  The pair is fixed by the absolute index, never by the batch: a
+    lone index still draws its partner's noise and discards the partner's
+    half.  Noise comes from one counter substream per index and numpy's
+    batched FFT rows do not depend on the rest of the batch, so each draw is
+    a function of (seed, index) alone: batching, order, repeats and worker
+    splits cannot change any sample.  Non-integer or negative indices raise
+    ValueError before any draw.
     """
-    indices = np.asarray(indices, dtype=int)
+    idx = _draw_indices(indices)
     shape = spectrum.lattice.shape
-    w = np.empty((len(indices),) + shape)
-    for row, idx in enumerate(indices):
-        w[row] = rng.substream(seed, rng.FIELD, int(idx)).standard_normal(shape)
+    out = np.empty((len(idx),) + shape)
+    pairs, row = np.unique(idx // 2, return_inverse=True)
+    zh = np.empty((len(pairs),) + shape, dtype=complex)
+    for j, pair in enumerate(pairs):
+        k = 2 * int(pair)
+        zh.real[j] = rng.substream(seed, rng.FIELD, k).standard_normal(shape)
+        zh.imag[j] = rng.substream(seed, rng.FIELD, k + 1).standard_normal(shape)
     axes = tuple(range(1, len(shape) + 1))
-    wh = np.fft.fftn(w, axes=axes)
-    xh = wh * np.sqrt(spectrum.eigenvalues)[None, ...]
-    return np.real(np.fft.ifftn(xh, axes=axes))
+    zh = np.fft.fftn(zh, axes=axes)
+    zh *= np.sqrt(spectrum.eigenvalues)
+    zh = np.fft.ifftn(zh, axes=axes)
+    odd = idx % 2 == 1
+    out[~odd] = zh.real[row[~odd]]
+    out[odd] = zh.imag[row[odd]]
+    return out
 
 
 @dataclass
@@ -247,13 +277,19 @@ def verify_assumption1(spectrum: Spectrum, n_samples: int, seed: int = 0,
 
 
 def exact_lambda_hat(spectrum: Spectrum, max_lag_fraction: float = 0.5) -> float:
-    """Sandwich constant of the exact synthesized covariance (no sampling)."""
+    """Sandwich constant of the exact synthesized covariance (no sampling).
+
+    Compares at the torus lags whose metric is at most the smallest metric
+    reach of ``max_lag_fraction`` of a period along one axis,
+    min_i (f * n_i * step_i)^(1/s_i).
+    """
     lat = spectrum.lattice
     cov = spectrum.covariance()
     lags = _torus_lags(lat)
     target = spectrum.spec.target(lags)
-    period_half = min(n * s for n, s in zip(lat.shape, lat.steps)) * max_lag_fraction
-    mask = lags <= period_half
+    radius = min((max_lag_fraction * n * step) ** (1.0 / s)
+                 for n, step, s in zip(lat.shape, lat.steps, lat.geometry.s))
+    mask = lags <= radius
     ratio = cov[mask] / target[mask]
     if np.any(ratio <= 0):
         return math.inf

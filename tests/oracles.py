@@ -12,6 +12,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_hermitenorm, roots_legendre
 
+from chaoslab import rng
+
 
 def _orthonormal_hermite(x, order):
     """Orthonormal probabilists' Hermite values p_order, p_{order-1}, sum_{k<order} p_k^2."""
@@ -190,3 +192,43 @@ def two_panel_mollified_deriv(spec, ell: int, u, nodes: int = 96):
             vals = spec._raw_deriv(ell, u[..., None] - delta * tt)
             out += half * ((_bump(tt) * vals) @ w) / mass
     return float(out[0]) if u_in.ndim == 0 else out
+
+
+def full_complex_field_values(spectrum, seed: int, indices) -> np.ndarray:
+    """Field draws by one full complex transform per draw.
+
+    The route the package used before it paired draws 2j and 2j + 1 in one
+    complex transform: each draw's real noise goes through its own complex
+    ``fftn``/``ifftn`` and the imaginary half is discarded.  Only the noise
+    substreams and the spectrum are shared with the package.
+    """
+    indices = np.asarray(indices, dtype=int)
+    shape = spectrum.lattice.shape
+    w = np.empty((len(indices),) + shape)
+    for row, idx in enumerate(indices):
+        w[row] = rng.substream(seed, rng.FIELD, int(idx)).standard_normal(shape)
+    axes = tuple(range(1, len(shape) + 1))
+    wh = np.fft.fftn(w, axes=axes)
+    xh = wh * np.sqrt(spectrum.eigenvalues)[None, ...]
+    return np.real(np.fft.ifftn(xh, axes=axes))
+
+
+def loop_bootstrap_moment_norm(values, n: int, seed: int = 0, tag: int = 0,
+                               resamples: int = 500):
+    """(point, (lo, hi)) of the moment norm with one resample per loop step.
+
+    The bootstrap the package used before it drew its resample indices in
+    (rows, m) blocks: each resample is one ``integers(0, m, size=m)`` call on
+    the (seed, BOOTSTRAP, tag) substream and one scalar mean.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    m = len(values)
+    powers = np.abs(values) ** (2 * n)
+    point = float(np.mean(powers) ** (1.0 / (2 * n)))
+    gen = rng.substream(seed, rng.BOOTSTRAP, tag)
+    boot = np.empty(resamples)
+    for b in range(resamples):
+        pick = gen.integers(0, m, size=m)
+        boot[b] = np.mean(powers[pick]) ** (1.0 / (2 * n))
+    lo, hi = np.percentile(boot, [2.5, 97.5])
+    return point, (float(min(lo, point)), float(max(hi, point)))

@@ -13,8 +13,10 @@ from chaoslab.field import (
     verify_assumption1,
 )
 from chaoslab.geometry import ScalingGeometry, lattice_from_counts
+from oracles import full_complex_field_values
 
 G1 = ScalingGeometry((1.0,))
+G2 = ScalingGeometry((2.0, 1.0))
 
 
 def small_spectrum(alpha=0.6, eps=0.1, n=2048, extent=4.0):
@@ -53,11 +55,47 @@ def test_sampling_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
+def small_spectrum_2d(alpha=0.6, eps=0.1):
+    lat = lattice_from_counts(G2, 0.2, (40, 20))
+    return build_spectrum(CovarianceSpec(alpha=alpha, epsilon=eps), lat,
+                          clip_threshold=1.0)
+
+
 def test_sampling_batch_matches_single():
+    # a lone even or odd index, a split pair and an odd-length range
     sp = small_spectrum()
-    batch = sample_field_values(sp, seed=5, indices=[3, 9])
-    one = sample_field(sp, seed=5, index=9)
-    assert np.array_equal(batch[1], one.values)
+    for indices in ([3, 9], [4], [7], list(range(3, 10))):
+        batch = sample_field_values(sp, seed=5, indices=indices)
+        for row, k in enumerate(indices):
+            assert np.array_equal(batch[row],
+                                  sample_field(sp, seed=5, index=k).values)
+
+
+@pytest.mark.parametrize("indices", [[0], [5], np.arange(0, 7), np.arange(3, 10),
+                                     [9, 2, 2, 4]],
+                         ids=["0", "5", "arange0to7", "arange3to10", "repeats"])
+@pytest.mark.parametrize("spectrum", [small_spectrum, small_spectrum_2d],
+                         ids=["d1", "d2"])
+def test_sampling_matches_full_complex_oracle(spectrum, indices):
+    sp = spectrum()
+    got = sample_field_values(sp, seed=4, indices=indices)
+    want = full_complex_field_values(sp, 4, indices)
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_sampling_indices_validated():
+    sp = small_spectrum(n=64)
+    assert sample_field_values(sp, seed=1, indices=[]).shape == (0, 64)
+    sp2 = small_spectrum_2d()
+    assert sample_field_values(sp2, seed=1, indices=np.arange(0)).shape == \
+        (0, 40, 20)
+    for bad in ([0.5], [-1], [2, -1], [[1, 2]], ["a"]):
+        with pytest.raises(ValueError):
+            sample_field_values(sp, seed=1, indices=bad)
+    with pytest.raises(ValueError):
+        sample_field(sp, seed=1, index=1.5)
 
 
 def test_sample_moments():
@@ -72,6 +110,29 @@ def test_sample_moments():
 def test_exact_covariance_matches_target():
     sp = small_spectrum()
     assert exact_lambda_hat(sp) < 1.01
+
+
+def test_exact_lambda_hat_metric_radius_2d():
+    # direct route: covariance by explicit per-axis DFT sums of the
+    # eigenvalues, kept lags those within min_i (f n_i step_i)^(1/s_i)
+    sp = small_spectrum_2d()
+    lat = sp.lattice
+    frac = 0.5
+    axes_lag, axes_dft = [], []
+    for n, step in zip(lat.shape, lat.steps):
+        k = np.arange(n)
+        axes_lag.append(np.minimum(k, n - k) * step)
+        axes_dft.append(np.exp(2j * np.pi * np.outer(k, k) / n))
+    cov = np.real(axes_dft[0] @ sp.eigenvalues @ axes_dft[1].T) / sp.eigenvalues.size
+    x0, x1 = np.meshgrid(*axes_lag, indexing="ij")
+    lag = np.maximum(np.abs(x0) ** 0.5, np.abs(x1))
+    radius = min((frac * lat.shape[0] * lat.steps[0]) ** 0.5,
+                 frac * lat.shape[1] * lat.steps[1])
+    kept = lag <= radius
+    assert 0 < kept.sum() < kept.size
+    ratio = cov[kept] / sp.spec.target(lag[kept])
+    want = max(np.max(ratio), np.max(1.0 / ratio))
+    assert exact_lambda_hat(sp, frac) == pytest.approx(want, rel=1e-12)
 
 
 def test_verify_assumption1_exact_self():
