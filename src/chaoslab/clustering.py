@@ -1,10 +1,12 @@
-"""Equivalence-class clustering at a length scale, isolated-point detection,
+"""Equivalence-class clustering at a length scale, the isolated-point test,
 chain-partition membership, and small-volume Monte Carlo estimates.
 
 Points are clustered by the transitive closure of "within distance scale" in
 the anisotropic metric; a configuration of 2n points is 'separated' when at
-least one point is farther than the scale from every other.  The complement
-of that event carries small volume, which the Monte Carlo estimators here
+least one point is farther than the scale from every other.  That event is
+decided in one place, :func:`has_isolated_point`, from pairwise distances,
+and every routine of the package that needs it calls it.  The complement of
+the event carries small volume, which the Monte Carlo estimators here
 quantify against the product bound (eps ^ n|s|) * (lambda ^ n|s|) up to a
 single constant.
 """
@@ -45,8 +47,19 @@ class _UnionFind:
 
 
 def _pair_distances(points: np.ndarray, g: ScalingGeometry) -> np.ndarray:
-    diffs = points[:, None, :] - points[None, :, :]
+    """Pairwise metric distances of points shaped (..., k, d): (..., k, k)."""
+    diffs = points[..., :, None, :] - points[..., None, :, :]
     return metric_many(diffs, g)
+
+
+def has_isolated_point(dist: np.ndarray, scale: float) -> np.ndarray:
+    """Per configuration: is some point farther than ``scale`` from every other?
+
+    ``dist`` holds pairwise distances, shape (..., k, k); it is not modified.
+    The result has shape (...).
+    """
+    off = np.where(np.eye(dist.shape[-1], dtype=bool), np.inf, dist)
+    return np.any(np.min(off, axis=-1) > scale, axis=-1)
 
 
 def build_clusters(points, L_eps: float, g: ScalingGeometry) -> ClusterPartition:
@@ -76,26 +89,14 @@ def in_S2n(points, L_eps: float, g: ScalingGeometry | None = None) -> bool:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if g is None:
         g = ScalingGeometry((1.0,) * pts.shape[-1])
-    dist = _pair_distances(pts, g)
-    np.fill_diagonal(dist, np.inf)
-    return bool(np.any(np.min(dist, axis=1) > L_eps))
+    return bool(has_isolated_point(_pair_distances(pts, g), L_eps))
 
 
 def in_chain_class(points, L_eps: float, g: ScalingGeometry) -> bool:
     """Membership in the chain class: some relabelling has consecutive gaps <= L_eps."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    if m == 1:
-        return True
-    dist = _pair_distances(pts, g)
-    adj = dist <= L_eps
-    # Hamiltonian path in the proximity graph, brute force (block sizes <= 8)
-    for perm in itertools.permutations(range(m)):
-        if perm[0] != min(perm[0], perm[-1]):
-            continue  # path reversal symmetry
-        if all(adj[perm[i], perm[i + 1]] for i in range(m - 1)):
-            return True
-    return False
+    adj = _pair_distances(pts, g) <= L_eps
+    return bool(_chain_mask(adj[None], tuple(range(len(pts))))[0])
 
 
 @dataclass
@@ -117,16 +118,6 @@ def _uniform_box_points(gen: np.random.Generator, n_pts: int, n_mc: int,
 
 def _box_volume(g: ScalingGeometry, radius: float) -> float:
     return float(np.prod([2.0 * radius**si for si in g.s]))
-
-
-def _separated_mask(configs: np.ndarray, scale: float, g: ScalingGeometry) -> np.ndarray:
-    """Per-configuration flag: does an isolated point exist at the scale."""
-    diffs = configs[:, :, None, :] - configs[:, None, :, :]
-    dist = metric_many(diffs, g)
-    k = configs.shape[1]
-    idx = np.arange(k)
-    dist[:, idx, idx] = np.inf
-    return np.any(np.min(dist, axis=2) > scale, axis=1)
 
 
 _MC_BATCH = 50_000
@@ -151,7 +142,8 @@ def volume_Sc(n: int, eps: float, lam: float, g: ScalingGeometry, n_mc: int,
     while done < n_mc:
         batch = min(_MC_BATCH, n_mc - done)
         configs = _uniform_box_points(gen, n_pts, batch, g, 2.0 * lam)
-        hits += int(np.sum(~_separated_mask(configs, scale, g)))
+        hits += int(np.sum(~has_isolated_point(_pair_distances(configs, g),
+                                               scale)))
         done += batch
     total_vol = _box_volume(g, 2.0 * lam) ** n_pts
     p = hits / n_mc
@@ -233,13 +225,9 @@ def partition_sum_check(n: int, eps: float, lam: float, n_mc: int,
     while done < n_mc:
         batch = min(_MC_BATCH, n_mc - done)
         configs = _uniform_box_points(gen, n_pts, batch, g, 2.0 * lam)
-        diffs = configs[:, :, None, :] - configs[:, None, :, :]
-        dist = metric_many(diffs, g)
-        idx = np.arange(n_pts)
+        dist = _pair_distances(configs, g)
         adj = dist <= scale
-        dist_off = dist.copy()
-        dist_off[:, idx, idx] = np.inf
-        separated = np.any(np.min(dist_off, axis=2) > scale, axis=1)
+        separated = has_isolated_point(dist, scale)
         covered = np.zeros(batch, dtype=bool)
         for part in parts:
             mask = np.ones(batch, dtype=bool)

@@ -1,12 +1,13 @@
-"""Moment-norm estimation and the sweep experiments behind the main bound.
+"""Operator studies, deterministic second moments and the volume lemmas.
 
-The headline quantities are 2n-th root moment norms of operator values over
-many field draws.  Estimates carry percentile-bootstrap confidence intervals
-(2n-th powers of near-Gaussian functionals are heavy-tailed at moderate
-sample counts, so asymptotic-normal intervals are avoided).  Sweeps report
-single-constant domination against the target power laws and fitted slopes;
-the underlying bound is one-sided, so slope checks are lower bounds, never
-equalities.
+The operator studies (:func:`freq_sweep`, :func:`scaling_scan`) estimate
+2n-th root moment norms of operator values over many field draws, with the
+bootstrap intervals of :mod:`stats`, and report single-constant domination
+against the target power laws and fitted slopes; the underlying bound is
+one-sided, so slope checks are lower bounds, never equalities.  The
+deterministic routines integrate the |K|-smeared Wick second moments G and H
+on two grids, and Monte Carlo checks the two restricted-volume integrals.
+Both are implemented on the line with s = (1,) only.
 """
 
 from __future__ import annotations
@@ -18,66 +19,18 @@ import numpy as np
 
 from . import rng
 from .chaos import ChaosTruncSpec, TwoPointFunctional
+from .clustering import has_isolated_point
 from .field import CovarianceSpec, Spectrum, build_spectrum, sample_field_values
 from .geometry import Lattice, ScalingGeometry, TestFunction, build_lattice, \
-    eval_test_function_many, metric_many
+    eval_test_function_many
 from .kernel import RenormKernel, compute_re, eval_K_many
 from .operator import OperatorConfig, OperatorSetup, apply_batch
-
-BOOTSTRAP_RESAMPLES = 500
-# resample indices drawn per block in moment_norm: bounds its temporaries
-# to about 1 MB whatever the sample size
-BOOTSTRAP_BLOCK = 65536
+# BOOTSTRAP_RESAMPLES is read here by name by the benchmark's tracer
+from .stats import BOOTSTRAP_RESAMPLES, MomentEstimate, moment_norm  # noqa: F401
 
 
 class QuadratureRefinementNeeded(RuntimeError):
     """Two-grid disagreement exceeded the tolerance; refine the step."""
-
-
-@dataclass
-class MomentEstimate:
-    n: int
-    value: float
-    ci: tuple[float, float]
-    n_samples: int
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "value": self.value, "ci": list(self.ci),
-                "n_samples": self.n_samples}
-
-
-def moment_norm(values, n: int, seed: int = 0, tag: int = 0) -> MomentEstimate:
-    """Plug-in estimate of (E |V|^{2n})^{1/(2n)} with a bootstrap interval.
-
-    Resample seeds derive from (seed, tag), so repeated runs and parallel
-    schedules reproduce the same interval.
-    """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if n < 1:
-        raise ValueError("half-order n must be >= 1")
-    m = len(values)
-    if m == 0:
-        raise ValueError("empty sample")
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
-        raise ValueError(f"{bad} of {m} sample values are not finite")
-    powers = np.abs(values) ** (2 * n)
-    point = float(np.mean(powers) ** (1.0 / (2 * n)))
-    if np.all(values == 0.0):
-        return MomentEstimate(n=n, value=0.0, ci=(0.0, 0.0), n_samples=m)
-    # one (rows, m) draw walks the stream exactly as rows draws of size m,
-    # so the resample indices do not depend on the block size
-    gen = rng.substream(seed, rng.BOOTSTRAP, tag)
-    boot = np.empty(BOOTSTRAP_RESAMPLES)
-    rows = max(1, BOOTSTRAP_BLOCK // m)
-    for lo in range(0, BOOTSTRAP_RESAMPLES, rows):
-        hi = min(lo + rows, BOOTSTRAP_RESAMPLES)
-        pick = gen.integers(0, m, size=(hi - lo, m))
-        boot[lo:hi] = np.mean(powers[pick], axis=1) ** (1.0 / (2 * n))
-    lo, hi = np.percentile(boot, [2.5, 97.5])
-    lo = min(lo, point)
-    hi = max(hi, point)
-    return MomentEstimate(n=n, value=point, ci=(float(lo), float(hi)), n_samples=m)
 
 
 @dataclass(frozen=True)
@@ -305,22 +258,37 @@ def _grid_1d(step: float, radius: float) -> np.ndarray:
     return (np.arange(-m, m + 1) * step).reshape(-1, 1)
 
 
-def _g_value(x, kern: RenormKernel, m2: int, cov: CovarianceSpec, h: float,
-             y_radius: float, policy: int) -> float:
-    g = kern.g
-    if g.d != 1:
-        raise NotImplementedError("deterministic quadrature is implemented for d = 1")
-    ys = _grid_1d(h, y_radius)
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    kv = eval_K_many(x_arr, ys, kern)[0]
-    dist = metric_many(ys - x_arr[0][None, :], g)
-    kv[dist < policy * h] = 0.0
-    kv[~np.isfinite(kv)] = 0.0
-    v = np.abs(kv) * h ** g.total
-    lags = np.abs(ys[:, None, 0] - ys[None, :, 0])
-    rho = (cov.epsilon / (lags + cov.epsilon)) ** cov.alpha
-    val2 = math.factorial(m2) * float(v @ (rho ** m2) @ v)
-    return math.sqrt(max(val2, 0.0))
+def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, base: np.ndarray,
+                       m: int, cov: CovarianceSpec, h: float, policy: int,
+                       check_tol: float) -> float:
+    """sqrt(m! * v^T rho^m v) for v = |K| * weight * step on a 1-d grid.
+
+    ``grid(step)`` gives the grid points and their weights, ``kernel_row``
+    the values of ``kern`` at those points.  Cells within policy * step of the
+    base point and singular values are dropped; rho is the normalised target
+    covariance at the grid lags.  The norm is taken at steps h and h / 2,
+    and a relative disagreement above ``check_tol`` raises rather than
+    returning an uncertified value.
+    """
+    if kern.g.s != (1.0,):
+        raise NotImplementedError(
+            "deterministic quadrature is implemented for d = 1 with s = (1,)")
+    vals = []
+    for step in (h, h / 2.0):
+        pts, weight = grid(step)
+        kv = kernel_row(pts)
+        kv[np.abs(pts[:, 0] - base[0]) < policy * step] = 0.0
+        kv[~np.isfinite(kv)] = 0.0
+        v = np.abs(kv) * weight * step
+        lags = np.abs(pts[:, None, 0] - pts[None, :, 0])
+        rho = (cov.epsilon / (lags + cov.epsilon)) ** cov.alpha
+        vals.append(math.sqrt(max(math.factorial(m) * float(v @ (rho ** m) @ v),
+                                  0.0)))
+    coarse, fine = vals
+    if fine > 0 and abs(coarse - fine) / fine > check_tol:
+        raise QuadratureRefinementNeeded(
+            f"two-grid disagreement {abs(coarse - fine) / fine:.2%} at h = {h}")
+    return fine
 
 
 def second_moment_G(x, kern: RenormKernel, m2: int, cov: CovarianceSpec,
@@ -329,47 +297,28 @@ def second_moment_G(x, kern: RenormKernel, m2: int, cov: CovarianceSpec,
     """L2 norm of the |K|-smeared Wick power of the y-variable at basepoint x.
 
     Deterministic double quadrature of m2! * |K||K| rho^{m2} on the target
-    covariance, square-rooted; a two-grid disagreement above ``check_tol``
-    raises rather than returning an uncertified value.
+    covariance, square-rooted and certified on two grids.
     """
-    coarse = _g_value(x, kern, m2, cov, h, y_radius, policy)
-    fine = _g_value(x, kern, m2, cov, h / 2.0, y_radius, policy)
-    if fine > 0 and abs(coarse - fine) / fine > check_tol:
-        raise QuadratureRefinementNeeded(
-            f"two-grid disagreement {abs(coarse - fine) / fine:.2%} at h = {h}")
-    return fine
-
-
-def _h_value(y, kern: RenormKernel, test: TestFunction, m1: int,
-             cov: CovarianceSpec, h: float, policy: int) -> float:
-    g = kern.g
-    if g.d != 1:
-        raise NotImplementedError("deterministic quadrature is implemented for d = 1")
-    xs = _grid_1d(h, test.scale)
-    xs = xs + np.asarray(test.center)[None, :]
-    phi = eval_test_function_many(test, xs)
-    y_arr = np.atleast_2d(np.asarray(y, dtype=float))
-    kv = eval_K_many(xs, y_arr, kern)[:, 0]
-    dist = metric_many(xs - y_arr[0][None, :], g)
-    kv[dist < policy * h] = 0.0
-    kv[~np.isfinite(kv)] = 0.0
-    v = np.abs(kv) * np.abs(phi) * h ** g.total
-    lags = np.abs(xs[:, None, 0] - xs[None, :, 0])
-    rho = (cov.epsilon / (lags + cov.epsilon)) ** cov.alpha
-    val2 = math.factorial(m1) * float(v @ (rho ** m1) @ v)
-    return math.sqrt(max(val2, 0.0))
+    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
+    return _smeared_wick_norm(
+        kern, lambda step: (_grid_1d(step, y_radius), 1.0),
+        lambda ys: eval_K_many(x_arr, ys, kern)[0],
+        x_arr[0], m2, cov, h, policy, check_tol)
 
 
 def second_moment_H(y, kern: RenormKernel, test: TestFunction, m1: int,
                     cov: CovarianceSpec, h: float = 0.005, policy: int = 1,
                     check_tol: float = 0.10) -> float:
     """L2 norm of the |K phi|-smeared Wick power of the x-variable at point y."""
-    coarse = _h_value(y, kern, test, m1, cov, h, policy)
-    fine = _h_value(y, kern, test, m1, cov, h / 2.0, policy)
-    if fine > 0 and abs(coarse - fine) / fine > check_tol:
-        raise QuadratureRefinementNeeded(
-            f"two-grid disagreement {abs(coarse - fine) / fine:.2%} at h = {h}")
-    return fine
+    y_arr = np.atleast_2d(np.asarray(y, dtype=float))
+
+    def grid(step):
+        xs = _grid_1d(step, test.scale) + np.asarray(test.center)[None, :]
+        return xs, np.abs(eval_test_function_many(test, xs))
+
+    return _smeared_wick_norm(kern, grid,
+                              lambda xs: eval_K_many(xs, y_arr, kern)[:, 0],
+                              y_arr[0], m1, cov, h, policy, check_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +357,9 @@ def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
     and (eps ^ lam)^{2n(gamma-r_e+1-eta)} for the near part.
     """
     g = kern.g
-    if g.d != 1:
-        raise NotImplementedError("volume lemma sampling is implemented for d = 1")
+    if g.s != (1.0,):
+        raise NotImplementedError(
+            "volume lemma sampling is implemented for d = 1 with s = (1,)")
     if 2 * n > 4:
         raise ValueError("volume lemma budget is 2n <= 4")
     q_far = g.total - kern.gamma + kern.r_e
@@ -425,10 +375,8 @@ def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
             # far part: uniform proposal on the full y-box
             batch = n_mc
             ys = gen.uniform(-y_radius, y_radius, size=(batch, k))
-            dist = np.abs(ys[:, :, None] - ys[:, None, :])
-            idx = np.arange(k)
-            dist[:, idx, idx] = np.inf
-            no_singleton = ~np.any(np.min(dist, axis=2) > scale, axis=1)
+            no_singleton = ~has_isolated_point(
+                np.abs(ys[:, :, None] - ys[:, None, :]), scale)
             w = np.where(np.all(np.abs(ys) >= 2 * lam, axis=1),
                          np.prod(np.abs(ys) ** (-q_far), axis=1), 0.0)
             i_far = float(np.mean(w * no_singleton) * (2 * y_radius) ** k)
@@ -442,9 +390,8 @@ def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
                 sign = np.where(gen.random(size=(batch, k)) < 0.5, -1.0, 1.0)
                 yn = sign * r
                 z1 = 2.0 * (2 * lam) ** (1.0 - q_near) / (1.0 - q_near)
-                dn = np.abs(yn[:, :, None] - yn[:, None, :])
-                dn[:, idx, idx] = np.inf
-                hit = ~np.any(np.min(dn, axis=2) > scale, axis=1)
+                hit = ~has_isolated_point(
+                    np.abs(yn[:, :, None] - yn[:, None, :]), scale)
                 i_near = float(np.mean(hit) * z1 ** k)
                 b_near = min(eps, lam) ** (2 * n * (kern.gamma - kern.r_e + 1 - eta))
             rows.append(VolumeLemmaRow(eps=float(eps), lam=float(lam),

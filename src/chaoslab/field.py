@@ -1,4 +1,5 @@
-"""Stationary Gaussian field synthesis on periodic lattices.
+"""Stationary Gaussian field synthesis on periodic lattices, and the
+empirical check of the covariance sandwich (Assumption 1).
 
 The target covariance is C(x) = (|x| + eps)^(-alpha) in the anisotropic
 metric.  On a periodic lattice the covariance operator is circulant, so its
@@ -14,6 +15,10 @@ spectrum, never estimated.
 
 Physical lags should stay below half the torus period to avoid wrap-around
 bias; callers control this through the lattice extent.
+
+The sandwich check estimates the covariance at a lag grid from sample
+periodograms; its confidence band is the bootstrap of :mod:`stats`, over
+whole draws.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .geometry import Lattice, ScalingGeometry, metric_many
+from .geometry import Lattice, metric_many
+from .stats import bootstrap_means
 
 
 class InfeasibleEmbeddingError(RuntimeError):
@@ -189,18 +195,6 @@ class SandwichReport:
     n_samples: int
     violations: list[float]
 
-    def to_json(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat,
-            "per_lag": [
-                {"lag": e.lag, "c_hat": e.c_hat, "lo": e.lo, "hi": e.hi,
-                 "target": e.target} for e in self.per_lag
-            ],
-            "clipped_mass": self.clipped_mass,
-            "n_samples": self.n_samples,
-            "violations": self.violations,
-        }
-
 
 def _lag_indices(lattice: Lattice, max_count: int = 48) -> list[tuple[int, ...]]:
     """Axis-0 lag multi-indices up to half the period, log-spaced."""
@@ -243,12 +237,7 @@ def verify_assumption1(spectrum: Spectrum, n_samples: int, seed: int = 0,
         done += b
         row += b
     mean = per_sample.mean(axis=0)
-    boot_gen = rng.substream(seed, rng.BOOTSTRAP, 1)
-    nboot = 500
-    boot = np.empty((nboot, len(lag_idx)))
-    for bb in range(nboot):
-        pick = boot_gen.integers(0, n_samples, size=n_samples)
-        boot[bb] = per_sample[pick].mean(axis=0)
+    boot = bootstrap_means(per_sample, seed, 1)
     lo = np.percentile(boot, 2.5, axis=0)
     hi = np.percentile(boot, 97.5, axis=0)
     steps = lat.steps

@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_hermitenorm
 
 from . import chaos, rng
+from .clustering import has_isolated_point
 
 MAX_ENUM_VARS = 12
 
@@ -65,9 +65,6 @@ class DMatrix:
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.entries)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=int)
 
 
 def enumerate_dmatrices(row_sums) -> list[DMatrix]:
@@ -156,49 +153,6 @@ def wick_sum_moment(ranges, cov) -> float:
     for degs in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
         terms.append(wick_moment(degs, cov))
     return math.fsum(terms)
-
-
-@lru_cache(maxsize=4096)
-def _matchings(degrees: tuple) -> tuple:
-    """No-self-loop perfect matchings of the degree vector's legs.
-
-    The slow reference route: each matching is a tuple of index pairs, cached
-    per degree vector so covariance sweeps stay linear in the matrix count.
-    """
-    legs: list[int] = []
-    for i, q in enumerate(degrees):
-        legs.extend([i] * q)
-    out: list[tuple] = []
-
-    def rec(items, acc):
-        if not items:
-            out.append(tuple(acc))
-            return
-        first, rest = items[0], items[1:]
-        for i in range(len(rest)):
-            if rest[i] == first:
-                continue
-            acc.append((first, rest[i]))
-            rec(rest[:i] + rest[i + 1:], acc)
-            acc.pop()
-
-    if len(legs) % 2 == 0:
-        rec(legs, [])
-    return tuple(out)
-
-
-def matching_moment(degrees, cov) -> float:
-    """E prod Z_i^{<>n_i} by direct perfect-matching enumeration.
-
-    Exponential-cost reference for :func:`wick_moment`; total degree should
-    stay at or below about 10.
-    """
-    deg = tuple(int(v) for v in degrees)
-    cov = np.asarray(cov, dtype=float)
-    ms = _matchings(deg)
-    if not ms:
-        return 0.0
-    return math.fsum(math.prod(cov[a, b] for a, b in m) for m in ms)
 
 
 def reduce_to_dstar(d: DMatrix, alpha: float, m2: int) -> tuple[DMatrix, float]:
@@ -464,17 +418,6 @@ class RatioReport:
     max_ratio: float
     rejections: int
 
-    def to_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "grid": [
-                {"theta": list(e.theta), "lhs": e.lhs, "rhs": e.rhs,
-                 "ratio": e.ratio, "ci": list(e.ci)} for e in self.grid
-            ],
-            "max_ratio": self.max_ratio,
-            "rejections": self.rejections,
-        }
-
 
 @dataclass(frozen=True)
 class LemmaCheckConfig:
@@ -559,9 +502,8 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
                 scale = 3 * cfg.n * cfg.L0 * cfg.eps
                 for _try in range(200):
                     x_pts = _sample_config(gen, n2, cfg.box)
-                    d = np.abs(x_pts[:, None] - x_pts[None, :])
-                    np.fill_diagonal(d, np.inf)
-                    if np.any(np.min(d, axis=1) > scale):
+                    if has_isolated_point(np.abs(x_pts[:, None] - x_pts[None, :]),
+                                          scale):
                         break
                     rejections += 1
                 else:

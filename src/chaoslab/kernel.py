@@ -19,6 +19,10 @@ from . import rng
 from .geometry import ScalingGeometry, metric_many
 
 
+# central-difference step of the cutoff factor, relative to the cutoff radius
+_FD_STEP = 1e-4
+
+
 class SingularEvaluationError(ArithmeticError):
     """A kernel derivative was requested at its singular point."""
 
@@ -56,16 +60,13 @@ class RenormKernel:
 
     ``r_e`` may be derived from (gamma, alpha, m2) via :func:`compute_re`
     or set explicitly (the applications fix r_e = 1 directly in one case
-    where the formula gives 0).  ``k0_fn``, when given, replaces the default
-    power profile; its derivatives are then taken by central differences.
+    where the formula gives 0).
     """
 
     gamma: float
     g: ScalingGeometry
     r_e: int
     cutoff: float = 1.0
-    k0_fn: object = None  # callable points(..., d) -> values
-    fd_step_factor: float = 1e-4
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= self.g.total / 2.0 + 1e-12):
@@ -83,8 +84,6 @@ class RenormKernel:
 def eval_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
     """Base profile on an array of points; +inf at the origin."""
     points = np.asarray(points, dtype=float)
-    if k.k0_fn is not None:
-        return np.asarray(k.k0_fn(points), dtype=float)
     r = metric_many(points, k.g)
     p = k.singularity_power
     out = np.zeros_like(r)
@@ -103,23 +102,14 @@ def eval_K0(x, k: RenormKernel) -> float:
 def grad_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
     """Gradient of the profile, shape (..., d).
 
-    For the power profile the power part differentiates analytically and the
-    cutoff factor by a central difference in the metric radius; a custom
-    profile falls back to central differences per axis.
+    The power part differentiates analytically and the cutoff factor by a
+    central difference in the metric radius.
     """
     points = np.asarray(points, dtype=float)
     r = metric_many(points, k.g)
     if np.any(r == 0.0):
         raise SingularEvaluationError("gradient requested at the kernel singularity")
-    step = k.fd_step_factor * k.cutoff
-    if k.k0_fn is not None:
-        out = np.zeros_like(points)
-        for i in range(k.g.d):
-            dp = np.zeros(k.g.d)
-            dp[i] = step
-            out[..., i] = (np.asarray(k.k0_fn(points + dp)) -
-                           np.asarray(k.k0_fn(points - dp))) / (2 * step)
-        return out
+    step = _FD_STEP * k.cutoff
     p = k.singularity_power
     s = np.asarray(k.g.s)
     # d r / d x_i is supported on the axis achieving the sup

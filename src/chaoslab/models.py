@@ -26,11 +26,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .experiments import MomentEstimate, moment_norm
 from .geometry import Lattice, ScalingGeometry, TestFunction, bump_profile, \
     eval_test_function_many, lattice_from_counts, metric_many
 from .kernel import smooth_cutoff
 from .nonlinearity import NonlinearitySpec, gaussian_mean, mollify
+from .stats import MomentEstimate, moment_norm
 
 KPZ_GEOMETRY = ScalingGeometry((2.0, 1.0))
 PHI4_GEOMETRY = ScalingGeometry((2.0, 1.0, 1.0, 1.0))
@@ -79,6 +79,23 @@ def heat_kernel(points: np.ndarray, g: ScalingGeometry, derivative: bool) -> np.
     return out
 
 
+def _cut_heat_kernel(spec: ModelFieldSpec, lat: Lattice) -> np.ndarray:
+    """The family's heat-kernel profile, smoothly cut off at spec.kernel_cut,
+    on the lattice sites (centred, lattice-shaped)."""
+    g = lat.geometry
+    pts = lat.points().reshape(lat.shape + (g.d,))
+    kern = heat_kernel(pts, g, derivative=spec.family == "kpz")
+    return kern * smooth_cutoff(metric_many(pts, g), 0.5 * spec.kernel_cut,
+                                spec.kernel_cut)
+
+
+def _to_origin(grid: np.ndarray) -> np.ndarray:
+    """Roll a centred lattice array so its centre sits at index 0, the
+    origin of the periodic FFT convolution."""
+    return np.roll(grid, [-(n // 2) for n in grid.shape],
+                   axis=tuple(range(grid.ndim)))
+
+
 def _mollifier_grid(lat: Lattice, eps: float) -> np.ndarray:
     """Product-bump mollifier at scale eps on the lattice, discrete mass 1.
 
@@ -115,17 +132,10 @@ class ModelField:
 
 def build_model_field(spec: ModelFieldSpec) -> ModelField:
     lat = spec.lattice()
-    g = lat.geometry
-    pts = lat.points().reshape(lat.shape + (g.d,))
-    kern = heat_kernel(pts, g, derivative=spec.family == "kpz")
-    radii = metric_many(pts, g)
-    kern = kern * smooth_cutoff(radii, 0.5 * spec.kernel_cut, spec.kernel_cut)
-    moll = _mollifier_grid(lat, spec.epsilon)
     # periodic convolution of kernel and mollifier, both centered at index 0
-    shifts = [n // 2 for n in lat.shape]
-    kern0 = np.roll(kern, [-s for s in shifts], axis=tuple(range(g.d)))
-    moll0 = np.roll(moll, [-s for s in shifts], axis=tuple(range(g.d)))
-    stencil_fft = np.fft.fftn(kern0) * np.fft.fftn(moll0) * lat.cell_volume
+    stencil_fft = np.fft.fftn(_to_origin(_cut_heat_kernel(spec, lat))) \
+        * np.fft.fftn(_to_origin(_mollifier_grid(lat, spec.epsilon))) \
+        * lat.cell_volume
     var_raw = float(np.sum(np.abs(stencil_fft) ** 2)) / stencil_fft.size \
         * lat.cell_volume
     return ModelField(spec=spec, lattice=lat, stencil_fft=stencil_fft,
@@ -277,6 +287,7 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
     if alpha >= 0:
         raise ValueError("this norm is for negative regularity exponents")
     g = lat.geometry
+    pts = lat.points().reshape(lat.shape + (g.d,))
     per_level = []
     levels = []
     best = 0.0
@@ -284,11 +295,8 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
         lam = lam0 * 2.0 ** (-k)
         if lam < 2 * lat.base_step:
             break
-        tf = TestFunction(geometry=g, scale=lam)
-        pts = lat.points().reshape(lat.shape + (g.d,))
-        probe = eval_test_function_many(tf, pts)
-        shifts = [n // 2 for n in lat.shape]
-        probe0 = np.roll(probe, [-s for s in shifts], axis=tuple(range(g.d)))
+        probe0 = _to_origin(eval_test_function_many(
+            TestFunction(geometry=g, scale=lam), pts))
         pair = np.real(np.fft.ifftn(np.fft.fftn(values)
                                     * np.conj(np.fft.fftn(probe0)))) \
             * lat.cell_volume
@@ -343,15 +351,8 @@ def _pairing_kernel_fft(mf: ModelField) -> tuple[np.ndarray, np.ndarray]:
     the origin dropped; r_e = 1, so the Taylor part subtracts the x = 0 row,
     which for the lattice sum is one inner product per sample.
     """
-    lat = mf.lattice
-    g = lat.geometry
-    pts = lat.points().reshape(lat.shape + (g.d,))
-    kern = heat_kernel(pts, g, derivative=mf.spec.family == "kpz")
-    radii = metric_many(pts, g)
-    kern = kern * smooth_cutoff(radii, 0.5 * mf.spec.kernel_cut, mf.spec.kernel_cut)
-    shifts = [n // 2 for n in lat.shape]
-    kern0 = np.roll(kern, [-s for s in shifts], axis=tuple(range(g.d)))
-    kern0[(0,) * g.d] = 0.0  # diagonal exclusion
+    kern0 = _to_origin(_cut_heat_kernel(mf.spec, mf.lattice))
+    kern0[(0,) * kern0.ndim] = 0.0  # diagonal exclusion
     return np.fft.fftn(kern0), kern0
 
 

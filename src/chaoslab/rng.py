@@ -36,8 +36,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         counter[i] = int(p)
     bitgen = np.random.Philox(counter=counter, key=int(seed) & ((1 << 128) - 1))
     return np.random.Generator(bitgen)
-
-
-def standard_normal(seed: int, shape, *path: int) -> np.ndarray:
-    """Standard normals from the (seed, *path) substream."""
-    return substream(seed, *path).standard_normal(shape)

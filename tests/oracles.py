@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import roots_hermitenorm, roots_legendre
 
 from chaoslab import rng
+from chaoslab.geometry import metric_many
 
 
 def _orthonormal_hermite(x, order):
@@ -232,3 +233,24 @@ def loop_bootstrap_moment_norm(values, n: int, seed: int = 0, tag: int = 0,
         boot[b] = np.mean(powers[pick]) ** (1.0 / (2 * n))
     lo, hi = np.percentile(boot, [2.5, 97.5])
     return point, (float(min(lo, point)), float(max(hi, point)))
+
+
+def permutation_chain_class(points, L_eps: float, g) -> bool:
+    """Chain-class membership by walking every ordering of the points.
+
+    The route the package used before ``in_chain_class`` shared the chain
+    enumeration of the partition check: a Hamiltonian path in the proximity
+    graph, each ordering tried once up to reversal.  Only the metric is
+    shared with the package.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m = pts.shape[0]
+    if m == 1:
+        return True
+    adj = metric_many(pts[:, None, :] - pts[None, :, :], g) <= L_eps
+    for perm in itertools.permutations(range(m)):
+        if perm[0] > perm[-1]:
+            continue  # path reversal symmetry
+        if all(adj[perm[i], perm[i + 1]] for i in range(m - 1)):
+            return True
+    return False

@@ -11,6 +11,7 @@ from chaoslab.clustering import (
     volume_Sc,
 )
 from chaoslab.geometry import ScalingGeometry
+from oracles import permutation_chain_class
 
 G1 = ScalingGeometry((1.0,))
 
@@ -73,6 +74,17 @@ def test_chain_class_membership():
     L = 1.0
     assert in_chain_class(pts(0.0, 0.9, 1.8), L, G1) is True
     assert in_chain_class(pts(0.0, 0.9, 5.0), L, G1) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=6),
+       st.sampled_from([(1.0, 1.0), (2.0, 1.0)]))
+def test_chain_class_matches_permutation_oracle(vals, s):
+    g = ScalingGeometry(s)
+    points = np.array(vals, dtype=float).reshape(-1, 2)
+    assert in_chain_class(points, 0.6, g) is \
+        permutation_chain_class(points, 0.6, g)
 
 
 def test_volume_all_clustered():

@@ -1,0 +1,156 @@
+"""Small-size outputs of the clustering, lemma, quadrature and model routines
+against ``golden_design.json``, compared with ``==``.
+
+The fixture was recorded before the isolated-point test, the bootstrap, the
+G/H quadrature and the heat-kernel stencil were each given one shared
+implementation; every number must be reproduced bit for bit.  Regenerate it
+only when a change is meant to move these numbers:
+
+    PYTHONPATH=src python tests/test_design_golden.py
+"""
+
+import json
+from pathlib import Path
+
+from chaoslab.clustering import partition_sum_check, volume_Sc
+from chaoslab.experiments import (
+    second_moment_G,
+    second_moment_H,
+    volume_lemma_check,
+)
+from chaoslab.field import CovarianceSpec, build_spectrum, verify_assumption1
+from chaoslab.geometry import ScalingGeometry, TestFunction, lattice_from_counts
+from chaoslab.isserlis import LemmaCheckConfig, check_correlation_lemma
+from chaoslab.kernel import RenormKernel
+from chaoslab.models import (
+    ModelFieldSpec,
+    build_model_field,
+    holder_norm,
+    mollification_gap,
+    remainder_pairing,
+    sample_model_field,
+)
+from chaoslab.nonlinearity import make_nonlinearity
+
+FIXTURE = Path(__file__).with_name("golden_design.json")
+
+G1 = ScalingGeometry((1.0,))
+G2 = ScalingGeometry((1.0, 1.0))
+KPZ_SPEC = ModelFieldSpec(family="kpz", epsilon=0.3, h=0.125, counts=(24, 12),
+                          kernel_cut=0.4)
+PHI4_SPEC = ModelFieldSpec(family="phi43", epsilon=0.5, h=0.25,
+                           counts=(8, 4, 4, 4), kernel_cut=0.4)
+
+
+def _estimate(e):
+    return {"n": e.n, "value": e.value, "ci": list(e.ci),
+            "n_samples": e.n_samples}
+
+
+def _volume(e):
+    return {"volume": e.volume, "ci": list(e.ci), "bound": e.bound,
+            "hits": e.hits}
+
+
+def _partition(rep):
+    witness = None if rep.witness is None else rep.witness.tolist()
+    return {"violations": rep.violations, "witness": witness}
+
+
+def _lemma(rep):
+    return {"rows": [[r.integral_far, r.bound_far, r.integral_near,
+                      r.bound_near] for r in rep.rows],
+            "max_ratio_far": rep.max_ratio_far,
+            "max_ratio_near": rep.max_ratio_near}
+
+
+def _ratio(rep):
+    return {"grid": [[list(e.theta), e.lhs, e.rhs, e.ratio, list(e.ci)]
+                     for e in rep.grid],
+            "max_ratio": rep.max_ratio, "rejections": rep.rejections}
+
+
+def _holder(est):
+    return {"value": est.value, "levels": est.levels,
+            "per_level": est.per_level}
+
+
+def design_outputs() -> dict:
+    out = {}
+    out["volume_Sc"] = {
+        "d1_n1": _volume(volume_Sc(1, 0.05, 0.5, G1, n_mc=20_000, seed=5)),
+        "d1_n2": _volume(volume_Sc(2, 0.1, 0.25, G1, n_mc=20_000, seed=6)),
+        "d2_n2": _volume(volume_Sc(2, 0.3, 0.25, G2, n_mc=20_000, seed=7)),
+    }
+    out["partition_sum_check"] = {
+        "d1_n1": _partition(partition_sum_check(1, 0.1, 0.3, 5_000, seed=2)),
+        "d1_n2": _partition(partition_sum_check(2, 0.1, 0.3, 5_000, seed=2)),
+        "d2_n2": _partition(partition_sum_check(2, 0.3, 0.25, 20_000, g=G2,
+                                                seed=3)),
+    }
+    out["volume_lemma_check"] = {
+        f"re{r_e}": _lemma(volume_lemma_check(
+            1, RenormKernel(gamma=0.4, g=G1, r_e=r_e), [0.1, 0.05], [0.2],
+            alpha=0.6, m2=1, n_mc=20_000, seed=4))
+        for r_e in (0, 1)
+    }
+    lemma = {which: _ratio(check_correlation_lemma(which, LemmaCheckConfig(
+        n=1, theta_grid=(1.0, 10.0), n_configs=3, seed=11)))
+        for which in ("comparable", "singleton", "fixed")}
+    lemma["fixed_n2_mc"] = _ratio(check_correlation_lemma(
+        "fixed", LemmaCheckConfig(n=2, theta_grid=(1.0, 10.0), n_configs=2,
+                                  n_mc=2_000, seed=13)))
+    out["check_correlation_lemma"] = lemma
+
+    lat = lattice_from_counts(G1, 8.0 / 256, (256,))
+    sp = build_spectrum(CovarianceSpec(alpha=0.6, epsilon=0.1), lat)
+    rep = verify_assumption1(sp, n_samples=40, seed=3, lambda_budget=1.5)
+    out["verify_assumption1"] = {
+        "lambda_hat": rep.lambda_hat,
+        "per_lag": [[e.lag, e.c_hat, e.lo, e.hi, e.target] for e in rep.per_lag],
+        "violations": rep.violations,
+    }
+    cov = CovarianceSpec(alpha=0.6, epsilon=0.1)
+    out["second_moment_G"] = [
+        second_moment_G((0.1,), RenormKernel(gamma=0.4, g=G1, r_e=0), m2, cov,
+                        h=0.02)
+        for m2 in (1, 2)]
+    tf = TestFunction(geometry=G1, scale=0.3)
+    out["second_moment_H"] = [
+        second_moment_H((0.8,), RenormKernel(gamma=0.4, g=G1, r_e=1), tf, m1,
+                        cov, h=0.01)
+        for m1 in (1, 2)]
+
+    rough = make_nonlinearity("power_even", beta=0.5)
+    odd = make_nonlinearity("power_odd", beta=0.5)
+    out["remainder_pairing"] = {
+        "kpz": _estimate(remainder_pairing("kpz", rough, a=1.0, mfspec=KPZ_SPEC,
+                                           delta=0.2, lam=0.4, n=1,
+                                           n_samples=5, seed=7)),
+        "phi43": _estimate(remainder_pairing("phi43", odd, a=1.0,
+                                             mfspec=PHI4_SPEC, delta=0.2,
+                                             lam=0.4, n=1, n_samples=3,
+                                             seed=7)),
+    }
+    out["mollification_gap"] = _estimate(mollification_gap(
+        rough, a=1.0, mfspec=KPZ_SPEC, delta=0.3, lam=0.4, n=1, n_samples=5,
+        seed=9))
+    mf = build_model_field(KPZ_SPEC)
+    vals = sample_model_field(mf, 3, 0)
+    out["holder_norm"] = _holder(holder_norm(vals, mf.lattice, alpha=-0.5))
+    out["var_raw"] = {"kpz": mf.var_raw,
+                      "phi43": build_model_field(PHI4_SPEC).var_raw}
+    return out
+
+
+def _normalise(obj):
+    """The outputs as JSON gives them back: tuples become lists."""
+    return json.loads(json.dumps(obj))
+
+
+def test_design_outputs_match_golden_fixture():
+    assert _normalise(design_outputs()) == json.loads(FIXTURE.read_text())
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(design_outputs(), indent=1) + "\n")

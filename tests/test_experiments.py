@@ -206,10 +206,30 @@ def test_scaling_scan_resolution_guard():
 
 
 def test_second_moment_g_zero_kernel():
-    kern = RenormKernel(gamma=0.4, g=G1, r_e=0,
-                        k0_fn=lambda p: np.zeros(p.shape[:-1]))
+    # every |x - y| >= 1.1 lies beyond the cutoff 1.0, so the kernel is zero
+    kern = RenormKernel(gamma=0.4, g=G1, r_e=0)
     cov = CovarianceSpec(alpha=0.6, epsilon=0.1)
-    assert second_moment_G((0.1,), kern, 1, cov, h=0.02) == 0.0
+    assert second_moment_G((1.5,), kern, 1, cov, h=0.02, y_radius=0.4) == 0.0
+
+
+@pytest.mark.parametrize("s", [(2.0,), (1.5,), (1.0, 1.0)])
+@pytest.mark.parametrize("routine", ["G", "H", "volume_lemma"])
+def test_unit_line_routines_reject_other_scalings(routine, s):
+    # the quadrature grids and the lemma sampler use coordinate distances and
+    # unit cell weights, which are only right on the line with s = (1,)
+    g = ScalingGeometry(s)
+    kern = RenormKernel(gamma=0.4, g=g, r_e=0)
+    cov = CovarianceSpec(alpha=0.6, epsilon=0.1)
+    x = (0.1,) * g.d
+    with pytest.raises(NotImplementedError, match=r"s = \(1,\)"):
+        if routine == "G":
+            second_moment_G(x, kern, 1, cov, h=0.02)
+        elif routine == "H":
+            second_moment_H(x, kern, TestFunction(geometry=g, scale=0.3), 1,
+                            cov, h=0.02)
+        else:
+            volume_lemma_check(1, kern, [0.1], [0.2], alpha=0.6, m2=1,
+                               n_mc=100)
 
 
 def test_second_moment_g_positive_and_certified():

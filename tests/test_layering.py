@@ -1,0 +1,51 @@
+"""Module layering of the package, read from the source with ``ast``.
+
+Model code never imports experiment code, and the statistics layer sits
+below everything but the random streams.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chaoslab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def package_imports(path: Path) -> set[str]:
+    """Names of the chaoslab modules that ``path`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("chaoslab"):
+                parts = node.module.split(".")
+                if len(parts) > 1:
+                    found.add(parts[1])
+                else:
+                    found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "chaoslab" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_package_imports_are_parsed():
+    assert "experiments.py" in {p.name for p in MODULES}
+    assert package_imports(PACKAGE / "experiments.py") >= {"stats", "rng"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_experiments_imports_experiments(path):
+    if path.name != "experiments.py":
+        assert "experiments" not in package_imports(path)
+
+
+def test_stats_imports_only_rng():
+    assert package_imports(PACKAGE / "stats.py") == {"rng"}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chaoslab import models
-from chaoslab.experiments import moment_norm
 from chaoslab.geometry import TestFunction, eval_test_function_many
 from chaoslab.models import (
     KPZ_GEOMETRY,
@@ -23,6 +22,7 @@ from chaoslab.models import (
     sample_model_field,
 )
 from chaoslab.nonlinearity import gaussian_mean, make_nonlinearity, mollify
+from chaoslab.stats import moment_norm
 
 KPZ_SPEC = ModelFieldSpec(family="kpz", epsilon=0.3, h=0.125, counts=(48, 24),
                           kernel_cut=0.4)
