@@ -20,7 +20,8 @@ import numpy as np
 from . import rng
 from .chaos import ChaosTruncSpec, TwoPointFunctional
 from .clustering import has_isolated_point
-from .field import CovarianceSpec, Spectrum, build_spectrum, sample_field_values
+from .field import SAMPLE_CHUNK, CovarianceSpec, Spectrum, build_spectrum, \
+    sample_field_values
 from .geometry import Lattice, ScalingGeometry, TestFunction, build_lattice, \
     eval_test_function_many
 from .kernel import RenormKernel, compute_re, eval_K_many
@@ -31,6 +32,10 @@ from .stats import BOOTSTRAP_RESAMPLES, MomentEstimate, moment_norm  # noqa: F40
 
 class QuadratureRefinementNeeded(RuntimeError):
     """Two-grid disagreement exceeded the tolerance; refine the step."""
+
+
+_DIAGONAL_CELLS = 1  # G/H quadrature: steps dropped around the base point
+_TWO_GRID_TOL = 0.10  # G/H quadrature: largest certified two-grid gap
 
 
 @dataclass(frozen=True)
@@ -108,9 +113,6 @@ class FreqSweepResult:
     lam: float
     rows: list[FreqRow]
     max_min_ratio: float
-
-
-SAMPLE_CHUNK = 256
 
 
 def _chunk_values(args):
@@ -259,16 +261,15 @@ def _grid_1d(step: float, radius: float) -> np.ndarray:
 
 
 def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, base: np.ndarray,
-                       m: int, cov: CovarianceSpec, h: float, policy: int,
-                       check_tol: float) -> float:
+                       m: int, cov: CovarianceSpec, h: float) -> float:
     """sqrt(m! * v^T rho^m v) for v = |K| * weight * step on a 1-d grid.
 
     ``grid(step)`` gives the grid points and their weights, ``kernel_row``
-    the values of ``kern`` at those points.  Cells within policy * step of the
-    base point and singular values are dropped; rho is the normalised target
-    covariance at the grid lags.  The norm is taken at steps h and h / 2,
-    and a relative disagreement above ``check_tol`` raises rather than
-    returning an uncertified value.
+    the values of ``kern`` at those points.  Cells within _DIAGONAL_CELLS
+    steps of the base point and singular values are dropped; rho is the
+    normalised target covariance at the grid lags.  The norm is taken at
+    steps h and h / 2, and a relative disagreement above _TWO_GRID_TOL
+    raises rather than returning an uncertified value.
     """
     if kern.g.s != (1.0,):
         raise NotImplementedError(
@@ -277,7 +278,7 @@ def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, base: np.ndarray,
     for step in (h, h / 2.0):
         pts, weight = grid(step)
         kv = kernel_row(pts)
-        kv[np.abs(pts[:, 0] - base[0]) < policy * step] = 0.0
+        kv[np.abs(pts[:, 0] - base[0]) < _DIAGONAL_CELLS * step] = 0.0
         kv[~np.isfinite(kv)] = 0.0
         v = np.abs(kv) * weight * step
         lags = np.abs(pts[:, None, 0] - pts[None, :, 0])
@@ -285,15 +286,14 @@ def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, base: np.ndarray,
         vals.append(math.sqrt(max(math.factorial(m) * float(v @ (rho ** m) @ v),
                                   0.0)))
     coarse, fine = vals
-    if fine > 0 and abs(coarse - fine) / fine > check_tol:
+    if fine > 0 and abs(coarse - fine) / fine > _TWO_GRID_TOL:
         raise QuadratureRefinementNeeded(
             f"two-grid disagreement {abs(coarse - fine) / fine:.2%} at h = {h}")
     return fine
 
 
 def second_moment_G(x, kern: RenormKernel, m2: int, cov: CovarianceSpec,
-                    h: float = 0.01, y_radius: float = 2.0, policy: int = 1,
-                    check_tol: float = 0.10) -> float:
+                    h: float = 0.01, y_radius: float = 2.0) -> float:
     """L2 norm of the |K|-smeared Wick power of the y-variable at basepoint x.
 
     Deterministic double quadrature of m2! * |K||K| rho^{m2} on the target
@@ -303,12 +303,11 @@ def second_moment_G(x, kern: RenormKernel, m2: int, cov: CovarianceSpec,
     return _smeared_wick_norm(
         kern, lambda step: (_grid_1d(step, y_radius), 1.0),
         lambda ys: eval_K_many(x_arr, ys, kern)[0],
-        x_arr[0], m2, cov, h, policy, check_tol)
+        x_arr[0], m2, cov, h)
 
 
 def second_moment_H(y, kern: RenormKernel, test: TestFunction, m1: int,
-                    cov: CovarianceSpec, h: float = 0.005, policy: int = 1,
-                    check_tol: float = 0.10) -> float:
+                    cov: CovarianceSpec, h: float = 0.005) -> float:
     """L2 norm of the |K phi|-smeared Wick power of the x-variable at point y."""
     y_arr = np.atleast_2d(np.asarray(y, dtype=float))
 
@@ -318,7 +317,7 @@ def second_moment_H(y, kern: RenormKernel, test: TestFunction, m1: int,
 
     return _smeared_wick_norm(kern, grid,
                               lambda xs: eval_K_many(xs, y_arr, kern)[:, 0],
-                              y_arr[0], m1, cov, h, policy, check_tol)
+                              y_arr[0], m1, cov, h)
 
 
 # ---------------------------------------------------------------------------

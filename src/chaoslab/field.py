@@ -5,13 +5,15 @@ The target covariance is C(x) = (|x| + eps)^(-alpha) in the anisotropic
 metric.  On a periodic lattice the covariance operator is circulant, so its
 eigenvalues are the FFT of the covariance at torus lags; sampling is
 spectral synthesis, C^{1/2} w = F^{-1} diag(sqrt(lambda)) F w for white
-noise w, and is exactly stationary.  C^{1/2} is a real operator, so
-C^{1/2}(w_a + i w_b) = C^{1/2} w_a + i C^{1/2} w_b: draws 2j and 2j + 1 are
-the real and imaginary parts of one complex transform, O(N log N) per pair.
-Negative circulant eigenvalues (the embedding is not always non-negative)
-are clipped to zero and the clipped relative mass is reported; the variance
-entering downstream chaos coefficients is computed exactly from the clipped
-spectrum, never estimated.
+noise w, and is exactly stationary.  :func:`synthesise`, the one periodic
+synthesiser, serves both field classes: these fields (multiplier
+sqrt(lambda)) and the model fields of :mod:`models` (the stencil FFT).  A
+Hermitian multiplier makes the operator A real, so A(w_a + i w_b) = A w_a +
+i A w_b: draws 2j and 2j + 1 are the real and imaginary parts of one complex
+transform, O(N log N) per pair.  Negative circulant eigenvalues (the
+embedding is not always non-negative) are clipped to zero and the clipped
+relative mass is reported; the variance entering downstream chaos
+coefficients is computed exactly from the clipped spectrum, never estimated.
 
 Physical lags should stay below half the torus period to avoid wrap-around
 bias; callers control this through the lattice extent.
@@ -32,6 +34,10 @@ import numpy as np
 from . import rng
 from .geometry import Lattice, metric_many
 from .stats import bootstrap_means
+
+
+SAMPLE_CHUNK = 256  # draws per synthesis block in every sampling loop
+_MAX_LAG_FRACTION = 0.5  # of a period: the lag reach of exact_lambda_hat
 
 
 class InfeasibleEmbeddingError(RuntimeError):
@@ -146,36 +152,42 @@ def _draw_indices(indices) -> np.ndarray:
     return idx
 
 
-def sample_field_values(spectrum: Spectrum, seed: int, indices) -> np.ndarray:
-    """Batched draws, shape (len(indices), *lattice.shape).
+def synthesise(multiplier: np.ndarray, seed: int, purpose: int,
+               indices) -> np.ndarray:
+    """Draws of the real convolution F^{-1} diag(multiplier) F w, shape
+    (len(indices), *multiplier.shape), for a Hermitian ``multiplier``.
 
-    Draw k is the real part (k even) or the imaginary part (k odd) of
-    C^{1/2}(w_{2j} + i w_{2j+1}) with j = k // 2, one complex transform per
-    pair.  The pair is fixed by the absolute index, never by the batch: a
-    lone index still draws its partner's noise and discards the partner's
-    half.  Noise comes from one counter substream per index and numpy's
-    batched FFT rows do not depend on the rest of the batch, so each draw is
-    a function of (seed, index) alone: batching, order, repeats and worker
-    splits cannot change any sample.  Non-integer or negative indices raise
-    ValueError before any draw.
+    Draw k is the real part (k even) or the imaginary part (k odd) of the
+    transform of w_{2j} + i w_{2j+1}, j = k // 2, with w_k the noise of the
+    (seed, purpose, k) substream.  The pair is fixed by the absolute index,
+    never by the batch: a lone index still draws its partner's noise and
+    discards the partner's half.  Numpy's batched FFT rows do not depend on
+    the rest of the batch, so each draw is a function of (seed, purpose,
+    index) alone: batching, order, repeats and worker splits cannot change
+    any sample.  Non-integer or negative indices raise ValueError.
     """
     idx = _draw_indices(indices)
-    shape = spectrum.lattice.shape
+    shape = multiplier.shape
     out = np.empty((len(idx),) + shape)
     pairs, row = np.unique(idx // 2, return_inverse=True)
     zh = np.empty((len(pairs),) + shape, dtype=complex)
     for j, pair in enumerate(pairs):
         k = 2 * int(pair)
-        zh.real[j] = rng.substream(seed, rng.FIELD, k).standard_normal(shape)
-        zh.imag[j] = rng.substream(seed, rng.FIELD, k + 1).standard_normal(shape)
+        zh.real[j] = rng.substream(seed, purpose, k).standard_normal(shape)
+        zh.imag[j] = rng.substream(seed, purpose, k + 1).standard_normal(shape)
     axes = tuple(range(1, len(shape) + 1))
     zh = np.fft.fftn(zh, axes=axes)
-    zh *= np.sqrt(spectrum.eigenvalues)
+    zh *= multiplier
     zh = np.fft.ifftn(zh, axes=axes)
     odd = idx % 2 == 1
     out[~odd] = zh.real[row[~odd]]
     out[odd] = zh.imag[row[odd]]
     return out
+
+
+def sample_field_values(spectrum: Spectrum, seed: int, indices) -> np.ndarray:
+    """Batched draws C^{1/2} w, shape (len(indices), *lattice.shape)."""
+    return synthesise(np.sqrt(spectrum.eigenvalues), seed, rng.FIELD, indices)
 
 
 @dataclass
@@ -222,20 +234,15 @@ def verify_assumption1(spectrum: Spectrum, n_samples: int, seed: int = 0,
     shape = lat.shape
     npts = int(np.prod(shape))
     axes_all = tuple(range(1, len(shape) + 1))
-    per_sample = np.empty((n_samples, len(_lag_indices(lat))))
     lag_idx = _lag_indices(lat)
-    batch = 256
-    done = 0
-    row = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        vals = sample_field_values(spectrum, seed, np.arange(done, done + b))
+    per_sample = np.empty((n_samples, len(lag_idx)))
+    for lo in range(0, n_samples, SAMPLE_CHUNK):
+        hi = min(lo + SAMPLE_CHUNK, n_samples)
+        vals = sample_field_values(spectrum, seed, np.arange(lo, hi))
         fh = np.fft.fftn(vals, axes=axes_all)
         acf = np.real(np.fft.ifftn(np.abs(fh) ** 2, axes=axes_all)) / npts
         for j, li in enumerate(lag_idx):
-            per_sample[row:row + b, j] = acf[(slice(None),) + li]
-        done += b
-        row += b
+            per_sample[lo:hi, j] = acf[(slice(None),) + li]
     mean = per_sample.mean(axis=0)
     boot = bootstrap_means(per_sample, seed, 1)
     lo = np.percentile(boot, 2.5, axis=0)
@@ -265,18 +272,18 @@ def verify_assumption1(spectrum: Spectrum, n_samples: int, seed: int = 0,
                           n_samples=n_samples, violations=violations)
 
 
-def exact_lambda_hat(spectrum: Spectrum, max_lag_fraction: float = 0.5) -> float:
+def exact_lambda_hat(spectrum: Spectrum) -> float:
     """Sandwich constant of the exact synthesized covariance (no sampling).
 
     Compares at the torus lags whose metric is at most the smallest metric
-    reach of ``max_lag_fraction`` of a period along one axis,
+    reach of the fraction f = _MAX_LAG_FRACTION of a period along one axis,
     min_i (f * n_i * step_i)^(1/s_i).
     """
     lat = spectrum.lattice
     cov = spectrum.covariance()
     lags = _torus_lags(lat)
     target = spectrum.spec.target(lags)
-    radius = min((max_lag_fraction * n * step) ** (1.0 / s)
+    radius = min((_MAX_LAG_FRACTION * n * step) ** (1.0 / s)
                  for n, step, s in zip(lat.shape, lat.steps, lat.geometry.s))
     mask = lags <= radius
     ratio = cov[mask] / target[mask]

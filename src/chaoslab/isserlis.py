@@ -216,6 +216,9 @@ def reduce_to_dstar(d: DMatrix, alpha: float, m2: int) -> tuple[DMatrix, float]:
 # cluster chaos coefficients
 
 
+_CLUSTER_QUAD_ORDER = 60  # Gauss-Hermite nodes per member in cluster_coeff
+
+
 @dataclass(frozen=True)
 class ClusterCoeffQuery:
     """One cluster's chaos coefficient: degrees, frequencies, derivative and
@@ -227,7 +230,6 @@ class ClusterCoeffQuery:
     truncations: tuple[int, ...]
     trigs: tuple[str, ...]
     cov: np.ndarray = field(repr=False)
-    quad_order: int = 60
 
     def __post_init__(self):
         k = len(self.degrees)
@@ -250,7 +252,7 @@ def cluster_coeff(q: ClusterCoeffQuery) -> float:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("cluster covariance is not positive definite") from exc
-    nodes, weights = roots_hermitenorm(q.quad_order)
+    nodes, weights = roots_hermitenorm(_CLUSTER_QUAD_ORDER)
     weights = weights / math.sqrt(2.0 * math.pi)
     grids = np.meshgrid(*([nodes] * k), indexing="ij")
     xi = np.stack([g.reshape(-1) for g in grids], axis=0)

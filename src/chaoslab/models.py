@@ -1,7 +1,7 @@
 """Finite-scale renormalised model objects for the two target equations.
 
-Fields are built on anisotropic space-time lattices by periodic FFT
-convolution of lattice white noise with a truncated heat-kernel stencil:
+Fields are drawn by the periodic synthesiser of :mod:`field`: periodic FFT
+convolution of lattice white noise with a truncated heat-kernel stencil,
 the spatial-derivative kernel for the interface-growth family (parabolic
 scaling (2,1)) and the plain kernel for the phase-coexistence family
 (scaling (2,1,1,1)).  The noise mollifier is a product bump, even in every
@@ -16,6 +16,12 @@ with k the order of the family's nonlinearity (2 or 3); c_0 = 1, odd j need
 no constant, and the second-order slot subtracts the Gaussian mean.  For a
 polynomial nonlinearity every object collapses to its exact Wick-polynomial
 form, which is the strongest oracle in this module.
+
+The two-frequency objects use the r_e = 1 kernel K0(x - y) - K0(0 - y): the
+Taylor term sits at the basepoint x = 0, the centre index n // 2 of the
+lattice arrays (index 0 is the lattice corner).  Studies synthesise draws a
+block at a time but evaluate objects one draw at a time; over a whole block
+the temporaries made a call slower and larger.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
+from .field import SAMPLE_CHUNK, synthesise
 from .geometry import Lattice, ScalingGeometry, TestFunction, bump_profile, \
     eval_test_function_many, lattice_from_counts, metric_many
 from .kernel import smooth_cutoff
@@ -143,15 +150,25 @@ def build_model_field(spec: ModelFieldSpec) -> ModelField:
 
 
 def sample_model_field(mf: ModelField, seed: int, index: int) -> np.ndarray:
-    """One periodic field draw, shape = lattice.shape; counter-seeded.
+    """One periodic field draw, shape = lattice.shape; counter-seeded."""
+    return sample_model_field_values(mf, seed, [index])[0]
 
-    White noise carries density 1/sqrt(cell volume) per cell and the stencil
-    sum carries one cell volume, leaving a net sqrt(cell volume).
-    """
-    lat = mf.lattice
-    w = rng.substream(seed, rng.MODEL, index).standard_normal(lat.shape)
-    conv = np.real(np.fft.ifftn(np.fft.fftn(w) * mf.stencil_fft))
-    return math.sqrt(lat.cell_volume) * conv
+
+def sample_model_field_values(mf: ModelField, seed: int, indices) -> np.ndarray:
+    """Batched draws, shape (len(indices), *lattice.shape).  White noise of
+    density 1/sqrt(cell volume) per cell meets a stencil sum carrying one
+    cell volume, leaving a net sqrt(cell volume)."""
+    return math.sqrt(mf.lattice.cell_volume) * synthesise(
+        mf.stencil_fft, seed, rng.MODEL, indices)
+
+
+def _per_draw(mf: ModelField, seed: int, n_samples: int, fn) -> np.ndarray:
+    """fn(draw) for draws 0, ..., n_samples - 1, synthesised in blocks."""
+    out = []
+    for lo in range(0, n_samples, SAMPLE_CHUNK):
+        indices = np.arange(lo, min(lo + SAMPLE_CHUNK, n_samples))
+        out += [fn(values) for values in sample_model_field_values(mf, seed, indices)]
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +231,9 @@ def renorm_constant(spec: ModelObjectSpec, sigma2: float,
             lambda u: fl.deriv(k - j, np.asarray(u, dtype=float)), sigma2)
     if mf is None or n_samples < 1:
         raise ValueError("empirical renorm needs a model field and sample count")
-    acc = 0.0
-    for i in range(n_samples):
-        vals = sample_model_field(mf, seed, i)
-        x = math.sqrt(spec.epsilon) * vals
-        acc += float(np.mean(fl.deriv(k - j, x)))
-    return pref * acc / n_samples
+    means = _per_draw(mf, seed, n_samples, lambda values: float(
+        np.mean(fl.deriv(k - j, math.sqrt(spec.epsilon) * values))))
+    return pref * float(np.mean(means))
 
 
 def attach_renorm(spec: ModelObjectSpec, mf: ModelField, n_samples: int = 200,
@@ -254,13 +268,17 @@ def _object_field(spec: ModelObjectSpec, values: np.ndarray, c: float) -> np.nda
 
 def eval_object(spec: ModelObjectSpec, mf: ModelField, values: np.ndarray,
                 z) -> float:
-    """Pointwise value at the lattice site nearest to z."""
+    """Pointwise value at the lattice site nearest to z; ValueError unless z
+    has one coordinate per axis, each within half a step of the lattice."""
     lat = mf.lattice
-    idx = []
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    for ax, zi in zip(lat.axes, z):
-        idx.append(int(np.argmin(np.abs(ax - zi))))
-    return float(eval_object_field(spec, mf, values)[tuple(idx)])
+    z = np.asarray(z, dtype=float)
+    if z.shape != (len(lat.axes),):
+        raise ValueError(f"z needs {len(lat.axes)} coordinates, got shape {z.shape}")
+    idx = tuple(int(np.argmin(np.abs(ax - zi))) for ax, zi in zip(lat.axes, z))
+    if not all(abs(ax[i] - zi) <= 0.5 * step
+               for ax, i, zi, step in zip(lat.axes, idx, z, lat.steps)):
+        raise ValueError(f"z = {tuple(z)} lies outside the lattice")
+    return float(eval_object_field(spec, mf, values)[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +308,6 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
     pts = lat.points().reshape(lat.shape + (g.d,))
     per_level = []
     levels = []
-    best = 0.0
     for k in range(lambda_levels):
         lam = lam0 * 2.0 ** (-k)
         if lam < 2 * lat.base_step:
@@ -303,73 +320,64 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
         level_val = float(np.max(np.abs(pair)) * lam ** (-alpha))
         levels.append(lam)
         per_level.append(level_val)
-        best = max(best, level_val)
-    return HolderNormEstimate(alpha=alpha, value=best, levels=levels,
-                              per_level=per_level)
+    return HolderNormEstimate(alpha=alpha, value=max(per_level, default=0.0),
+                              levels=levels, per_level=per_level)
 
 
 # ---------------------------------------------------------------------------
 # two-frequency remainder pairings and the mollification gap
 
 
-def _pairing_constant(spec: ModelObjectSpec, mf: ModelField) -> float:
-    """The draw-invariant constant of the two-frequency object.
-
-    Growth family: the Gaussian mean of F.  Phase family: the second-slot
-    constant c_2 of the 2' spec, shared by the top object 3' and by 2'.
-    """
-    if spec.family == "kpz":
-        fl = spec.nonlinearity
-        return gaussian_mean(lambda u: fl.deriv(0, np.asarray(u, dtype=float)),
-                             mf.sigma2)
-    return renorm_constant(spec, mf.sigma2)
-
-
-def _truncated_inner(spec: ModelObjectSpec, values: np.ndarray,
-                     c: float) -> np.ndarray:
-    """The kernel-side factor of the two-frequency object.
-
-    Growth family: the nonlinearity with its mean removed (first truncation).
-    Phase family: the full top object (3') including its linear subtraction.
-    """
-    if spec.family == "kpz":
-        return spec.nonlinearity.deriv(0, math.sqrt(spec.epsilon) * values) - c
-    return _object_field(replace(spec, symbol="3'"), values, c)
+def _two_freq_parts(family: str, fl: NonlinearitySpec, a: float,
+                    mf: ModelField):
+    """(prefactor, inner, outer) of the two-frequency object; inner (the
+    kernel side) and outer map one draw to a lattice array, the constant
+    folded in.  Growth family: F - E F and F'.  Phase family: the objects 3'
+    and 2' with the constant c_2 of 2'."""
+    eps = mf.spec.epsilon
+    if family == "kpz":
+        c = gaussian_mean(lambda u: fl.deriv(0, np.asarray(u, dtype=float)),
+                          mf.sigma2)
+        return (1.0 / (2.0 * a**2 * eps ** 1.5),
+                lambda values: fl.deriv(0, math.sqrt(eps) * values) - c,
+                lambda values: fl.deriv(1, math.sqrt(eps) * values))
+    two = ModelObjectSpec(family=family, symbol="2'", nonlinearity=fl, a=a,
+                          epsilon=eps)
+    c = renorm_constant(two, mf.sigma2)
+    top = replace(two, symbol="3'")
+    return (1.0, lambda values: _object_field(top, values, c),
+            lambda values: _object_field(two, values, c))
 
 
-def _outer_factor(spec: ModelObjectSpec, values: np.ndarray,
-                  c: float) -> np.ndarray:
-    if spec.family == "kpz":
-        return spec.nonlinearity.deriv(1, math.sqrt(spec.epsilon) * values)
-    return _object_field(replace(spec, symbol="2'"), values, c)
-
-
-def _pairing_kernel_fft(mf: ModelField) -> tuple[np.ndarray, np.ndarray]:
-    """FFT of the truncated singular kernel on the lattice plus the Taylor row.
-
-    The kernel is the family's heat-kernel profile with the singular cell at
-    the origin dropped; r_e = 1, so the Taylor part subtracts the x = 0 row,
-    which for the lattice sum is one inner product per sample.
-    """
+def _pairing_kernel_fft(mf: ModelField) -> np.ndarray:
+    """FFT of K0, the family's cut heat-kernel profile with the singular
+    cell at the origin dropped."""
     kern0 = _to_origin(_cut_heat_kernel(mf.spec, mf.lattice))
     kern0[(0,) * kern0.ndim] = 0.0  # diagonal exclusion
-    return np.fft.fftn(kern0), kern0
+    return np.fft.fftn(kern0)
 
 
-def _two_freq_object(spec: ModelObjectSpec, mf: ModelField, values: np.ndarray,
-                     kern_fft: np.ndarray, taylor_row: np.ndarray,
-                     prefactor: float, c: float) -> np.ndarray:
-    """One draw of the object; c is its draw-invariant constant."""
-    inner = _truncated_inner(spec, values, c)
-    conv = np.real(np.fft.ifftn(np.fft.fftn(inner) * kern_fft)) * mf.lattice.cell_volume
-    # Taylor (r_e = 1) part: subtract the constant row integral K0(-y) inner(y)
-    g = mf.lattice.geometry
-    axes = tuple(range(g.d))
-    flipped = np.flip(taylor_row, axis=axes)
-    flipped = np.roll(flipped, 1, axis=axes)  # align -y on the periodic grid
-    const = float(np.sum(flipped * inner)) * mf.lattice.cell_volume
-    outer = _outer_factor(spec, values, c)
-    return prefactor * outer * (conv - const)
+def _two_freq_object(values: np.ndarray, kern_fft: np.ndarray,
+                     cell_volume: float, prefactor: float, inner,
+                     outer) -> np.ndarray:
+    """One draw of the object prefactor * outer(x) * sum_y (K0(x - y) -
+    K0(0 - y)) inner(y) over the lattice."""
+    conv = np.real(np.fft.ifftn(np.fft.fftn(inner(values)) * kern_fft)) \
+        * cell_volume
+    # Taylor (r_e = 1) part: the convolution at the basepoint x = 0
+    taylor = conv[tuple(n // 2 for n in conv.shape)]
+    return prefactor * outer(values) * (conv - taylor)
+
+
+def _probe_setup(mfspec: ModelFieldSpec, lam: float):
+    """Model field of a study and the bump at scale lam on its lattice."""
+    if mfspec.epsilon < 2 * mfspec.h:
+        raise ValueError("resolution guard: eps >= 2h required")
+    mf = build_model_field(mfspec)
+    lat = mf.lattice
+    pts = lat.points().reshape(lat.shape + (lat.geometry.d,))
+    return mf, eval_test_function_many(TestFunction(geometry=lat.geometry,
+                                                    scale=lam), pts)
 
 
 def remainder_pairing(family: str, nonlin: NonlinearitySpec, a: float,
@@ -382,31 +390,19 @@ def remainder_pairing(family: str, nonlin: NonlinearitySpec, a: float,
     including the renormalisation constants.  delta = 0 gives exactly zero.
     The constants do not depend on the draw and are computed once per call.
     """
-    if mfspec.epsilon < 2 * mfspec.h:
-        raise ValueError("resolution guard: eps >= 2h required")
-    mf = build_model_field(mfspec)
-    lat = mf.lattice
-    g = lat.geometry
-    spec = ModelObjectSpec(family=family, symbol="2'", nonlinearity=nonlin,
-                           a=a, epsilon=mfspec.epsilon)
-    spec_d = replace(spec, nonlinearity=mollify(nonlin, delta))
-    c = _pairing_constant(spec, mf)
-    c_d = _pairing_constant(spec_d, mf)
-    kern_fft, taylor_row = _pairing_kernel_fft(mf)
-    if family == "kpz":
-        pref = 1.0 / (2.0 * a**2 * mfspec.epsilon ** 1.5)
-    else:
-        pref = 1.0
-    tf = TestFunction(geometry=g, scale=lam)
-    pts = lat.points().reshape(lat.shape + (g.d,))
-    phi = eval_test_function_many(tf, pts)
-    out = np.empty(n_samples)
-    for i in range(n_samples):
-        vals = sample_model_field(mf, seed, i)
-        tau = _two_freq_object(spec, mf, vals, kern_fft, taylor_row, pref, c)
-        tau_d = _two_freq_object(spec_d, mf, vals, kern_fft, taylor_row, pref, c_d)
-        out[i] = float(np.sum(phi * (tau - tau_d)) * lat.cell_volume)
-    return moment_norm(out, n, seed=seed, tag=11)
+    mf, phi = _probe_setup(mfspec, lam)
+    cell = mf.lattice.cell_volume
+    kern_fft = _pairing_kernel_fft(mf)
+    parts = _two_freq_parts(family, nonlin, a, mf)
+    parts_d = _two_freq_parts(family, mollify(nonlin, delta), a, mf)
+
+    def pairing(values):
+        tau = _two_freq_object(values, kern_fft, cell, *parts)
+        tau_d = _two_freq_object(values, kern_fft, cell, *parts_d)
+        return float(np.sum(phi * (tau - tau_d)) * cell)
+
+    return moment_norm(_per_draw(mf, seed, n_samples, pairing), n, seed=seed,
+                       tag=11)
 
 
 def mollification_gap(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec,
@@ -419,20 +415,15 @@ def mollification_gap(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec
     """
     if mfspec.family != "kpz":
         raise ValueError("the mollification-gap experiment is for the growth family")
-    if mfspec.epsilon < 2 * mfspec.h:
-        raise ValueError("resolution guard: eps >= 2h required")
-    mf = build_model_field(mfspec)
-    lat = mf.lattice
-    g = lat.geometry
+    mf, phi = _probe_setup(mfspec, lam)
+    cell = mf.lattice.cell_volume
     moll = mollify(nonlin, delta)
     pref = 1.0 / (2.0 * a * math.sqrt(mfspec.epsilon))
-    tf = TestFunction(geometry=g, scale=lam)
-    pts = lat.points().reshape(lat.shape + (g.d,))
-    phi = eval_test_function_many(tf, pts)
-    out = np.empty(n_samples)
-    for i in range(n_samples):
-        vals = sample_model_field(mf, seed, i)
-        x = math.sqrt(mfspec.epsilon) * vals
+
+    def pairing(values):
+        x = math.sqrt(mfspec.epsilon) * values
         diff = nonlin.deriv(1, x) - moll.deriv(1, x)
-        out[i] = float(np.sum(phi * pref * diff) * lat.cell_volume)
-    return moment_norm(out, n, seed=seed, tag=12)
+        return float(np.sum(phi * pref * diff) * cell)
+
+    return moment_norm(_per_draw(mf, seed, n_samples, pairing), n, seed=seed,
+                       tag=12)

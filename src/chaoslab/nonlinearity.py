@@ -31,6 +31,7 @@ from .geometry import bump_profile
 _GL_NODES = 96
 # points per block of the mollified derivative: 4096 x 96 doubles is 3 MB
 _BLOCK = 4096
+_TAIL_TOL = 1e-8  # largest extrapolated tail share a window norm accepts
 
 
 class TailTruncationError(RuntimeError):
@@ -283,14 +284,14 @@ def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float
 
 
 def _factor_pairings(spec: NonlinearitySpec, ell: int, center: int,
-                     m_probe: int, n_probes: int, x_max: float, dx: float,
-                     tail_tol: float = 1e-8) -> np.ndarray:
+                     m_probe: int, n_probes: int, x_max: float,
+                     dx: float) -> np.ndarray:
     """|<transform of F^(ell), probe_j(. - center)>| for every probe.
 
     The tail guard integrates |F| against the fitted transform envelope
-    beyond x_max (with a factor-100 safety margin) and compares it to the
-    absolute integrand mass; pairings themselves can be tiny through
-    cancellation, so they do not set the health scale.
+    beyond x_max (with a factor-100 safety margin) and raises when it
+    exceeds _TAIL_TOL of the absolute integrand mass; pairings themselves
+    can be tiny through cancellation, so they do not set the health scale.
     """
     x, psi, fits = _probe_transform(n_probes, m_probe, x_max, dx)
     fvals = spec.deriv(ell, x)
@@ -307,16 +308,16 @@ def _factor_pairings(spec: NonlinearitySpec, ell: int, center: int,
             raise TailTruncationError("no usable decay fit; widen x_max")
         tail_abs = 200.0 * float(np.trapezoid(
             ft * amp * np.exp(-rate * np.sqrt(xt)), xt))
-        if tail_abs > tail_tol * whole_abs:
+        if tail_abs > _TAIL_TOL * whole_abs:
             raise TailTruncationError(
                 f"extrapolated tail share {tail_abs / whole_abs:.3g} exceeds "
-                f"{tail_tol:.1g}; widen x_max")
+                f"{_TAIL_TOL:.1g}; widen x_max")
         out[j] = abs(total)
     return out
 
 
 def window_norm(spec: NonlinearitySpec, q: WindowNormQuery, x_max: float = 1500.0,
-                dx: float = 0.006, tail_tol: float = 1e-8) -> float:
+                dx: float = 0.006) -> float:
     """Certified lower bound on the windowed norm of the (tensor) transform.
 
     Tensor probes factorise, so the bound is the product over factors of the
@@ -324,8 +325,7 @@ def window_norm(spec: NonlinearitySpec, q: WindowNormQuery, x_max: float = 1500.
     """
     value = 1.0
     for ell, c in zip(q.ells, q.center):
-        pair = _factor_pairings(spec, ell, c, q.m_probe, q.n_probes, x_max, dx,
-                                tail_tol=tail_tol)
+        pair = _factor_pairings(spec, ell, c, q.m_probe, q.n_probes, x_max, dx)
         value *= float(np.max(pair))
     return value
 

@@ -214,6 +214,24 @@ def full_complex_field_values(spectrum, seed: int, indices) -> np.ndarray:
     return np.real(np.fft.ifftn(xh, axes=axes))
 
 
+def per_draw_model_field(mf, seed: int, indices) -> np.ndarray:
+    """Model field draws by one full complex transform per draw.
+
+    The route ``models`` used before its draws went through the paired
+    synthesiser of ``field``: each draw's real noise is convolved with the
+    stencil by its own complex ``fftn``/``ifftn`` and the imaginary half is
+    discarded.  Only the noise substreams and the stencil are shared with
+    the package.
+    """
+    shape = mf.lattice.shape
+    out = np.empty((len(indices),) + shape)
+    for row, idx in enumerate(indices):
+        w = rng.substream(seed, rng.MODEL, int(idx)).standard_normal(shape)
+        conv = np.real(np.fft.ifftn(np.fft.fftn(w) * mf.stencil_fft))
+        out[row] = math.sqrt(mf.lattice.cell_volume) * conv
+    return out
+
+
 def loop_bootstrap_moment_norm(values, n: int, seed: int = 0, tag: int = 0,
                                resamples: int = 500):
     """(point, (lo, hi)) of the moment norm with one resample per loop step.

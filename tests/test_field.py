@@ -132,7 +132,7 @@ def test_exact_lambda_hat_metric_radius_2d():
     assert 0 < kept.sum() < kept.size
     ratio = cov[kept] / sp.spec.target(lag[kept])
     want = max(np.max(ratio), np.max(1.0 / ratio))
-    assert exact_lambda_hat(sp, frac) == pytest.approx(want, rel=1e-12)
+    assert exact_lambda_hat(sp) == pytest.approx(want, rel=1e-12)
 
 
 def test_verify_assumption1_exact_self():

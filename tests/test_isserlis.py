@@ -161,7 +161,7 @@ def test_reduce_dominates_w_numerically():
 def test_cluster_coeff_mean_removed():
     q = ClusterCoeffQuery(degrees=(0,), thetas=(1.3,), derivs=(0,),
                           truncations=(1,), trigs=("cos",),
-                          cov=np.array([[1.0]]), quad_order=60)
+                          cov=np.array([[1.0]]))
     assert cluster_coeff(q) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -171,7 +171,7 @@ def test_cluster_coeff_matches_analytic(trig, m):
     for k in range(m, m + 4):
         q = ClusterCoeffQuery(degrees=(k,), thetas=(theta,), derivs=(0,),
                               truncations=(m,), trigs=(trig,),
-                              cov=np.array([[sigma2]]), quad_order=60)
+                              cov=np.array([[sigma2]]))
         assert cluster_coeff(q) == pytest.approx(
             trig_chaos_coeff(trig, k, theta, sigma2), abs=1e-10)
 
@@ -181,7 +181,7 @@ def test_cluster_coeff_independence_factorizes():
     cov = np.diag([1.0, 1.2])
     q = ClusterCoeffQuery(degrees=(1, 2), thetas=(theta1, theta2), derivs=(0, 0),
                           truncations=(1, 2), trigs=("sin", "cos"),
-                          cov=cov, quad_order=60)
+                          cov=cov)
     got = cluster_coeff(q)
     want = trig_chaos_coeff("sin", 1, theta1, 1.0) * trig_chaos_coeff("cos", 2, theta2, 1.2)
     assert got == pytest.approx(want, abs=1e-10)

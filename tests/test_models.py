@@ -20,9 +20,11 @@ from chaoslab.models import (
     remainder_pairing,
     renorm_constant,
     sample_model_field,
+    sample_model_field_values,
 )
 from chaoslab.nonlinearity import gaussian_mean, make_nonlinearity, mollify
 from chaoslab.stats import moment_norm
+from oracles import per_draw_model_field
 
 KPZ_SPEC = ModelFieldSpec(family="kpz", epsilon=0.3, h=0.125, counts=(48, 24),
                           kernel_cut=0.4)
@@ -63,6 +65,27 @@ def test_field_deterministic():
     a = sample_model_field(mf, seed=9, index=3)
     b = sample_model_field(mf, seed=9, index=3)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("index", [0.5, 2.9, -1, np.array([[1, 2]])],
+                         ids=["half", "2.9", "negative", "2-d"])
+def test_sample_model_field_rejects_bad_index(index):
+    mf = build_model_field(KPZ_SPEC)
+    with pytest.raises(ValueError):
+        sample_model_field(mf, 1, index)
+
+
+def test_model_field_batches_match_single_draws():
+    # lone even, lone odd, a pair split across two transforms, a range
+    mf = build_model_field(KPZ_SPEC)
+    single = {k: sample_model_field(mf, 4, k) for k in range(7)}
+    for indices in ([2], [5], [1, 2], list(range(7))):
+        got = sample_model_field_values(mf, 4, indices)
+        for row, k in zip(got, indices):
+            assert np.array_equal(row, single[k])
+    want = per_draw_model_field(mf, 4, range(7))
+    got = sample_model_field_values(mf, 4, np.arange(7))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_polynomial_reduction_wick_square():
@@ -126,6 +149,18 @@ def test_eval_object_pointwise():
     assert eval_object(spec, mf, vals, z) == pytest.approx(full[i0, j0])
 
 
+@pytest.mark.parametrize("z", [(100.0, -50.0), (0.0, 1.6), (float("nan"), 0.0),
+                               (0.0,), (0.0, 0.0, 0.0)],
+                         ids=["far", "past-edge", "nan", "short", "long"])
+def test_eval_object_rejects_bad_point(z):
+    mf = build_model_field(KPZ_SPEC)
+    spec = ModelObjectSpec(family="kpz", symbol="1'", nonlinearity=QUADRATIC,
+                           a=1.0, epsilon=KPZ_SPEC.epsilon)
+    vals = sample_model_field(mf, seed=5, index=0)
+    with pytest.raises(ValueError):
+        eval_object(spec, mf, vals, z)
+
+
 def test_holder_norm_zero_field():
     mf = build_model_field(KPZ_SPEC)
     est = holder_norm(np.zeros(mf.lattice.shape), mf.lattice, alpha=-0.5)
@@ -180,13 +215,20 @@ def test_remainder_pairing_polynomial_small():
 
 
 def _per_draw_pairing(family, nonlin, a, mfspec, delta, lam, n, n_samples, seed):
-    """remainder_pairing with every constant recomputed on every draw."""
+    """remainder_pairing with every constant recomputed on every draw.
+
+    The Taylor term is the row sum_y K0(0 - y) inner(y): on the centred
+    lattice arrays (even counts) K0(0 - y) is the centred kernel flipped and
+    rolled by one.
+    """
     mf = build_model_field(mfspec)
     lat = mf.lattice
     g = lat.geometry
-    kern_fft, taylor_row = models._pairing_kernel_fft(mf)
+    kern_fft = models._pairing_kernel_fft(mf)
+    kern_c = models._cut_heat_kernel(mfspec, lat)
+    kern_c[tuple(k // 2 for k in lat.shape)] = 0.0  # the singular cell y = 0
     axes = tuple(range(g.d))
-    row = np.roll(np.flip(taylor_row, axis=axes), 1, axis=axes)
+    row = np.roll(np.flip(kern_c, axis=axes), 1, axis=axes)
     pref = 1.0 / (2.0 * a**2 * mfspec.epsilon ** 1.5) if family == "kpz" else 1.0
     pts = lat.points().reshape(lat.shape + (g.d,))
     phi = eval_test_function_many(TestFunction(geometry=g, scale=lam), pts)
@@ -235,6 +277,51 @@ def test_remainder_pairing_matches_per_draw_constants(monkeypatch, family, nonli
     assert counts[0] == counts[1] == 2
     assert got.value == pytest.approx(want.value, rel=1e-12)
     np.testing.assert_allclose(got.ci, want.ci, rtol=1e-12)
+
+
+def _direct_two_freq_object(family, nonlin, mf, values):
+    """The two-frequency object by the double sum over the torus
+
+        prefactor * outer(x) * sum_y (K0(wrap(x - y)) - K0(wrap(0 - y))) inner(y)
+
+    with the singular cells x = y and y = 0 dropped; wrap maps a lattice
+    offset into the lattice's own centred index range.
+    """
+    lat = mf.lattice
+    shape = np.array(lat.shape)
+    kern_c = models._cut_heat_kernel(mf.spec, lat)
+    sites = np.indices(lat.shape).reshape(len(shape), -1).T
+    origin = shape // 2
+
+    def k0(offsets):
+        wrapped = (offsets + origin) % shape
+        vals = kern_c[tuple(np.moveaxis(wrapped, -1, 0))]
+        return np.where(np.all(offsets % shape == 0, axis=-1), 0.0, vals)
+
+    kmat = k0(sites[:, None, :] - sites[None, :, :])
+    taylor = k0(origin[None, :] - sites)
+    prefactor, inner, outer = models._two_freq_parts(family, nonlin, 1.0, mf)
+    conv = (kmat - taylor[None, :]) @ inner(values).reshape(-1) \
+        * lat.cell_volume
+    return prefactor * outer(values) * conv.reshape(lat.shape)
+
+
+@pytest.mark.parametrize("family, nonlin, mfspec", [
+    ("kpz", make_nonlinearity("power_even", beta=0.5),
+     ModelFieldSpec(family="kpz", epsilon=0.3, h=0.125, counts=(12, 6),
+                    kernel_cut=0.4)),
+    ("phi43", make_nonlinearity("power_odd", beta=0.5),
+     ModelFieldSpec(family="phi43", epsilon=0.5, h=0.25, counts=(8, 4, 4, 4),
+                    kernel_cut=0.4)),
+], ids=["kpz", "phi43"])
+def test_two_freq_object_matches_torus_double_sum(family, nonlin, mfspec):
+    mf = build_model_field(mfspec)
+    vals = sample_model_field(mf, seed=3, index=0)
+    got = models._two_freq_object(
+        vals, models._pairing_kernel_fft(mf), mf.lattice.cell_volume,
+        *models._two_freq_parts(family, nonlin, 1.0, mf))
+    want = _direct_two_freq_object(family, nonlin, mf, vals)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_mollification_gap_zero_delta():
