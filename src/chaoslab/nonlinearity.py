@@ -3,9 +3,13 @@
 The canonical instances are the even power |u|^(2+beta) (two derivatives
 plus a beta-Holder second derivative) and the odd power sign(u)|u|^(3+beta);
 polynomials cover the exactly-solvable comparisons.  Mollification convolves
-the requested derivative with a fixed smooth bump at scale delta, evaluated
-by Gauss-Legendre quadrature, split into two panels at the integrand's
-kink where it has one.
+the requested derivative with a fixed smooth bump rho at scale delta.  The
+quadrature carries each integrand's non-smooth weight in its rule: a 32-node
+Gauss rule for the weight rho where the integrand has no kink inside the
+bump's support, and an 80-node Gauss-Jacobi rule on each side of the kink
+of |u|^(p - ell) where it has one.  Both agree with adaptive quadrature to
+about 6e-14 relative at ell <= 2 (7e-12 at the singular ell = 3 of
+|u|^(2+beta)).
 
 Window norms are certified lower bounds: the true norm is a sup over an
 infinite ball of test functions, which is not computable; we maximise the
@@ -24,12 +28,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
-from scipy.special import roots_hermitenorm, roots_legendre
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
 
 from .geometry import bump_profile
 
-_GL_NODES = 96
-# points per block of the mollified derivative: 4096 x 96 doubles is 3 MB
+_BUMP_NODES = 32  # Gauss rule for the bump weight, away from the kink
+_KINK_NODES = 80  # Gauss-Jacobi rule on each side of the kink
+# points per block of the mollified derivative: 2 x 4096 x 80 doubles is 5 MB
 _BLOCK = 4096
 _TAIL_TOL = 1e-8  # largest extrapolated tail share a window norm accepts
 
@@ -66,6 +72,8 @@ class NonlinearitySpec:
 
     def deriv(self, ell: int, u):
         """ell-th derivative at u (mollified when delta > 0)."""
+        if ell < 0:
+            raise ValueError(f"derivative order must be non-negative, got {ell}")
         if self.delta > 0.0:
             return _mollified_deriv(self, ell, u)
         return self._raw_deriv(ell, u)
@@ -75,14 +83,18 @@ class NonlinearitySpec:
         if self.kind == "polynomial":
             c = npoly.polyder(self.coeffs, ell) if ell else np.asarray(self.coeffs)
             return npoly.polyval(u, c)
+        c, a, odd = self._power_law(ell)
+        sgn = np.sign(u) if odd else np.ones_like(u)
+        return c * np.abs(u) ** a * sgn
+
+    def _power_law(self, ell: int) -> tuple[float, float, bool]:
+        """(c, a, odd) with F^(ell)(u) = c |u|^a sign(u)^odd, a power kind."""
         p = self.power
         c = 1.0
         for j in range(ell):
             c *= p - j
-        mag = np.abs(u) ** (p - ell)
         sgn_pow = ell if self.kind == "power_even" else ell + 1
-        sgn = np.sign(u) ** (sgn_pow % 2) if sgn_pow % 2 else np.ones_like(u)
-        return c * mag * sgn
+        return c, p - ell, bool(sgn_pow % 2)
 
     def __call__(self, u):
         return self.deriv(0, u)
@@ -103,38 +115,67 @@ def make_nonlinearity(kind: str, beta: float = 0.5,
 
 
 @lru_cache(maxsize=1)
-def _legendre_rule():
-    return roots_legendre(_GL_NODES)
+def _bump_rule():
+    """Gauss rule (nodes, weights) for the weight rho/mass on (-1, 1), and mass.
+
+    The discretised Stieltjes procedure: Lanczos with full
+    reorthogonalisation on a 256-node Gauss-Legendre discretisation of the
+    bump gives the Jacobi matrix of rho's orthogonal polynomials, whose
+    eigenvalues are the nodes and whose first eigenvector components squared
+    are the weights (Golub & Welsch).  The mass is the same discretisation's
+    sum.
+    """
+    x, w = roots_legendre(256)
+    omega = w * bump_profile(x)
+    mass = float(np.sum(omega))
+    q = np.zeros((x.size, _BUMP_NODES))
+    q[:, 0] = np.sqrt(omega / mass)
+    alpha = np.zeros(_BUMP_NODES)
+    beta = np.zeros(_BUMP_NODES - 1)
+    for k in range(_BUMP_NODES):
+        r = x * q[:, k]
+        alpha[k] = q[:, k] @ r
+        for _ in range(2):  # twice is enough to keep q orthonormal
+            r -= q[:, :k + 1] @ (q[:, :k + 1].T @ r)
+        if k + 1 < _BUMP_NODES:
+            beta[k] = np.linalg.norm(r)
+            q[:, k + 1] = r / beta[k]
+    nodes, vecs = eigh_tridiagonal(alpha, beta)
+    return nodes, vecs[0] ** 2, mass
 
 
-@lru_cache(maxsize=1)
-def _mollifier_mass() -> float:
-    # integral of the bump on (-1, 1), computed once by quadrature
-    t, w = _legendre_rule()
-    return float(np.sum(w * bump_profile(t)))
-
-
-@lru_cache(maxsize=1)
-def _mollifier_weights() -> np.ndarray:
-    """Legendre weights times the normalised bump: one full panel on (-1, 1)."""
-    t, w = _legendre_rule()
-    return w * bump_profile(t) / _mollifier_mass()
+@lru_cache(maxsize=8)
+def _kink_rule(a: float):
+    """Gauss-Jacobi rule for the weight (1 - x)^a on (-1, 1)."""
+    return roots_jacobi(_KINK_NODES, a, 0.0)
 
 
 def _mollified_deriv(spec: NonlinearitySpec, ell: int, u):
-    """(F^(ell) * rho_delta)(u) by Gauss-Legendre quadrature in t on (-1, 1).
+    """(F^(ell) * rho_delta)(u), the integral of F^(ell)(u - delta t) rho(t)/mass.
 
-    The integrand t -> F^(ell)(u - delta t) of a power kind has a kink at
-    t = u/delta.  Points with |u| >= delta (and every point of a polynomial
-    kind) have no kink inside the bump's support and take one panel, which
-    reaches double precision.  Points inside (-delta, delta) take two panels
-    split at the kink; each ends at the |t - t*|^beta singularity of the top
-    derivative and converges only like n^-(2 + 2 beta), a relative error of
-    up to 3.5e-7 at beta = 0.5 with 96 nodes.  Points are walked in blocks
-    so that the (points x nodes) temporaries stay a few MB.
+    Each integrand's non-smooth factor is put into the quadrature weight.
+    Points with no kink inside the bump's support (|u| >= delta, and every
+    point of a polynomial kind) take the 32-node Gauss rule for the weight
+    rho/mass.  For a power kind inside (-delta, delta) the integrand has its
+    kink at t* = u/delta; on each side F^(ell)(u - delta t) is
+    c (delta h)^a (1 - x)^a, possibly times a sign, with a = p - ell, h the
+    side's half-width and x its reference coordinate, so an 80-node
+    Gauss-Jacobi rule for (1 - x)^a leaves only the bump to evaluate at the
+    moving nodes.  Against adaptive quadrature split at the kink, both power
+    kinds agree within 6e-14 relative at ell in {0, 1, 2} and delta in
+    {0.2, 0.4}, inside, at +-delta and out to 750, and within 7e-12 at
+    ell = 3 of |u|^2.5, where F^(3) ~ |u|^(-1/2).  Points are walked in
+    blocks so that the (points x nodes) temporaries stay a few MB.
     """
+    if spec.kind != "polynomial" and spec.power - ell <= -1.0:
+        raise ValueError(f"order-{ell} mollified derivative of |u|^{spec.power:g} "
+                         "diverges: F^(ell) is not locally integrable")
     u_in = np.asarray(u, dtype=float)
     flat = u_in.reshape(-1)
+    bad = int(np.count_nonzero(~np.isfinite(flat)))
+    if bad:
+        raise ValueError(f"mollified derivative needs finite input: "
+                         f"{bad} of {flat.size} points are not finite")
     out = np.empty_like(flat)
     for start in range(0, flat.size, _BLOCK):
         stop = start + _BLOCK
@@ -144,27 +185,26 @@ def _mollified_deriv(spec: NonlinearitySpec, ell: int, u):
 
 def _mollified_block(spec: NonlinearitySpec, ell: int, u: np.ndarray) -> np.ndarray:
     delta = spec.delta
-    t, w = _legendre_rule()
-    out = np.empty_like(u)
+    t, w, mass = _bump_rule()
     if spec.kind == "polynomial":
-        smooth = np.ones(u.shape, dtype=bool)
-    else:
-        smooth = np.abs(u) >= delta
-    us = u[smooth]
-    out[smooth] = spec._raw_deriv(ell, us[:, None] - delta * t) @ _mollifier_weights()
+        return spec._raw_deriv(ell, u[:, None] - delta * t) @ w
+    tstar = u / delta
+    smooth = np.abs(tstar) >= 1.0
+    out = np.empty_like(u)
+    out[smooth] = spec._raw_deriv(ell, u[smooth][:, None] - delta * t) @ w
     if smooth.all():
         return out
-    ui = u[~smooth]
-    mass = _mollifier_mass()
-    tstar = np.clip(ui / delta, -1.0, 1.0)
-    acc = np.zeros_like(ui)
-    for a, b in ((np.full_like(ui, -1.0), tstar), (tstar, np.full_like(ui, 1.0))):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        tt = mid[:, None] + half[:, None] * t
-        vals = spec._raw_deriv(ell, ui[:, None] - delta * tt)
-        acc += half * ((bump_profile(tt) * vals) @ w) / mass
-    out[~smooth] = acc
+    # half-widths h of the sides (-1, t*) and (t*, 1); on either side
+    # z = h (1 + x) is the distance to the support's end, so 1 - t^2 = z (2 - z)
+    ti = tstar[~smooth]
+    h = np.concatenate([0.5 * (1.0 + ti), 0.5 * (1.0 - ti)])
+    c, a, odd = spec._power_law(ell)
+    x, wj = _kink_rule(a)
+    z = h[:, None] * (1.0 + x)
+    side = h ** (a + 1.0) * (np.exp(1.0 - 1.0 / (z * (2.0 - z))) @ wj)
+    left, right = np.split(side, 2)
+    # u - delta t is positive on the left side and negative on the right
+    out[~smooth] = c * delta**a / mass * (left - right if odd else left + right)
     return out
 
 

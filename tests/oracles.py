@@ -10,6 +10,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import roots_hermitenorm, roots_legendre
 
 from chaoslab import rng
@@ -193,6 +194,99 @@ def two_panel_mollified_deriv(spec, ell: int, u, nodes: int = 96):
             vals = spec._raw_deriv(ell, u[..., None] - delta * tt)
             out += half * ((_bump(tt) * vals) @ w) / mass
     return float(out[0]) if u_in.ndim == 0 else out
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule():
+    return roots_legendre(96)
+
+
+@lru_cache(maxsize=1)
+def _mollifier_mass() -> float:
+    t, w = _legendre_rule()
+    return float(np.sum(w * _bump(t)))
+
+
+@lru_cache(maxsize=1)
+def _mollifier_weights() -> np.ndarray:
+    t, w = _legendre_rule()
+    return w * _bump(t) / _mollifier_mass()
+
+
+def legendre_mollified_deriv(spec, ell: int, u: np.ndarray) -> np.ndarray:
+    """The package's former ``nonlinearity._mollified_block``, kept verbatim
+    (with ``_bump`` for ``geometry.bump_profile``, the same function).
+
+    One 96-node Gauss-Legendre panel times the bump for points with no kink
+    inside the support, two panels split at the kink otherwise; accurate to
+    about 3.5e-7 relative inside (-delta, delta) at ell = 2.  A test that
+    monkeypatches it in for ``_mollified_block`` reproduces the numbers
+    recorded in ``golden_design.json`` bit for bit.
+    """
+    delta = spec.delta
+    t, w = _legendre_rule()
+    out = np.empty_like(u)
+    if spec.kind == "polynomial":
+        smooth = np.ones(u.shape, dtype=bool)
+    else:
+        smooth = np.abs(u) >= delta
+    us = u[smooth]
+    out[smooth] = spec._raw_deriv(ell, us[:, None] - delta * t) @ _mollifier_weights()
+    if smooth.all():
+        return out
+    ui = u[~smooth]
+    mass = _mollifier_mass()
+    tstar = np.clip(ui / delta, -1.0, 1.0)
+    acc = np.zeros_like(ui)
+    for a, b in ((np.full_like(ui, -1.0), tstar), (tstar, np.full_like(ui, 1.0))):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        tt = mid[:, None] + half[:, None] * t
+        vals = spec._raw_deriv(ell, ui[:, None] - delta * tt)
+        acc += half * ((_bump(tt) * vals) @ w) / mass
+    out[~smooth] = acc
+    return out
+
+
+def _rho(t: float) -> float:
+    return math.exp(1.0 - 1.0 / (1.0 - t * t)) if abs(t) < 1.0 else 0.0
+
+
+def _scalar_deriv(spec, ell: int):
+    """F^(ell) as a function of one float, written from the definitions."""
+    if spec.kind == "polynomial":
+        coeffs = [float(c) for c in np.polynomial.polynomial.polyder(spec.coeffs, ell)]
+        return lambda v: math.fsum(c * v**k for k, c in enumerate(coeffs))
+    p = spec.beta + (2.0 if spec.kind == "power_even" else 3.0)
+    c = math.prod(p - j for j in range(ell))
+    odd = (ell + (spec.kind == "power_odd")) % 2
+    return lambda v: c * abs(v) ** (p - ell) * (math.copysign(1.0, v) if odd else 1.0)
+
+
+def quad_mollified_deriv(spec, ell: int, u):
+    """(F^(ell) * rho_delta)(u) by adaptive quadrature, split at the kink.
+
+    A power kind's integrand t -> F^(ell)(u - delta t) is non-smooth at
+    t* = clip(u / delta, -1, 1), so (-1, 1) is split there and each part
+    goes to scipy ``quad``; a polynomial kind takes one part.  The bump's
+    mass comes from ``quad`` too.  Nothing is shared with the package.
+    """
+    u_in = np.asarray(u, dtype=float)
+    delta = spec.delta
+    fd = _scalar_deriv(spec, ell)
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
+    mass = quad(_rho, -1.0, 1.0, **opts)[0]
+    out = np.empty(u_in.shape)
+    for i, x in np.ndenumerate(u_in):
+        def integrand(t, x=float(x)):
+            return fd(x - delta * t) * _rho(t)
+
+        cuts = [-1.0, 1.0]
+        if spec.kind != "polynomial":
+            cuts.insert(1, min(max(x / delta, -1.0), 1.0))
+        out[i] = sum(quad(integrand, a, b, **opts)[0]
+                     for a, b in zip(cuts, cuts[1:]) if b > a) / mass
+    return float(out) if u_in.ndim == 0 else out
 
 
 def full_complex_field_values(spectrum, seed: int, indices) -> np.ndarray:
