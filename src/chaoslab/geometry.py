@@ -71,13 +71,23 @@ def metric_many(points: np.ndarray, g: ScalingGeometry) -> np.ndarray:
     return np.max(np.abs(points) ** exps, axis=-1)
 
 
+def bump_of_gap(g):
+    """The bump exp(1 - 1/g) as a function of the gap g = 1 - r^2 in (0, 1].
+
+    ``bump_profile`` passes g = 1 - r^2; a caller that knows the distance
+    z = 1 - |r| to the support's end passes g = z (2 - z), which keeps full
+    relative precision there.
+    """
+    return np.exp(1.0 - 1.0 / g)
+
+
 def bump_profile(r):
     """Standard smooth bump exp(1 - 1/(1-r^2)) on r < 1, zero outside; sup = 1."""
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     inside = np.abs(r) < 1.0
     ri = r[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ri * ri))
+    out[inside] = bump_of_gap(1.0 - ri * ri)
     return out
 
 

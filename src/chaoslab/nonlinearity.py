@@ -31,7 +31,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
 
-from .geometry import bump_profile
+from .geometry import bump_of_gap, bump_profile
 
 _BUMP_NODES = 32  # Gauss rule for the bump weight, away from the kink
 _KINK_NODES = 80  # Gauss-Jacobi rule on each side of the kink
@@ -201,7 +201,7 @@ def _mollified_block(spec: NonlinearitySpec, ell: int, u: np.ndarray) -> np.ndar
     c, a, odd = spec._power_law(ell)
     x, wj = _kink_rule(a)
     z = h[:, None] * (1.0 + x)
-    side = h ** (a + 1.0) * (np.exp(1.0 - 1.0 / (z * (2.0 - z))) @ wj)
+    side = h ** (a + 1.0) * (bump_of_gap(z * (2.0 - z)) @ wj)
     left, right = np.split(side, 2)
     # u - delta t is positive on the left side and negative on the right
     out[~smooth] = c * delta**a / mass * (left - right if odd else left + right)

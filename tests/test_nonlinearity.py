@@ -115,29 +115,33 @@ def test_mollified_deriv_matches_two_panel_oracle(spec, delta, ell):
     # points inside (-delta, delta), at +-delta, outside it and out to 750;
     # the 2-D grid has a size that is no multiple of the block size.  With no
     # kink inside the support (|u| > delta, or a polynomial) the two-panel
-    # oracle is exact to rounding; elsewhere its panels end at the kink, and
-    # the reference is adaptive quadrature split there
+    # oracle is exact to rounding.  At the kink its panels end where |.|^a
+    # is not smooth, and it is off by up to 3.5e-7 (ell = 2 of |u|^2.5), so
+    # every point there is held to adaptive quadrature split at the kink
     md = mollify(spec, delta)
     gen = rng.substream(11, 5)
-    u = np.concatenate([gen.uniform(-delta, delta, 40), [-delta, delta, 0.0],
+    u = np.concatenate([gen.uniform(-delta, delta, 200), [-delta, delta, 0.0],
                         gen.uniform(-750.0, 750.0, 2 * nonlinearity._BLOCK)])
     u2 = gen.uniform(-3.0, 3.0, (nonlinearity._BLOCK // 3, 5))
     assert u2.size % nonlinearity._BLOCK != 0
+
+    def at_kink(points):
+        return (np.abs(points) <= delta) & (spec.kind != "polynomial")
 
     for points in (u, u2):
         got = md.deriv(ell, points)
         assert got.shape == points.shape
         flat, got = points.reshape(-1), got.reshape(-1)
-        kink = (np.abs(flat) <= delta) & (spec.kind != "polynomial")
+        kink = at_kink(flat)
         _close(got[~kink], two_panel_mollified_deriv(md, ell, flat[~kink]), 1e-13)
-        # at most 43 points near the kink, spread over the whole array
-        near = np.flatnonzero(kink)
-        near = near[np.linspace(0, near.size - 1, min(near.size, 43)).astype(int)]
-        _close(got[near], quad_mollified_deriv(md, ell, flat[near]), 1e-12)
+        _close(got[kink], quad_mollified_deriv(md, ell, flat[kink]), 1e-12)
     for point in (-delta, 0.3 * delta, delta, 1.5, -750.0):
         got = md.deriv(ell, point)
         assert isinstance(got, float)
-        _close(got, quad_mollified_deriv(md, ell, point), 1e-12)
+        if at_kink(point):
+            _close(got, quad_mollified_deriv(md, ell, point), 1e-12)
+        else:
+            _close(got, two_panel_mollified_deriv(md, ell, point), 1e-13)
 
 
 # quad reaches its roundoff floor on the singular parts before 2e-14
