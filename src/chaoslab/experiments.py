@@ -260,16 +260,16 @@ def _grid_1d(step: float, radius: float) -> np.ndarray:
     return (np.arange(-m, m + 1) * step).reshape(-1, 1)
 
 
-def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, base: np.ndarray,
-                       m: int, cov: CovarianceSpec, h: float) -> float:
+def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, m: int,
+                       cov: CovarianceSpec, h: float) -> float:
     """sqrt(m! * v^T rho^m v) for v = |K| * weight * step on a 1-d grid.
 
-    ``grid(step)`` gives the grid points and their weights, ``kernel_row``
-    the values of ``kern`` at those points.  Cells within _DIAGONAL_CELLS
-    steps of the base point and singular values are dropped; rho is the
-    normalised target covariance at the grid lags.  The norm is taken at
-    steps h and h / 2, and a relative disagreement above _TWO_GRID_TOL
-    raises rather than returning an uncertified value.
+    ``grid(step)`` gives the grid points and their weights, and
+    ``kernel_row(points, radius)`` the values of ``kern`` between those
+    points and the base point, with exclusion radius _DIAGONAL_CELLS * step;
+    rho is the normalised target covariance at the grid lags.  The norm is
+    taken at steps h and h / 2, and a relative disagreement above
+    _TWO_GRID_TOL raises rather than returning an uncertified value.
     """
     if kern.g.s != (1.0,):
         raise NotImplementedError(
@@ -277,10 +277,7 @@ def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, base: np.ndarray,
     vals = []
     for step in (h, h / 2.0):
         pts, weight = grid(step)
-        kv = kernel_row(pts)
-        kv[np.abs(pts[:, 0] - base[0]) < _DIAGONAL_CELLS * step] = 0.0
-        kv[~np.isfinite(kv)] = 0.0
-        v = np.abs(kv) * weight * step
+        v = np.abs(kernel_row(pts, _DIAGONAL_CELLS * step)) * weight * step
         lags = np.abs(pts[:, None, 0] - pts[None, :, 0])
         rho = (cov.epsilon / (lags + cov.epsilon)) ** cov.alpha
         vals.append(math.sqrt(max(math.factorial(m) * float(v @ (rho ** m) @ v),
@@ -302,8 +299,8 @@ def second_moment_G(x, kern: RenormKernel, m2: int, cov: CovarianceSpec,
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
     return _smeared_wick_norm(
         kern, lambda step: (_grid_1d(step, y_radius), 1.0),
-        lambda ys: eval_K_many(x_arr, ys, kern)[0],
-        x_arr[0], m2, cov, h)
+        lambda ys, radius: eval_K_many(x_arr, ys, kern, radius)[0],
+        m2, cov, h)
 
 
 def second_moment_H(y, kern: RenormKernel, test: TestFunction, m1: int,
@@ -316,8 +313,9 @@ def second_moment_H(y, kern: RenormKernel, test: TestFunction, m1: int,
         return xs, np.abs(eval_test_function_many(test, xs))
 
     return _smeared_wick_norm(kern, grid,
-                              lambda xs: eval_K_many(xs, y_arr, kern)[:, 0],
-                              y_arr[0], m1, cov, h)
+                              lambda xs, radius: eval_K_many(xs, y_arr, kern,
+                                                             radius)[:, 0],
+                              m1, cov, h)
 
 
 # ---------------------------------------------------------------------------

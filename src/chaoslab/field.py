@@ -25,7 +25,6 @@ whole draws.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -80,7 +79,6 @@ class Spectrum:
     spec: CovarianceSpec
     eigenvalues: np.ndarray = field(repr=False)
     clipped_mass: float
-    spectrum_id: str
 
     @property
     def var_raw(self) -> float:
@@ -102,7 +100,6 @@ class FieldSample:
     lattice: Lattice
     values: np.ndarray = field(repr=False)
     sigma2: float
-    spectrum_id: str
     alpha: float
     epsilon: float
 
@@ -125,19 +122,16 @@ def build_spectrum(spec: CovarianceSpec, lattice: Lattice,
             f"clipped spectral mass {clipped:.3g} exceeds {clip_threshold:.3g}; "
             "enlarge the lattice extent")
     eig = np.clip(eig, 0.0, None)
-    ident = hashlib.sha256(
-        repr((spec.alpha, spec.epsilon, lattice.shape, lattice.steps)).encode()
-    ).hexdigest()[:16]
     return Spectrum(lattice=lattice, spec=spec, eigenvalues=eig,
-                    clipped_mass=clipped, spectrum_id=ident)
+                    clipped_mass=clipped)
 
 
 def sample_field(spectrum: Spectrum, seed: int, index: int) -> FieldSample:
     """One field draw; bit-identical for fixed (seed, index) in any call order."""
     vals = sample_field_values(spectrum, seed, np.array([index]))[0]
     return FieldSample(lattice=spectrum.lattice, values=vals,
-                       sigma2=spectrum.sigma2, spectrum_id=spectrum.spectrum_id,
-                       alpha=spectrum.spec.alpha, epsilon=spectrum.spec.epsilon)
+                       sigma2=spectrum.sigma2, alpha=spectrum.spec.alpha,
+                       epsilon=spectrum.spec.epsilon)
 
 
 def _draw_indices(indices) -> np.ndarray:

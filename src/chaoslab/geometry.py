@@ -9,7 +9,6 @@ the prefactor ``lam**(-sum(s))``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -24,7 +24,7 @@ _FD_STEP = 1e-4
 
 
 class SingularEvaluationError(ArithmeticError):
-    """A kernel derivative was requested at its singular point."""
+    """The kernel or its gradient was requested at a singular point."""
 
 
 def compute_re(gamma: float, alpha: float, m2: int) -> int:
@@ -81,17 +81,18 @@ class RenormKernel:
         return self.g.total - self.gamma
 
 
+def _k0_of_radius(r: np.ndarray, k: RenormKernel) -> np.ndarray:
+    """Base profile as a function of the metric radius r > 0."""
+    chi = smooth_cutoff(r, 0.5 * k.cutoff, k.cutoff)
+    return chi * r ** (-k.singularity_power)
+
+
 def eval_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
     """Base profile on an array of points; +inf at the origin."""
-    points = np.asarray(points, dtype=float)
     r = metric_many(points, k.g)
-    p = k.singularity_power
-    out = np.zeros_like(r)
-    zero = r == 0.0
-    pos = ~zero
-    chi = smooth_cutoff(r[pos], 0.5 * k.cutoff, k.cutoff)
-    out[pos] = chi * r[pos] ** (-p)
-    out[zero] = np.inf
+    out = np.full_like(r, np.inf)
+    pos = r != 0.0
+    out[pos] = _k0_of_radius(r[pos], k)
     return out
 
 
@@ -127,30 +128,39 @@ def grad_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
     return radial[..., None] * dr
 
 
-def eval_K_many(x_points: np.ndarray, y_points: np.ndarray, k: RenormKernel) -> np.ndarray:
-    """Renormalised kernel on the product grid, shape (Nx, Ny).
+def eval_K_many(x_points: np.ndarray, y_points: np.ndarray, k: RenormKernel,
+                radius: float) -> np.ndarray:
+    """Renormalised kernel on the product grid, shape (Nx, Ny), for quadrature.
 
-    Singular pairs (x = y, or y = 0 when a Taylor term needs it) evaluate to
-    +-inf; quadrature must exclude them explicitly.
+    K(x, y) = K0(x - y) - [r_e >= 1] K0(-y) - [r_e >= 2] x . grad K0(-y).
+    The exclusion rule of every quadrature that sums this matrix: a pair is
+    set to 0 when |x - y| < radius, when x = y, and, at r_e >= 1, when
+    y = 0, where the Taylor terms are singular.
     """
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
-    diff = x_points[:, None, :] - y_points[None, :, :]
-    out = eval_K0_many(diff, k)
-    with np.errstate(invalid="ignore"):
-        if k.r_e >= 1:
-            base = eval_K0_many(-y_points, k)
-            out = out - base[None, :]
+    r = metric_many(x_points[:, None, :] - y_points[None, :, :], k.g)
+    keep = (r >= radius) & (r > 0.0)
+    out = np.zeros_like(r)
+    out[keep] = _k0_of_radius(r[keep], k)
+    if k.r_e >= 1:
+        off = np.any(y_points != 0.0, axis=1)
+        keep &= off
+        out[:, off] -= eval_K0_many(-y_points[off], k)
         if k.r_e >= 2:
-            grad = grad_K0_many(-y_points, k)
-            out = out - np.einsum("xi,yi->xy", x_points, grad)
+            grad = grad_K0_many(-y_points[off], k)
+            out[:, off] -= np.einsum("xi,yi->xy", x_points, grad)
+    out[~keep] = 0.0
     return out
 
 
 def eval_K(x, y, k: RenormKernel) -> float:
+    """Renormalised kernel at one pair; raises at x = y and, at r_e >= 1, y = 0."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return float(eval_K_many(x, y, k)[0, 0])
+    if np.array_equal(x, y) or (k.r_e >= 1 and not np.any(y)):
+        raise SingularEvaluationError("kernel requested at a singular pair")
+    return float(eval_K_many(x, y, k, 0.0)[0, 0])
 
 
 @dataclass

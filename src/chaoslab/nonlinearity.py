@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -323,21 +323,22 @@ def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float
     return x, out, tuple(fits)
 
 
-def _factor_pairings(spec: NonlinearitySpec, ell: int, center: int,
-                     m_probe: int, n_probes: int, x_max: float,
-                     dx: float) -> np.ndarray:
-    """|<transform of F^(ell), probe_j(. - center)>| for every probe.
+def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
+                     x_max: float, dx: float) -> np.ndarray:
+    """|<transform of f, probe_j(. - center)>| for every probe.
 
-    The tail guard integrates |F| against the fitted transform envelope
-    beyond x_max (with a factor-100 safety margin) and raises when it
-    exceeds _TAIL_TOL of the absolute integrand mass; pairings themselves
-    can be tiny through cancellation, so they do not set the health scale.
+    ``values(x)`` gives f on an array of x: a derivative F^(ell), or the
+    difference of two derivatives.  The tail guard integrates |f| against
+    the fitted transform envelope beyond x_max (with a factor-100 safety
+    margin) and raises when it exceeds _TAIL_TOL of the absolute integrand
+    mass; pairings themselves can be tiny through cancellation, so they do
+    not set the health scale.
     """
     x, psi, fits = _probe_transform(n_probes, m_probe, x_max, dx)
-    fvals = spec.deriv(ell, x)
+    fvals = values(x)
     mod = np.exp(-1j * center * x)
     xt = np.geomspace(x_max, 20.0 * x_max, 200)
-    ft = np.abs(spec.deriv(ell, xt))
+    ft = np.abs(values(xt))
     out = np.empty(n_probes)
     for j in range(n_probes):
         integrand = fvals * mod * psi[j]
@@ -365,7 +366,8 @@ def window_norm(spec: NonlinearitySpec, q: WindowNormQuery, x_max: float = 1500.
     """
     value = 1.0
     for ell, c in zip(q.ells, q.center):
-        pair = _factor_pairings(spec, ell, c, q.m_probe, q.n_probes, x_max, dx)
+        pair = _factor_pairings(partial(spec.deriv, ell), c, q.m_probe,
+                                q.n_probes, x_max, dx)
         value *= float(np.max(pair))
     return value
 
@@ -375,20 +377,16 @@ def window_norm_difference(spec: NonlinearitySpec, delta: float,
                            dx: float = 0.006) -> float:
     """Lower bound on the window norm of (transform of F^(ell) - F_delta^(ell)).
 
-    Single-factor only: the tensor difference does not factorise.
+    Single-factor only: the tensor difference does not factorise.  The tail
+    guard of :func:`window_norm` applies.
     """
     if len(q.ells) != 1:
         raise ValueError("difference norms are single-factor")
-    ell, c = q.ells[0], q.center[0]
+    ell = q.ells[0]
     moll = mollify(spec, delta)
-    x, psi, _ = _probe_transform(q.n_probes, q.m_probe, x_max, dx)
-    dvals = spec.deriv(ell, x) - moll.deriv(ell, x)
-    mod = np.exp(-1j * c * x)
-    best = 0.0
-    for j in range(q.n_probes):
-        total = np.trapezoid(dvals * mod * psi[j], dx=dx) / (2.0 * math.pi)
-        best = max(best, abs(total))
-    return best
+    pair = _factor_pairings(lambda x: spec.deriv(ell, x) - moll.deriv(ell, x),
+                            q.center[0], q.m_probe, q.n_probes, x_max, dx)
+    return float(np.max(pair))
 
 
 def gaussian_mean(fn, sigma2: float) -> float:

@@ -6,9 +6,9 @@ and the two-factor truncated trig functional:
     value = sum_x sum_y phi_lam(x) K(x, y) F(theta, x, y) * cell_vol^2
 
 with x running over the test-function support and y over the fixed metric
-ball of radius 2.  Kernel cells within the diagonal exclusion radius, and
-cells where the renormalised kernel is singular (y = 0 at positive Taylor
-depth), are dropped; for gamma > 0 the excluded mass is O(h^gamma).
+ball of radius 2.  ``kernel.eval_K_many`` builds the kernel matrix with
+exclusion radius diagonal_policy * h and drops the pairs its exclusion rule
+names; for gamma > 0 the excluded mass is O(h^gamma).
 
 The kernel matrix and test-function weights do not depend on the frequency
 theta.  An ``OperatorSetup`` (kernel, test function, lattice, diagonal
@@ -38,6 +38,17 @@ class ResolutionError(RuntimeError):
     """Test-function support contains no lattice point (scale below the step)."""
 
 
+def _support(test: TestFunction, lattice: Lattice):
+    """Test-function values on its lattice support and that support's indices."""
+    phi = eval_test_function_many(test, lattice.points())
+    x_idx = np.nonzero(phi > 0.0)[0]
+    if len(x_idx) == 0:
+        raise ResolutionError(
+            f"test scale {test.scale} resolves no lattice point at "
+            f"step {lattice.base_step}")
+    return phi[x_idx], x_idx
+
+
 @dataclass(frozen=True)
 class OperatorSetup:
     """The theta-independent part of the operator, with its arrays built once."""
@@ -50,25 +61,15 @@ class OperatorSetup:
 
     @cached_property
     def arrays(self) -> dict:
-        """x/y index sets, test weights and the masked kernel matrix."""
+        """x/y index sets, test weights and the kernel matrix times the cell volume."""
         lat = self.lattice
+        phi, x_idx = _support(self.test, lat)
         pts = lat.points()
-        phi = eval_test_function_many(self.test, pts)
-        x_idx = np.nonzero(phi > 0.0)[0]
-        if len(x_idx) == 0:
-            raise ResolutionError(
-                f"test scale {self.test.scale} resolves no lattice point at "
-                f"step {lat.base_step}")
-        g = lat.geometry
-        y_idx = np.nonzero(metric_many(pts, g) <= self.y_radius)[0]
-        x_pts = pts[x_idx]
-        y_pts = pts[y_idx]
-        kmat = eval_K_many(x_pts, y_pts, self.kernel)
-        dist = metric_many(x_pts[:, None, :] - y_pts[None, :, :], g)
-        kmat[dist < self.diagonal_policy * lat.base_step] = 0.0
-        kmat[~np.isfinite(kmat)] = 0.0  # singular Taylor cell at y = 0
-        return dict(x_idx=x_idx, y_idx=y_idx, xw=phi[x_idx] * lat.cell_volume,
-                    kmat=kmat, yw=np.full(len(y_idx), lat.cell_volume))
+        y_idx = np.nonzero(metric_many(pts, lat.geometry) <= self.y_radius)[0]
+        kmat = eval_K_many(pts[x_idx], pts[y_idx], self.kernel,
+                           self.diagonal_policy * lat.base_step)
+        return dict(x_idx=x_idx, y_idx=y_idx, xw=phi * lat.cell_volume,
+                    kmat=kmat * lat.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class OperatorConfig:
     def sanity_envelope(self, f_sup: float) -> float:
         """Crude bound sup|F| * sum |K| |phi| * cell volumes for per-run checks."""
         st = self.setup.arrays
-        return float(f_sup * np.abs(st["xw"]) @ np.abs(st["kmat"]) @ st["yw"])
+        return float(np.sum(f_sup * np.abs(st["xw"]) @ np.abs(st["kmat"])))
 
 
 def _factors(cfg: OperatorConfig, norm_values: np.ndarray, sigma2: float):
@@ -101,7 +102,7 @@ def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
     st = cfg.setup.arrays
     norm = epsilon ** (alpha / 2.0) * values
     fx, gy = _factors(cfg, norm, sigma2)
-    inner = gy @ (st["kmat"].T * st["yw"][:, None])  # (B, Nx)
+    inner = gy @ st["kmat"].T  # (B, Nx)
     return np.einsum("bx,x,bx->b", inner, st["xw"], fx)
 
 
@@ -118,12 +119,7 @@ def apply(cfg: OperatorConfig, sample: FieldSample) -> float:
 def apply_single(theta: float, spec: ChaosTruncSpec, test: TestFunction,
                  sample: FieldSample) -> float:
     """Single Riemann sum of the truncated trig field against the test function."""
-    lat = sample.lattice
-    pts = lat.points()
-    phi = eval_test_function_many(test, pts)
-    x_idx = np.nonzero(phi > 0.0)[0]
-    if len(x_idx) == 0:
-        raise ResolutionError("test scale resolves no lattice point")
+    phi, x_idx = _support(test, sample.lattice)
     xv = sample.normalized().reshape(-1)[x_idx]
     vals = truncated_trig_deriv(xv, theta, spec.phase, spec.m, 0, sample.sigma2)
-    return float(np.sum(phi[x_idx] * vals) * lat.cell_volume)
+    return float(np.sum(phi * vals) * sample.lattice.cell_volume)

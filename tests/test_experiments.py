@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -19,9 +20,10 @@ from chaoslab.experiments import (
     second_moment_H,
     volume_lemma_check,
 )
-from chaoslab.field import CovarianceSpec
-from chaoslab.geometry import ScalingGeometry, TestFunction
-from chaoslab.kernel import RenormKernel
+from chaoslab.field import CovarianceSpec, sample_field_values
+from chaoslab.geometry import ScalingGeometry, TestFunction, eval_test_function_many
+from chaoslab.kernel import RenormKernel, eval_K0_many, grad_K0_many
+from chaoslab.operator import apply_batch
 from oracles import full_complex_field_values, loop_bootstrap_moment_norm
 
 G1 = ScalingGeometry((1.0,))
@@ -190,6 +192,40 @@ def test_studies_build_each_setup_once(monkeypatch, n_samples):
     scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
                  lambda_grid=[0.8, 0.6, 0.4], n=1, n_samples=n_samples, seed=2)
     assert len(builds) == 3
+
+
+def test_operator_at_taylor_depth_two_matches_pairwise_sum():
+    # r_e = 2 against the double sum taken pair by pair from K0 and grad K0,
+    # with the singular cell y = 0 and the excluded diagonal dropped; the
+    # study's moment norm at n = 1 is the root mean square of those values
+    design = dataclasses.replace(DESIGN, re_override=2)
+    eps, lam, theta, seed = 0.2, 0.5, (1.0, 1.0), 4
+    lat = design.lattice()
+    spec = design.spectrum(eps, lat)
+    raw = sample_field_values(spec, seed, np.arange(3))
+    cfg = design.operator_config(lam, theta, lattice=lat)
+    got = apply_batch(cfg, raw, spec.sigma2, design.alpha, eps)
+
+    kern, h = design.kernel(), design.h
+    pts = lat.points()
+    phi = eval_test_function_many(cfg.setup.test, pts)
+    in_x, in_y = phi > 0.0, np.abs(pts[:, 0]) <= design.y_radius
+    fx = np.sin(theta[0] * eps ** (design.alpha / 2.0) * raw[:, in_x])
+    fy = np.sin(theta[1] * eps ** (design.alpha / 2.0) * raw[:, in_y])
+    want = np.zeros(3)
+    for x, phi_x, fx_x in zip(pts[in_x], phi[in_x], fx.T):
+        for y, fy_y in zip(pts[in_y], fy.T):
+            if y[0] == 0.0 or abs(x[0] - y[0]) < design.diagonal_policy * h:
+                continue
+            k = (eval_K0_many(x - y, kern) - eval_K0_many(-y, kern)
+                 - x[0] * grad_K0_many(-y, kern)[0])
+            want += phi_x * h * k * h * fx_x * fy_y
+    assert kern.r_e == 2
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    est = freq_sweep(design, eps=eps, lam=lam, theta_grid=[theta], n=1,
+                     n_samples=3, seed=seed).rows[0].estimate
+    assert est.value == pytest.approx(float(np.sqrt(np.mean(want ** 2))),
+                                      rel=1e-12)
 
 
 def test_freq_sweep_pool_matches_serial():

@@ -6,6 +6,7 @@ import pytest
 from chaoslab.geometry import ScalingGeometry, build_lattice
 from chaoslab.kernel import (
     RenormKernel,
+    SingularEvaluationError,
     check_region_bounds,
     compute_re,
     eval_K,
@@ -79,10 +80,43 @@ def test_eval_k_many_matches_scalar():
     k = RenormKernel(gamma=0.4, g=G1, r_e=1)
     xs = np.array([[0.05], [0.1], [-0.2]])
     ys = np.array([[0.3], [-0.7], [1.4]])
-    mat = eval_K_many(xs, ys, k)
+    mat = eval_K_many(xs, ys, k, radius=0.0)
     for i in range(3):
         for j in range(3):
             assert mat[i, j] == pytest.approx(eval_K(xs[i], ys[j], k))
+
+
+def test_eval_k_raises_at_singular_pairs():
+    for r_e in (0, 1, 2):
+        k = RenormKernel(gamma=0.45, g=G1, r_e=r_e)
+        with pytest.raises(SingularEvaluationError):
+            eval_K((0.3,), (0.3,), k)
+        if r_e >= 1:
+            for x in ((0.0,), (0.1,)):
+                with pytest.raises(SingularEvaluationError):
+                    eval_K(x, (0.0,), k)
+    # without Taylor terms y = 0 is a regular point
+    k = RenormKernel(gamma=0.45, g=G1, r_e=0)
+    assert eval_K((0.1,), (0.0,), k) == eval_K0((0.1,), k)
+
+
+@pytest.mark.parametrize("r_e", [0, 1, 2])
+def test_eval_k_many_exclusion_rule(r_e):
+    # pairs closer than the radius, x = y and (at r_e >= 1) y = 0 read 0;
+    # every other pair is the scalar kernel
+    g = ScalingGeometry((2.0, 1.0))
+    k = RenormKernel(gamma=0.45, g=g, r_e=r_e)
+    xs = np.array([[0.0, 0.0], [0.01, 0.1], [-0.04, 0.3]])
+    ys = np.array([[0.0, 0.0], [0.01, 0.1], [0.01, 0.3], [0.09, -0.5]])
+    radius = 0.25
+    mat = eval_K_many(xs, ys, k, radius)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            r = max(abs(x[0] - y[0]) ** 0.5, abs(x[1] - y[1]))
+            if r < radius or (r_e >= 1 and not np.any(y)):
+                assert mat[i, j] == 0.0
+            else:
+                assert mat[i, j] == pytest.approx(eval_K(x, y, k), rel=1e-14)
 
 
 def test_region_bounds_re0_at_most_one():
@@ -122,11 +156,10 @@ def test_integrable_singularity():
     for h in (0.01, 0.005):
         lat = build_lattice(G1, h, 2.0)
         ys = lat.points()
-        kv = eval_K_many(x, ys, k)[0]
+        kv = eval_K_many(x, ys, k, radius=0.0)[0]
         # fractional weights for cells straddling the exclusion boundary
         w = np.clip((np.abs(ys[:, 0] - x0) + h / 2 - delta) / h, 0.0, 1.0)
         w *= np.clip((np.abs(ys[:, 0]) + h / 2 - delta) / h, 0.0, 1.0)
-        kv = np.where(np.isfinite(kv), kv, 0.0)
         vals[h] = float(np.sum(np.abs(kv) * w) * lat.cell_volume)
     assert vals[0.01] == pytest.approx(vals[0.005], rel=0.02)
     # dyadic shell masses around the x-singularity decay geometrically
@@ -134,7 +167,7 @@ def test_integrable_singularity():
     h = 2e-5
     offs = np.arange(-int(0.13 / h), int(0.13 / h) + 1) * h
     ys = (x0 + offs).reshape(-1, 1)
-    kv = np.abs(eval_K_many(x, ys, k)[0])
+    kv = np.abs(eval_K_many(x, ys, k, radius=0.0)[0])
     r = np.abs(ys[:, 0] - x0)
     masses = []
     for kshell in range(7, 12):

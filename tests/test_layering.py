@@ -49,3 +49,33 @@ def test_only_experiments_imports_experiments(path):
 
 def test_stats_imports_only_rng():
     assert package_imports(PACKAGE / "stats.py") == {"rng"}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports and never reads.
+
+    An import line marked ``# noqa: F401`` is a deliberate re-export.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        span = lines[node.lineno - 1:node.end_lineno]
+        if any("noqa: F401" in line for line in span):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(name)
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

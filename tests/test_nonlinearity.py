@@ -6,6 +6,7 @@ import pytest
 from chaoslab import nonlinearity, rng
 from chaoslab.nonlinearity import (
     NonlinearitySpec,
+    TailTruncationError,
     WindowNormQuery,
     coupling_constant,
     growth_exponent,
@@ -243,6 +244,17 @@ def test_window_difference_norm_delta_slope():
     slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
     # difference norms shrink at least like delta^{beta/2 - 0.1}
     assert slope >= beta / 2.0 - 0.1
+
+
+def test_window_difference_norm_tail_guard():
+    # the difference norm shares window_norm's tail guard: a transform range
+    # too short for the probes' decay raises instead of returning a value
+    f = make_nonlinearity("power_even", beta=0.5)
+    q = WindowNormQuery(ells=(2,), center=(4,), m_probe=4)
+    for norm in (lambda: window_norm(f, q, x_max=30.0),
+                 lambda: window_norm_difference(f, 0.2, q, x_max=30.0)):
+        with pytest.raises(TailTruncationError):
+            norm()
 
 
 def test_coupling_constant_quadratic():

@@ -36,8 +36,8 @@ def make_setup(h=0.05, extent=2.0, eps=0.2, theta=(1.0, 1.0), m=(1, 1),
 
 def synthetic_sample(lat, fn, sigma2=1.0, alpha=0.6, eps=0.2):
     vals = fn(lat.points()[:, 0]).reshape(lat.shape)
-    return FieldSample(lattice=lat, values=vals, sigma2=sigma2,
-                       spectrum_id="synthetic", alpha=alpha, epsilon=eps)
+    return FieldSample(lattice=lat, values=vals, sigma2=sigma2, alpha=alpha,
+                       epsilon=eps)
 
 
 def test_zero_theta_vanishes():
