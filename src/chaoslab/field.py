@@ -202,10 +202,13 @@ class SandwichReport:
     violations: list[float]
 
 
-def _lag_indices(lattice: Lattice, max_count: int = 48) -> list[tuple[int, ...]]:
+_LAG_COUNT = 48  # log-spaced lags of the sandwich check, before rounding
+
+
+def _lag_indices(lattice: Lattice) -> list[tuple[int, ...]]:
     """Axis-0 lag multi-indices up to half the period, log-spaced."""
     n0 = lattice.shape[0]
-    ks = np.unique(np.round(np.geomspace(1, n0 // 2, max_count)).astype(int))
+    ks = np.unique(np.round(np.geomspace(1, n0 // 2, _LAG_COUNT)).astype(int))
     out = [(0,) * lattice.geometry.d]
     for k in ks:
         out.append((int(k),) + (0,) * (lattice.geometry.d - 1))

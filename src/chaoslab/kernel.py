@@ -19,10 +19,6 @@ from . import rng
 from .geometry import ScalingGeometry, metric_many
 
 
-# central-difference step of the cutoff factor, relative to the cutoff radius
-_FD_STEP = 1e-4
-
-
 class SingularEvaluationError(ArithmeticError):
     """The kernel or its gradient was requested at a singular point."""
 
@@ -51,6 +47,19 @@ def smooth_cutoff(r, low: float, high: float):
     f = np.exp(-1.0 / tm)
     g = np.exp(-1.0 / (1.0 - tm))
     out[mid] = f / (f + g)
+    return out
+
+
+def _cutoff_slope(r, low: float, high: float):
+    """d/dr of smooth_cutoff(r, low, high); zero off (low, high)."""
+    t = (high - np.asarray(r, dtype=float)) / (high - low)
+    out = np.zeros_like(t)
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    f = np.exp(-1.0 / tm)
+    g = np.exp(-1.0 / (1.0 - tm))
+    out[mid] = -f * g * (1.0 / tm**2 + 1.0 / (1.0 - tm) ** 2) \
+        / ((f + g) ** 2 * (high - low))
     return out
 
 
@@ -103,14 +112,13 @@ def eval_K0(x, k: RenormKernel) -> float:
 def grad_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
     """Gradient of the profile, shape (..., d).
 
-    The power part differentiates analytically and the cutoff factor by a
-    central difference in the metric radius.
+    Both the power part and the cutoff factor differentiate analytically in
+    the metric radius.
     """
     points = np.asarray(points, dtype=float)
     r = metric_many(points, k.g)
     if np.any(r == 0.0):
         raise SingularEvaluationError("gradient requested at the kernel singularity")
-    step = _FD_STEP * k.cutoff
     p = k.singularity_power
     s = np.asarray(k.g.s)
     # d r / d x_i is supported on the axis achieving the sup
@@ -122,8 +130,7 @@ def grad_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
     dr_val = (1.0 / sa) * np.abs(xa) ** (1.0 / sa - 1.0) * np.sign(xa)
     np.put_along_axis(dr, ax[..., None], dr_val[..., None], axis=-1)
     chi = smooth_cutoff(r, 0.5 * k.cutoff, k.cutoff)
-    dchi = (smooth_cutoff(r + step, 0.5 * k.cutoff, k.cutoff)
-            - smooth_cutoff(r - step, 0.5 * k.cutoff, k.cutoff)) / (2 * step)
+    dchi = _cutoff_slope(r, 0.5 * k.cutoff, k.cutoff)
     radial = (-p) * r ** (-p - 1.0) * chi + r ** (-p) * dchi
     return radial[..., None] * dr
 
@@ -215,13 +222,14 @@ def check_region_bounds(k: RenormKernel, n_samples: int, seed: int = 0) -> Regio
     return RegionBoundReport(r_e=k.r_e, max_ratio=report, n_samples=int(np.sum(keep)))
 
 
-def taylor_cancellation_slope(k: RenormKernel, y, t_grid=None) -> float:
+_SLOPE_T_GRID = np.geomspace(1e-3, 0.3, 12)  # dilations of the slope fit
+
+
+def taylor_cancellation_slope(k: RenormKernel, y) -> float:
     """Log-log slope of |K(x_t, y)| as x_t -> 0 along an anisotropic dilation."""
     g = k.g
-    if t_grid is None:
-        t_grid = np.geomspace(1e-3, 0.3, 12)
     vals = []
-    for t in t_grid:
+    for t in _SLOPE_T_GRID:
         # dilation of the base point with metric radius 0.3: |x_t| = 0.3 t
         xs = np.array([(0.3 * t) ** si for si in g.s])
         vals.append(abs(eval_K(xs, np.asarray(y, dtype=float), k)))
@@ -229,5 +237,5 @@ def taylor_cancellation_slope(k: RenormKernel, y, t_grid=None) -> float:
     keep = vals > 0
     if np.sum(keep) < 3:
         return math.inf
-    slope, _ = np.polyfit(np.log(t_grid[keep]), np.log(vals[keep]), 1)
+    slope, _ = np.polyfit(np.log(_SLOPE_T_GRID[keep]), np.log(vals[keep]), 1)
     return float(slope)

@@ -5,17 +5,26 @@ convolution of lattice white noise with a truncated heat-kernel stencil,
 the spatial-derivative kernel for the interface-growth family (parabolic
 scaling (2,1)) and the plain kernel for the phase-coexistence family
 (scaling (2,1,1,1)).  The noise mollifier is a product bump, even in every
-spatial coordinate, and the stencil variance is exact, so renormalisation
-constants can be computed analytically rather than estimated.
+spatial coordinate, and the stencil variance is exact.
 
-First-order objects follow the ladder
+Every object is a rung of one ladder,
 
     object_j(z) = (j! / (k! a eps^{j/2})) * F^(k-j)(sqrt(eps) field(z)) - c_j
 
-with k the order of the family's nonlinearity (2 or 3); c_0 = 1, odd j need
-no constant, and the second-order slot subtracts the Gaussian mean.  For a
-polynomial nonlinearity every object collapses to its exact Wick-polynomial
-form, which is the strongest oracle in this module.
+with k the order of the family's nonlinearity: 2 for interface growth, 3
+for phase coexistence.  c_0 = 1, odd j need no constant, c_2 is the
+Gaussian mean of object 2' before its constant, taken by quadrature at the
+exact stencil variance, and the top object 3' subtracts 3 c_2 field(z).
+``_object_field`` is the one place that applies the prefactor and the
+constants; the studies read their objects from it:
+
+- the two-frequency object pairs object k' on the kernel side with object
+  (k-1)' outside it (F and F' for growth, 3' and 2' for phase
+  coexistence), both with the one c_2 of their nonlinearity;
+- the mollification gap is object 1' of F minus object 1' of F mollified.
+
+For a polynomial nonlinearity every object collapses to its exact
+Wick-polynomial form, which is the strongest oracle in this module.
 
 The two-frequency objects use the r_e = 1 kernel K0(x - y) - K0(0 - y): the
 Taylor term sits at the basepoint x = 0, the centre index n // 2 of the
@@ -182,8 +191,6 @@ class ModelObjectSpec:
     nonlinearity: NonlinearitySpec
     a: float
     epsilon: float
-    renorm: str = "analytic"
-    renorm_constant: float | None = None
 
     def __post_init__(self):
         if self.family not in _FAMILY_ORDER:
@@ -192,8 +199,6 @@ class ModelObjectSpec:
         k = _FAMILY_ORDER[self.family]
         if not (0 <= j <= k):
             raise ValueError(f"symbol {self.symbol!r} not available for {self.family}")
-        if self.renorm not in ("analytic", "empirical"):
-            raise ValueError("renorm must be 'analytic' or 'empirical'")
 
     @property
     def order(self) -> int:
@@ -209,61 +214,38 @@ def _object_prefactor(spec: ModelObjectSpec) -> float:
                                 * spec.epsilon ** (j / 2.0))
 
 
-def renorm_constant(spec: ModelObjectSpec, sigma2: float,
-                    n_samples: int = 0, mf: ModelField | None = None,
-                    seed: int = 0) -> float:
-    """Constant c_j making the object mean-zero.
-
-    Analytic mode takes the Gaussian mean at the exact field variance;
-    empirical mode averages over dedicated field draws.
-    """
-    j = spec.order
+def renorm_constant(spec: ModelObjectSpec, sigma2: float) -> float:
+    """The ladder's constant c_2 for the spec's family and nonlinearity (its
+    symbol aside): the Gaussian mean of object 2' before its constant, at
+    the exact variance sigma2 of sqrt(eps) * field."""
     k = _FAMILY_ORDER[spec.family]
-    if j == 0:
-        return 1.0
-    if j % 2 == 1:
-        return 0.0
-    pref = _object_prefactor(spec)
     fl = spec.nonlinearity
-
-    if spec.renorm == "analytic":
-        return pref * gaussian_mean(
-            lambda u: fl.deriv(k - j, np.asarray(u, dtype=float)), sigma2)
-    if mf is None or n_samples < 1:
-        raise ValueError("empirical renorm needs a model field and sample count")
-    means = _per_draw(mf, seed, n_samples, lambda values: float(
-        np.mean(fl.deriv(k - j, math.sqrt(spec.epsilon) * values))))
-    return pref * float(np.mean(means))
-
-
-def attach_renorm(spec: ModelObjectSpec, mf: ModelField, n_samples: int = 200,
-                  seed: int = 0) -> ModelObjectSpec:
-    c = renorm_constant(spec, mf.sigma2, n_samples=n_samples, mf=mf, seed=seed)
-    return replace(spec, renorm_constant=c)
+    return _object_prefactor(replace(spec, symbol="2'")) * gaussian_mean(
+        lambda u: fl.deriv(k - 2, np.asarray(u, dtype=float)), sigma2)
 
 
 def eval_object_field(spec: ModelObjectSpec, mf: ModelField,
                       values: np.ndarray) -> np.ndarray:
     """Renormalised object on the whole lattice for one field draw."""
-    if spec.order == 3:
-        c = renorm_constant(replace(spec, symbol="2'"), mf.sigma2)
-    else:
-        c = spec.renorm_constant
-        if c is None:
-            c = renorm_constant(spec, mf.sigma2)
-    return _object_field(spec, values, c)
+    c2 = renorm_constant(spec, mf.sigma2) if spec.order >= 2 else 0.0
+    return _object_field(spec, values, c2)
 
 
-def _object_field(spec: ModelObjectSpec, values: np.ndarray, c: float) -> np.ndarray:
-    """The object with its constant given: c_j, or c_2 for the top object 3'."""
+def _object_field(spec: ModelObjectSpec, values: np.ndarray, c2: float) -> np.ndarray:
+    """object_j of one draw: the ladder's prefactor times F^(k-j), less the
+    constant of its slot (1 for 0', none for 1', c2 for 2', 3 c2 field for
+    3')."""
     j = spec.order
     k = _FAMILY_ORDER[spec.family]
     x = math.sqrt(spec.epsilon) * values
     out = _object_prefactor(spec) * spec.nonlinearity.deriv(k - j, x)
+    if j == 0:
+        return out - 1.0
+    if j == 2:
+        return out - c2
     if j == 3:
-        # top object subtracts 3 * second-slot constant * field
-        return out - 3.0 * c * values
-    return out - c
+        return out - 3.0 * c2 * values
+    return out
 
 
 def eval_object(spec: ModelObjectSpec, mf: ModelField, values: np.ndarray,
@@ -293,8 +275,18 @@ class HolderNormEstimate:
     per_level: list[float]
 
 
+def _bump(lat: Lattice, lam: float) -> np.ndarray:
+    """The test-function bump at scale lam, centred, lattice-shaped."""
+    pts = lat.points().reshape(lat.shape + (lat.geometry.d,))
+    return eval_test_function_many(TestFunction(geometry=lat.geometry,
+                                                scale=lam), pts)
+
+
+_HOLDER_LAM0 = 0.5  # largest probe scale of holder_norm
+
+
 def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
-                lambda_levels: int = 4, lam0: float = 0.5) -> HolderNormEstimate:
+                lambda_levels: int = 4) -> HolderNormEstimate:
     """Single-probe lower bound of the negative Holder norm.
 
     Max over dyadic scales and all lattice centers of
@@ -304,16 +296,13 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
     """
     if alpha >= 0:
         raise ValueError("this norm is for negative regularity exponents")
-    g = lat.geometry
-    pts = lat.points().reshape(lat.shape + (g.d,))
     per_level = []
     levels = []
     for k in range(lambda_levels):
-        lam = lam0 * 2.0 ** (-k)
+        lam = _HOLDER_LAM0 * 2.0 ** (-k)
         if lam < 2 * lat.base_step:
             break
-        probe0 = _to_origin(eval_test_function_many(
-            TestFunction(geometry=g, scale=lam), pts))
+        probe0 = _to_origin(_bump(lat, lam))
         pair = np.real(np.fft.ifftn(np.fft.fftn(values)
                                     * np.conj(np.fft.fftn(probe0)))) \
             * lat.cell_volume
@@ -330,23 +319,16 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
 
 def _two_freq_parts(family: str, fl: NonlinearitySpec, a: float,
                     mf: ModelField):
-    """(prefactor, inner, outer) of the two-frequency object; inner (the
-    kernel side) and outer map one draw to a lattice array, the constant
-    folded in.  Growth family: F - E F and F'.  Phase family: the objects 3'
-    and 2' with the constant c_2 of 2'."""
-    eps = mf.spec.epsilon
-    if family == "kpz":
-        c = gaussian_mean(lambda u: fl.deriv(0, np.asarray(u, dtype=float)),
-                          mf.sigma2)
-        return (1.0 / (2.0 * a**2 * eps ** 1.5),
-                lambda values: fl.deriv(0, math.sqrt(eps) * values) - c,
-                lambda values: fl.deriv(1, math.sqrt(eps) * values))
-    two = ModelObjectSpec(family=family, symbol="2'", nonlinearity=fl, a=a,
-                          epsilon=eps)
-    c = renorm_constant(two, mf.sigma2)
-    top = replace(two, symbol="3'")
-    return (1.0, lambda values: _object_field(top, values, c),
-            lambda values: _object_field(two, values, c))
+    """(inner, outer) of the two-frequency object: the family's objects k'
+    (the kernel side) and (k-1)', each mapping one draw to a lattice array.
+    The one constant c_2 is computed here, once."""
+    k = _FAMILY_ORDER[family]
+    top = ModelObjectSpec(family=family, symbol=f"{k}'", nonlinearity=fl, a=a,
+                          epsilon=mf.spec.epsilon)
+    below = replace(top, symbol=f"{k - 1}'")
+    c2 = renorm_constant(top, mf.sigma2)
+    return (lambda values: _object_field(top, values, c2),
+            lambda values: _object_field(below, values, c2))
 
 
 def _pairing_kernel_fft(mf: ModelField) -> np.ndarray:
@@ -358,15 +340,14 @@ def _pairing_kernel_fft(mf: ModelField) -> np.ndarray:
 
 
 def _two_freq_object(values: np.ndarray, kern_fft: np.ndarray,
-                     cell_volume: float, prefactor: float, inner,
-                     outer) -> np.ndarray:
-    """One draw of the object prefactor * outer(x) * sum_y (K0(x - y) -
-    K0(0 - y)) inner(y) over the lattice."""
+                     cell_volume: float, inner, outer) -> np.ndarray:
+    """One draw of the object outer(x) * sum_y (K0(x - y) - K0(0 - y))
+    inner(y) over the lattice."""
     conv = np.real(np.fft.ifftn(np.fft.fftn(inner(values)) * kern_fft)) \
         * cell_volume
     # Taylor (r_e = 1) part: the convolution at the basepoint x = 0
     taylor = conv[tuple(n // 2 for n in conv.shape)]
-    return prefactor * outer(values) * (conv - taylor)
+    return outer(values) * (conv - taylor)
 
 
 def _probe_setup(mfspec: ModelFieldSpec, lam: float):
@@ -374,10 +355,7 @@ def _probe_setup(mfspec: ModelFieldSpec, lam: float):
     if mfspec.epsilon < 2 * mfspec.h:
         raise ValueError("resolution guard: eps >= 2h required")
     mf = build_model_field(mfspec)
-    lat = mf.lattice
-    pts = lat.points().reshape(lat.shape + (lat.geometry.d,))
-    return mf, eval_test_function_many(TestFunction(geometry=lat.geometry,
-                                                    scale=lam), pts)
+    return mf, _bump(mf.lattice, lam)
 
 
 def remainder_pairing(family: str, nonlin: NonlinearitySpec, a: float,
@@ -410,20 +388,20 @@ def mollification_gap(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec
                       seed: int = 0) -> MomentEstimate:
     """Moment norm of the single-frequency mollification gap pairing.
 
-    Growth family only: the first-derivative object with F' versus its
+    Growth family only: object 1' of F minus object 1' of its
     delta-mollified version, paired against the bump at scale lam.
     """
     if mfspec.family != "kpz":
         raise ValueError("the mollification-gap experiment is for the growth family")
     mf, phi = _probe_setup(mfspec, lam)
     cell = mf.lattice.cell_volume
-    moll = mollify(nonlin, delta)
-    pref = 1.0 / (2.0 * a * math.sqrt(mfspec.epsilon))
+    one = ModelObjectSpec(family="kpz", symbol="1'", nonlinearity=nonlin, a=a,
+                          epsilon=mfspec.epsilon)
+    one_d = replace(one, nonlinearity=mollify(nonlin, delta))
 
     def pairing(values):
-        x = math.sqrt(mfspec.epsilon) * values
-        diff = nonlin.deriv(1, x) - moll.deriv(1, x)
-        return float(np.sum(phi * pref * diff) * cell)
+        gap = _object_field(one, values, 0.0) - _object_field(one_d, values, 0.0)
+        return float(np.sum(phi * gap) * cell)
 
     return moment_norm(_per_draw(mf, seed, n_samples, pairing), n, seed=seed,
                        tag=12)

@@ -215,27 +215,30 @@ def mollify(spec: NonlinearitySpec, delta: float) -> NonlinearitySpec:
     return replace(spec, delta=float(delta))
 
 
-def growth_exponent(spec: NonlinearitySpec, radii=(4.0, 8.0, 16.0, 32.0, 64.0)) -> float:
+_GROWTH_RADII = (4.0, 8.0, 16.0, 32.0, 64.0)  # boxes of the growth fit
+_HOLDER_GRID = np.linspace(-8.0, 8.0, 801)  # base points of holder_quotient
+
+
+def growth_exponent(spec: NonlinearitySpec) -> float:
     """Fitted growth power M: sup-derivative growth on increasing boxes."""
     sups = []
-    for r in radii:
+    for r in _GROWTH_RADII:
         u = np.linspace(-r, r, 2001)
         s = max(float(np.max(np.abs(spec.deriv(ell, u)))) for ell in range(spec.k + 1))
         sups.append(s)
-    slope, _ = np.polyfit(np.log(radii), np.log(sups), 1)
+    slope, _ = np.polyfit(np.log(_GROWTH_RADII), np.log(sups), 1)
     return float(max(slope, 0.0))
 
 
-def holder_quotient(spec: NonlinearitySpec, beta: float, grid=None,
+def holder_quotient(spec: NonlinearitySpec, beta: float,
                     steps=(0.5, 0.1, 0.02)) -> float:
     """Grid sup of |F^(k)(u+h)-F^(k)(u)| / (h^beta (1+|u|)^M)."""
-    if grid is None:
-        grid = np.linspace(-8.0, 8.0, 801)
     m = growth_exponent(spec)
     worst = 0.0
     for h in steps:
-        num = np.abs(spec.deriv(spec.k, grid + h) - spec.deriv(spec.k, grid))
-        den = h**beta * (1.0 + np.abs(grid)) ** m
+        num = np.abs(spec.deriv(spec.k, _HOLDER_GRID + h)
+                     - spec.deriv(spec.k, _HOLDER_GRID))
+        den = h**beta * (1.0 + np.abs(_HOLDER_GRID)) ** m
         worst = max(worst, float(np.max(num / den)))
     return worst
 

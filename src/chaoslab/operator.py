@@ -8,7 +8,9 @@ and the two-factor truncated trig functional:
 with x running over the test-function support and y over the fixed metric
 ball of radius 2.  ``kernel.eval_K_many`` builds the kernel matrix with
 exclusion radius diagonal_policy * h and drops the pairs its exclusion rule
-names; for gamma > 0 the excluded mass is O(h^gamma).
+names; for gamma > 0 the excluded mass is O(h^gamma).  The y points whose
+kernel column is zero (K vanishes once |x - y| and |y| both pass the
+cutoff) are dropped before any factor is evaluated at them.
 
 The kernel matrix and test-function weights do not depend on the frequency
 theta.  An ``OperatorSetup`` (kernel, test function, lattice, diagonal
@@ -61,15 +63,18 @@ class OperatorSetup:
 
     @cached_property
     def arrays(self) -> dict:
-        """x/y index sets, test weights and the kernel matrix times the cell volume."""
+        """x/y index sets, test weights and the kernel matrix times the cell
+        volume; y runs over the ball of radius y_radius, less the points
+        where K(., y) vanishes on the whole test-function support."""
         lat = self.lattice
         phi, x_idx = _support(self.test, lat)
         pts = lat.points()
         y_idx = np.nonzero(metric_many(pts, lat.geometry) <= self.y_radius)[0]
         kmat = eval_K_many(pts[x_idx], pts[y_idx], self.kernel,
                            self.diagonal_policy * lat.base_step)
-        return dict(x_idx=x_idx, y_idx=y_idx, xw=phi * lat.cell_volume,
-                    kmat=kmat * lat.cell_volume)
+        live = np.any(kmat != 0.0, axis=0)
+        return dict(x_idx=x_idx, y_idx=y_idx[live], xw=phi * lat.cell_volume,
+                    kmat=kmat[:, live] * lat.cell_volume)
 
 
 @dataclass(frozen=True)

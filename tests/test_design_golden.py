@@ -13,7 +13,11 @@ rounding only, so on the production route every number must agree within
 derivative, ``remainder_pairing`` and ``mollification_gap``: the package's
 exact-weight Gauss rules remove the Legendre route's own quadrature error
 (up to 3.5e-7 relative per point inside (-delta, delta)), which moves them
-by up to 1.4e-10 relative, so they agree within MOLLIFIED_REL.
+by up to 1.4e-10 relative, so they agree within MOLLIFIED_REL.  One entry
+moved on the oracle route too: the growth family's ``remainder_pairing``
+now scales each factor of the two-frequency object by its own ladder
+prefactor, where the recording scaled their product by the merged one, so
+it agrees within REORDERED_REL there.
 Regenerate the fixture only when a change is meant to move these numbers:
 
     PYTHONPATH=src python tests/test_design_golden.py
@@ -49,6 +53,9 @@ FIXTURE = Path(__file__).with_name("golden_design.json")
 # outputs on the mollified derivative against the Legendre-route fixture
 MOLLIFIED = ("remainder_pairing", "mollification_gap")
 MOLLIFIED_REL = 5e-10  # measured: 1.38e-10
+# the entry whose rounding moved on the oracle route, and its tolerance
+REORDERED = ("remainder_pairing", "kpz")
+REORDERED_REL = 1e-13  # measured: 4.2e-15
 
 G1 = ScalingGeometry((1.0,))
 G2 = ScalingGeometry((1.0, 1.0))
@@ -182,7 +189,12 @@ def test_design_outputs_match_golden_fixture(monkeypatch):
                         per_draw_model_field)
     monkeypatch.setattr(nonlinearity, "_mollified_block",
                         legendre_mollified_deriv)
-    assert _normalise(design_outputs()) == json.loads(FIXTURE.read_text())
+    got = _normalise(design_outputs())
+    want = json.loads(FIXTURE.read_text())
+    study, entry = REORDERED
+    assert _close(got[study].pop(entry), want[study].pop(entry),
+                  rel=REORDERED_REL)
+    assert got == want
 
 
 def test_design_outputs_match_golden_fixture_on_production_route():

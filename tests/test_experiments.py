@@ -228,6 +228,15 @@ def test_operator_at_taylor_depth_two_matches_pairwise_sum():
                                       rel=1e-12)
 
 
+def test_operator_keeps_no_all_zero_kernel_column():
+    # K(x, y) vanishes once |x - y| and |y| both pass the cutoff, so such y
+    # points add nothing to the double sum and are left out of its y set
+    setup = DESIGN.operator_setup(0.4)
+    kmat = setup.arrays["kmat"]
+    assert kmat.shape[1] == len(setup.arrays["y_idx"])
+    assert np.all(np.any(kmat != 0.0, axis=0))
+
+
 def test_freq_sweep_pool_matches_serial():
     kwargs = dict(eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0), (3.0, 2.0)], n=1,
                   n_samples=600, seed=3)

@@ -13,6 +13,7 @@ from chaoslab.kernel import (
     eval_K0,
     eval_K0_many,
     eval_K_many,
+    grad_K0_many,
     taylor_cancellation_slope,
 )
 
@@ -190,3 +191,14 @@ def test_kernel_norm_finiteness():
     d1 = (eval_K0_many(xs + step, k) - eval_K0_many(xs - step, k)) / (2 * step)
     w1 = np.abs(xs[:, 0] ** (p + 1) * d1)
     assert np.max(w1) < 50.0
+
+
+def test_gradient_integrates_to_profile_across_cutoff():
+    # on the line the gradient is K0', so its integral over the cutoff's
+    # transition region (0.5, 1) must give back the profile's increment
+    from scipy.integrate import quad
+    k = RenormKernel(gamma=0.4, g=G1, r_e=0)
+    integral, _ = quad(lambda x: grad_K0_many(np.array([[x]]), k)[0, 0],
+                       0.5, 0.95, epsabs=0.0, epsrel=1e-13, limit=200)
+    want = eval_K0((0.95,), k) - eval_K0((0.5,), k)
+    assert integral == pytest.approx(want, rel=1e-10, abs=0.0)

@@ -79,3 +79,51 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# Parameters with a default plus dataclass fields with a default, over the
+# whole package.  A change that adds an option raises this ceiling in the
+# same diff and says why in CHANGES.md.
+OPTION_CEILING = 83
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def option_count(source: str) -> int:
+    """Options in ``source``: defaulted parameters and dataclass fields."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         for stmt in node.body)
+    return count
+
+
+def test_option_count_reads_defaults_and_fields():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: list = field(default_factory=list)\n"
+        "class B:\n"
+        "    w: int = 0\n")
+    assert option_count(source) == 4
+
+
+def test_option_count_stays_under_ceiling():
+    total = sum(option_count(path.read_text()) for path in MODULES)
+    assert total <= OPTION_CEILING

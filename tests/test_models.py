@@ -10,7 +10,6 @@ from chaoslab.models import (
     KPZ_GEOMETRY,
     ModelFieldSpec,
     ModelObjectSpec,
-    attach_renorm,
     build_model_field,
     eval_object,
     eval_object_field,
@@ -110,24 +109,24 @@ def test_kpz_constant_curvature_object_vanishes():
 
 
 def test_renorm_analytic_vs_empirical():
+    # the analytic c_2 against the Monte Carlo mean of object 2' before its
+    # constant, over dedicated draws
     beta = 0.5
     f = make_nonlinearity("power_odd", beta=beta)
     mf = build_model_field(PHI4_SPEC)
     spec = ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=f,
                            a=1.0, epsilon=PHI4_SPEC.epsilon)
     c_ana = renorm_constant(spec, mf.sigma2)
-    spec_emp = ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=f,
-                               a=1.0, epsilon=PHI4_SPEC.epsilon, renorm="empirical")
-    c_emp = renorm_constant(spec_emp, mf.sigma2, n_samples=150, mf=mf, seed=8)
+    vals = sample_model_field_values(mf, 8, np.arange(150))
+    c_emp = float(np.mean(models._object_field(spec, vals, 0.0)))
     assert c_emp == pytest.approx(c_ana, rel=0.1)
 
 
 def test_renormalized_mean_within_ci():
     f = make_nonlinearity("power_odd", beta=0.5)
     mf = build_model_field(PHI4_SPEC)
-    spec = attach_renorm(
-        ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=f, a=1.0,
-                        epsilon=PHI4_SPEC.epsilon), mf, n_samples=100, seed=3)
+    spec = ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=f, a=1.0,
+                           epsilon=PHI4_SPEC.epsilon)
     means = []
     for i in range(200, 400):
         vals = sample_model_field(mf, seed=3, index=i)
@@ -282,7 +281,7 @@ def test_remainder_pairing_matches_per_draw_constants(monkeypatch, family, nonli
 def _direct_two_freq_object(family, nonlin, mf, values):
     """The two-frequency object by the double sum over the torus
 
-        prefactor * outer(x) * sum_y (K0(wrap(x - y)) - K0(wrap(0 - y))) inner(y)
+        outer(x) * sum_y (K0(wrap(x - y)) - K0(wrap(0 - y))) inner(y)
 
     with the singular cells x = y and y = 0 dropped; wrap maps a lattice
     offset into the lattice's own centred index range.
@@ -300,10 +299,10 @@ def _direct_two_freq_object(family, nonlin, mf, values):
 
     kmat = k0(sites[:, None, :] - sites[None, :, :])
     taylor = k0(origin[None, :] - sites)
-    prefactor, inner, outer = models._two_freq_parts(family, nonlin, 1.0, mf)
+    inner, outer = models._two_freq_parts(family, nonlin, 1.0, mf)
     conv = (kmat - taylor[None, :]) @ inner(values).reshape(-1) \
         * lat.cell_volume
-    return prefactor * outer(values) * conv.reshape(lat.shape)
+    return outer(values) * conv.reshape(lat.shape)
 
 
 @pytest.mark.parametrize("family, nonlin, mfspec", [
