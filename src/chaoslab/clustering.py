@@ -134,6 +134,8 @@ def volume_Sc(n: int, eps: float, lam: float, g: ScalingGeometry, n_mc: int,
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
+    if n < 1 or L <= 0:
+        raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
     gen = rng.substream(seed, rng.POINTS, 1)
     n_pts = 2 * n
     scale = L * eps
@@ -213,6 +215,8 @@ def partition_sum_check(n: int, eps: float, lam: float, n_mc: int,
     """
     if 2 * n > 8:
         raise ValueError("partition enumeration budget is 2n <= 8")
+    if n < 1 or L <= 0:
+        raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
     if g is None:
         g = ScalingGeometry((1.0,))
     gen = rng.substream(seed, rng.POINTS, 2)

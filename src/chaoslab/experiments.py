@@ -24,7 +24,7 @@ from .field import SAMPLE_CHUNK, CovarianceSpec, Spectrum, build_spectrum, \
     sample_field_values
 from .geometry import Lattice, ScalingGeometry, TestFunction, build_lattice, \
     eval_test_function_many
-from .kernel import RenormKernel, compute_re, eval_K_many
+from .kernel import DIAGONAL_CELLS, RenormKernel, compute_re, eval_K_many
 from .operator import OperatorConfig, OperatorSetup, apply_batch
 # BOOTSTRAP_RESAMPLES is read here by name by the benchmark's tracer
 from .stats import BOOTSTRAP_RESAMPLES, MomentEstimate, moment_norm  # noqa: F401
@@ -34,7 +34,6 @@ class QuadratureRefinementNeeded(RuntimeError):
     """Two-grid disagreement exceeded the tolerance; refine the step."""
 
 
-_DIAGONAL_CELLS = 1  # G/H quadrature: steps dropped around the base point
 _TWO_GRID_TOL = 0.10  # G/H quadrature: largest certified two-grid gap
 
 
@@ -54,13 +53,17 @@ class StudyDesign:
     re_override: int | None = None
     cutoff: float = 1.0
     deriv: tuple[int, int] = (0, 0)
-    diagonal_policy: int = 1
     y_radius: float = 2.0
     lambda_budget: float = 2.0
 
     @property
     def geometry(self) -> ScalingGeometry:
         return ScalingGeometry(self.s)
+
+    @property
+    def diagonal_policy(self) -> int:
+        """The operator's exclusion width in lattice steps (read-only)."""
+        return DIAGONAL_CELLS
 
     @property
     def r_e(self) -> int:
@@ -86,18 +89,14 @@ class StudyDesign:
             CovarianceSpec(alpha=self.alpha, epsilon=eps,
                            lambda_const=self.lambda_budget), lattice)
 
-    def operator_setup(self, lam: float, kernel=None,
-                       lattice=None) -> OperatorSetup:
+    def operator_setup(self, lam: float, lattice=None) -> OperatorSetup:
         lat = lattice if lattice is not None else self.lattice()
-        kern = kernel if kernel is not None else self.kernel()
         test = TestFunction(geometry=self.geometry, scale=lam)
-        return OperatorSetup(kernel=kern, test=test, lattice=lat,
-                             diagonal_policy=self.diagonal_policy,
+        return OperatorSetup(kernel=self.kernel(), test=test, lattice=lat,
                              y_radius=self.y_radius)
 
-    def operator_config(self, lam: float, theta, kernel=None,
-                        lattice=None) -> OperatorConfig:
-        return OperatorConfig(self.operator_setup(lam, kernel, lattice),
+    def operator_config(self, lam: float, theta, lattice=None) -> OperatorConfig:
+        return OperatorConfig(self.operator_setup(lam, lattice),
                               self.functional(theta))
 
 
@@ -127,18 +126,20 @@ def _chunk_values(args):
     later cell and chunk (a pool task builds them once per lambda in its own
     copy).
     """
-    design, eps, spec, configs, lo, hi, seed = args
+    spec, configs, lo, hi, seed = args
     values = sample_field_values(spec, seed, np.arange(lo, hi))
-    out = {cell: apply_batch(cfg, values, spec.sigma2, design.alpha, eps)
+    out = {cell: apply_batch(cfg, values, spec.sigma2, spec.spec.alpha,
+                             spec.spec.epsilon)
            for cell, cfg in configs.items()}
     return lo, out
 
 
-def _run_cells(design: StudyDesign, eps: float, spec: Spectrum, configs: dict,
-               n_samples: int, seed: int, workers: int) -> dict:
-    """Operator values per cell of ``configs`` (cell -> config) for one eps."""
-    tasks = [(design, eps, spec, configs, lo, min(lo + SAMPLE_CHUNK, n_samples),
-              seed) for lo in range(0, n_samples, SAMPLE_CHUNK)]
+def _run_cells(spec: Spectrum, configs: dict, n_samples: int, seed: int,
+               workers: int) -> dict:
+    """Operator values per cell of ``configs`` (cell -> config) on draws of
+    ``spec``."""
+    tasks = [(spec, configs, lo, min(lo + SAMPLE_CHUNK, n_samples), seed)
+             for lo in range(0, n_samples, SAMPLE_CHUNK)]
     results = {}
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -165,8 +166,8 @@ def freq_sweep(design: StudyDesign, eps: float, lam: float, theta_grid,
     cells = [(float(lam), (float(t[0]), float(t[1]))) for t in theta_grid]
     configs = {cell: OperatorConfig(setup, design.functional(cell[1]))
                for cell in cells}
-    values = _run_cells(design, eps, design.spectrum(eps, lat), configs,
-                        n_samples, seed, workers)
+    values = _run_cells(design.spectrum(eps, lat), configs, n_samples, seed,
+                        workers)
     rows = []
     for tag, cell in enumerate(cells):
         rows.append(FreqRow(theta=cell[1],
@@ -204,43 +205,46 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
     """Log-log scan of the moment norm over a geometric (eps, lam) grid.
 
     Grid points whose bootstrap interval reaches zero are flagged and left
-    out of the slope fit.  The bound constant is the largest ratio of the
-    estimate to eps^(a-eta) * lam^(b-eta) with a, b the target exponents.
+    out of the slope fit.  The slopes are NaN unless the fitted points hold
+    two eps and two lam values off one log-log line, and their standard
+    errors are NaN unless a degree of freedom is left.  The bound constant
+    is the largest ratio of the estimate to eps^(a-eta) * lam^(b-eta) with
+    a, b the target exponents.
     """
     a_t = design.alpha * (design.m1 + design.m2) / 2.0
     b_t = design.gamma - a_t
     theta = (float(theta[0]), float(theta[1]))
     # the operator set-ups do not depend on eps: one per lambda for the call
     lat = design.lattice()
-    kern = design.kernel()
     fn = design.functional(theta)
     cells = [(float(lam), theta) for lam in lambda_grid]
-    configs = {cell: OperatorConfig(design.operator_setup(cell[0], kern, lat), fn)
+    configs = {cell: OperatorConfig(design.operator_setup(cell[0], lat), fn)
                for cell in cells}
     rows: list[ScalingRow] = []
     tag = 0
     for eps in eps_grid:
         if eps < 2 * design.h:
             raise ValueError(f"eps {eps} below resolution 2h = {2 * design.h}")
-        values = _run_cells(design, float(eps), design.spectrum(float(eps), lat),
-                            configs, n_samples, seed, workers)
+        values = _run_cells(design.spectrum(float(eps), lat), configs,
+                            n_samples, seed, workers)
         for cell in cells:
             est = moment_norm(values[cell], n, seed=seed, tag=tag)
             tag += 1
             rows.append(ScalingRow(eps=float(eps), lam=cell[0], estimate=est,
                                    excluded=est.ci[0] <= 0.0))
     fit_rows = [r for r in rows if not r.excluded and r.estimate.value > 0]
+    eps_slope = lam_slope = eps_se = lam_se = math.nan
     if len(fit_rows) >= 3:
         x = np.array([[math.log(r.eps), math.log(r.lam), 1.0] for r in fit_rows])
         y = np.array([math.log(r.estimate.value) for r in fit_rows])
-        coef, res, *_ = np.linalg.lstsq(x, y, rcond=None)
-        dof = max(len(fit_rows) - 3, 1)
-        sigma2 = float(res[0]) / dof if len(res) else 0.0
-        covm = sigma2 * np.linalg.inv(x.T @ x)
-        eps_slope, lam_slope = float(coef[0]), float(coef[1])
-        eps_se, lam_se = float(np.sqrt(covm[0, 0])), float(np.sqrt(covm[1, 1]))
-    else:
-        eps_slope = lam_slope = eps_se = lam_se = math.nan
+        coef, res, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+        if rank == 3:
+            eps_slope, lam_slope = float(coef[0]), float(coef[1])
+            if len(fit_rows) > 3:
+                sigma2 = float(res[0]) / (len(fit_rows) - 3)
+                covm = sigma2 * np.linalg.inv(x.T @ x)
+                eps_se = float(np.sqrt(covm[0, 0]))
+                lam_se = float(np.sqrt(covm[1, 1]))
     c = 0.0
     for r in rows:
         bound = r.eps ** (a_t - eta) * r.lam ** (b_t - eta)
@@ -255,20 +259,15 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
 # deterministic second-moment functionals
 
 
-def _grid_1d(step: float, radius: float) -> np.ndarray:
-    m = int(math.floor(radius / step + 1e-12))
-    return (np.arange(-m, m + 1) * step).reshape(-1, 1)
-
-
 def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, m: int,
                        cov: CovarianceSpec, h: float) -> float:
     """sqrt(m! * v^T rho^m v) for v = |K| * weight * step on a 1-d grid.
 
     ``grid(step)`` gives the grid points and their weights, and
-    ``kernel_row(points, radius)`` the values of ``kern`` between those
-    points and the base point, with exclusion radius _DIAGONAL_CELLS * step;
-    rho is the normalised target covariance at the grid lags.  The norm is
-    taken at steps h and h / 2, and a relative disagreement above
+    ``kernel_row(points, step)`` the values of ``kern`` between those points
+    and the base point, under the exclusion rule of ``eval_K_many`` on that
+    step; rho is the normalised target covariance at the grid lags.  The
+    norm is taken at steps h and h / 2, and a relative disagreement above
     _TWO_GRID_TOL raises rather than returning an uncertified value.
     """
     if kern.g.s != (1.0,):
@@ -277,9 +276,8 @@ def _smeared_wick_norm(kern: RenormKernel, grid, kernel_row, m: int,
     vals = []
     for step in (h, h / 2.0):
         pts, weight = grid(step)
-        v = np.abs(kernel_row(pts, _DIAGONAL_CELLS * step)) * weight * step
-        lags = np.abs(pts[:, None, 0] - pts[None, :, 0])
-        rho = (cov.epsilon / (lags + cov.epsilon)) ** cov.alpha
+        v = np.abs(kernel_row(pts, step)) * weight * step
+        rho = cov.normalised(np.abs(pts[:, None, 0] - pts[None, :, 0]))
         vals.append(math.sqrt(max(math.factorial(m) * float(v @ (rho ** m) @ v),
                                   0.0)))
     coarse, fine = vals
@@ -298,8 +296,8 @@ def second_moment_G(x, kern: RenormKernel, m2: int, cov: CovarianceSpec,
     """
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
     return _smeared_wick_norm(
-        kern, lambda step: (_grid_1d(step, y_radius), 1.0),
-        lambda ys, radius: eval_K_many(x_arr, ys, kern, radius)[0],
+        kern, lambda step: (build_lattice(kern.g, step, y_radius).points(), 1.0),
+        lambda ys, step: eval_K_many(x_arr, ys, kern, step)[0],
         m2, cov, h)
 
 
@@ -309,12 +307,13 @@ def second_moment_H(y, kern: RenormKernel, test: TestFunction, m1: int,
     y_arr = np.atleast_2d(np.asarray(y, dtype=float))
 
     def grid(step):
-        xs = _grid_1d(step, test.scale) + np.asarray(test.center)[None, :]
+        xs = build_lattice(kern.g, step, test.scale).points() \
+            + np.asarray(test.center)[None, :]
         return xs, np.abs(eval_test_function_many(test, xs))
 
     return _smeared_wick_norm(kern, grid,
-                              lambda xs, radius: eval_K_many(xs, y_arr, kern,
-                                                             radius)[:, 0],
+                              lambda xs, step: eval_K_many(xs, y_arr, kern,
+                                                           step)[:, 0],
                               m1, cov, h)
 
 
@@ -359,6 +358,10 @@ def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
             "volume lemma sampling is implemented for d = 1 with s = (1,)")
     if 2 * n > 4:
         raise ValueError("volume lemma budget is 2n <= 4")
+    if n < 1 or L <= 0:
+        raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
+    if n_mc < 1:
+        raise ValueError("n_mc must be positive")
     q_far = g.total - kern.gamma + kern.r_e
     q_near = g.total - kern.gamma + kern.r_e - 1
     rows: list[VolumeLemmaRow] = []

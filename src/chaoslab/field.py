@@ -14,6 +14,8 @@ transform, O(N log N) per pair.  Negative circulant eigenvalues (the
 embedding is not always non-negative) are clipped to zero and the clipped
 relative mass is reported; the variance entering downstream chaos
 coefficients is computed exactly from the clipped spectrum, never estimated.
+A draw is one row of the array :func:`sample_field_values` returns, read
+with the :class:`Spectrum` it was drawn from.
 
 Physical lags should stay below half the torus period to avoid wrap-around
 bias; callers control this through the lattice extent.
@@ -61,6 +63,10 @@ class CovarianceSpec:
         """Target covariance of the raw field at the given metric lags."""
         return (np.asarray(lag_metric, dtype=float) + self.epsilon) ** (-self.alpha)
 
+    def normalised(self, lags):
+        """Covariance (eps / (lags + eps))^alpha of eps^{alpha/2} * field."""
+        return (self.epsilon / (lags + self.epsilon)) ** self.alpha
+
 
 def _torus_lags(lattice: Lattice) -> np.ndarray:
     """Metric distance from the origin at circulant (torus) lags, lattice-shaped."""
@@ -95,19 +101,6 @@ class Spectrum:
         return np.real(np.fft.ifftn(self.eigenvalues))
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    lattice: Lattice
-    values: np.ndarray = field(repr=False)
-    sigma2: float
-    alpha: float
-    epsilon: float
-
-    def normalized(self) -> np.ndarray:
-        """Values of X = eps^{alpha/2} * field, the unit-order variable."""
-        return self.epsilon ** (self.alpha / 2.0) * self.values
-
-
 def build_spectrum(spec: CovarianceSpec, lattice: Lattice,
                    clip_threshold: float = 0.01) -> Spectrum:
     """Circulant eigenvalues of the target covariance, clipped to >= 0."""
@@ -124,14 +117,6 @@ def build_spectrum(spec: CovarianceSpec, lattice: Lattice,
     eig = np.clip(eig, 0.0, None)
     return Spectrum(lattice=lattice, spec=spec, eigenvalues=eig,
                     clipped_mass=clipped)
-
-
-def sample_field(spectrum: Spectrum, seed: int, index: int) -> FieldSample:
-    """One field draw; bit-identical for fixed (seed, index) in any call order."""
-    vals = sample_field_values(spectrum, seed, np.array([index]))[0]
-    return FieldSample(lattice=spectrum.lattice, values=vals,
-                       sigma2=spectrum.sigma2, alpha=spectrum.spec.alpha,
-                       epsilon=spectrum.spec.epsilon)
 
 
 def _draw_indices(indices) -> np.ndarray:
@@ -180,7 +165,8 @@ def synthesise(multiplier: np.ndarray, seed: int, purpose: int,
 
 
 def sample_field_values(spectrum: Spectrum, seed: int, indices) -> np.ndarray:
-    """Batched draws C^{1/2} w, shape (len(indices), *lattice.shape)."""
+    """Draws C^{1/2} w, shape (len(indices), *lattice.shape); row k is a
+    function of (seed, indices[k]) alone."""
     return synthesise(np.sqrt(spectrum.eigenvalues), seed, rng.FIELD, indices)
 
 

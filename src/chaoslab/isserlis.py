@@ -27,6 +27,7 @@ from scipy.special import roots_hermitenorm
 
 from . import chaos, rng
 from .clustering import has_isolated_point
+from .field import CovarianceSpec
 
 MAX_ENUM_VARS = 12
 
@@ -440,12 +441,6 @@ class LemmaCheckConfig:
     seed: int = 7
 
 
-def _target_cov(points: np.ndarray, alpha: float, eps: float) -> np.ndarray:
-    """Covariance of the normalised variables at the given 1-d points."""
-    lags = np.abs(points[:, None] - points[None, :])
-    return (eps / (lags + eps)) ** alpha
-
-
 def _sample_config(gen: np.random.Generator, count: int, box: float) -> np.ndarray:
     return gen.uniform(-box, box, size=count)
 
@@ -515,7 +510,8 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
                 x_pts = _sample_config(gen, n2, cfg.box)
                 y_pts = x_pts + gen.uniform(-cfg.L0 * cfg.eps, cfg.L0 * cfg.eps, n2)
             pts = np.concatenate([x_pts, y_pts])
-            cov = _target_cov(pts, cfg.alpha, cfg.eps)
+            cov = CovarianceSpec(alpha=cfg.alpha, epsilon=cfg.eps).normalised(
+                np.abs(pts[:, None] - pts[None, :]))
             specs = [(cfg.trig1, cfg.m1)] * n2 + [(cfg.trig2, cfg.m2)] * n2
             thetas = [theta_pair[0]] * n2 + [theta_pair[1]] * n2
             derivs = [cfg.deriv[0]] * n2 + [cfg.deriv[1]] * n2

@@ -19,6 +19,9 @@ from . import rng
 from .geometry import ScalingGeometry, metric_many
 
 
+DIAGONAL_CELLS = 1  # lattice steps around x = y that every quadrature drops
+
+
 class SingularEvaluationError(ArithmeticError):
     """The kernel or its gradient was requested at a singular point."""
 
@@ -136,18 +139,19 @@ def grad_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
 
 
 def eval_K_many(x_points: np.ndarray, y_points: np.ndarray, k: RenormKernel,
-                radius: float) -> np.ndarray:
+                step: float) -> np.ndarray:
     """Renormalised kernel on the product grid, shape (Nx, Ny), for quadrature.
 
     K(x, y) = K0(x - y) - [r_e >= 1] K0(-y) - [r_e >= 2] x . grad K0(-y).
-    The exclusion rule of every quadrature that sums this matrix: a pair is
-    set to 0 when |x - y| < radius, when x = y, and, at r_e >= 1, when
-    y = 0, where the Taylor terms are singular.
+    The exclusion rule of every quadrature that sums this matrix, on a grid
+    of base step ``step``: a pair is set to 0 when |x - y| < DIAGONAL_CELLS
+    * step, when x = y, and, at r_e >= 1, when y = 0, where the Taylor terms
+    are singular.
     """
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
     r = metric_many(x_points[:, None, :] - y_points[None, :, :], k.g)
-    keep = (r >= radius) & (r > 0.0)
+    keep = (r >= DIAGONAL_CELLS * step) & (r > 0.0)
     out = np.zeros_like(r)
     out[keep] = _k0_of_radius(r[keep], k)
     if k.r_e >= 1:
@@ -195,6 +199,8 @@ def check_region_bounds(k: RenormKernel, n_samples: int, seed: int = 0) -> Regio
     Regions (for r_e >= 1): |y| > 2|x|, |x|/2 < |y| <= 2|x|, |y| <= |x|/2.
     For r_e = 0 the single bound |x-y|^{gamma-|s|} applies everywhere.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     gen = rng.substream(seed, rng.POINTS, 4)
     g = k.g
     half_x = np.array([1.0**si for si in g.s])

@@ -158,11 +158,6 @@ def build_model_field(spec: ModelFieldSpec) -> ModelField:
                       var_raw=var_raw)
 
 
-def sample_model_field(mf: ModelField, seed: int, index: int) -> np.ndarray:
-    """One periodic field draw, shape = lattice.shape; counter-seeded."""
-    return sample_model_field_values(mf, seed, [index])[0]
-
-
 def sample_model_field_values(mf: ModelField, seed: int, indices) -> np.ndarray:
     """Batched draws, shape (len(indices), *lattice.shape).  White noise of
     density 1/sqrt(cell volume) per cell meets a stencil sum carrying one

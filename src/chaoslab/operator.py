@@ -1,4 +1,4 @@
-"""Quadrature evaluation of the smoothing-pairing operator per field sample.
+"""Quadrature evaluation of the smoothing-pairing operator on field draws.
 
 The operator pairs a rescaled test function against the renormalised kernel
 and the two-factor truncated trig functional:
@@ -6,21 +6,22 @@ and the two-factor truncated trig functional:
     value = sum_x sum_y phi_lam(x) K(x, y) F(theta, x, y) * cell_vol^2
 
 with x running over the test-function support and y over the fixed metric
-ball of radius 2.  ``kernel.eval_K_many`` builds the kernel matrix with
-exclusion radius diagonal_policy * h and drops the pairs its exclusion rule
-names; for gamma > 0 the excluded mass is O(h^gamma).  The y points whose
-kernel column is zero (K vanishes once |x - y| and |y| both pass the
-cutoff) are dropped before any factor is evaluated at them.
+ball of radius 2.  ``kernel.eval_K_many`` builds the kernel matrix on the
+lattice step and drops the pairs its exclusion rule names (|x - y| below
+``kernel.DIAGONAL_CELLS`` steps); for gamma > 0 the excluded mass is
+O(h^gamma).  The y points whose kernel column is zero (K vanishes once
+|x - y| and |y| both pass the cutoff) are dropped before any factor is
+evaluated at them.
 
 The kernel matrix and test-function weights do not depend on the frequency
-theta.  An ``OperatorSetup`` (kernel, test function, lattice, diagonal
-policy, y radius) builds them at first use and keeps them for its lifetime;
-its fields are frozen, so the arrays cannot go stale.  An ``OperatorConfig``
-pairs a set-up with the theta-dependent functional, so configs that differ
-only in theta share one set-up: the studies in ``experiments`` build one per
-lambda per call and share it across theta cells and sample chunks.
-Per-sample work is two small matrix products, which also gives an exact
-batched path.
+theta.  An ``OperatorSetup`` (kernel, test function, lattice, y radius)
+builds them at first use and keeps them for its lifetime; its fields are
+frozen, so the arrays cannot go stale.  An ``OperatorConfig`` pairs a set-up
+with the theta-dependent functional, so configs that differ only in theta
+share one set-up: the studies in ``experiments`` build one per lambda per
+call and share it across theta cells and sample chunks.  The operator reads
+a batch of draws, as ``field.sample_field_values`` returns them, in two
+small matrix products.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from .chaos import ChaosTruncSpec, TwoPointFunctional, truncated_trig_deriv
-from .field import FieldSample
 from .geometry import Lattice, TestFunction, eval_test_function_many, metric_many
 from .kernel import RenormKernel, eval_K_many
 
@@ -58,7 +58,6 @@ class OperatorSetup:
     kernel: RenormKernel
     test: TestFunction
     lattice: Lattice
-    diagonal_policy: int = 1
     y_radius: float = 2.0
 
     @cached_property
@@ -70,8 +69,7 @@ class OperatorSetup:
         phi, x_idx = _support(self.test, lat)
         pts = lat.points()
         y_idx = np.nonzero(metric_many(pts, lat.geometry) <= self.y_radius)[0]
-        kmat = eval_K_many(pts[x_idx], pts[y_idx], self.kernel,
-                           self.diagonal_policy * lat.base_step)
+        kmat = eval_K_many(pts[x_idx], pts[y_idx], self.kernel, lat.base_step)
         live = np.any(kmat != 0.0, axis=0)
         return dict(x_idx=x_idx, y_idx=y_idx[live], xw=phi * lat.cell_volume,
                     kmat=kmat[:, live] * lat.cell_volume)
@@ -86,6 +84,12 @@ class OperatorConfig:
         """Crude bound sup|F| * sum |K| |phi| * cell volumes for per-run checks."""
         st = self.setup.arrays
         return float(np.sum(f_sup * np.abs(st["xw"]) @ np.abs(st["kmat"])))
+
+
+def _check_draws(values: np.ndarray, lattice: Lattice):
+    if values.shape[1:] != lattice.shape:
+        raise ValueError(f"draws of shape {values.shape[1:]} do not match "
+                         f"the operator lattice {lattice.shape}")
 
 
 def _factors(cfg: OperatorConfig, norm_values: np.ndarray, sigma2: float):
@@ -103,7 +107,10 @@ def _factors(cfg: OperatorConfig, norm_values: np.ndarray, sigma2: float):
 
 def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
                 alpha: float, epsilon: float) -> np.ndarray:
-    """Operator values for a batch of raw field arrays, shape (B, *lattice)."""
+    """Double Riemann sums of phi_lam * K * F over a batch of raw draws,
+    shape (B, *lattice.shape); sigma2, alpha and epsilon are those of the
+    draws' spectrum."""
+    _check_draws(values, cfg.setup.lattice)
     st = cfg.setup.arrays
     norm = epsilon ** (alpha / 2.0) * values
     fx, gy = _factors(cfg, norm, sigma2)
@@ -111,20 +118,13 @@ def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
     return np.einsum("bx,x,bx->b", inner, st["xw"], fx)
 
 
-def apply(cfg: OperatorConfig, sample: FieldSample) -> float:
-    """Double Riemann sum of phi_lam * K * F over one field sample."""
-    lat = cfg.setup.lattice
-    if sample.lattice.shape != lat.shape or sample.lattice.steps != lat.steps:
-        raise ValueError("sample lattice does not match operator lattice")
-    out = apply_batch(cfg, sample.values[None, ...], sample.sigma2,
-                      sample.alpha, sample.epsilon)
-    return float(out[0])
-
-
 def apply_single(theta: float, spec: ChaosTruncSpec, test: TestFunction,
-                 sample: FieldSample) -> float:
-    """Single Riemann sum of the truncated trig field against the test function."""
-    phi, x_idx = _support(test, sample.lattice)
-    xv = sample.normalized().reshape(-1)[x_idx]
-    vals = truncated_trig_deriv(xv, theta, spec.phase, spec.m, 0, sample.sigma2)
-    return float(np.sum(phi * vals) * sample.lattice.cell_volume)
+                 lattice: Lattice, values: np.ndarray, sigma2: float,
+                 alpha: float, epsilon: float) -> np.ndarray:
+    """Single Riemann sums of the truncated trig field against the test
+    function, per draw of a batch read as in :func:`apply_batch`."""
+    _check_draws(values, lattice)
+    phi, x_idx = _support(test, lattice)
+    xv = epsilon ** (alpha / 2.0) * values.reshape(len(values), -1)[:, x_idx]
+    vals = truncated_trig_deriv(xv, theta, spec.phase, spec.m, 0, sigma2)
+    return vals @ phi * lattice.cell_volume

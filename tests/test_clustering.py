@@ -116,6 +116,15 @@ def test_volume_bound_ratio_stable():
     assert max(ratios) / min(ratios) < 6.0
 
 
+@pytest.mark.parametrize("n, L", [(0, 1.0), (1, -1.0), (1, 0.0)],
+                         ids=["n0", "negative-L", "zero-L"])
+def test_volume_checks_reject_invalid_input(n, L):
+    with pytest.raises(ValueError, match="n >= 1 and L > 0"):
+        volume_Sc(n, 0.1, 0.25, G1, n_mc=100, L=L)
+    with pytest.raises(ValueError, match="n >= 1 and L > 0"):
+        partition_sum_check(n, 0.1, 0.25, n_mc=100, L=L)
+
+
 def test_partition_check_small():
     rep = partition_sum_check(n=1, eps=0.1, lam=0.3, n_mc=5_000, seed=2)
     assert rep.violations == 0

@@ -44,7 +44,6 @@ from chaoslab.models import (
     holder_norm,
     mollification_gap,
     remainder_pairing,
-    sample_model_field,
 )
 from chaoslab.nonlinearity import make_nonlinearity
 from oracles import legendre_mollified_deriv, per_draw_model_field
@@ -159,7 +158,7 @@ def design_outputs() -> dict:
         rough, a=1.0, mfspec=KPZ_SPEC, delta=0.3, lam=0.4, n=1, n_samples=5,
         seed=9))
     mf = build_model_field(KPZ_SPEC)
-    vals = sample_model_field(mf, 3, 0)
+    vals = models.sample_model_field_values(mf, 3, [0])[0]
     out["holder_norm"] = _holder(holder_norm(vals, mf.lattice, alpha=-0.5))
     out["var_raw"] = {"kpz": mf.var_raw,
                       "phi43": build_model_field(PHI4_SPEC).var_raw}

@@ -250,6 +250,45 @@ def test_scaling_scan_resolution_guard():
                      lambda_grid=[0.4], n=1, n_samples=300)
 
 
+def _power_law_scan(monkeypatch, eps_grid, lambda_grid, excluded=()):
+    """scaling_scan with every moment norm replaced by eps^0.6 * lam^-0.2;
+    the cells at the row positions in ``excluded`` get an interval reaching
+    zero."""
+    values = iter([(i, e ** 0.6 * lam ** -0.2) for i, (e, lam) in enumerate(
+        (e, lam) for e in eps_grid for lam in lambda_grid)])
+
+    def fake_norm(vals, n, seed=0, tag=0):
+        i, v = next(values)
+        lo = 0.0 if i in excluded else 0.5 * v
+        return MomentEstimate(n=n, value=v, ci=(lo, 2.0 * v),
+                              n_samples=len(vals))
+
+    monkeypatch.setattr(experiments, "moment_norm", fake_norm)
+    return scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=eps_grid,
+                        lambda_grid=lambda_grid, n=1, n_samples=4, seed=1)
+
+
+@pytest.mark.parametrize("eps_grid, lambda_grid", [
+    ([0.2], [0.8, 0.6, 0.4]), ([0.2, 0.2], [0.8, 0.6]),
+    ([0.4, 0.2, 0.1], [0.5])], ids=["one-eps", "repeated-eps", "one-lam"])
+def test_scaling_scan_degenerate_grid_fits_no_slope(monkeypatch, eps_grid,
+                                                    lambda_grid):
+    # one eps (or one lam) cannot determine both slopes of the log-log fit
+    rep = _power_law_scan(monkeypatch, eps_grid, lambda_grid)
+    assert len(rep.rows) == len(eps_grid) * len(lambda_grid)
+    assert all(math.isnan(v) for v in (rep.eps_slope, rep.eps_slope_se,
+                                       rep.lam_slope, rep.lam_slope_se))
+
+
+def test_scaling_scan_three_fitted_rows_leave_no_standard_error(monkeypatch):
+    # three points fix the plane exactly: slopes, but no degree of freedom
+    rep = _power_law_scan(monkeypatch, [0.4, 0.2], [0.8, 0.4], excluded={3})
+    assert [r.excluded for r in rep.rows] == [False, False, False, True]
+    assert rep.eps_slope == pytest.approx(0.6, rel=1e-12)
+    assert rep.lam_slope == pytest.approx(-0.2, rel=1e-12)
+    assert math.isnan(rep.eps_slope_se) and math.isnan(rep.lam_slope_se)
+
+
 def test_second_moment_g_zero_kernel():
     # every |x - y| >= 1.1 lies beyond the cutoff 1.0, so the kernel is zero
     kern = RenormKernel(gamma=0.4, g=G1, r_e=0)
@@ -275,6 +314,17 @@ def test_unit_line_routines_reject_other_scalings(routine, s):
         else:
             volume_lemma_check(1, kern, [0.1], [0.2], alpha=0.6, m2=1,
                                n_mc=100)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.02])
+def test_second_moment_rejects_non_positive_step(h):
+    kern = RenormKernel(gamma=0.4, g=G1, r_e=0)
+    cov = CovarianceSpec(alpha=0.6, epsilon=0.1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        second_moment_G((0.1,), kern, 1, cov, h=h)
+    with pytest.raises(ValueError, match="step must be positive"):
+        second_moment_H((0.8,), kern, TestFunction(geometry=G1, scale=0.3), 1,
+                        cov, h=h)
 
 
 def test_second_moment_g_positive_and_certified():
@@ -309,6 +359,16 @@ def test_volume_lemma_far_unrestricted_when_clustered():
     one_dim = 2 * (2.0 ** (1 - q) - (2 * lam) ** (1 - q)) / (1 - q)
     assert row.integral_far == pytest.approx(one_dim ** (2 * n), rel=0.05)
     assert row.integral_near is None  # r_e = 0 skips the near lemma
+
+
+@pytest.mark.parametrize("n, L, n_mc", [(0, 1.0, 100), (1, -1.0, 100),
+                                         (1, 0.0, 100), (1, 1.0, 0)],
+                         ids=["n0", "negative-L", "zero-L", "no-samples"])
+def test_volume_lemma_rejects_invalid_input(n, L, n_mc):
+    kern = RenormKernel(gamma=0.4, g=G1, r_e=1)
+    with pytest.raises(ValueError, match=r"n >= 1|n_mc"):
+        volume_lemma_check(n, kern, [0.1], [0.2], alpha=0.6, m2=1, n_mc=n_mc,
+                           L=L)
 
 
 def test_volume_lemma_near_part_present_for_re1():

@@ -8,7 +8,6 @@ from chaoslab.field import (
     InfeasibleEmbeddingError,
     build_spectrum,
     exact_lambda_hat,
-    sample_field,
     sample_field_values,
     verify_assumption1,
 )
@@ -48,11 +47,11 @@ def test_clipping_small_on_double_extent():
 
 def test_sampling_deterministic():
     sp = small_spectrum()
-    a = sample_field(sp, seed=42, index=7)
-    b = sample_field(sp, seed=42, index=7)
-    assert np.array_equal(a.values, b.values)
-    c = sample_field(sp, seed=42, index=8)
-    assert not np.array_equal(a.values, c.values)
+    a = sample_field_values(sp, 42, [7])[0]
+    b = sample_field_values(sp, 42, [7])[0]
+    assert np.array_equal(a, b)
+    c = sample_field_values(sp, 42, [8])[0]
+    assert not np.array_equal(a, c)
 
 
 def small_spectrum_2d(alpha=0.6, eps=0.1):
@@ -67,8 +66,7 @@ def test_sampling_batch_matches_single():
     for indices in ([3, 9], [4], [7], list(range(3, 10))):
         batch = sample_field_values(sp, seed=5, indices=indices)
         for row, k in enumerate(indices):
-            assert np.array_equal(batch[row],
-                                  sample_field(sp, seed=5, index=k).values)
+            assert np.array_equal(batch[row], sample_field_values(sp, 5, [k])[0])
 
 
 @pytest.mark.parametrize("indices", [[0], [5], np.arange(0, 7), np.arange(3, 10),
@@ -94,8 +92,6 @@ def test_sampling_indices_validated():
     for bad in ([0.5], [-1], [2, -1], [[1, 2]], ["a"]):
         with pytest.raises(ValueError):
             sample_field_values(sp, seed=1, indices=bad)
-    with pytest.raises(ValueError):
-        sample_field(sp, seed=1, index=1.5)
 
 
 def test_sample_moments():

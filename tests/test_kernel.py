@@ -5,6 +5,7 @@ import pytest
 
 from chaoslab.geometry import ScalingGeometry, build_lattice
 from chaoslab.kernel import (
+    DIAGONAL_CELLS,
     RenormKernel,
     SingularEvaluationError,
     check_region_bounds,
@@ -81,7 +82,7 @@ def test_eval_k_many_matches_scalar():
     k = RenormKernel(gamma=0.4, g=G1, r_e=1)
     xs = np.array([[0.05], [0.1], [-0.2]])
     ys = np.array([[0.3], [-0.7], [1.4]])
-    mat = eval_K_many(xs, ys, k, radius=0.0)
+    mat = eval_K_many(xs, ys, k, step=0.0)
     for i in range(3):
         for j in range(3):
             assert mat[i, j] == pytest.approx(eval_K(xs[i], ys[j], k))
@@ -103,18 +104,18 @@ def test_eval_k_raises_at_singular_pairs():
 
 @pytest.mark.parametrize("r_e", [0, 1, 2])
 def test_eval_k_many_exclusion_rule(r_e):
-    # pairs closer than the radius, x = y and (at r_e >= 1) y = 0 read 0;
-    # every other pair is the scalar kernel
+    # pairs closer than DIAGONAL_CELLS steps, x = y and (at r_e >= 1) y = 0
+    # read 0; every other pair is the scalar kernel
     g = ScalingGeometry((2.0, 1.0))
     k = RenormKernel(gamma=0.45, g=g, r_e=r_e)
     xs = np.array([[0.0, 0.0], [0.01, 0.1], [-0.04, 0.3]])
     ys = np.array([[0.0, 0.0], [0.01, 0.1], [0.01, 0.3], [0.09, -0.5]])
-    radius = 0.25
-    mat = eval_K_many(xs, ys, k, radius)
+    step = 0.25
+    mat = eval_K_many(xs, ys, k, step)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             r = max(abs(x[0] - y[0]) ** 0.5, abs(x[1] - y[1]))
-            if r < radius or (r_e >= 1 and not np.any(y)):
+            if r < DIAGONAL_CELLS * step or (r_e >= 1 and not np.any(y)):
                 assert mat[i, j] == 0.0
             else:
                 assert mat[i, j] == pytest.approx(eval_K(x, y, k), rel=1e-14)
@@ -137,6 +138,13 @@ def test_region_bounds_re1_finite_and_stable():
             rep1.max_ratio[name] <= rep2.max_ratio[name]
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_region_bounds_reject_no_samples(n_samples):
+    k = RenormKernel(gamma=0.4, g=G1, r_e=1)
+    with pytest.raises(ValueError, match="n_samples"):
+        check_region_bounds(k, n_samples)
+
+
 def test_taylor_cancellation_slopes():
     for r_e in (0, 1, 2):
         gamma = 0.45 if r_e == 2 else 0.4
@@ -157,7 +165,7 @@ def test_integrable_singularity():
     for h in (0.01, 0.005):
         lat = build_lattice(G1, h, 2.0)
         ys = lat.points()
-        kv = eval_K_many(x, ys, k, radius=0.0)[0]
+        kv = eval_K_many(x, ys, k, step=0.0)[0]
         # fractional weights for cells straddling the exclusion boundary
         w = np.clip((np.abs(ys[:, 0] - x0) + h / 2 - delta) / h, 0.0, 1.0)
         w *= np.clip((np.abs(ys[:, 0]) + h / 2 - delta) / h, 0.0, 1.0)
@@ -168,7 +176,7 @@ def test_integrable_singularity():
     h = 2e-5
     offs = np.arange(-int(0.13 / h), int(0.13 / h) + 1) * h
     ys = (x0 + offs).reshape(-1, 1)
-    kv = np.abs(eval_K_many(x, ys, k, radius=0.0)[0])
+    kv = np.abs(eval_K_many(x, ys, k, step=0.0)[0])
     r = np.abs(ys[:, 0] - x0)
     masses = []
     for kshell in range(7, 12):

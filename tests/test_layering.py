@@ -5,11 +5,13 @@ below everything but the random streams.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chaoslab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "chaoslab"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -82,9 +84,10 @@ def test_no_unused_imports(path):
 
 
 # Parameters with a default plus dataclass fields with a default, over the
-# whole package.  A change that adds an option raises this ceiling in the
-# same diff and says why in CHANGES.md.
-OPTION_CEILING = 83
+# whole package; a ``field(...)`` without ``default`` or ``default_factory``
+# is a required field, not an option.  A change that adds an option raises
+# this ceiling in the same diff and says why in CHANGES.md.
+OPTION_CEILING = 74
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -97,6 +100,18 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _field_default(value) -> bool:
+    """Whether a dataclass field's right-hand side gives it a default."""
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        if name == "field":
+            return any(kw.arg in ("default", "default_factory")
+                       for kw in value.keywords)
+    return value is not None
+
+
 def option_count(source: str) -> int:
     """Options in ``source``: defaulted parameters and dataclass fields."""
     count = 0
@@ -105,8 +120,8 @@ def option_count(source: str) -> int:
             count += len(node.args.defaults)
             count += sum(d is not None for d in node.args.kw_defaults)
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
-                         for stmt in node.body)
+            count += sum(isinstance(stmt, ast.AnnAssign)
+                         and _field_default(stmt.value) for stmt in node.body)
     return count
 
 
@@ -119,11 +134,47 @@ def test_option_count_reads_defaults_and_fields():
         "    x: int\n"
         "    y: int = 0\n"
         "    z: list = field(default_factory=list)\n"
+        "    v: list = field(repr=False)\n"
+        "    u: int = field(default=3, repr=False)\n"
         "class B:\n"
         "    w: int = 0\n")
-    assert option_count(source) == 4
+    assert option_count(source) == 5
 
 
 def test_option_count_stays_under_ceiling():
     total = sum(option_count(path.read_text()) for path in MODULES)
     assert total <= OPTION_CEILING
+
+
+# distribution name -> import name of every declared runtime dependency
+IMPORT_NAMES = {"numpy": "numpy", "scipy": "scipy"}
+
+
+def declared_dependencies(text: str) -> list[str]:
+    """Distribution names in the [project] dependencies array of a
+    pyproject.toml (read without tomllib, which Python 3.10 lacks)."""
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project.group(1),
+                     re.M | re.S)
+    return [re.match(r"[A-Za-z0-9._-]+", spec).group(0)
+            for spec in re.findall(r"[\"']([^\"']+)[\"']", deps.group(1))]
+
+
+def test_declared_dependencies_are_parsed():
+    text = ('[project]\nname = "x"\ndependencies = [\n    "numpy>=2.0",\n'
+            '    \'PyYAML >= 6\',\n]\n\n[project.optional-dependencies]\n'
+            'test = ["pytest>=7.0"]\n')
+    assert declared_dependencies(text) == ["numpy", "PyYAML"]
+
+
+def test_every_declared_dependency_is_imported():
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    for dist in declared_dependencies((ROOT / "pyproject.toml").read_text()):
+        assert dist in IMPORT_NAMES, f"add the import name of {dist}"
+        assert IMPORT_NAMES[dist] in imported, f"{dist} is declared, never imported"

@@ -18,7 +18,6 @@ from chaoslab.models import (
     mollification_gap,
     remainder_pairing,
     renorm_constant,
-    sample_model_field,
     sample_model_field_values,
 )
 from chaoslab.nonlinearity import gaussian_mean, make_nonlinearity, mollify
@@ -53,7 +52,7 @@ def test_kpz_kernel_odd_in_space():
 
 def test_field_variance_matches_stencil():
     mf = build_model_field(KPZ_SPEC)
-    vals = np.stack([sample_model_field(mf, seed=4, index=i) for i in range(600)])
+    vals = sample_model_field_values(mf, 4, np.arange(600))
     site = vals[:, mf.lattice.shape[0] // 2, mf.lattice.shape[1] // 2]
     emp = float(np.var(site))
     assert emp == pytest.approx(mf.var_raw, rel=0.15)
@@ -61,8 +60,8 @@ def test_field_variance_matches_stencil():
 
 def test_field_deterministic():
     mf = build_model_field(KPZ_SPEC)
-    a = sample_model_field(mf, seed=9, index=3)
-    b = sample_model_field(mf, seed=9, index=3)
+    a = sample_model_field_values(mf, 9, [3])[0]
+    b = sample_model_field_values(mf, 9, [3])[0]
     assert np.array_equal(a, b)
 
 
@@ -71,13 +70,13 @@ def test_field_deterministic():
 def test_sample_model_field_rejects_bad_index(index):
     mf = build_model_field(KPZ_SPEC)
     with pytest.raises(ValueError):
-        sample_model_field(mf, 1, index)
+        sample_model_field_values(mf, 1, [index])
 
 
 def test_model_field_batches_match_single_draws():
     # lone even, lone odd, a pair split across two transforms, a range
     mf = build_model_field(KPZ_SPEC)
-    single = {k: sample_model_field(mf, 4, k) for k in range(7)}
+    single = {k: sample_model_field_values(mf, 4, [k])[0] for k in range(7)}
     for indices in ([2], [5], [1, 2], list(range(7))):
         got = sample_model_field_values(mf, 4, indices)
         for row, k in zip(got, indices):
@@ -92,7 +91,7 @@ def test_polynomial_reduction_wick_square():
     mf = build_model_field(PHI4_SPEC)
     spec = ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=CUBIC,
                            a=1.0, epsilon=PHI4_SPEC.epsilon)
-    vals = sample_model_field(mf, seed=2, index=0)
+    vals = sample_model_field_values(mf, 2, [0])[0]
     got = eval_object_field(spec, mf, vals)
     want = vals**2 - mf.var_raw
     np.testing.assert_allclose(got, want, atol=1e-8)
@@ -103,7 +102,7 @@ def test_kpz_constant_curvature_object_vanishes():
     mf = build_model_field(KPZ_SPEC)
     spec = ModelObjectSpec(family="kpz", symbol="0'", nonlinearity=QUADRATIC,
                            a=1.0, epsilon=KPZ_SPEC.epsilon)
-    vals = sample_model_field(mf, seed=2, index=1)
+    vals = sample_model_field_values(mf, 2, [1])[0]
     got = eval_object_field(spec, mf, vals)
     np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
@@ -129,7 +128,7 @@ def test_renormalized_mean_within_ci():
                            epsilon=PHI4_SPEC.epsilon)
     means = []
     for i in range(200, 400):
-        vals = sample_model_field(mf, seed=3, index=i)
+        vals = sample_model_field_values(mf, 3, [i])[0]
         means.append(float(np.mean(eval_object_field(spec, mf, vals))))
     m = np.mean(means)
     se = np.std(means, ddof=1) / math.sqrt(len(means))
@@ -140,7 +139,7 @@ def test_eval_object_pointwise():
     mf = build_model_field(KPZ_SPEC)
     spec = ModelObjectSpec(family="kpz", symbol="1'", nonlinearity=QUADRATIC,
                            a=1.0, epsilon=KPZ_SPEC.epsilon)
-    vals = sample_model_field(mf, seed=5, index=0)
+    vals = sample_model_field_values(mf, 5, [0])[0]
     full = eval_object_field(spec, mf, vals)
     z = (0.0, 0.0)
     i0 = mf.lattice.shape[0] // 2
@@ -155,7 +154,7 @@ def test_eval_object_rejects_bad_point(z):
     mf = build_model_field(KPZ_SPEC)
     spec = ModelObjectSpec(family="kpz", symbol="1'", nonlinearity=QUADRATIC,
                            a=1.0, epsilon=KPZ_SPEC.epsilon)
-    vals = sample_model_field(mf, seed=5, index=0)
+    vals = sample_model_field_values(mf, 5, [0])[0]
     with pytest.raises(ValueError):
         eval_object(spec, mf, vals, z)
 
@@ -168,7 +167,7 @@ def test_holder_norm_zero_field():
 
 def test_holder_norm_grid_monotone():
     mf = build_model_field(KPZ_SPEC)
-    vals = sample_model_field(mf, seed=6, index=0)
+    vals = sample_model_field_values(mf, 6, [0])[0]
     e2 = holder_norm(vals, mf.lattice, alpha=-0.5, lambda_levels=2)
     e4 = holder_norm(vals, mf.lattice, alpha=-0.5, lambda_levels=4)
     assert e4.value >= e2.value - 1e-15
@@ -233,7 +232,7 @@ def _per_draw_pairing(family, nonlin, a, mfspec, delta, lam, n, n_samples, seed)
     phi = eval_test_function_many(TestFunction(geometry=g, scale=lam), pts)
     out = np.empty(n_samples)
     for i in range(n_samples):
-        vals = sample_model_field(mf, seed, i)
+        vals = sample_model_field_values(mf, seed, [i])[0]
         x = math.sqrt(mfspec.epsilon) * vals
         taus = []
         for fl in (nonlin, mollify(nonlin, delta)):
@@ -315,7 +314,7 @@ def _direct_two_freq_object(family, nonlin, mf, values):
 ], ids=["kpz", "phi43"])
 def test_two_freq_object_matches_torus_double_sum(family, nonlin, mfspec):
     mf = build_model_field(mfspec)
-    vals = sample_model_field(mf, seed=3, index=0)
+    vals = sample_model_field_values(mf, 3, [0])[0]
     got = models._two_freq_object(
         vals, models._pairing_kernel_fft(mf), mf.lattice.cell_volume,
         *models._two_freq_parts(family, nonlin, 1.0, mf))

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from chaoslab import kernel
 from chaoslab.chaos import ChaosTruncSpec, TwoPointFunctional
-from chaoslab.field import CovarianceSpec, FieldSample, build_spectrum, sample_field
+from chaoslab.field import CovarianceSpec, build_spectrum, sample_field_values
 from chaoslab.geometry import ScalingGeometry, TestFunction, build_lattice, \
     eval_test_function_many
 from chaoslab.kernel import RenormKernel
@@ -13,7 +14,6 @@ from chaoslab.operator import (
     OperatorConfig,
     OperatorSetup,
     ResolutionError,
-    apply,
     apply_batch,
     apply_single,
 )
@@ -34,16 +34,28 @@ def make_setup(h=0.05, extent=2.0, eps=0.2, theta=(1.0, 1.0), m=(1, 1),
     return cfg, spec
 
 
-def synthetic_sample(lat, fn, sigma2=1.0, alpha=0.6, eps=0.2):
-    vals = fn(lat.points()[:, 0]).reshape(lat.shape)
-    return FieldSample(lattice=lat, values=vals, sigma2=sigma2, alpha=alpha,
-                       epsilon=eps)
+# (sigma2, alpha, eps) read with a synthetic draw
+SYNTHETIC = (1.0, 0.6, 0.2)
+
+
+def synthetic_draw(lat, fn):
+    """One draw, shape (1, *lat.shape), of a fixed function of x."""
+    return fn(lat.points()[:, 0]).reshape((1,) + lat.shape)
+
+
+def spectrum_args(spec):
+    """(sigma2, alpha, eps) of draws from ``spec``."""
+    return spec.sigma2, spec.spec.alpha, spec.spec.epsilon
+
+
+def apply_draws(cfg, spec, seed, indices):
+    return apply_batch(cfg, sample_field_values(spec, seed, indices),
+                       *spectrum_args(spec))
 
 
 def test_zero_theta_vanishes():
     cfg, spec = make_setup(theta=(0.0, 0.0))
-    s = sample_field(spec, seed=1, index=0)
-    assert apply(cfg, s) == 0.0
+    assert apply_draws(cfg, spec, 1, [0])[0] == 0.0
 
 
 def test_zero_test_function():
@@ -67,7 +79,7 @@ def test_scale_below_step_raises():
 
 def test_linearity_in_test_function():
     cfg, spec = make_setup()
-    s = sample_field(spec, seed=3, index=1)
+    s = sample_field_values(spec, 3, [1])
 
     def p1(r):
         return np.where(np.abs(r) < 1, np.cos(np.pi * r / 2) ** 2, 0.0)
@@ -82,17 +94,17 @@ def test_linearity_in_test_function():
     for prof in (p1, p2, psum):
         tf = TestFunction(geometry=G1, scale=0.4, profile=prof)
         c = OperatorConfig(dataclasses.replace(cfg.setup, test=tf), cfg.functional)
-        vals.append(apply(c, s))
+        vals.append(apply_batch(c, s, *spectrum_args(spec))[0])
     assert vals[2] == pytest.approx(vals[0] + vals[1], rel=1e-12)
 
 
 def test_batch_matches_scalar():
     cfg, spec = make_setup()
-    samples = [sample_field(spec, seed=9, index=i) for i in range(4)]
-    batch_vals = np.stack([s.values for s in samples])
-    got = apply_batch(cfg, batch_vals, spec.sigma2, 0.6, spec.spec.epsilon)
-    for i, s in enumerate(samples):
-        assert got[i] == pytest.approx(apply(cfg, s), rel=1e-13)
+    batch = sample_field_values(spec, 9, np.arange(4))
+    got = apply_batch(cfg, batch, *spectrum_args(spec))
+    for i in range(4):
+        one = apply_batch(cfg, batch[i:i + 1], *spectrum_args(spec))[0]
+        assert got[i] == pytest.approx(one, rel=1e-13)
 
 
 def test_two_grid_agreement():
@@ -103,27 +115,29 @@ def test_two_grid_agreement():
     vals = {}
     for h in (0.01, 0.005, 0.0025):
         cfg, spec = make_setup(h=h, extent=2.0, gamma=0.5, r_e=0, theta=theta)
-        s = synthetic_sample(cfg.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
-        vals[h] = apply(cfg, s)
+        s = synthetic_draw(cfg.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
+        vals[h] = apply_batch(cfg, s, *SYNTHETIC)[0]
     d1 = abs(vals[0.01] - vals[0.005])
     d2 = abs(vals[0.005] - vals[0.0025])
     assert d2 < d1  # Richardson: differences contract
     assert vals[0.005] == pytest.approx(vals[0.0025], rel=0.05)
 
 
-def test_diagonal_policy_robust():
+def test_diagonal_policy_robust(monkeypatch):
     # widening the exclusion from 1 to 2 cells moves the value by less than
     # the two-grid quadrature error bound at the same step
     theta = (0.9, 1.3)
     h = 0.0025
     cfg1, _ = make_setup(h=h, extent=2.0, gamma=0.5, r_e=0, theta=theta)
-    s = synthetic_sample(cfg1.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
+    s = synthetic_draw(cfg1.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
     cfg_half, _ = make_setup(h=2 * h, extent=2.0, gamma=0.5, r_e=0, theta=theta)
-    s_half = synthetic_sample(cfg_half.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
-    two_grid_err = abs(apply(cfg1, s) - apply(cfg_half, s_half))
-    cfg2 = OperatorConfig(dataclasses.replace(cfg1.setup, diagonal_policy=2),
-                          cfg1.functional)
-    policy_diff = abs(apply(cfg2, s) - apply(cfg1, s))
+    s_half = synthetic_draw(cfg_half.setup.lattice, lambda x: np.sin(2.0 * x) + 0.3)
+    narrow = apply_batch(cfg1, s, *SYNTHETIC)[0]
+    two_grid_err = abs(narrow - apply_batch(cfg_half, s_half, *SYNTHETIC)[0])
+    monkeypatch.setattr(kernel, "DIAGONAL_CELLS", 2)
+    # a fresh set-up builds its kernel matrix under the patched width
+    cfg2 = OperatorConfig(dataclasses.replace(cfg1.setup), cfg1.functional)
+    policy_diff = abs(apply_batch(cfg2, s, *SYNTHETIC)[0] - narrow)
     assert policy_diff < 2.0 * two_grid_err
 
 
@@ -131,40 +145,42 @@ def test_setup_is_frozen_and_replace_rebuilds():
     # the set-up's arrays are built once; changing a field must give a new
     # set-up with its own arrays, never the old kernel matrix
     cfg, spec = make_setup(h=0.025)
-    narrow = np.count_nonzero(cfg.setup.arrays["kmat"])
+    full = np.count_nonzero(cfg.setup.arrays["kmat"])
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.setup.diagonal_policy = 3
+        cfg.setup.y_radius = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.setup = dataclasses.replace(cfg.setup, diagonal_policy=3)
-    wide = dataclasses.replace(cfg, setup=dataclasses.replace(cfg.setup,
-                                                              diagonal_policy=3))
+        cfg.setup = dataclasses.replace(cfg.setup, y_radius=0.5)
+    small = dataclasses.replace(cfg, setup=dataclasses.replace(cfg.setup,
+                                                               y_radius=0.5))
     fresh = OperatorSetup(kernel=cfg.setup.kernel, test=cfg.setup.test,
-                          lattice=cfg.setup.lattice, diagonal_policy=3)
-    assert np.array_equal(wide.setup.arrays["kmat"], fresh.arrays["kmat"])
-    assert np.count_nonzero(wide.setup.arrays["kmat"]) < narrow
-    assert np.count_nonzero(cfg.setup.arrays["kmat"]) == narrow
+                          lattice=cfg.setup.lattice, y_radius=0.5)
+    assert np.array_equal(small.setup.arrays["kmat"], fresh.arrays["kmat"])
+    assert np.count_nonzero(small.setup.arrays["kmat"]) < full
+    assert np.count_nonzero(cfg.setup.arrays["kmat"]) == full
 
 
 def test_sanity_envelope():
     cfg, spec = make_setup()
-    s = sample_field(spec, seed=13, index=0)
-    v = apply(cfg, s)
+    v = apply_draws(cfg, spec, 13, [0])[0]
     assert abs(v) <= cfg.sanity_envelope(f_sup=4.0)
 
 
 def test_apply_single_zero_theta():
     cfg, spec = make_setup()
-    s = sample_field(spec, seed=1, index=0)
-    assert apply_single(0.0, ChaosTruncSpec("sin", 1), cfg.setup.test, s) == 0.0
+    s = sample_field_values(spec, 1, [0])
+    got = apply_single(0.0, ChaosTruncSpec("sin", 1), cfg.setup.test,
+                       spec.lattice, s, *spectrum_args(spec))
+    assert got[0] == 0.0
 
 
 def test_apply_single_constant_field():
     cfg, spec = make_setup()
     c = 0.7
-    s = synthetic_sample(cfg.setup.lattice, lambda x: np.full_like(x, c), eps=0.2)
+    s = synthetic_draw(cfg.setup.lattice, lambda x: np.full_like(x, c))
     theta = 1.1
     xnorm = 0.2 ** 0.3 * c  # eps^{alpha/2} * c
-    got = apply_single(theta, ChaosTruncSpec("sin", 1), cfg.setup.test, s)
+    got = apply_single(theta, ChaosTruncSpec("sin", 1), cfg.setup.test,
+                       cfg.setup.lattice, s, *SYNTHETIC)[0]
     pts = cfg.setup.lattice.points()
     phi_int = float(np.sum(eval_test_function_many(cfg.setup.test, pts))
                     * cfg.setup.lattice.cell_volume)
@@ -175,8 +191,9 @@ def test_apply_single_two_grid():
     vals = {}
     for h in (0.02, 0.01):
         cfg, spec = make_setup(h=h)
-        s = synthetic_sample(cfg.setup.lattice, lambda x: np.cos(3 * x))
-        vals[h] = apply_single(1.3, ChaosTruncSpec("sin", 1), cfg.setup.test, s)
+        s = synthetic_draw(cfg.setup.lattice, lambda x: np.cos(3 * x))
+        vals[h] = apply_single(1.3, ChaosTruncSpec("sin", 1), cfg.setup.test,
+                               cfg.setup.lattice, s, *SYNTHETIC)[0]
     assert vals[0.02] == pytest.approx(vals[0.01], rel=0.05)
 
 
@@ -184,6 +201,9 @@ def test_lattice_mismatch_rejected():
     cfg, spec = make_setup(h=0.05)
     other_lat = build_lattice(G1, 0.04, 2.0)
     other_spec = build_spectrum(CovarianceSpec(alpha=0.6, epsilon=0.2), other_lat)
-    s = sample_field(other_spec, seed=1, index=0)
+    s = sample_field_values(other_spec, 1, [0])
     with pytest.raises(ValueError):
-        apply(cfg, s)
+        apply_batch(cfg, s, *spectrum_args(other_spec))
+    with pytest.raises(ValueError):
+        apply_single(1.0, ChaosTruncSpec("sin", 1), cfg.setup.test,
+                     cfg.setup.lattice, s, *spectrum_args(other_spec))
