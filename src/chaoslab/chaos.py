@@ -161,7 +161,9 @@ class TwoPointFunctional:
 def truncated_trig_deriv(x, theta: float, phase: int, m_remove: int, r: int, sigma2: float):
     """d^r/dtheta^r of cos(theta x + phase*pi/2) minus its first m_remove chaos terms."""
     x = np.asarray(x, dtype=float)
-    out = x**r * _phase_trig(theta * x, phase + r)
+    out = _phase_trig(theta * x, phase + r)
+    if r:
+        out = x**r * out
     for k in range(max(m_remove, 0)):
         c = phase_coeff_deriv(phase, k, theta, sigma2, r=r)
         if c != 0.0:

@@ -21,11 +21,11 @@ from . import rng
 from .chaos import ChaosTruncSpec, TwoPointFunctional
 from .clustering import has_isolated_point
 from .field import SAMPLE_CHUNK, CovarianceSpec, Spectrum, build_spectrum, \
-    sample_field_values
+    sample_fields
 from .geometry import Lattice, ScalingGeometry, TestFunction, build_lattice, \
     eval_test_function_many
 from .kernel import DIAGONAL_CELLS, RenormKernel, compute_re, eval_K_many
-from .operator import OperatorConfig, OperatorSetup, apply_batch
+from .operator import OperatorConfig, OperatorSetup, apply_configs
 # BOOTSTRAP_RESAMPLES is read here by name by the benchmark's tracer
 from .stats import BOOTSTRAP_RESAMPLES, MomentEstimate, moment_norm  # noqa: F401
 
@@ -115,32 +115,37 @@ class FreqSweepResult:
 
 
 def _chunk_values(args):
-    """Operator values for one fixed sample-index chunk, all (lam, theta) cells.
+    """Operator values for one fixed sample-index chunk: per spectrum, in the
+    order given, cell -> values for every (lam, theta) cell.
 
     Top-level so process pools can pickle it.  The chunk boundaries are fixed
     by SAMPLE_CHUNK, never by the worker count, and every sample's noise comes
     from its own counter substream, so any pool size reproduces identical
-    numbers.  The spectrum and the configs come from the study call: its
-    cells share one operator set-up per lambda, whose arrays are built at
-    first use, after this chunk's draws are sampled, and then reused by every
-    later cell and chunk (a pool task builds them once per lambda in its own
-    copy).
+    numbers.  The spectra (one lattice) and the configs come from the study
+    call.  The chunk's noise is drawn and transformed once for all spectra,
+    and within each spectrum every distinct trig factor is evaluated once
+    (``operator.apply_configs``).  The cells share one operator set-up per
+    lambda, whose arrays are built before the chunk's draws exist, at the
+    first chunk, and reused by every later chunk (a pool task builds them
+    once per lambda in its own copy).
     """
-    spec, configs, lo, hi, seed = args
-    values = sample_field_values(spec, seed, np.arange(lo, hi))
-    out = {cell: apply_batch(cfg, values, spec.sigma2, spec.spec.alpha,
-                             spec.spec.epsilon)
-           for cell, cfg in configs.items()}
-    return lo, out
+    spectra, configs, lo, hi, seed = args
+    for cfg in configs.values():
+        cfg.setup.arrays  # built before the draws, so never stacked on them
+    draws = sample_fields(spectra, seed, np.arange(lo, hi))
+    # next() inside the call: no name keeps a spectrum's draws past its cells
+    return lo, [apply_configs(configs, next(draws), spec.sigma2,
+                              spec.spec.alpha, spec.spec.epsilon)
+                for spec in spectra]
 
 
-def _run_cells(spec: Spectrum, configs: dict, n_samples: int, seed: int,
-               workers: int) -> dict:
-    """Operator values per cell of ``configs`` (cell -> config) on draws of
-    ``spec``."""
-    tasks = [(spec, configs, lo, min(lo + SAMPLE_CHUNK, n_samples), seed)
+def _run_cells(spectra: list[Spectrum], configs: dict, n_samples: int,
+               seed: int, workers: int) -> list[dict]:
+    """Operator values per spectrum of ``spectra`` (all on one lattice) and
+    per cell of ``configs`` (cell -> config): a list, in the order of
+    ``spectra``, of cell -> values over draws 0, ..., n_samples - 1."""
+    tasks = [(spectra, configs, lo, min(lo + SAMPLE_CHUNK, n_samples), seed)
              for lo in range(0, n_samples, SAMPLE_CHUNK)]
-    results = {}
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -148,9 +153,17 @@ def _run_cells(spec: Spectrum, configs: dict, n_samples: int, seed: int,
     else:
         chunks = [_chunk_values(t) for t in tasks]
     chunks.sort(key=lambda c: c[0])
-    for cell in configs:
-        results[cell] = np.concatenate([c[1][cell] for c in chunks])
-    return results
+    return [{cell: np.concatenate([c[1][i][cell] for c in chunks])
+             for cell in configs} for i in range(len(spectra))]
+
+
+def _check_study(n_samples: int, **grids):
+    """ValueError, naming the argument, for no draws or an empty grid."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    for name, grid in grids.items():
+        if len(grid) == 0:
+            raise ValueError(f"{name} is empty")
 
 
 def freq_sweep(design: StudyDesign, eps: float, lam: float, theta_grid,
@@ -161,13 +174,14 @@ def freq_sweep(design: StudyDesign, eps: float, lam: float, theta_grid,
     Sharing the draws across frequencies removes sampling noise from the
     headline max/min ratio, which is the experiment's statistic.
     """
+    cells = [(float(lam), (float(t[0]), float(t[1]))) for t in theta_grid]
+    _check_study(n_samples, theta_grid=cells)
     lat = design.lattice()
     setup = design.operator_setup(float(lam), lattice=lat)
-    cells = [(float(lam), (float(t[0]), float(t[1]))) for t in theta_grid]
     configs = {cell: OperatorConfig(setup, design.functional(cell[1]))
                for cell in cells}
-    values = _run_cells(design.spectrum(eps, lat), configs, n_samples, seed,
-                        workers)
+    values, = _run_cells([design.spectrum(eps, lat)], configs, n_samples,
+                         seed, workers)
     rows = []
     for tag, cell in enumerate(cells):
         rows.append(FreqRow(theta=cell[1],
@@ -214,23 +228,26 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
     a_t = design.alpha * (design.m1 + design.m2) / 2.0
     b_t = design.gamma - a_t
     theta = (float(theta[0]), float(theta[1]))
-    # the operator set-ups do not depend on eps: one per lambda for the call
-    lat = design.lattice()
-    fn = design.functional(theta)
+    eps_grid = [float(eps) for eps in eps_grid]
     cells = [(float(lam), theta) for lam in lambda_grid]
-    configs = {cell: OperatorConfig(design.operator_setup(cell[0], lat), fn)
-               for cell in cells}
-    rows: list[ScalingRow] = []
-    tag = 0
+    _check_study(n_samples, eps_grid=eps_grid, lambda_grid=cells)
     for eps in eps_grid:
         if eps < 2 * design.h:
             raise ValueError(f"eps {eps} below resolution 2h = {2 * design.h}")
-        values = _run_cells(design.spectrum(float(eps), lat), configs,
-                            n_samples, seed, workers)
+    # the operator set-ups do not depend on eps: one per lambda for the call
+    lat = design.lattice()
+    fn = design.functional(theta)
+    configs = {cell: OperatorConfig(design.operator_setup(cell[0], lat), fn)
+               for cell in cells}
+    per_eps = _run_cells([design.spectrum(eps, lat) for eps in eps_grid],
+                         configs, n_samples, seed, workers)
+    rows: list[ScalingRow] = []
+    tag = 0
+    for eps, values in zip(eps_grid, per_eps):
         for cell in cells:
             est = moment_norm(values[cell], n, seed=seed, tag=tag)
             tag += 1
-            rows.append(ScalingRow(eps=float(eps), lam=cell[0], estimate=est,
+            rows.append(ScalingRow(eps=eps, lam=cell[0], estimate=est,
                                    excluded=est.ci[0] <= 0.0))
     fit_rows = [r for r in rows if not r.excluded and r.estimate.value > 0]
     eps_slope = lam_slope = eps_se = lam_se = math.nan

@@ -10,7 +10,10 @@ synthesiser, serves both field classes: these fields (multiplier
 sqrt(lambda)) and the model fields of :mod:`models` (the stencil FFT).  A
 Hermitian multiplier makes the operator A real, so A(w_a + i w_b) = A w_a +
 i A w_b: draws 2j and 2j + 1 are the real and imaginary parts of one complex
-transform, O(N log N) per pair.  Negative circulant eigenvalues (the
+transform, O(N log N) per pair.  The noise does not depend on the
+multiplier, so a block of draws of several spectra on one lattice (a study's
+eps grid) draws and transforms its noise once, then pays one product and one
+inverse transform per spectrum.  Negative circulant eigenvalues (the
 embedding is not always non-negative) are clipped to zero and the clipped
 relative mass is reported; the variance entering downstream chaos
 coefficients is computed exactly from the clipped spectrum, never estimated.
@@ -131,10 +134,11 @@ def _draw_indices(indices) -> np.ndarray:
     return idx
 
 
-def synthesise(multiplier: np.ndarray, seed: int, purpose: int,
-               indices) -> np.ndarray:
-    """Draws of the real convolution F^{-1} diag(multiplier) F w, shape
-    (len(indices), *multiplier.shape), for a Hermitian ``multiplier``.
+def synthesise(multipliers, seed: int, purpose: int, indices):
+    """Draws of the real convolutions F^{-1} diag(m) F w, one array of shape
+    (len(indices), *m.shape) per Hermitian multiplier m of the sequence
+    ``multipliers``, yielded in turn; all multipliers share one shape and
+    every one of them convolves the same noise w.
 
     Draw k is the real part (k even) or the imaginary part (k odd) of the
     transform of w_{2j} + i w_{2j+1}, j = k // 2, with w_k the noise of the
@@ -144,30 +148,53 @@ def synthesise(multiplier: np.ndarray, seed: int, purpose: int,
     the rest of the batch, so each draw is a function of (seed, purpose,
     index) alone: batching, order, repeats and worker splits cannot change
     any sample.  Non-integer or negative indices raise ValueError.
+
+    The noise is drawn and transformed once; each multiplier then costs one
+    product and one in-place inverse transform.  Only the noise transform
+    and the latest draws outlive a step: the product buffer is released
+    before the draws are yielded, and the last product is taken in place on
+    the noise transform, which is released with it.
     """
     idx = _draw_indices(indices)
-    shape = multiplier.shape
-    out = np.empty((len(idx),) + shape)
+    shape = multipliers[0].shape
+    if any(m.shape != shape for m in multipliers):
+        raise ValueError("multipliers must share one lattice shape")
     pairs, row = np.unique(idx // 2, return_inverse=True)
-    zh = np.empty((len(pairs),) + shape, dtype=complex)
+    noise = np.empty((len(pairs),) + shape, dtype=complex)
     for j, pair in enumerate(pairs):
         k = 2 * int(pair)
-        zh.real[j] = rng.substream(seed, purpose, k).standard_normal(shape)
-        zh.imag[j] = rng.substream(seed, purpose, k + 1).standard_normal(shape)
+        noise.real[j] = rng.substream(seed, purpose, k).standard_normal(shape)
+        noise.imag[j] = rng.substream(seed, purpose, k + 1).standard_normal(shape)
     axes = tuple(range(1, len(shape) + 1))
-    zh = np.fft.fftn(zh, axes=axes)
-    zh *= multiplier
-    zh = np.fft.ifftn(zh, axes=axes)
-    odd = idx % 2 == 1
-    out[~odd] = zh.real[row[~odd]]
-    out[odd] = zh.imag[row[odd]]
-    return out
+    noise = np.fft.fftn(noise, axes=axes, out=noise)
+    part = idx % 2  # 0: real part, 1: imaginary part
+    size = math.prod(shape)
+    for i, mult in enumerate(multipliers):
+        if i < len(multipliers) - 1:
+            buf = noise * mult
+        else:
+            buf, noise = np.multiply(noise, mult, out=noise), None
+        buf = np.fft.ifftn(buf, axes=axes, out=buf)
+        # (pair, point, part) view: one gather, no half-size temporaries
+        out = buf.view(float).reshape(len(pairs), size, 2)[row, :, part]
+        del buf
+        yield out.reshape((len(idx),) + shape)
+        del out  # before the next draws are allocated
+
+
+def sample_fields(spectra, seed: int, indices):
+    """Iterator over the draws C^{1/2} w of each spectrum of ``spectra`` in
+    turn, all on one lattice and one noise (:func:`synthesise`): one array of
+    shape (len(indices), *lattice.shape) per spectrum, whose row k is a
+    function of (seed, indices[k]) alone."""
+    return synthesise([np.sqrt(s.eigenvalues) for s in spectra], seed,
+                      rng.FIELD, indices)
 
 
 def sample_field_values(spectrum: Spectrum, seed: int, indices) -> np.ndarray:
     """Draws C^{1/2} w, shape (len(indices), *lattice.shape); row k is a
     function of (seed, indices[k]) alone."""
-    return synthesise(np.sqrt(spectrum.eigenvalues), seed, rng.FIELD, indices)
+    return next(sample_fields([spectrum], seed, indices))
 
 
 @dataclass

@@ -162,8 +162,8 @@ def sample_model_field_values(mf: ModelField, seed: int, indices) -> np.ndarray:
     """Batched draws, shape (len(indices), *lattice.shape).  White noise of
     density 1/sqrt(cell volume) per cell meets a stencil sum carrying one
     cell volume, leaving a net sqrt(cell volume)."""
-    return math.sqrt(mf.lattice.cell_volume) * synthesise(
-        mf.stencil_fft, seed, rng.MODEL, indices)
+    return math.sqrt(mf.lattice.cell_volume) * next(synthesise(
+        [mf.stencil_fft], seed, rng.MODEL, indices))
 
 
 def _per_draw(mf: ModelField, seed: int, n_samples: int, fn) -> np.ndarray:

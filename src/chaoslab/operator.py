@@ -19,15 +19,24 @@ builds them at first use and keeps them for its lifetime; its fields are
 frozen, so the arrays cannot go stale.  An ``OperatorConfig`` pairs a set-up
 with the theta-dependent functional, so configs that differ only in theta
 share one set-up: the studies in ``experiments`` build one per lambda per
-call and share it across theta cells and sample chunks.  The operator reads
-a batch of draws, as ``field.sample_field_values`` returns them, in two
-small matrix products.
+call and share it across theta cells and sample chunks.
+
+:func:`apply_configs` reads a batch of draws, as
+``field.sample_field_values`` returns them, against a dict of configs.  A
+truncated trig factor is fixed by its key (theta, phase, m, r) and is a
+pointwise function of the draw, so each distinct key is evaluated once per
+batch, on the union of the lattice points at which any config needs it (the
+x supports and live y columns of every lambda cell), and each config gathers
+its columns from that table; a table is freed after the last config that
+reads it.  Only those union columns are normalised by eps^{alpha/2}, which
+commutes exactly with the gather.  Each config then costs two small matrix
+products; :func:`apply_batch` is the one-config case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -92,17 +101,66 @@ def _check_draws(values: np.ndarray, lattice: Lattice):
                          f"the operator lattice {lattice.shape}")
 
 
-def _factors(cfg: OperatorConfig, norm_values: np.ndarray, sigma2: float):
-    st = cfg.setup.arrays
+def _columns(table: np.ndarray, have: np.ndarray, want: np.ndarray):
+    """Columns ``want`` of ``table``, whose columns sit at the sorted indices
+    ``have``; ``want`` is a sorted subset of ``have``."""
+    if len(want) == len(have):
+        return table
+    return table[:, np.searchsorted(have, want)]
+
+
+def _factor_uses(cfg: OperatorConfig, st: dict):
+    """(key, index set) of the x factor and of the y factor of ``cfg``."""
     fn = cfg.functional
-    tx, ty = fn.theta
-    r1, r2 = fn.deriv
-    flat = norm_values.reshape(norm_values.shape[0], -1)
-    fx = truncated_trig_deriv(flat[:, st["x_idx"]], tx, fn.spec_x.phase,
-                              fn.spec_x.m, r1, sigma2)
-    gy = truncated_trig_deriv(flat[:, st["y_idx"]], ty, fn.spec_y.phase,
-                              fn.spec_y.m, r2, sigma2)
-    return fx, gy
+    return (((fn.theta[0], fn.spec_x.phase, fn.spec_x.m, fn.deriv[0]),
+             st["x_idx"]),
+            ((fn.theta[1], fn.spec_y.phase, fn.spec_y.m, fn.deriv[1]),
+             st["y_idx"]))
+
+
+def apply_configs(configs: dict, values: np.ndarray, sigma2: float,
+                  alpha: float, epsilon: float) -> dict:
+    """Double Riemann sums of phi_lam * K * F for every config of ``configs``
+    (cell -> config) over a batch of raw draws, shape (B, *lattice.shape):
+    cell -> shape (B,).  sigma2, alpha and epsilon are those of the draws'
+    spectrum.  Each distinct factor key is evaluated once, on the union of
+    the points its configs read (see the module docstring)."""
+    # kernel arrays first, so their build does not stack on the normalised draws
+    arrays = {cell: cfg.setup.arrays for cell, cfg in configs.items()}
+    for cfg in configs.values():
+        _check_draws(values, cfg.setup.lattice)
+    uses = {cell: _factor_uses(cfg, arrays[cell])
+            for cell, cfg in configs.items()}
+    union, last = {}, {}
+    for cell, pair in uses.items():
+        for key, idx in pair:
+            union[key] = np.union1d(union[key], idx) if key in union else idx
+            last[key] = cell
+    cols = reduce(np.union1d, union.values())
+    norm = values.reshape(len(values), -1)[:, cols]  # a copy, scaled in place
+    norm *= epsilon ** (alpha / 2.0)
+    tables, out, unbuilt = {}, {}, set(union)
+
+    def factor(key, idx):
+        nonlocal norm
+        if key not in tables:
+            theta, phase, m, r = key
+            tables[key] = truncated_trig_deriv(
+                _columns(norm, cols, union[key]), theta, phase, m, r, sigma2)
+            unbuilt.discard(key)
+            if not unbuilt:
+                norm = None  # every table is built
+        return _columns(tables[key], union[key], idx)
+
+    for cell, ((kx, ix), (ky, iy)) in uses.items():
+        st = arrays[cell]
+        # one expression, so no factor outlives its cell
+        out[cell] = np.einsum("bx,x,bx->b", factor(ky, iy) @ st["kmat"].T,
+                              st["xw"], factor(kx, ix))
+        for key in (kx, ky):
+            if last[key] == cell:
+                tables.pop(key, None)
+    return out
 
 
 def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
@@ -110,12 +168,7 @@ def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
     """Double Riemann sums of phi_lam * K * F over a batch of raw draws,
     shape (B, *lattice.shape); sigma2, alpha and epsilon are those of the
     draws' spectrum."""
-    _check_draws(values, cfg.setup.lattice)
-    st = cfg.setup.arrays
-    norm = epsilon ** (alpha / 2.0) * values
-    fx, gy = _factors(cfg, norm, sigma2)
-    inner = gy @ st["kmat"].T  # (B, Nx)
-    return np.einsum("bx,x,bx->b", inner, st["xw"], fx)
+    return apply_configs({0: cfg}, values, sigma2, alpha, epsilon)[0]
 
 
 def apply_single(theta: float, spec: ChaosTruncSpec, test: TestFunction,

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.special import roots_hermitenorm, roots_legendre
 
 from chaoslab import rng
+from chaoslab.chaos import truncated_trig_deriv
 from chaoslab.geometry import metric_many
 
 
@@ -306,6 +307,25 @@ def full_complex_field_values(spectrum, seed: int, indices) -> np.ndarray:
     wh = np.fft.fftn(w, axes=axes)
     xh = wh * np.sqrt(spectrum.eigenvalues)[None, ...]
     return np.real(np.fft.ifftn(xh, axes=axes))
+
+
+def per_config_operator_values(cfg, values, sigma2: float, alpha: float,
+                               epsilon: float) -> np.ndarray:
+    """Operator sums of one config over a batch of raw draws, factor by factor.
+
+    The route ``operator`` used before configs shared their trig factors:
+    the whole draw is normalised, and both factors are evaluated on the
+    config's own x and y columns.  Only the set-up arrays and the truncated
+    trig factor are shared with the package.
+    """
+    st, fn = cfg.setup.arrays, cfg.functional
+    flat = (epsilon ** (alpha / 2.0) * values).reshape(len(values), -1)
+    fx = truncated_trig_deriv(flat[:, st["x_idx"]], fn.theta[0],
+                              fn.spec_x.phase, fn.spec_x.m, fn.deriv[0], sigma2)
+    gy = truncated_trig_deriv(flat[:, st["y_idx"]], fn.theta[1],
+                              fn.spec_y.phase, fn.spec_y.m, fn.deriv[1], sigma2)
+    inner = gy @ st["kmat"].T
+    return np.einsum("bx,x,bx->b", inner, st["xw"], fx)
 
 
 def per_draw_model_field(mf, seed: int, indices) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from chaoslab.field import CovarianceSpec, sample_field_values
 from chaoslab.geometry import ScalingGeometry, TestFunction, eval_test_function_many
 from chaoslab.kernel import RenormKernel, eval_K0_many, grad_K0_many
 from chaoslab.operator import apply_batch
-from oracles import full_complex_field_values, loop_bootstrap_moment_norm
+from oracles import full_complex_field_values, loop_bootstrap_moment_norm, \
+    per_config_operator_values
 
 G1 = ScalingGeometry((1.0,))
 
@@ -159,8 +161,12 @@ def test_studies_match_golden_fixture(monkeypatch):
     # was shared across cells and chunks and before draws were paired in one
     # complex transform; three chunks per call.  On the old synthesis route
     # every number, bootstrap intervals included, must be reproduced exactly.
-    monkeypatch.setattr(experiments, "sample_field_values",
-                        full_complex_field_values)
+    # The studies draw every spectrum of a call through one seam; the old
+    # route draws each spectrum on its own.
+    monkeypatch.setattr(
+        experiments, "sample_fields",
+        lambda spectra, seed, indices: (
+            full_complex_field_values(spec, seed, indices) for spec in spectra))
     assert _golden_studies() == _golden()
 
 
@@ -244,10 +250,75 @@ def test_freq_sweep_pool_matches_serial():
         freq_sweep(DESIGN, workers=1, **kwargs)
 
 
-def test_scaling_scan_resolution_guard():
-    with pytest.raises(ValueError):
-        scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.05],
+def test_scaling_scan_pool_matches_serial():
+    kwargs = dict(theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
+                  lambda_grid=[0.8, 0.4], n=1, n_samples=600, seed=3)
+    assert scaling_scan(DESIGN, workers=2, **kwargs) == \
+        scaling_scan(DESIGN, workers=1, **kwargs)
+
+
+def test_scaling_scan_opens_each_field_substream_once(monkeypatch):
+    # the noise of a chunk is drawn once for every eps of the call; an odd
+    # n_samples still opens the partner of its last draw
+    opened = []
+    substream = rng.substream
+
+    def counting(seed, *path):
+        opened.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(rng, "substream", counting)
+    n_samples = SAMPLE_CHUNK + 3
+    scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
+                 lambda_grid=[0.8, 0.4], n=1, n_samples=n_samples, seed=2)
+    field_paths = sorted(p for p in opened if p[0] == rng.FIELD)
+    assert field_paths == [(rng.FIELD, k) for k in range(n_samples + 1)]
+
+
+def _no_draws(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the study drew before validating its input")
+    monkeypatch.setattr(experiments, "sample_fields", fail)
+
+
+def test_scaling_scan_resolution_guard(monkeypatch):
+    # every eps is checked before the first draw, the last one included
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match="below resolution"):
+        scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.05],
                      lambda_grid=[0.4], n=1, n_samples=300)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(n_samples=0), "n_samples must be at least 1"),
+    (dict(theta_grid=[]), "theta_grid is empty")], ids=["no-draws", "no-theta"])
+def test_freq_sweep_rejects_empty_input(monkeypatch, kwargs, match):
+    _no_draws(monkeypatch)
+    args = dict(eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0)], n=1, n_samples=4)
+    with pytest.raises(ValueError, match=match):
+        freq_sweep(DESIGN, **{**args, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(n_samples=0), "n_samples must be at least 1"),
+    (dict(eps_grid=[]), "eps_grid is empty"),
+    (dict(lambda_grid=[]), "lambda_grid is empty")],
+    ids=["no-draws", "no-eps", "no-lam"])
+def test_scaling_scan_rejects_empty_input(monkeypatch, kwargs, match):
+    _no_draws(monkeypatch)
+    args = dict(theta=(1.0, 1.0), eps_grid=[0.2], lambda_grid=[0.4], n=1,
+                n_samples=4)
+    with pytest.raises(ValueError, match=match):
+        scaling_scan(DESIGN, **{**args, **kwargs})
+
+
+def test_scaling_scan_accepts_one_cell():
+    # one eps and one lam give one estimate and no slope
+    rep = scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.2],
+                       lambda_grid=[0.4], n=1, n_samples=3, seed=1)
+    assert [(r.eps, r.lam) for r in rep.rows] == [(0.2, 0.4)]
+    assert rep.rows[0].estimate.value > 0.0
+    assert math.isnan(rep.eps_slope) and math.isnan(rep.lam_slope)
 
 
 def _power_law_scan(monkeypatch, eps_grid, lambda_grid, excluded=()):
@@ -378,3 +449,78 @@ def test_volume_lemma_near_part_present_for_re1():
     row = rep.rows[0]
     assert row.integral_near is not None and row.integral_near >= 0.0
     assert rep.max_ratio_near is not None
+
+
+def _per_config_study(design, cells, eps_grid, n, n_samples, seed, apply):
+    """Moment estimates of a study by the per-eps, per-config route: each
+    eps drawn on its own by ``sample_field_values``, each (lam, theta) cell
+    of ``cells`` contracted on its own by ``apply``."""
+    lat = design.lattice()
+    configs = [design.operator_config(lam, theta, lattice=lat)
+               for lam, theta in cells]
+    out, tag = [], 0
+    for eps in eps_grid:
+        spec = design.spectrum(eps, lat)
+        chunks = []
+        for lo in range(0, n_samples, SAMPLE_CHUNK):
+            values = sample_field_values(
+                spec, seed, np.arange(lo, min(lo + SAMPLE_CHUNK, n_samples)))
+            chunks.append([apply(cfg, values, spec.sigma2, design.alpha, eps)
+                           for cfg in configs])
+            del values
+        for j in range(len(configs)):
+            out.append(moment_norm(np.concatenate([c[j] for c in chunks]), n,
+                                   seed=seed, tag=tag))
+            tag += 1
+    return out
+
+
+def _traced_peak(fn):
+    """fn() and the peak traced allocation of that call, after one untraced
+    warm-up call (one-off imports and caches)."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_freq_sweep_peak_memory_within_per_config_route():
+    # d = 2: the kernel set-up dominates; the study builds it before its
+    # draws exist, the per-config routes on top of them (the public one and
+    # the one from before factors were shared, which builds it before it
+    # normalises the draws)
+    design = StudyDesign(alpha=0.6, m1=1, m2=1, trig1="sin", trig2="sin",
+                         gamma=0.4, s=(2.0, 1.0), h=0.1, extent=3.0)
+    thetas = [(1.0, 1.0), (4.0, 2.0)]
+    res, peak = _traced_peak(lambda: freq_sweep(
+        design, 0.05, 0.2, thetas, n=1, n_samples=32, seed=4))
+    for apply in (apply_batch, per_config_operator_values):
+        want, ref_peak = _traced_peak(lambda: _per_config_study(
+            design, [(0.2, t) for t in thetas], [0.05], 1, 32, 4, apply))
+        assert [r.estimate for r in res.rows] == want
+        assert peak <= ref_peak, apply.__name__
+
+
+def test_scaling_scan_peak_memory_within_per_config_route():
+    # d = 1 on the scan benchmark's lattice, where a chunk's draws dominate.
+    # Sharing the noise across eps keeps the chunk's noise transform alive
+    # while the first eps is contracted; normalising only the union columns
+    # and freeing them once every factor table is built must pay for it, so
+    # the peak stays at or below the route that drew each eps on its own
+    # and contracted each config on its own columns.  (Against the public
+    # apply_batch, which shares the lean contraction, the transform shows:
+    # 5.2 MB against 4.0 MB, measured with numpy 2.4.)
+    design = StudyDesign(alpha=0.6, m1=1, m2=1, trig1="sin", trig2="sin",
+                         gamma=0.5, h=0.0125, extent=4.0)
+    eps_grid, cells = [0.2, 0.1], [(1.0, (3.0, 3.0)), (0.6, (3.0, 3.0))]
+    rep, peak = _traced_peak(lambda: scaling_scan(
+        design, (3.0, 3.0), eps_grid, [lam for lam, _ in cells], n=1,
+        n_samples=SAMPLE_CHUNK, seed=4))
+    want, ref_peak = _traced_peak(lambda: _per_config_study(
+        design, cells, eps_grid, 1, SAMPLE_CHUNK, 4,
+        per_config_operator_values))
+    assert [r.estimate for r in rep.rows] == want
+    assert peak <= ref_peak

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from chaoslab.field import (
     build_spectrum,
     exact_lambda_hat,
     sample_field_values,
+    sample_fields,
+    synthesise,
     verify_assumption1,
 )
 from chaoslab.geometry import ScalingGeometry, lattice_from_counts
@@ -92,6 +95,49 @@ def test_sampling_indices_validated():
     for bad in ([0.5], [-1], [2, -1], [[1, 2]], ["a"]):
         with pytest.raises(ValueError):
             sample_field_values(sp, seed=1, indices=bad)
+
+
+def test_sample_fields_share_one_noise():
+    # every spectrum of one call convolves the same noise: each array equals
+    # the spectrum drawn alone, and the draws of two spectra differ
+    lat = small_spectrum_2d().lattice
+    spectra = [build_spectrum(CovarianceSpec(alpha=0.6, epsilon=eps), lat,
+                              clip_threshold=1.0) for eps in (0.3, 0.1, 0.3)]
+    got = list(sample_fields(spectra, 8, [1, 4, 5, 6]))
+    assert len(got) == 3
+    for sp, values in zip(spectra, got):
+        assert np.array_equal(values, sample_field_values(sp, 8, [1, 4, 5, 6]))
+    assert np.array_equal(got[0], got[2])
+    assert not np.array_equal(got[0], got[1])
+
+
+def test_synthesise_holds_only_the_noise_between_draws():
+    # while the caller works on one multiplier's draws the generator holds
+    # the noise transform (one block of 32 complex pairs) and nothing more,
+    # and after the last multiplier it holds nothing: the product buffer is
+    # released before every yield, the transform before the last
+    sp = small_spectrum(n=512)
+    mult = np.sqrt(sp.eigenvalues)
+    next(synthesise([mult], 3, 1, [0]))  # one-off imports, before tracing
+    gen = synthesise([mult, 2.0 * mult, 3.0 * mult], 3, 1, np.arange(64))
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            values = next(gen)
+            held.append(tracemalloc.get_traced_memory()[0] - values.nbytes)
+            del values
+    finally:
+        tracemalloc.stop()
+    block = 32 * 512 * 16
+    assert block <= held[0] < 1.25 * block
+    assert block <= held[1] < 1.25 * block
+    assert held[2] < 0.25 * block
+
+
+def test_synthesise_rejects_mixed_shapes():
+    with pytest.raises(ValueError, match="one lattice shape"):
+        next(synthesise([np.ones(8), np.ones(6)], 1, 1, [0]))
 
 
 def test_sample_moments():

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import kernel
+from chaoslab import kernel, operator
 from chaoslab.chaos import ChaosTruncSpec, TwoPointFunctional
-from chaoslab.field import CovarianceSpec, build_spectrum, sample_field_values
+from chaoslab.field import CovarianceSpec, build_spectrum, sample_field_values, \
+    sample_fields
 from chaoslab.geometry import ScalingGeometry, TestFunction, build_lattice, \
     eval_test_function_many
 from chaoslab.kernel import RenormKernel
@@ -15,8 +16,10 @@ from chaoslab.operator import (
     OperatorSetup,
     ResolutionError,
     apply_batch,
+    apply_configs,
     apply_single,
 )
+from oracles import per_config_operator_values
 
 G1 = ScalingGeometry((1.0,))
 
@@ -207,3 +210,64 @@ def test_lattice_mismatch_rejected():
     with pytest.raises(ValueError):
         apply_single(1.0, ChaosTruncSpec("sin", 1), cfg.setup.test,
                      cfg.setup.lattice, s, *spectrum_args(other_spec))
+
+
+def test_shared_factors_match_per_config_route():
+    # apply_configs evaluates each factor key once, on the union of the
+    # points its configs read, and gathers each config's columns from it;
+    # per spectrum and config that must give the same floating-point numbers
+    # as drawing each spectrum alone and evaluating each config's factors on
+    # its own columns.  The mix: sin and cos, theta_x != theta_y, one key
+    # read as x by one config and as y by another, deriv = (1, 0), and an x
+    # support (lam = 0.8) reaching outside the y ball of radius 0.3.
+    lat = build_lattice(G1, 0.05, 2.0)
+    kern = RenormKernel(gamma=0.4, g=G1, r_e=0)
+    setups = [OperatorSetup(kernel=kern,
+                            test=TestFunction(geometry=G1, scale=lam),
+                            lattice=lat, y_radius=y_radius)
+              for lam, y_radius in ((0.8, 0.3), (0.4, 2.0))]
+    sin1, cos0, cos2 = (ChaosTruncSpec("sin", 1), ChaosTruncSpec("cos", 0),
+                        ChaosTruncSpec("cos", 2))
+    fns = [TwoPointFunctional(sin1, sin1, (1.0, 1.0)),
+           TwoPointFunctional(cos2, sin1, (1.0, 2.5)),
+           TwoPointFunctional(sin1, sin1, (2.5, 1.0)),
+           TwoPointFunctional(sin1, cos0, (2.5, 1.0), deriv=(1, 0))]
+    configs = {(i, j): OperatorConfig(setup, fn)
+               for i, setup in enumerate(setups) for j, fn in enumerate(fns)}
+    assert not set(setups[0].arrays["x_idx"]) <= set(setups[0].arrays["y_idx"])
+    spectra = [build_spectrum(CovarianceSpec(alpha=0.6, epsilon=eps), lat)
+               for eps in (0.4, 0.2)]
+    indices = np.arange(3, 40)
+    for spec, values in zip(spectra, sample_fields(spectra, 6, indices)):
+        alone = sample_field_values(spec, 6, indices)
+        assert np.array_equal(values, alone)
+        got = apply_configs(configs, values, *spectrum_args(spec))
+        assert got.keys() == configs.keys()
+        for cell, cfg in configs.items():
+            want = per_config_operator_values(cfg, alone, *spectrum_args(spec))
+            assert np.array_equal(got[cell], want), cell
+            assert np.array_equal(apply_batch(cfg, alone, *spectrum_args(spec)),
+                                  want), cell
+
+
+def test_shared_factors_evaluated_once_per_key(monkeypatch):
+    # four lam cells at one theta read one factor key: one evaluation per
+    # batch, on the union of their x supports and y columns
+    calls = []
+    trig = operator.truncated_trig_deriv
+
+    def counting(x, *args):
+        calls.append(x.shape)
+        return trig(x, *args)
+
+    monkeypatch.setattr(operator, "truncated_trig_deriv", counting)
+    cfg, spec = make_setup()
+    configs = {lam: OperatorConfig(dataclasses.replace(
+        cfg.setup, test=TestFunction(geometry=G1, scale=lam)), cfg.functional)
+        for lam in (1.0, 0.8, 0.6, 0.4)}
+    values = sample_field_values(spec, 2, np.arange(5))
+    apply_configs(configs, values, *spectrum_args(spec))
+    union = set()
+    for c in configs.values():
+        union |= set(c.setup.arrays["x_idx"]) | set(c.setup.arrays["y_idx"])
+    assert calls == [(5, len(union))]
