@@ -24,7 +24,7 @@ PHASE_SIN = 3
 
 MAX_DERIV_ORDER = 8
 
-_TRIG_PHASE = {"cos": PHASE_COS, "+": PHASE_COS, "sin": PHASE_SIN, "-": PHASE_SIN}
+_TRIG_PHASE = {"cos": PHASE_COS, "sin": PHASE_SIN}
 _PHASE_SIGN = (1.0, 0.0, -1.0, 0.0)  # cos(q*pi/2) for q mod 4
 
 

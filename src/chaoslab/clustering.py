@@ -1,5 +1,5 @@
 """Equivalence-class clustering at a length scale, the isolated-point test,
-chain-partition membership, and small-volume Monte Carlo estimates.
+chain-partition membership, and the Monte Carlo volume estimates.
 
 Points are clustered by the transitive closure of "within distance scale" in
 the anisotropic metric; a configuration of 2n points is 'separated' when at
@@ -7,8 +7,9 @@ least one point is farther than the scale from every other.  That event is
 decided in one place, :func:`has_isolated_point`, from pairwise distances,
 and every routine of the package that needs it calls it.  The complement of
 the event carries small volume, which the Monte Carlo estimators here
-quantify against the product bound (eps ^ n|s|) * (lambda ^ n|s|) up to a
-single constant.
+quantify: :func:`volume_Sc` against the product bound (eps ^ n|s|) *
+(lambda ^ n|s|) up to a single constant, :func:`volume_lemma_check` for the
+kernel's two restricted-volume integrals.  All draw through one batch loop.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .geometry import ScalingGeometry, metric_many
+from .geometry import ScalingGeometry, box_points, box_volume, pair_distances
+from .kernel import RenormKernel
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,6 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _pair_distances(points: np.ndarray, g: ScalingGeometry) -> np.ndarray:
-    """Pairwise metric distances of points shaped (..., k, d): (..., k, k)."""
-    diffs = points[..., :, None, :] - points[..., None, :, :]
-    return metric_many(diffs, g)
-
-
 def has_isolated_point(dist: np.ndarray, scale: float) -> np.ndarray:
     """Per configuration: is some point farther than ``scale`` from every other?
 
@@ -70,7 +66,7 @@ def build_clusters(points, L_eps: float, g: ScalingGeometry) -> ClusterPartition
     if pts.shape[-1] != g.d:
         raise ValueError("point dimension mismatch")
     n = pts.shape[0]
-    dist = _pair_distances(pts, g)
+    dist = pair_distances(pts, g)
     uf = _UnionFind(n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -89,13 +85,13 @@ def in_S2n(points, L_eps: float, g: ScalingGeometry | None = None) -> bool:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if g is None:
         g = ScalingGeometry((1.0,) * pts.shape[-1])
-    return bool(has_isolated_point(_pair_distances(pts, g), L_eps))
+    return bool(has_isolated_point(pair_distances(pts, g), L_eps))
 
 
 def in_chain_class(points, L_eps: float, g: ScalingGeometry) -> bool:
     """Membership in the chain class: some relabelling has consecutive gaps <= L_eps."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    adj = _pair_distances(pts, g) <= L_eps
+    adj = pair_distances(pts, g) <= L_eps
     return bool(_chain_mask(adj[None], tuple(range(len(pts))))[0])
 
 
@@ -108,19 +104,25 @@ class VolumeEstimate:
     hits: int
 
 
-def _uniform_box_points(gen: np.random.Generator, n_pts: int, n_mc: int,
-                        g: ScalingGeometry, radius: float) -> np.ndarray:
-    """n_mc configurations of n_pts points uniform in the metric ball of the
-    given radius (a box with per-axis half-width radius**s_i)."""
-    half = np.array([radius**si for si in g.s])
-    return gen.uniform(-1.0, 1.0, size=(n_mc, n_pts, g.d)) * half
-
-
-def _box_volume(g: ScalingGeometry, radius: float) -> float:
-    return float(np.prod([2.0 * radius**si for si in g.s]))
-
-
 _MC_BATCH = 50_000
+
+
+def _check_mc(n: int, L: float, n_mc: int):
+    """ValueError for no configurations, no points or a scale constant L <= 0."""
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be positive, got {n_mc}")
+    if n < 1 or L <= 0:
+        raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
+
+
+def _box_batches(gen: np.random.Generator, n_pts: int, n_mc: int,
+                 g: ScalingGeometry, radius: float):
+    """Yield (configs, distances) of n_mc uniform configurations of n_pts points
+    in the metric ball of the given radius, _MC_BATCH at a time, walking ``gen``
+    as one draw of all n_mc would; a consumer drops both before the next."""
+    for lo in range(0, n_mc, _MC_BATCH):
+        configs = box_points(gen, (min(_MC_BATCH, n_mc - lo), n_pts), g, radius)
+        yield configs, pair_distances(configs, g)
 
 
 def volume_Sc(n: int, eps: float, lam: float, g: ScalingGeometry, n_mc: int,
@@ -132,28 +134,104 @@ def volume_Sc(n: int, eps: float, lam: float, g: ScalingGeometry, n_mc: int,
     returned bound is (eps ^ n|s|) * (lam ^ n|s|) with eps capped at lam, for
     ratio reporting.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be positive")
-    if n < 1 or L <= 0:
-        raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
+    _check_mc(n, L, n_mc)
     gen = rng.substream(seed, rng.POINTS, 1)
     n_pts = 2 * n
-    scale = L * eps
     hits = 0
-    done = 0
-    while done < n_mc:
-        batch = min(_MC_BATCH, n_mc - done)
-        configs = _uniform_box_points(gen, n_pts, batch, g, 2.0 * lam)
-        hits += int(np.sum(~has_isolated_point(_pair_distances(configs, g),
-                                               scale)))
-        done += batch
-    total_vol = _box_volume(g, 2.0 * lam) ** n_pts
+    for configs, dist in _box_batches(gen, n_pts, n_mc, g, 2.0 * lam):
+        hits += int(np.sum(~has_isolated_point(dist, L * eps)))
+        del configs, dist
+    total_vol = box_volume(g, 2.0 * lam) ** n_pts
     p = hits / n_mc
     se = math.sqrt(max(p * (1 - p), 1e-12) / n_mc)
     bound = (min(eps, lam) ** (n * g.total)) * (lam ** (n * g.total))
     return VolumeEstimate(volume=p * total_vol,
                           ci=((p - 3 * se) * total_vol, (p + 3 * se) * total_vol),
                           bound=bound, n_mc=n_mc, hits=hits)
+
+
+@dataclass
+class VolumeLemmaRow:
+    eps: float
+    lam: float
+    integral_far: float
+    bound_far: float
+    integral_near: float | None
+    bound_near: float | None
+
+
+@dataclass
+class VolumeLemmaReport:
+    rows: list[VolumeLemmaRow]
+    max_ratio_far: float
+    max_ratio_near: float | None
+    r_e: int
+
+
+def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
+                       alpha: float, m2: int, n_mc: int = 200_000,
+                       eta: float = 0.1, L: float = 1.0, y_radius: float = 2.0,
+                       seed: int = 0) -> VolumeLemmaReport:
+    """Monte Carlo check of the two restricted-volume integrals.
+
+    The far integral (|y_i| >= 2 lam, exponent |s|-gamma+r_e) is sampled
+    uniformly; the near one (|y_i| <= 2 lam, exponent |s|-gamma+r_e-1, only
+    for r_e >= 1) importance-samples each coordinate from its own integrand,
+    which makes the weight constant and the estimator an indicator mean.
+    Bounds: lam^{2n(gamma-r_e-eta)} (eps/lam)^{n alpha m2} for the far part
+    and (eps ^ lam)^{2n(gamma-r_e+1-eta)} for the near part.  The far
+    sampler draws as gen.uniform(-y_radius, y_radius) bit for bit when
+    y_radius is a power of two (see :func:`geometry.box_points`).
+    """
+    g = kern.g
+    if g.s != (1.0,):
+        raise NotImplementedError(
+            "volume lemma sampling is implemented for d = 1 with s = (1,)")
+    if 2 * n > 4:
+        raise ValueError("volume lemma budget is 2n <= 4")
+    _check_mc(n, L, n_mc)
+    q_far = g.total - kern.gamma + kern.r_e
+    q_near = g.total - kern.gamma + kern.r_e - 1
+    k = 2 * n
+    rows: list[VolumeLemmaRow] = []
+    for tag, (eps, lam) in enumerate(itertools.product(eps_grid, lambda_grid)):
+        scale = L * eps
+        gen = rng.substream(seed, rng.POINTS, 5, tag)
+        # far part: uniform proposal on the full y-box
+        far = 0.0
+        for configs, dist in _box_batches(gen, k, n_mc, g, y_radius):
+            y = np.abs(configs[..., 0])
+            w = np.where(np.all(y >= 2 * lam, axis=1),
+                         np.prod(y ** (-q_far), axis=1), 0.0)
+            far += float(np.sum(w * ~has_isolated_point(dist, scale)))
+            del configs, dist
+        i_far = far / n_mc * box_volume(g, y_radius) ** k
+        b_far = lam ** (2 * n * (kern.gamma - kern.r_e - eta)) * \
+            (eps / lam) ** (n * alpha * m2)
+        i_near = b_near = None
+        if kern.r_e >= 1:
+            # near part: per-coordinate density proportional to |y|^{-q_near};
+            # u and the signs are one draw each, only the test is batched
+            u = gen.random(size=(n_mc, k))
+            r = (2 * lam) * u ** (1.0 / (1.0 - q_near))
+            sign = np.where(gen.random(size=(n_mc, k)) < 0.5, -1.0, 1.0)
+            yn = (sign * r)[..., None]
+            z1 = 2.0 * (2 * lam) ** (1.0 - q_near) / (1.0 - q_near)
+            hits = sum(int(np.sum(~has_isolated_point(
+                pair_distances(yn[lo:lo + _MC_BATCH], g), scale)))
+                for lo in range(0, n_mc, _MC_BATCH))
+            i_near = float(hits / n_mc * z1 ** k)
+            b_near = min(eps, lam) ** (2 * n * (kern.gamma - kern.r_e + 1 - eta))
+        rows.append(VolumeLemmaRow(eps=float(eps), lam=float(lam),
+                                   integral_far=i_far, bound_far=float(b_far),
+                                   integral_near=i_near, bound_near=b_near))
+    ratios_far = [r.integral_far / r.bound_far for r in rows]
+    ratios_near = [r.integral_near / r.bound_near for r in rows
+                   if r.integral_near is not None]
+    return VolumeLemmaReport(rows=rows, max_ratio_far=float(max(ratios_far)),
+                             max_ratio_near=(float(max(ratios_near))
+                                             if ratios_near else None),
+                             r_e=kern.r_e)
 
 
 @dataclass
@@ -215,8 +293,7 @@ def partition_sum_check(n: int, eps: float, lam: float, n_mc: int,
     """
     if 2 * n > 8:
         raise ValueError("partition enumeration budget is 2n <= 8")
-    if n < 1 or L <= 0:
-        raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
+    _check_mc(n, L, n_mc)
     if g is None:
         g = ScalingGeometry((1.0,))
     gen = rng.substream(seed, rng.POINTS, 2)
@@ -225,16 +302,12 @@ def partition_sum_check(n: int, eps: float, lam: float, n_mc: int,
     parts = list(_partitions_min_two(tuple(range(n_pts))))
     violations = 0
     witness = None
-    done = 0
-    while done < n_mc:
-        batch = min(_MC_BATCH, n_mc - done)
-        configs = _uniform_box_points(gen, n_pts, batch, g, 2.0 * lam)
-        dist = _pair_distances(configs, g)
+    for configs, dist in _box_batches(gen, n_pts, n_mc, g, 2.0 * lam):
         adj = dist <= scale
         separated = has_isolated_point(dist, scale)
-        covered = np.zeros(batch, dtype=bool)
+        covered = np.zeros(len(configs), dtype=bool)
         for part in parts:
-            mask = np.ones(batch, dtype=bool)
+            mask = np.ones(len(configs), dtype=bool)
             for block in part:
                 mask &= _chain_mask(adj, block)
             covered |= mask
@@ -242,5 +315,5 @@ def partition_sum_check(n: int, eps: float, lam: float, n_mc: int,
         violations += int(np.sum(bad))
         if witness is None and np.any(bad):
             witness = configs[int(np.argmax(bad))].copy()
-        done += batch
+        del configs, dist
     return PartitionCheckReport(n_trials=n_mc, violations=violations, witness=witness)

@@ -1,4 +1,4 @@
-"""Operator studies, deterministic second moments and the volume lemmas.
+"""Operator studies and deterministic second moments.
 
 The operator studies (:func:`freq_sweep`, :func:`scaling_scan`) estimate
 2n-th root moment norms of operator values over many field draws, with the
@@ -6,8 +6,9 @@ bootstrap intervals of :mod:`stats`, and report single-constant domination
 against the target power laws and fitted slopes; the underlying bound is
 one-sided, so slope checks are lower bounds, never equalities.  The
 deterministic routines integrate the |K|-smeared Wick second moments G and H
-on two grids, and Monte Carlo checks the two restricted-volume integrals.
-Both are implemented on the line with s = (1,) only.
+on two grids; they are implemented on the line with s = (1,) only.  The
+Monte Carlo check of the restricted-volume integrals lives in
+:mod:`clustering`, beside the other volume estimates.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .chaos import ChaosTruncSpec, TwoPointFunctional
-from .clustering import has_isolated_point
 from .field import SAMPLE_CHUNK, CovarianceSpec, Spectrum, build_spectrum, \
     sample_fields
 from .geometry import Lattice, ScalingGeometry, TestFunction, build_lattice, \
@@ -332,92 +331,3 @@ def second_moment_H(y, kern: RenormKernel, test: TestFunction, m1: int,
                               lambda xs, step: eval_K_many(xs, y_arr, kern,
                                                            step)[:, 0],
                               m1, cov, h)
-
-
-# ---------------------------------------------------------------------------
-# restricted-volume integrals
-
-
-@dataclass
-class VolumeLemmaRow:
-    eps: float
-    lam: float
-    integral_far: float
-    bound_far: float
-    integral_near: float | None
-    bound_near: float | None
-
-
-@dataclass
-class VolumeLemmaReport:
-    rows: list[VolumeLemmaRow]
-    max_ratio_far: float
-    max_ratio_near: float | None
-    r_e: int
-
-
-def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
-                       alpha: float, m2: int, n_mc: int = 200_000,
-                       eta: float = 0.1, L: float = 1.0, y_radius: float = 2.0,
-                       seed: int = 0) -> VolumeLemmaReport:
-    """Monte Carlo check of the two restricted-volume integrals.
-
-    The far integral (|y_i| >= 2 lam, exponent |s|-gamma+r_e) is sampled
-    uniformly; the near one (|y_i| <= 2 lam, exponent |s|-gamma+r_e-1, only
-    for r_e >= 1) importance-samples each coordinate from its own integrand,
-    which makes the weight constant and the estimator an indicator mean.
-    Bounds: lam^{2n(gamma-r_e-eta)} (eps/lam)^{n alpha m2} for the far part
-    and (eps ^ lam)^{2n(gamma-r_e+1-eta)} for the near part.
-    """
-    g = kern.g
-    if g.s != (1.0,):
-        raise NotImplementedError(
-            "volume lemma sampling is implemented for d = 1 with s = (1,)")
-    if 2 * n > 4:
-        raise ValueError("volume lemma budget is 2n <= 4")
-    if n < 1 or L <= 0:
-        raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
-    if n_mc < 1:
-        raise ValueError("n_mc must be positive")
-    q_far = g.total - kern.gamma + kern.r_e
-    q_near = g.total - kern.gamma + kern.r_e - 1
-    rows: list[VolumeLemmaRow] = []
-    tag = 0
-    for eps in eps_grid:
-        for lam in lambda_grid:
-            scale = L * eps
-            gen = rng.substream(seed, rng.POINTS, 5, tag)
-            tag += 1
-            k = 2 * n
-            # far part: uniform proposal on the full y-box
-            batch = n_mc
-            ys = gen.uniform(-y_radius, y_radius, size=(batch, k))
-            no_singleton = ~has_isolated_point(
-                np.abs(ys[:, :, None] - ys[:, None, :]), scale)
-            w = np.where(np.all(np.abs(ys) >= 2 * lam, axis=1),
-                         np.prod(np.abs(ys) ** (-q_far), axis=1), 0.0)
-            i_far = float(np.mean(w * no_singleton) * (2 * y_radius) ** k)
-            b_far = lam ** (2 * n * (kern.gamma - kern.r_e - eta)) * \
-                (eps / lam) ** (n * alpha * m2)
-            i_near = b_near = None
-            if kern.r_e >= 1:
-                # near part: per-coordinate density proportional to |y|^{-q_near}
-                u = gen.random(size=(batch, k))
-                r = (2 * lam) * u ** (1.0 / (1.0 - q_near))
-                sign = np.where(gen.random(size=(batch, k)) < 0.5, -1.0, 1.0)
-                yn = sign * r
-                z1 = 2.0 * (2 * lam) ** (1.0 - q_near) / (1.0 - q_near)
-                hit = ~has_isolated_point(
-                    np.abs(yn[:, :, None] - yn[:, None, :]), scale)
-                i_near = float(np.mean(hit) * z1 ** k)
-                b_near = min(eps, lam) ** (2 * n * (kern.gamma - kern.r_e + 1 - eta))
-            rows.append(VolumeLemmaRow(eps=float(eps), lam=float(lam),
-                                       integral_far=i_far, bound_far=float(b_far),
-                                       integral_near=i_near, bound_near=b_near))
-    ratios_far = [r.integral_far / r.bound_far for r in rows]
-    ratios_near = [r.integral_near / r.bound_near for r in rows
-                   if r.integral_near is not None]
-    return VolumeLemmaReport(rows=rows, max_ratio_far=float(max(ratios_far)),
-                             max_ratio_near=(float(max(ratios_near))
-                                             if ratios_near else None),
-                             r_e=kern.r_e)

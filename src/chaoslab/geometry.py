@@ -1,10 +1,12 @@
-"""Anisotropic scaling geometry, lattices and rescaled test functions.
+"""Anisotropic scaling geometry, lattices, test functions and point sampling.
 
 The scaling vector ``s`` assigns one exponent per axis; the induced metric
 is ``|x| = max_i |x_i|**(1/s_i)`` and the effective dimension is
 ``sum(s)``.  Test functions are smooth bumps rescaled so that the bump at
 scale ``lam`` is supported in the metric ball of radius ``lam`` and carries
-the prefactor ``lam**(-sum(s))``.
+the prefactor ``lam**(-sum(s))``.  Every Monte Carlo check draws uniform
+configurations with :func:`box_points` and measures them with
+:func:`pair_distances`.
 """
 
 from __future__ import annotations
@@ -68,6 +70,27 @@ def metric_many(points: np.ndarray, g: ScalingGeometry) -> np.ndarray:
         raise ValueError(f"points have {points.shape[-1]} coordinates, geometry has {g.d}")
     exps = 1.0 / np.asarray(g.s)
     return np.max(np.abs(points) ** exps, axis=-1)
+
+
+def pair_distances(points: np.ndarray, g: ScalingGeometry) -> np.ndarray:
+    """Pairwise metric distances of points shaped (..., k, d): (..., k, k)."""
+    diffs = points[..., :, None, :] - points[..., None, :, :]
+    return metric_many(diffs, g)
+
+
+def box_points(gen: np.random.Generator, shape: tuple[int, ...],
+               g: ScalingGeometry, radius: float) -> np.ndarray:
+    """Points uniform in the metric ball of the given radius, shape (*shape, d):
+    uniform(-1, 1) times the per-axis half-width w_i = radius**s_i.  This is
+    gen.uniform(-w_i, w_i) bit for bit when w_i is a power of two, and can
+    differ from it by one ulp otherwise."""
+    half = np.array([radius**si for si in g.s])
+    return gen.uniform(-1.0, 1.0, size=(*shape, g.d)) * half
+
+
+def box_volume(g: ScalingGeometry, radius: float) -> float:
+    """Volume of the metric ball of the given radius: prod_i 2 radius**s_i."""
+    return float(np.prod([2.0 * radius**si for si in g.s]))
 
 
 def bump_of_gap(g):
@@ -166,10 +189,6 @@ class Lattice:
     def cell_volume(self) -> float:
         """Volume of one cell: base_step ** |s|."""
         return float(self.base_step) ** self.geometry.total
-
-    @property
-    def extent(self) -> tuple[float, ...]:
-        return tuple(float(max(abs(a[0]), abs(a[-1]))) for a in self.axes)
 
     def points(self) -> np.ndarray:
         """All lattice points, shape (n_points, d), row-major order."""

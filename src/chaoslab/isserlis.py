@@ -28,6 +28,7 @@ from scipy.special import roots_hermitenorm
 from . import chaos, rng
 from .clustering import has_isolated_point
 from .field import CovarianceSpec
+from .geometry import ScalingGeometry, box_points, pair_distances
 
 MAX_ENUM_VARS = 12
 
@@ -432,17 +433,17 @@ class LemmaCheckConfig:
     deriv: tuple[int, int] = (0, 0)
     alpha: float = 0.6
     eps: float = 0.05
-    lam_const: float = 1.5
-    L0: float = 8.0
     theta_grid: tuple[float, ...] = (1.0, 10.0, 100.0)
     n_configs: int = 8
     n_mc: int = 20000
-    box: float = 1.0
     seed: int = 7
 
 
-def _sample_config(gen: np.random.Generator, count: int, box: float) -> np.ndarray:
-    return gen.uniform(-box, box, size=count)
+# hypothesis constants; BOX is a power of two, so box_points draws it exactly
+LAM_CONST = 1.5
+L0 = 8.0
+BOX = 1.0
+_LINE = ScalingGeometry((1.0,))
 
 
 def _mc_lhs(cov: np.ndarray, specs, thetas, derivs, n_mc: int,
@@ -481,7 +482,7 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
     mtop = max(cfg.m1, cfg.m2) + 1
     which_tag = {"comparable": 1, "singleton": 2, "fixed": 3}[which]
     gen = rng.substream(cfg.seed, rng.POINTS, which_tag)
-    ratio_thresh = 100.0 * cfg.n * (1.0 + cfg.lam_const**2)
+    ratio_thresh = 100.0 * cfg.n * (1.0 + LAM_CONST**2)
     entries: list[RatioEntry] = []
     rejections = 0
     use_exact = cfg.n == 1
@@ -493,25 +494,24 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
         best = None
         for _ in range(cfg.n_configs):
             if which == "fixed":
-                x_pts = np.full(n2, float(gen.uniform(-cfg.box, cfg.box)))
-                y_pts = _sample_config(gen, n2, cfg.box)
+                x_pts = np.repeat(box_points(gen, (1,), _LINE, BOX), n2, axis=0)
+                y_pts = box_points(gen, (n2,), _LINE, BOX)
             elif which == "singleton":
-                scale = 3 * cfg.n * cfg.L0 * cfg.eps
+                scale = 3 * cfg.n * L0 * cfg.eps
                 for _try in range(200):
-                    x_pts = _sample_config(gen, n2, cfg.box)
-                    if has_isolated_point(np.abs(x_pts[:, None] - x_pts[None, :]),
-                                          scale):
+                    x_pts = box_points(gen, (n2,), _LINE, BOX)
+                    if has_isolated_point(pair_distances(x_pts, _LINE), scale):
                         break
                     rejections += 1
                 else:
                     raise RuntimeError("could not sample an isolated-point configuration")
-                y_pts = _sample_config(gen, n2, cfg.box)
+                y_pts = box_points(gen, (n2,), _LINE, BOX)
             else:
-                x_pts = _sample_config(gen, n2, cfg.box)
-                y_pts = x_pts + gen.uniform(-cfg.L0 * cfg.eps, cfg.L0 * cfg.eps, n2)
+                x_pts = box_points(gen, (n2,), _LINE, BOX)
+                y_pts = x_pts + gen.uniform(-L0 * cfg.eps, L0 * cfg.eps, (n2, 1))
             pts = np.concatenate([x_pts, y_pts])
             cov = CovarianceSpec(alpha=cfg.alpha, epsilon=cfg.eps).normalised(
-                np.abs(pts[:, None] - pts[None, :]))
+                pair_distances(pts, _LINE))
             specs = [(cfg.trig1, cfg.m1)] * n2 + [(cfg.trig2, cfg.m2)] * n2
             thetas = [theta_pair[0]] * n2 + [theta_pair[1]] * n2
             derivs = [cfg.deriv[0]] * n2 + [cfg.deriv[1]] * n2

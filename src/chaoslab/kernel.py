@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .geometry import ScalingGeometry, metric_many
+from .geometry import ScalingGeometry, box_points, metric_many
 
 
 DIAGONAL_CELLS = 1  # lattice steps around x = y that every quadrature drops
@@ -203,10 +203,8 @@ def check_region_bounds(k: RenormKernel, n_samples: int, seed: int = 0) -> Regio
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     gen = rng.substream(seed, rng.POINTS, 4)
     g = k.g
-    half_x = np.array([1.0**si for si in g.s])
-    half_y = np.array([2.0**si for si in g.s])
-    x = gen.uniform(-1, 1, size=(n_samples, g.d)) * half_x
-    y = gen.uniform(-1, 1, size=(n_samples, g.d)) * half_y
+    x = box_points(gen, (n_samples,), g, 1.0)
+    y = box_points(gen, (n_samples,), g, 2.0)
     rx = metric_many(x, g)
     ry = metric_many(y, g)
     rxy = metric_many(x - y, g)

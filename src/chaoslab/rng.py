@@ -16,7 +16,6 @@ import numpy as np
 FIELD = 1
 BOOTSTRAP = 2
 POINTS = 3
-NOISE = 4
 MODEL = 5
 
 

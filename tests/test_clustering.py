@@ -125,6 +125,14 @@ def test_volume_checks_reject_invalid_input(n, L):
         partition_sum_check(n, 0.1, 0.25, n_mc=100, L=L)
 
 
+@pytest.mark.parametrize("n_mc", [0, -5])
+def test_volume_checks_reject_no_samples(n_mc):
+    with pytest.raises(ValueError, match="n_mc must be positive"):
+        volume_Sc(1, 0.1, 0.25, G1, n_mc=n_mc)
+    with pytest.raises(ValueError, match="n_mc must be positive"):
+        partition_sum_check(1, 0.1, 0.3, n_mc)
+
+
 def test_partition_check_small():
     rep = partition_sum_check(n=1, eps=0.1, lam=0.3, n_mc=5_000, seed=2)
     assert rep.violations == 0

@@ -28,12 +28,9 @@ import math
 from pathlib import Path
 
 from chaoslab import models, nonlinearity
-from chaoslab.clustering import partition_sum_check, volume_Sc
-from chaoslab.experiments import (
-    second_moment_G,
-    second_moment_H,
-    volume_lemma_check,
-)
+from chaoslab.clustering import partition_sum_check, volume_lemma_check, \
+    volume_Sc
+from chaoslab.experiments import second_moment_G, second_moment_H
 from chaoslab.field import CovarianceSpec, build_spectrum, verify_assumption1
 from chaoslab.geometry import ScalingGeometry, TestFunction, lattice_from_counts
 from chaoslab.isserlis import LemmaCheckConfig, check_correlation_lemma

@@ -19,8 +19,8 @@ from chaoslab.experiments import (
     scaling_scan,
     second_moment_G,
     second_moment_H,
-    volume_lemma_check,
 )
+from chaoslab.clustering import volume_lemma_check
 from chaoslab.field import CovarianceSpec, sample_field_values
 from chaoslab.geometry import ScalingGeometry, TestFunction, eval_test_function_many
 from chaoslab.kernel import RenormKernel, eval_K0_many, grad_K0_many
@@ -151,9 +151,17 @@ def _assert_close(got, want, rel, path="golden"):
         assert got == want, path
 
 
+GOLDEN_STUDIES = Path(__file__).with_name("golden_operator_studies.json")
+
+
 def _golden():
-    return json.loads(Path(__file__).with_name(
-        "golden_operator_studies.json").read_text())
+    return json.loads(GOLDEN_STUDIES.read_text())
+
+
+def _unpaired_sample_fields(spectra, seed, indices):
+    """The studies' draw seam on the old synthesis route: each spectrum
+    drawn on its own, one complex transform per draw."""
+    return (full_complex_field_values(spec, seed, indices) for spec in spectra)
 
 
 def test_studies_match_golden_fixture(monkeypatch):
@@ -161,12 +169,7 @@ def test_studies_match_golden_fixture(monkeypatch):
     # was shared across cells and chunks and before draws were paired in one
     # complex transform; three chunks per call.  On the old synthesis route
     # every number, bootstrap intervals included, must be reproduced exactly.
-    # The studies draw every spectrum of a call through one seam; the old
-    # route draws each spectrum on its own.
-    monkeypatch.setattr(
-        experiments, "sample_fields",
-        lambda spectra, seed, indices: (
-            full_complex_field_values(spec, seed, indices) for spec in spectra))
+    monkeypatch.setattr(experiments, "sample_fields", _unpaired_sample_fields)
     assert _golden_studies() == _golden()
 
 
@@ -524,3 +527,11 @@ def test_scaling_scan_peak_memory_within_per_config_route():
         per_config_operator_values))
     assert [r.estimate for r in rep.rows] == want
     assert peak <= ref_peak
+
+
+if __name__ == "__main__":
+    # Re-record golden_operator_studies.json on the old synthesis route, only
+    # when a change is meant to move the study numbers:
+    #     PYTHONPATH=src python tests/test_experiments.py
+    experiments.sample_fields = _unpaired_sample_fields
+    GOLDEN_STUDIES.write_text(json.dumps(_golden_studies(), indent=1))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from chaoslab import rng
-from chaoslab.chaos import trig_chaos_coeff
+from chaoslab.chaos import ChaosTruncSpec, trig_chaos_coeff, \
+    truncated_trig_deriv
 from chaoslab.isserlis import (
+    LAM_CONST,
     ClusterCoeffQuery,
     DMatrix,
     LemmaCheckConfig,
@@ -213,6 +215,31 @@ def test_exact_moment_vs_quadrature_pair():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("specs, thetas, derivs", [
+    ([("sin", 3), ("sin", 3)], [1.3, 0.7], [0, 0]),
+    ([("cos", 4), ("cos", 2)], [1.1, 2.0], [0, 0]),
+    ([("sin", 5), ("sin", 3)], [0.9, 1.6], [0, 1]),
+], ids=["sin3-sin3", "cos4-cos2", "sin5-dsin3"])
+def test_exact_moment_with_polynomial_atoms_matches_quadrature(specs, thetas,
+                                                                derivs):
+    # these truncations (and the theta-derivative) leave atoms of degree >= 1,
+    # so the closed form runs through its pairings; pairs of mixed parity
+    # vanish by symmetry and would test nothing
+    from oracles import gh_rule
+    cov = np.array([[1.3, 0.5], [0.5, 0.8]])
+    got = exact_functional_product_moment(specs, thetas, derivs, cov)
+    x, w = gh_rule(120)
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+    xi = np.stack([g.reshape(-1) for g in np.meshgrid(x, x, indexing="ij")])
+    z = np.linalg.cholesky(cov) @ xi
+    f = np.outer(w, w).reshape(-1)
+    for j, ((trig, t), th, r) in enumerate(zip(specs, thetas, derivs)):
+        f = f * truncated_trig_deriv(z[j], th, ChaosTruncSpec(trig, t).phase,
+                                     t, r, cov[j, j])
+    want = float(np.sum(f))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_exact_moment_block_factorization():
     # independent blocks: moment equals the product of block moments
     rho = 0.7
@@ -272,7 +299,7 @@ def test_lemma_singleton_ratio_bounded():
     assert all(np.isfinite(e.ratio) for e in rep.grid)
     assert rep.max_ratio < 100.0
     for e in rep.grid:
-        assert abs(e.theta[0]) > 100 * cfg.n * (1 + cfg.lam_const**2) * abs(e.theta[1])
+        assert abs(e.theta[0]) > 100 * cfg.n * (1 + LAM_CONST**2) * abs(e.theta[1])
 
 
 def test_lemma_fixed_ratio_bounded():

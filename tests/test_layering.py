@@ -39,8 +39,8 @@ def package_imports(path: Path) -> set[str]:
 
 
 def test_package_imports_are_parsed():
-    assert "experiments.py" in {p.name for p in MODULES}
-    assert package_imports(PACKAGE / "experiments.py") >= {"stats", "rng"}
+    assert "clustering.py" in {p.name for p in MODULES}
+    assert package_imports(PACKAGE / "clustering.py") >= {"rng", "geometry"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -87,7 +87,7 @@ def test_no_unused_imports(path):
 # whole package; a ``field(...)`` without ``default`` or ``default_factory``
 # is a required field, not an option.  A change that adds an option raises
 # this ceiling in the same diff and says why in CHANGES.md.
-OPTION_CEILING = 74
+OPTION_CEILING = 71
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
