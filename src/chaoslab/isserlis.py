@@ -473,11 +473,17 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
     frequency, its points all coincide; the epsilon-power factor enters the
     right-hand side).  The left side is estimated by Monte Carlo (exactly for
     2n = 2), the right side is exact, and the report carries the largest
-    observed ratio.
+    observed ratio.  'singleton' raises ValueError before drawing when the
+    isolation scale is not below the box diameter 2*BOX.
     """
     if which not in ("comparable", "singleton", "fixed"):
         raise ValueError("which must be 'comparable', 'singleton' or 'fixed'")
     cfg = config
+    scale = 3 * cfg.n * L0 * cfg.eps
+    if which == "singleton" and scale >= 2 * BOX:
+        raise ValueError(f"isolation scale 3*n*L0*eps = {scale:g} is not below the "
+                         f"box diameter {2 * BOX:g}: no configuration has an "
+                         f"isolated point")
     n2 = 2 * cfg.n
     mtop = max(cfg.m1, cfg.m2) + 1
     which_tag = {"comparable": 1, "singleton": 2, "fixed": 3}[which]
@@ -497,7 +503,6 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
                 x_pts = np.repeat(box_points(gen, (1,), _LINE, BOX), n2, axis=0)
                 y_pts = box_points(gen, (n2,), _LINE, BOX)
             elif which == "singleton":
-                scale = 3 * cfg.n * L0 * cfg.eps
                 for _try in range(200):
                     x_pts = box_points(gen, (n2,), _LINE, BOX)
                     if has_isolated_point(pair_distances(x_pts, _LINE), scale):

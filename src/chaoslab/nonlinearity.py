@@ -291,11 +291,18 @@ def _probe_family(n_probes: int, m_probe: int):
 def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float):
     """Spatial transforms Psi_j(x) = int probe_j(u) e^{-iux} du on a uniform x-grid.
 
-    One zero-padded FFT per probe covers the whole range; real probes give
-    Psi(-x) = conj(Psi(x)).  Also returns per-probe decay fits (amp, rate)
-    with |Psi_j(x)| <~ amp * exp(-rate * sqrt(|x|)), estimated on the clean
-    range above the double-precision floor; the tail guard extrapolates with
-    these because the computed transform bottoms out near 1e-14.
+    The x-grid is every ``stride``-th bin of a length-2^21 DFT on the probes'
+    u-grid.  Bin k*stride of that DFT is bin k*(stride/g) of the length
+    2^21/g one, g = gcd(stride, 2^21), since the probes' support fits in the
+    shorter length; the probes are real, so one batched real FFT of that
+    length gives every kept bin, and Psi(-x) = conj(Psi(x)) gives the rest.
+    The grid reaches at most the Nyquist range pi/du: a wider x_max would
+    read aliased bins, and a stride whose shorter length cannot hold the
+    probes' support would truncate them, so both raise ValueError.  Also
+    returns per-probe decay fits (amp, rate) with
+    |Psi_j(x)| <~ amp * exp(-rate * sqrt(|x|)), estimated on the clean range
+    above the double-precision floor; the tail guard extrapolates with these
+    because the computed transform bottoms out near 1e-14.
     """
     u, probes = _probe_family(n_probes, m_probe)
     du = float(u[1] - u[0])
@@ -304,15 +311,20 @@ def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float
     stride = max(int(round(dx_target / dx0)), 1)
     dx = stride * dx0
     m_max = int(x_max / dx)
+    if m_max * stride > nfft // 2:
+        raise ValueError(f"x_max = {x_max:g} exceeds the probe transform's "
+                         f"Nyquist range pi/du = {math.pi / du:.6g}")
+    g = math.gcd(stride, nfft)
+    if nfft // g < len(u):
+        raise ValueError(f"dx = {dx_target:g} gives a real FFT of length "
+                         f"{nfft // g}, shorter than the probes' {len(u)} samples")
     xpos = np.arange(m_max + 1) * dx
-    out_pos = np.empty((n_probes, m_max + 1), dtype=complex)
-    for j in range(n_probes):
-        padded = np.zeros(nfft)
-        padded[:len(u)] = probes[j]
-        fh = np.fft.fft(padded)[::stride][:m_max + 1]
-        out_pos[j] = du * np.exp(-1j * u[0] * xpos) * fh
+    out = np.empty((n_probes, 2 * m_max + 1), dtype=complex)
+    out_pos = out[:, m_max:]
+    out_pos[...] = np.fft.rfft(probes, n=nfft // g, axis=1)[:, ::stride // g][:, :m_max + 1]
+    out_pos *= du * np.exp(-1j * u[0] * xpos)
+    np.conjugate(out_pos[:, :0:-1], out=out[:, :m_max])
     x = np.concatenate([-xpos[:0:-1], xpos])
-    out = np.concatenate([np.conj(out_pos[:, :0:-1]), out_pos], axis=1)
     fits = []
     for j in range(n_probes):
         mag = np.abs(out_pos[j])
@@ -335,13 +347,20 @@ def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
     the fitted transform envelope beyond x_max (with a factor-100 safety
     margin) and raises when it exceeds _TAIL_TOL of the absolute integrand
     mass; pairings themselves can be tiny through cancellation, so they do
-    not set the health scale.
+    not set the health scale.  A non-finite value of f (a derivative
+    singular at a grid point) raises ValueError instead of a NaN norm.
     """
     x, psi, fits = _probe_transform(n_probes, m_probe, x_max, dx)
-    fvals = values(x)
-    mod = np.exp(-1j * center * x)
     xt = np.geomspace(x_max, 20.0 * x_max, 200)
-    ft = np.abs(values(xt))
+    with np.errstate(all="ignore"):
+        fvals = values(x)
+        ft = np.abs(values(xt))
+    for grid, vals in ((x, fvals), (xt, ft)):
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise ValueError(f"paired function is not finite at x = "
+                             f"{grid[bad][0]:.6g}")
+    mod = np.exp(-1j * center * x)
     out = np.empty(n_probes)
     for j in range(n_probes):
         integrand = fvals * mod * psi[j]

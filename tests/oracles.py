@@ -16,6 +16,7 @@ from scipy.special import roots_hermitenorm, roots_legendre
 from chaoslab import rng
 from chaoslab.chaos import truncated_trig_deriv
 from chaoslab.geometry import metric_many
+from chaoslab.nonlinearity import _probe_family
 
 
 def _orthonormal_hermite(x, order):
@@ -386,3 +387,29 @@ def permutation_chain_class(points, L_eps: float, g) -> bool:
         if all(adj[perm[i], perm[i + 1]] for i in range(m - 1)):
             return True
     return False
+
+
+def probe_transform_full_fft(n_probes: int, m_probe: int, x_max: float,
+                             dx_target: float):
+    """(x, Psi) of ``nonlinearity._probe_transform`` by one complex FFT per probe.
+
+    The slow route the package used before it took one batched real FFT at
+    the shortest exact length: each probe is zero-padded to 2^21 samples,
+    transformed in full and every ``stride``-th bin is kept.  Only the probe
+    family is shared with the package.
+    """
+    u, probes = _probe_family(n_probes, m_probe)
+    du = float(u[1] - u[0])
+    nfft = 1 << 21
+    dx0 = 2.0 * math.pi / (nfft * du)
+    stride = max(int(round(dx_target / dx0)), 1)
+    m_max = int(x_max / (stride * dx0))
+    xpos = np.arange(m_max + 1) * (stride * dx0)
+    out_pos = np.empty((n_probes, m_max + 1), dtype=complex)
+    for j in range(n_probes):
+        padded = np.zeros(nfft)
+        padded[:len(u)] = probes[j]
+        fh = np.fft.fft(padded)[::stride][:m_max + 1]
+        out_pos[j] = du * np.exp(-1j * u[0] * xpos) * fh
+    x = np.concatenate([-xpos[:0:-1], xpos])
+    return x, np.concatenate([np.conj(out_pos[:, :0:-1]), out_pos], axis=1)

@@ -308,3 +308,10 @@ def test_lemma_fixed_ratio_bounded():
     assert all(np.isfinite(e.ratio) for e in rep.grid)
     # the eps^{-alpha(mtop)} factor makes the right side generous
     assert rep.max_ratio < 10.0
+
+
+def test_lemma_singleton_rejects_scale_beyond_box():
+    # at n = 2 the isolation scale 3 * 2 * L0 * 0.05 = 2.4 exceeds the box
+    # diameter 2, so no configuration can have an isolated point
+    with pytest.raises(ValueError, match="isolation scale"):
+        check_correlation_lemma("singleton", LemmaCheckConfig(n=2))

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,12 @@ from chaoslab.nonlinearity import (
     window_norm_difference,
 )
 
-from oracles import gauss_expect, quad_mollified_deriv, two_panel_mollified_deriv
+from oracles import (
+    gauss_expect,
+    probe_transform_full_fft,
+    quad_mollified_deriv,
+    two_panel_mollified_deriv,
+)
 
 
 def test_power_even_second_derivative():
@@ -255,6 +262,87 @@ def test_window_difference_norm_tail_guard():
                  lambda: window_norm_difference(f, 0.2, q, x_max=30.0)):
         with pytest.raises(TailTruncationError):
             norm()
+
+
+def test_window_norm_rejects_non_finite_derivative():
+    # F''' of |u|^2.5 is c |u|^(-0.5) sign(u), not finite at the grid point
+    # x = 0: both norms raise instead of returning NaN, and warn nothing
+    f = make_nonlinearity("power_even", beta=0.5)
+    q = WindowNormQuery(ells=(3,), center=(4,), m_probe=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for norm in (lambda: window_norm(f, q),
+                     lambda: window_norm_difference(f, 0.2, q)):
+            with pytest.raises(ValueError, match="not finite"):
+                norm()
+
+
+# the probe transform's native x-spacing 2 pi / (2^21 du), du = 1/512
+_DX0 = 2.0 * math.pi * 512 / (1 << 21)
+
+
+def test_probe_transform_matches_direct_sum():
+    # du * sum_n p_n e^{-i u_n x}, the transform's definition, at 50 grid
+    # points spread over the range, including 0, near x_max and the last bin
+    x, psi, _ = nonlinearity._probe_transform(6, 4, 1500.0, 0.006)
+    u, probes = nonlinearity._probe_family(6, 4)
+    du = float(u[1] - u[0])
+    m_max = len(x) // 2
+    idx = np.unique(np.concatenate([
+        m_max + np.linspace(0, m_max, 44).astype(int),
+        [m_max + 1, m_max + 7, len(x) - 2, 0, 3, m_max - 100]]))
+    direct = du * probes @ np.exp(-1j * np.outer(u, x[idx]))
+    scale = np.max(np.abs(psi), axis=1, keepdims=True)
+    assert len(idx) == 50 and x[m_max] == 0.0
+    assert np.max(np.abs(psi[:, idx] - direct) / scale) < 1e-13
+
+
+@pytest.mark.parametrize("n_probes, x_max, dx_target", [
+    (6, 750.0, 0.006),  # the benchmark's call: stride 4, real FFT of 2^19
+    (2, 1500.0, 3 * _DX0),  # odd stride: full-length real FFT
+    (2, 1000.0, 6 * _DX0),  # stride 6: real FFT of 2^20, every 3rd bin
+])
+def test_probe_transform_matches_full_fft_oracle(n_probes, x_max, dx_target):
+    x, psi, _ = nonlinearity._probe_transform(n_probes, 4, x_max, dx_target)
+    x_ref, psi_ref = probe_transform_full_fft(n_probes, 4, x_max, dx_target)
+    assert np.array_equal(x, x_ref)
+    assert np.max(np.abs(psi - psi_ref)) < 1e-15 * np.max(np.abs(psi_ref))
+
+
+def test_probe_transform_rejects_aliased_range():
+    # the grid ends at the Nyquist range pi/du = 512 pi ~ 1608.5; beyond it the
+    # bins wrap around, and window_norm would blame a tail that is not there
+    f = make_nonlinearity("power_even", beta=0.5)
+    q = WindowNormQuery(ells=(2,), center=(4,), m_probe=4)
+    for x_max in (2400.0, 3200.0):
+        with pytest.raises(ValueError, match="pi/du"):
+            window_norm(f, q, x_max=x_max)
+    x, _, _ = nonlinearity._probe_transform(1, 4, 1600.0, 0.006)
+    assert x[-1] <= 512 * math.pi
+
+
+def test_probe_transform_rejects_truncating_stride():
+    # stride 2048 leaves a real FFT of 2^21 / 2048 = 1024 < 1025 probe samples
+    with pytest.raises(ValueError, match="shorter than the probes"):
+        nonlinearity._probe_transform(1, 4, 100.0, 2048 * _DX0)
+    # stride 1024 still fits them in 2048 samples
+    x, psi, _ = nonlinearity._probe_transform(1, 4, 100.0, 1024 * _DX0)
+    x_ref, psi_ref = probe_transform_full_fft(1, 4, 100.0, 1024 * _DX0)
+    assert np.array_equal(x, x_ref)
+    assert np.max(np.abs(psi - psi_ref)) < 1e-15 * np.max(np.abs(psi_ref))
+
+
+def test_probe_transform_memory():
+    # one batched real FFT of 2^19: about 50 MB traced; the per-probe
+    # full-length complex FFTs it replaced peaked at about 130 MB
+    nonlinearity._probe_transform.cache_clear()
+    tracemalloc.start()
+    try:
+        nonlinearity._probe_transform(6, 4, 750.0, 0.006)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
 
 
 def test_coupling_constant_quadratic():
