@@ -3,13 +3,15 @@
 The canonical instances are the even power |u|^(2+beta) (two derivatives
 plus a beta-Holder second derivative) and the odd power sign(u)|u|^(3+beta);
 polynomials cover the exactly-solvable comparisons.  Mollification convolves
-the requested derivative with a fixed smooth bump rho at scale delta.  The
-quadrature carries each integrand's non-smooth weight in its rule: a 32-node
-Gauss rule for the weight rho where the integrand has no kink inside the
-bump's support, and an 80-node Gauss-Jacobi rule on each side of the kink
-of |u|^(p - ell) where it has one.  Both agree with adaptive quadrature to
-about 6e-14 relative at ell <= 2 (7e-12 at the singular ell = 3 of
-|u|^(2+beta)).
+the requested derivative with a fixed smooth bump rho at scale delta.  Where
+the integrand has no kink inside the bump's support, a 32-node Gauss rule
+for the weight rho gives the value.  Where it has one, at a point inside
+(-delta, delta) of a power kind, the value is the sum of two sides of the
+kink, and each side is a function of its half-width alone for a given
+exponent; it is read from a piecewise Chebyshev table, built once per
+exponent from an 80-node Gauss-Jacobi rule, at O(1) cost per point.  Both
+routes agree with adaptive quadrature to about 4e-14 at ell <= 2 (2e-12
+inside and 7e-12 at +-delta for the singular ell = 3 of |u|^(2+beta)).
 
 Window norms are certified lower bounds: the true norm is a sup over an
 infinite ball of test functions, which is not computable; we maximise the
@@ -34,8 +36,12 @@ from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
 from .geometry import bump_of_gap, bump_profile
 
 _BUMP_NODES = 32  # Gauss rule for the bump weight, away from the kink
-_KINK_NODES = 80  # Gauss-Jacobi rule on each side of the kink
-# points per block of the mollified derivative: 2 x 4096 x 80 doubles is 5 MB
+_KINK_NODES = 80  # Gauss-Jacobi rule a kink side's table is built from
+# piecewise Chebyshev table of a kink side over its half-width in [0, 1]:
+# 512 x 8 doubles, 32 KB per exponent
+_TABLE_PANELS = 512
+_TABLE_DEGREE = 7
+# points per block of the mollified derivative: 4096 x 32 doubles is 1 MB
 _BLOCK = 4096
 _TAIL_TOL = 1e-8  # largest extrapolated tail share a window norm accepts
 
@@ -72,8 +78,9 @@ class NonlinearitySpec:
 
     def deriv(self, ell: int, u):
         """ell-th derivative at u (mollified when delta > 0)."""
-        if ell < 0:
-            raise ValueError(f"derivative order must be non-negative, got {ell}")
+        if not isinstance(ell, (int, np.integer)) or ell < 0:
+            raise ValueError(f"derivative order must be a non-negative integer, "
+                             f"got {ell!r}")
         if self.delta > 0.0:
             return _mollified_deriv(self, ell, u)
         return self._raw_deriv(ell, u)
@@ -145,27 +152,67 @@ def _bump_rule():
 
 
 @lru_cache(maxsize=8)
-def _kink_rule(a: float):
-    """Gauss-Jacobi rule for the weight (1 - x)^a on (-1, 1)."""
-    return roots_jacobi(_KINK_NODES, a, 0.0)
+def _kink_table(a: float) -> np.ndarray:
+    """Piecewise Chebyshev table of side_a on [0, 1], shape
+    (_TABLE_DEGREE + 1, _TABLE_PANELS): row j holds each panel's coefficient
+    of T_j.
+
+    side_a(h) = h^(a+1) sum_j w_j rho(1 - z_j), z_j = h (1 + x_j), with the
+    80-node Gauss-Jacobi rule (x_j, w_j) for the weight (1 - x)^a, is sampled
+    at each uniform panel's Chebyshev points of the first kind; they are
+    interior, so the bump is never evaluated at the gap 0 of h = 0.
+    """
+    n = _TABLE_DEGREE + 1
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    h = (np.arange(_TABLE_PANELS)[:, None] + 0.5 * (1.0 + np.cos(theta))) / _TABLE_PANELS
+    side = np.zeros_like(h)  # one node at a time: temporaries of 32 KB, not 2.6 MB
+    for xj, wj in zip(*roots_jacobi(_KINK_NODES, a, 0.0)):
+        z = h * (1.0 + xj)
+        side += wj * bump_of_gap(z * (2.0 - z))
+    side *= h ** (a + 1.0)
+    coef = (2.0 / n) * side @ np.cos(np.outer(theta, np.arange(n)))
+    coef[:, 0] *= 0.5
+    return np.ascontiguousarray(coef.T)
+
+
+def _kink_sides(a: float, h: np.ndarray) -> np.ndarray:
+    """side_a at half-widths h in [0, 1], by Clenshaw on h's panel of the table."""
+    coef = _kink_table(a)
+    pos = h * _TABLE_PANELS
+    panel = np.minimum(pos.astype(np.intp), _TABLE_PANELS - 1)
+    s = 2.0 * (pos - panel) - 1.0
+    c = coef[:, panel]
+    s2 = 2.0 * s
+    b1, b2 = c[-2] + s2 * c[-1], c[-1]
+    for ck in c[-3:0:-1]:
+        b1, b2 = ck + s2 * b1 - b2, b1
+    return c[0] + s * b1 - b2
 
 
 def _mollified_deriv(spec: NonlinearitySpec, ell: int, u):
     """(F^(ell) * rho_delta)(u), the integral of F^(ell)(u - delta t) rho(t)/mass.
 
-    Each integrand's non-smooth factor is put into the quadrature weight.
     Points with no kink inside the bump's support (|u| >= delta, and every
     point of a polynomial kind) take the 32-node Gauss rule for the weight
     rho/mass.  For a power kind inside (-delta, delta) the integrand has its
-    kink at t* = u/delta; on each side F^(ell)(u - delta t) is
-    c (delta h)^a (1 - x)^a, possibly times a sign, with a = p - ell, h the
-    side's half-width and x its reference coordinate, so an 80-node
-    Gauss-Jacobi rule for (1 - x)^a leaves only the bump to evaluate at the
-    moving nodes.  Against adaptive quadrature split at the kink, both power
-    kinds agree within 6e-14 relative at ell in {0, 1, 2} and delta in
-    {0.2, 0.4}, inside, at +-delta and out to 750, and within 7e-12 at
-    ell = 3 of |u|^2.5, where F^(3) ~ |u|^(-1/2).  Points are walked in
-    blocks so that the (points x nodes) temporaries stay a few MB.
+    kink at t* = u/delta.  On the side of half-width h, F^(ell)(u - delta t)
+    is c (delta h)^a (1 - x)^a, possibly times a sign, with a = p - ell and
+    x the side's reference coordinate, so the side's integral is
+    c delta^a side_a(h)/mass with side_a(h) = h^(a+1) sum_j w_j rho(1 - z_j),
+    z_j = h (1 + x_j), over the 80-node Gauss-Jacobi rule for (1 - x)^a.
+    side_a depends on a alone, so each inside point reads it at its two
+    half-widths (1 +- t*)/2 from a table of _TABLE_PANELS panels of degree
+    _TABLE_DEGREE, cached per exponent, by Clenshaw: no bump evaluation per
+    point.  The table matches the per-point Gauss-Jacobi sum (the test
+    oracle) within 4e-14 abs/max(1, |ref|) at ell <= 3 of both power kinds
+    and delta in {0.2, 0.4}; mirror points swap the half-widths exactly, so
+    F_delta^(ell)(-u) = +-F_delta^(ell)(u) bit for bit.  Against adaptive
+    quadrature split at the kink (abs/max(1, |ref|), delta in {0.2, 0.4}),
+    both power kinds agree within 4.3e-14 inside, 2.0e-14 at +-delta and
+    9e-16 out to 750 at ell in {0, 1, 2}; at ell = 3, within 4.6e-14 for
+    sign(u)|u|^3.3, and within 2.2e-12 inside and 6.7e-12 at +-delta for
+    |u|^2.5, where F^(3) ~ |u|^(-1/2).  Points are walked in blocks so that
+    the (points x nodes) temporaries of the outside rule stay about 1 MB.
     """
     if spec.kind != "polynomial" and spec.power - ell <= -1.0:
         raise ValueError(f"order-{ell} mollified derivative of |u|^{spec.power:g} "
@@ -189,29 +236,26 @@ def _mollified_block(spec: NonlinearitySpec, ell: int, u: np.ndarray) -> np.ndar
     if spec.kind == "polynomial":
         return spec._raw_deriv(ell, u[:, None] - delta * t) @ w
     tstar = u / delta
-    smooth = np.abs(tstar) >= 1.0
+    kink = np.abs(tstar) < 1.0
+    n_kink = np.count_nonzero(kink)
     out = np.empty_like(u)
-    out[smooth] = spec._raw_deriv(ell, u[smooth][:, None] - delta * t) @ w
-    if smooth.all():
-        return out
-    # half-widths h of the sides (-1, t*) and (t*, 1); on either side
-    # z = h (1 + x) is the distance to the support's end, so 1 - t^2 = z (2 - z)
-    ti = tstar[~smooth]
-    h = np.concatenate([0.5 * (1.0 + ti), 0.5 * (1.0 - ti)])
-    c, a, odd = spec._power_law(ell)
-    x, wj = _kink_rule(a)
-    z = h[:, None] * (1.0 + x)
-    side = h ** (a + 1.0) * (bump_of_gap(z * (2.0 - z)) @ wj)
-    left, right = np.split(side, 2)
-    # u - delta t is positive on the left side and negative on the right
-    out[~smooth] = c * delta**a / mass * (left - right if odd else left + right)
+    if n_kink < u.size:
+        smooth = ~kink
+        out[smooth] = spec._raw_deriv(ell, u[smooth][:, None] - delta * t) @ w
+    if n_kink:
+        # half-widths h = (1 + t*)/2 and (1 - t*)/2 of the sides (-1, t*) and
+        # (t*, 1): a point and its mirror image swap them exactly
+        c, a, odd = spec._power_law(ell)
+        left, right = _kink_sides(a, 0.5 + np.multiply.outer((0.5, -0.5), tstar[kink]))
+        # u - delta t is positive on the left side and negative on the right
+        out[kink] = c * delta**a / mass * (left - right if odd else left + right)
     return out
 
 
 def mollify(spec: NonlinearitySpec, delta: float) -> NonlinearitySpec:
     """Spec whose derivatives are convolved with the bump at scale delta."""
-    if delta < 0.0 or delta >= 1.0:
-        raise ValueError("mollification scale must lie in [0, 1)")
+    if not 0.0 <= delta < 1.0:  # also rejects NaN
+        raise ValueError(f"mollification scale must lie in [0, 1), got {delta!r}")
     return replace(spec, delta=float(delta))
 
 
@@ -417,7 +461,11 @@ def gaussian_mean(fn, sigma2: float) -> float:
     Polynomially growing integrands with an interior kink (the |u|^beta
     derivatives) defeat plain Gauss-Hermite at the percent level, so the two
     half-lines are integrated adaptively and the kink sits at an endpoint.
+    sigma2 = 0 gives fn(0); a negative or non-finite sigma2 raises ValueError.
     """
+    if not 0.0 <= sigma2 < math.inf:  # also rejects NaN
+        raise ValueError(f"Gaussian mean needs a finite, non-negative variance, "
+                         f"got sigma2 = {sigma2!r}")
     sigma = math.sqrt(sigma2)
 
     def integrand(z):
@@ -432,8 +480,8 @@ def coupling_constant(spec: NonlinearitySpec, sigma2: float, order: int) -> floa
     """Gaussian average of the order-th derivative over N(0, sigma2), / order!."""
     if order not in (2, 3):
         raise ValueError("coupling constants are defined at orders 2 and 3")
-    if sigma2 <= 0:
-        raise ValueError("variance must be positive")
+    if not 0.0 < sigma2 < math.inf:  # also rejects NaN
+        raise ValueError(f"variance must be positive and finite, got {sigma2!r}")
     if spec.kind == "polynomial" and spec.delta == 0.0:
         # exact for polynomials at any order
         z, w = roots_hermitenorm(64)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_hermitenorm, roots_legendre
+from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
 
 from chaoslab import rng
 from chaoslab.chaos import truncated_trig_deriv
@@ -254,15 +254,49 @@ def _rho(t: float) -> float:
     return math.exp(1.0 - 1.0 / (1.0 - t * t)) if abs(t) < 1.0 else 0.0
 
 
+def _power_law(spec, ell: int):
+    """(c, a, odd) with F^(ell)(v) = c |v|^a sign(v)^odd, from the definitions."""
+    p = spec.beta + (2.0 if spec.kind == "power_even" else 3.0)
+    return (math.prod(p - j for j in range(ell)), p - ell,
+            bool((ell + (spec.kind == "power_odd")) % 2))
+
+
 def _scalar_deriv(spec, ell: int):
     """F^(ell) as a function of one float, written from the definitions."""
     if spec.kind == "polynomial":
         coeffs = [float(c) for c in np.polynomial.polynomial.polyder(spec.coeffs, ell)]
         return lambda v: math.fsum(c * v**k for k, c in enumerate(coeffs))
-    p = spec.beta + (2.0 if spec.kind == "power_even" else 3.0)
-    c = math.prod(p - j for j in range(ell))
-    odd = (ell + (spec.kind == "power_odd")) % 2
-    return lambda v: c * abs(v) ** (p - ell) * (math.copysign(1.0, v) if odd else 1.0)
+    c, a, odd = _power_law(spec, ell)
+    return lambda v: c * abs(v) ** a * (math.copysign(1.0, v) if odd else 1.0)
+
+
+def gauss_jacobi_kink_deriv(spec, ell: int, u):
+    """(F^(ell) * rho_delta)(u) for a power kind at points inside (-delta, delta),
+    by an 80-node Gauss-Jacobi rule on each side of the kink at every point.
+
+    The package's route before it read the sides from a cached table.  The
+    kink sits at t* = u / delta; on the side of half-width h, F^(ell)(u -
+    delta t) is c (delta h)^a (1 - x)^a (times a sign on the right side of
+    an odd case) with a = p - ell and x the side's reference coordinate, so
+    the rule for the weight (1 - x)^a leaves only the bump, at the distances
+    z = h (1 + x) to the support's end, where 1 - t^2 = z (2 - z).  The
+    power law, the bump and its mass are computed here, not taken from the
+    package.
+    """
+    u_in = np.asarray(u, dtype=float)
+    tstar = u_in.reshape(-1) / spec.delta
+    if spec.kind == "polynomial" or np.any(np.abs(tstar) >= 1.0):
+        raise ValueError("the kink route needs a power kind and |u| < delta")
+    c, a, odd = _power_law(spec, ell)
+    x, w = roots_jacobi(80, a, 0.0)
+    mass = quad(_rho, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+    sides = []
+    for h in (0.5 * (1.0 + tstar), 0.5 * (1.0 - tstar)):
+        z = h[:, None] * (1.0 + x)
+        sides.append(h ** (a + 1.0) * (np.exp(1.0 - 1.0 / (z * (2.0 - z))) @ w))
+    left, right = sides
+    out = c * spec.delta**a / mass * (left - right if odd else left + right)
+    return float(out[0]) if u_in.ndim == 0 else out.reshape(u_in.shape)
 
 
 def quad_mollified_deriv(spec, ell: int, u):

@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from chaoslab import nonlinearity, rng
+from chaoslab import geometry, nonlinearity, rng
 from chaoslab.nonlinearity import (
     NonlinearitySpec,
     TailTruncationError,
     WindowNormQuery,
     coupling_constant,
+    gaussian_mean,
     growth_exponent,
     holder_quotient,
     make_nonlinearity,
@@ -21,6 +22,7 @@ from chaoslab.nonlinearity import (
 
 from oracles import (
     gauss_expect,
+    gauss_jacobi_kink_deriv,
     probe_transform_full_fft,
     quad_mollified_deriv,
     two_panel_mollified_deriv,
@@ -163,11 +165,71 @@ def test_mollified_singular_top_derivative(u):
     assert abs(md.deriv(3, u) - want) <= 1e-10 * abs(want)
 
 
+POWER_KINDS = MOLLIFY_KINDS[:2]
+
+
+@pytest.mark.parametrize("spec", POWER_KINDS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("delta", [0.4, 0.2])
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_kink_table_matches_gauss_jacobi_oracle(spec, delta, ell):
+    # the table against the per-point Gauss-Jacobi sums it was built from, on
+    # a dense grid of t* = u / delta reaching within 1e-9 of the support's end
+    md = mollify(spec, delta)
+    tstar = np.concatenate([np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 3001), [0.0]])
+    u = tstar * delta
+    got = md.deriv(ell, u)
+    _close(got, gauss_jacobi_kink_deriv(md, ell, u), 1e-13)
+    # F^(ell) is even or odd, and so is its mollification, bit for bit
+    odd = (ell + (spec.kind == "power_odd")) % 2
+    assert np.array_equal(md.deriv(ell, -u), -got if odd else got)
+    if odd:
+        assert md.deriv(ell, 0.0) == 0.0
+
+
+def test_kink_points_evaluate_no_bump(monkeypatch):
+    # once an exponent's table exists, a point inside (-delta, delta) costs
+    # O(1): it reads the table and evaluates the bump nowhere
+    md = mollify(make_nonlinearity("power_even", beta=0.5), 0.2)
+    u = np.linspace(-0.199, 0.199, 51)
+    want = md.deriv(2, u)
+    calls = []
+    bump_of_gap = geometry.bump_of_gap
+
+    def counted(g):
+        calls.append(np.size(g))
+        return bump_of_gap(g)
+
+    monkeypatch.setattr(geometry, "bump_of_gap", counted)
+    monkeypatch.setattr(nonlinearity, "bump_of_gap", counted)
+    assert np.array_equal(md.deriv(2, u), want)
+    assert calls == []
+    # the count does see bump evaluations: rebuilding the table makes some
+    nonlinearity._kink_table.cache_clear()
+    assert np.array_equal(md.deriv(2, u), want)
+    assert sum(calls) > 0
+
+
 def test_deriv_rejects_negative_order():
     f = make_nonlinearity("power_even", beta=0.5)
     for spec in (f, mollify(f, 0.2)):
         with pytest.raises(ValueError, match="non-negative"):
             spec.deriv(-1, 2.0)
+
+
+def test_deriv_rejects_non_integer_order():
+    f = make_nonlinearity("power_even", beta=0.5)
+    for spec in (f, mollify(f, 0.2)):
+        with pytest.raises(ValueError, match="integer"):
+            spec.deriv(1.5, 2.0)
+        assert spec.deriv(np.int64(2), 2.0) == spec.deriv(2, 2.0)
+
+
+def test_mollify_rejects_scale_outside_unit_interval():
+    # a NaN scale used to pass, and deriv then skipped the mollification
+    f = make_nonlinearity("power_even", beta=0.5)
+    for delta in (float("nan"), float("inf"), -0.1, 1.0):
+        with pytest.raises(ValueError, match="mollification scale"):
+            mollify(f, delta)
 
 
 def test_mollified_deriv_rejects_divergent_order():
@@ -368,3 +430,15 @@ def test_coupling_constant_power_vs_monte_carlo():
     # closed form: E|Z|^{1/2} = 2^{1/4} Gamma(3/4) / sqrt(pi)
     exact = 0.5 * 2.5 * 1.5 * (2 ** 0.25 * math.gamma(0.75) / math.sqrt(math.pi))
     assert a == pytest.approx(exact, rel=1e-8)
+
+
+def test_gaussian_mean_rejects_bad_variance():
+    f = make_nonlinearity("power_even", beta=0.5)
+    for sigma2 in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="non-negative variance"):
+            gaussian_mean(f, sigma2)
+    for spec in (f, make_nonlinearity("polynomial", coeffs=[0.0, 0.0, 1.0])):
+        with pytest.raises(ValueError, match="positive and finite"):
+            coupling_constant(spec, float("nan"), 2)
+    # a point mass: the mean is the value at 0
+    assert gaussian_mean(lambda u: 1.0 + u * u, 0.0) == pytest.approx(1.0, rel=1e-12)
