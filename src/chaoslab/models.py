@@ -13,8 +13,10 @@ Every object is a rung of one ladder,
 
 with k the order of the family's nonlinearity: 2 for interface growth, 3
 for phase coexistence.  c_0 = 1, odd j need no constant, c_2 is the
-Gaussian mean of object 2' before its constant, taken by quadrature at the
-exact stencil variance, and the top object 3' subtracts 3 c_2 field(z).
+Gaussian mean of object 2' before its constant, taken by the fixed rule of
+:func:`nonlinearity.gaussian_mean` (one array call of F^(k-2), within about
+1e-15 of E|F^(k-2)|) at the exact stencil variance, and the top object 3'
+subtracts 3 c_2 field(z).
 ``_object_field`` is the one place that applies the prefactor and the
 constants; the studies read their objects from it:
 
@@ -45,7 +47,7 @@ from .field import SAMPLE_CHUNK, synthesise
 from .geometry import Lattice, ScalingGeometry, TestFunction, bump_profile, \
     eval_test_function_many, lattice_from_counts, metric_many
 from .kernel import smooth_cutoff
-from .nonlinearity import NonlinearitySpec, gaussian_mean, mollify
+from .nonlinearity import Derivative, NonlinearitySpec, gaussian_mean, mollify
 from .stats import MomentEstimate, moment_norm
 
 KPZ_GEOMETRY = ScalingGeometry((2.0, 1.0))
@@ -214,9 +216,8 @@ def renorm_constant(spec: ModelObjectSpec, sigma2: float) -> float:
     symbol aside): the Gaussian mean of object 2' before its constant, at
     the exact variance sigma2 of sqrt(eps) * field."""
     k = _FAMILY_ORDER[spec.family]
-    fl = spec.nonlinearity
     return _object_prefactor(replace(spec, symbol="2'")) * gaussian_mean(
-        lambda u: fl.deriv(k - 2, np.asarray(u, dtype=float)), sigma2)
+        Derivative(spec.nonlinearity, k - 2), sigma2)
 
 
 def eval_object_field(spec: ModelObjectSpec, mf: ModelField,

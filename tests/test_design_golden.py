@@ -4,16 +4,19 @@ against ``golden_design.json``.
 The fixture was recorded before the isolated-point test, the bootstrap, the
 G/H quadrature and the heat-kernel stencil were each given one shared
 implementation.  It is recorded with the model draws taken by the per-draw
-route of ``oracles.per_draw_model_field`` and the mollified derivative taken
-by the Gauss-Legendre route of ``oracles.legendre_mollified_deriv``; on
-those routes every number must be reproduced bit for bit.  The package pairs
+route of ``oracles.per_draw_model_field``, the mollified derivative taken
+by the Gauss-Legendre route of ``oracles.legendre_mollified_deriv`` and the
+Gaussian means taken by the adaptive route of ``oracles.quad_gaussian_mean``;
+on those routes every number must be reproduced bit for bit.  The package pairs
 model draws in one complex transform, which moves the model outputs by
 rounding only, so on the production route every number must agree within
 1e-12 relative.  The exception is the two outputs built on the mollified
 derivative, ``remainder_pairing`` and ``mollification_gap``: the package's
 exact-weight Gauss rules remove the Legendre route's own quadrature error
 (up to 3.5e-7 relative per point inside (-delta, delta)), which moves them
-by up to 1.4e-10 relative, so they agree within MOLLIFIED_REL.  One entry
+by up to 1.4e-10 relative, so they agree within MOLLIFIED_REL; the
+package's fixed Gaussian-mean rule moves the constant c_2 they subtract by
+rounding only.  One entry
 moved on the oracle route too: the growth family's ``remainder_pairing``
 now scales each factor of the two-frequency object by its own ladder
 prefactor, where the recording scaled their product by the merged one, so
@@ -43,7 +46,8 @@ from chaoslab.models import (
     remainder_pairing,
 )
 from chaoslab.nonlinearity import make_nonlinearity
-from oracles import legendre_mollified_deriv, per_draw_model_field
+from oracles import legendre_mollified_deriv, per_draw_model_field, \
+    quad_gaussian_mean
 
 FIXTURE = Path(__file__).with_name("golden_design.json")
 # outputs on the mollified derivative against the Legendre-route fixture
@@ -185,6 +189,8 @@ def test_design_outputs_match_golden_fixture(monkeypatch):
                         per_draw_model_field)
     monkeypatch.setattr(nonlinearity, "_mollified_block",
                         legendre_mollified_deriv)
+    monkeypatch.setattr(nonlinearity, "gaussian_mean", quad_gaussian_mean)
+    monkeypatch.setattr(models, "gaussian_mean", quad_gaussian_mean)
     got = _normalise(design_outputs())
     want = json.loads(FIXTURE.read_text())
     study, entry = REORDERED
@@ -205,4 +211,5 @@ def test_design_outputs_match_golden_fixture_on_production_route():
 if __name__ == "__main__":
     models.sample_model_field_values = per_draw_model_field
     nonlinearity._mollified_block = legendre_mollified_deriv
+    nonlinearity.gaussian_mean = models.gaussian_mean = quad_gaussian_mean
     FIXTURE.write_text(json.dumps(design_outputs(), indent=1) + "\n")

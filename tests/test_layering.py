@@ -5,7 +5,10 @@ below everything but the random streams.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,17 @@ def test_only_experiments_imports_experiments(path):
 
 def test_stats_imports_only_rng():
     assert package_imports(PACKAGE / "stats.py") == {"rng"}
+
+
+def test_package_does_not_load_scipy_integrate():
+    # scipy.integrate pulls in scipy.sparse, about a third of the package's
+    # import time and a quarter of its resident memory, for no package route
+    names = ", ".join(f"chaoslab.{p.stem}" for p in MODULES)
+    code = f"import sys, {names}; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "False"
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -10,6 +10,7 @@ from chaoslab.nonlinearity import (
     NonlinearitySpec,
     TailTruncationError,
     WindowNormQuery,
+    Derivative,
     coupling_constant,
     gaussian_mean,
     growth_exponent,
@@ -24,7 +25,9 @@ from oracles import (
     gauss_expect,
     gauss_jacobi_kink_deriv,
     probe_transform_full_fft,
+    quad_bump_mass,
     quad_mollified_deriv,
+    split_quad_gaussian_mean,
     two_panel_mollified_deriv,
 )
 
@@ -442,3 +445,76 @@ def test_gaussian_mean_rejects_bad_variance():
             coupling_constant(spec, float("nan"), 2)
     # a point mass: the mean is the value at 0
     assert gaussian_mean(lambda u: 1.0 + u * u, 0.0) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match="finite integrand"):
+        gaussian_mean(lambda u: np.full(np.shape(u), np.nan), 0.0)
+
+
+def test_gaussian_mean_rejects_non_finite_integrand():
+    with pytest.raises(ValueError, match="finite integrand"):
+        gaussian_mean(lambda u: np.where(np.asarray(u) > 1, np.nan, 1.0), 1.0)
+    with pytest.raises(ValueError, match="finite integrand"):
+        gaussian_mean(lambda u: np.where(np.asarray(u) < -3.0, -np.inf, u), 4.0)
+
+
+def test_bump_mass_matches_quadrature():
+    assert abs(nonlinearity._BUMP_MASS / quad_bump_mass() - 1.0) <= 1e-15
+
+
+def _abs_moment(a: float) -> float:
+    """E|Z|^a for a standard normal Z, a > -1."""
+    return 2.0 ** (a / 2.0) * math.gamma((a + 1.0) / 2.0) / math.sqrt(math.pi)
+
+
+GAUSS_VARIANCES = (0.0219, 1.0, 4.0)  # 0.0219: the KPZ benchmark lattice
+
+
+@pytest.mark.parametrize("kind", ["power_even", "power_odd"])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+def test_gaussian_mean_matches_reference(kind, beta):
+    # raw derivatives against E|Z|^a in closed form, mollified ones against
+    # scalar quad split at 0 and +-delta/sigma; errors in units of E|f|.
+    # F_delta is not analytic at +-delta: without the rule's edge at
+    # delta/sigma, beta = 0.1, delta = 0.4, ell = 2, sigma2 = 1 is off by 2.1e-11
+    spec = make_nonlinearity(kind, beta=beta)
+    p = spec.power
+    for delta in (0.0, 0.2, 0.4):
+        md = mollify(spec, delta)
+        for ell in range(4):
+            fn = Derivative(md, ell)
+            for sigma2 in GAUSS_VARIANCES:
+                got = gaussian_mean(fn, sigma2)
+                if delta == 0.0:
+                    c = math.prod(p - j for j in range(ell))
+                    scale = c * sigma2 ** ((p - ell) / 2.0) * _abs_moment(p - ell)
+                    odd = (ell + (kind == "power_odd")) % 2
+                    want = 0.0 if odd else scale
+                else:
+                    scale = gaussian_mean(lambda u: np.abs(fn(u)), sigma2)
+                    want = split_quad_gaussian_mean(fn, sigma2,
+                                                    delta / math.sqrt(sigma2))
+                assert abs(got - want) <= 1e-13 * scale, (delta, ell, sigma2)
+
+
+def test_gaussian_mean_of_abs_power_matches_closed_form():
+    f = make_nonlinearity("power_even", beta=0.5)
+    for sigma2 in GAUSS_VARIANCES:
+        want = sigma2 ** 1.25 * _abs_moment(2.5)
+        assert abs(gaussian_mean(f, sigma2) / want - 1.0) <= 1e-14
+
+
+def test_gaussian_mean_of_singular_odd_derivative_is_zero():
+    # F''' of |u|^2.1 is ~ sign(u)|u|^(-0.9): the two half-lines cancel node
+    # by node, with no warning (adaptive quad warns of roundoff here)
+    fn = Derivative(make_nonlinearity("power_even", beta=0.1), 3)
+    scale = 2.1 * 1.1 * 0.1 * _abs_moment(-0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(gaussian_mean(fn, 1.0)) <= 1e-15 * scale
+
+
+def test_coupling_constant_polynomial_to_rounding():
+    # u^2 + u^4: F'' = 2 + 12 u^2, so the order-2 constant is 1 + 6 sigma2
+    p = make_nonlinearity("polynomial", coeffs=[0.0, 0.0, 1.0, 0.0, 1.0])
+    for sigma2 in (0.5, 1.0, 2.0):
+        assert coupling_constant(p, sigma2, 2) == pytest.approx(
+            1.0 + 6.0 * sigma2, rel=1e-14)
