@@ -177,23 +177,6 @@ def truncated_trig(x_val, theta: float, spec: ChaosTruncSpec, sigma2: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def dtheta_dz_truncated_trig(z, theta: float, phase: int, t: int, n: int, r: int,
-                             sigma2: float):
-    """Mixed derivative d^r/dtheta^r d^n/dz^n of the truncation with orders < t removed.
-
-    Uses d^n/dz^n T = theta^n * (phase shift by n, truncation depth t - n) and
-    Leibniz in theta for the theta^n prefactor.
-    """
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    for q in range(min(r, n) + 1):
-        pref = math.comb(r, q) * math.perm(n, q) * theta ** (n - q)
-        if pref == 0.0 and theta == 0.0 and n - q > 0:
-            continue
-        out = out + pref * truncated_trig_deriv(z, theta, phase + n, t - n, r - q, sigma2)
-    return out
-
-
 def eval_functional(F: TwoPointFunctional, x_val, y_val, sigma2x: float, sigma2y: float):
     """Pointwise value of the theta-derivative of the two-factor functional.
 

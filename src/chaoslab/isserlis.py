@@ -1,19 +1,17 @@
-"""Exact joint Wick moments via symmetric contraction matrices.
+"""Exact Gaussian moments for the pointwise correlation lemmas.
 
-A contraction matrix D is a symmetric, zero-diagonal matrix of non-negative
-integers; entry d_ij counts pairings between the legs of variables i and j.
-The joint moment of Wick powers is the sum over all D with prescribed row
-sums of
-
-    (prod_i n_i!) / (prod_{i<j} d_ij!) * prod_{i<j} cov_ij ** d_ij,
-
-with the combinatorial factor carried in exact integer arithmetic.  The
-module also implements the reduction moves that push a matrix with a
-distinguished index 0 into the zero-first-row class at a quantified
-epsilon-exponent cost, cluster chaos coefficients by Gauss-Hermite
-quadrature, a closed-form evaluator for Gaussian moments of products of
-trig factors and polynomials, and Monte-Carlo-vs-exact ratio checks for the
-pointwise correlation bounds.
+Both sides of a correlation lemma have closed forms.  The right side is a
+Wick sum E prod_i (sum_k Z_i^{<>k}), the t^k coefficients of the Hermite
+generating function prod_{i<j} exp(C_ij t_i t_j).  The left side is a
+Gaussian moment of a product of chaos-truncated trig factors; each factor
+expands into trig and polynomial atoms whose joint moments are closed-form
+pairing sums times exp(-Var/2).  Cluster chaos coefficients are the same
+atom moments of the members' mixed derivatives.  The module also keeps the
+symmetric contraction matrices D (entry d_ij counts pairings between the
+legs of variables i and j) with the reduction moves that push a matrix
+with a distinguished index 0 into the zero-first-row class at a quantified
+epsilon-exponent cost, and the ratio checks of the pointwise correlation
+bounds, exact on both sides.
 """
 
 from __future__ import annotations
@@ -23,14 +21,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from . import chaos, rng
 from .clustering import has_isolated_point
 from .field import CovarianceSpec
 from .geometry import ScalingGeometry, box_points, pair_distances
-
-MAX_ENUM_VARS = 12
 
 
 class StructuralError(RuntimeError):
@@ -69,92 +64,62 @@ class DMatrix:
         return tuple(sum(row) for row in self.entries)
 
 
-def enumerate_dmatrices(row_sums) -> list[DMatrix]:
-    """All contraction matrices with the given row sums, lexicographic in the upper triangle.
-
-    An odd total degree admits no matrix and yields the empty list.
-    """
-    rs = [int(v) for v in row_sums]
-    k = len(rs)
-    if k > MAX_ENUM_VARS:
-        raise ValueError(f"at most {MAX_ENUM_VARS} variables supported")
-    if any(v < 0 for v in rs):
-        raise ValueError("row sums must be non-negative")
-    if sum(rs) % 2 == 1:
-        return []
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    mat = [[0] * k for _ in range(k)]
-    resid = rs[:]
-    out: list[DMatrix] = []
-
-    def rec(idx: int):
-        if idx == len(pairs):
-            if all(v == 0 for v in resid):
-                out.append(DMatrix(tuple(tuple(row) for row in mat)))
-            return
-        i, j = pairs[idx]
-        closes_i = j == k - 1
-        closes_j = (i, j) == (k - 2, k - 1)
-        lo, hi = 0, min(resid[i], resid[j])
-        if closes_i:
-            # last free entry in row i: forced to exhaust its residual
-            if resid[i] > resid[j]:
-                return
-            lo = hi = resid[i]
-            if closes_j and resid[j] != resid[i]:
-                return
-        for v in range(lo, hi + 1):
-            mat[i][j] = mat[j][i] = v
-            resid[i] -= v
-            resid[j] -= v
-            rec(idx + 1)
-            resid[i] += v
-            resid[j] += v
-            mat[i][j] = mat[j][i] = 0
-
-    rec(0)
-    return out
-
-
-def _pairing_weight(degrees, d: DMatrix) -> int:
-    num = 1
-    for n in degrees:
-        num *= math.factorial(n)
-    den = 1
-    for i in range(d.size):
-        for j in range(i + 1, d.size):
-            den *= math.factorial(d.entries[i][j])
-    return num // den
-
-
-def wick_moment(degrees, cov) -> float:
-    """Exact E prod_i Z_i^{<>n_i} for jointly Gaussian Z with covariance ``cov``.
-
-    Self-contractions never occur (Wick powers are Hermite-orthogonalised),
-    so only off-diagonal covariances enter.
-    """
-    deg = [int(v) for v in degrees]
+def _checked_cov(cov, k: int) -> np.ndarray:
+    """``cov`` as a finite float (k, k) array, or a ValueError saying why not."""
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (len(deg), len(deg)):
-        raise ValueError("degree/covariance size mismatch")
-    terms = []
-    for d in enumerate_dmatrices(deg):
-        w = float(_pairing_weight(deg, d))
-        p = 1.0
-        for i in range(d.size):
-            for j in range(i + 1, d.size):
-                if d.entries[i][j]:
-                    p *= cov[i, j] ** d.entries[i][j]
-        terms.append(w * p)
-    return math.fsum(terms)
+    if cov.shape != (k, k):
+        raise ValueError(f"covariance must have shape ({k}, {k}), got {cov.shape}")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance entries must be finite")
+    return cov
+
+
+def _trig_phase(trig: str) -> int:
+    """Phase of a trig factor by name, or a ValueError naming the known ones."""
+    if trig not in chaos._TRIG_PHASE:
+        raise ValueError(f"trig must be one of {sorted(chaos._TRIG_PHASE)}, "
+                         f"got {trig!r}")
+    return chaos._TRIG_PHASE[trig]
 
 
 def wick_sum_moment(ranges, cov) -> float:
-    """E prod_i (sum_{k in range_i} Z_i^{<>k}), ranges given as (lo, hi) pairs."""
-    terms = []
-    for degs in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
-        terms.append(wick_moment(degs, cov))
-    return math.fsum(terms)
+    """E prod_i (sum_{k=lo_i}^{hi_i} Z_i^{<>k}), ranges given as (lo, hi) pairs.
+
+    The Hermite generating function sum_k Z^{<>k} t^k / k! = exp(tZ -
+    t^2 sigma^2 / 2) gives E prod_i exp(t_i Z_i - t_i^2 sigma_i^2 / 2) =
+    prod_{i<j} exp(C_ij t_i t_j), so E prod_i Z_i^{<>k_i} is prod_i k_i!
+    times the t^k coefficient of that product.  The product is expanded on
+    one dense coefficient array truncated at degree hi_i in t_i, one
+    shifted add per pair and power.  Only off-diagonal covariances enter:
+    Wick powers have no self-contractions.  A single degree vector is the
+    case lo_i = hi_i.
+    """
+    lo = [int(a) for a, _ in ranges]
+    hi = [int(b) for _, b in ranges]
+    if any(a < 0 or a > b for a, b in zip(lo, hi)):
+        raise ValueError(f"ranges must satisfy 0 <= lo <= hi, got {list(ranges)}")
+    k = len(hi)
+    cov = _checked_cov(cov, k)
+    coef = np.zeros([b + 1 for b in hi])
+    coef[(0,) * k] = 1.0
+    for i, j in itertools.combinations(range(k), 2):
+        if cov[i, j] == 0.0:
+            continue
+        grown = coef.copy()
+        term = 1.0
+        for p in range(1, min(hi[i], hi[j]) + 1):
+            term *= cov[i, j] / p
+            src = [slice(None)] * k
+            dst = [slice(None)] * k
+            src[i], src[j] = slice(0, hi[i] + 1 - p), slice(0, hi[j] + 1 - p)
+            dst[i], dst[j] = slice(p, None), slice(p, None)
+            grown[tuple(dst)] += term * coef[tuple(src)]
+        coef = grown
+    window = coef[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+    weight = np.ones(())
+    for a, b in zip(lo, hi):
+        weight = np.multiply.outer(weight, [math.factorial(n) for n in range(a, b + 1)])
+    return math.fsum((weight * window).ravel())
 
 
 def reduce_to_dstar(d: DMatrix, alpha: float, m2: int) -> tuple[DMatrix, float]:
@@ -215,67 +180,6 @@ def reduce_to_dstar(d: DMatrix, alpha: float, m2: int) -> tuple[DMatrix, float]:
 
 
 # ---------------------------------------------------------------------------
-# cluster chaos coefficients
-
-
-_CLUSTER_QUAD_ORDER = 60  # Gauss-Hermite nodes per member in cluster_coeff
-
-
-@dataclass(frozen=True)
-class ClusterCoeffQuery:
-    """One cluster's chaos coefficient: degrees, frequencies, derivative and
-    truncation orders per member, and the joint covariance."""
-
-    degrees: tuple[int, ...]
-    thetas: tuple[float, ...]
-    derivs: tuple[int, ...]
-    truncations: tuple[int, ...]
-    trigs: tuple[str, ...]
-    cov: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        k = len(self.degrees)
-        if k > 4:
-            raise ValueError("cluster quadrature supports at most 4 members")
-        if not (len(self.thetas) == len(self.derivs) == len(self.truncations)
-                == len(self.trigs) == k):
-            raise ValueError("per-member fields must have equal length")
-
-
-def cluster_coeff(q: ClusterCoeffQuery) -> float:
-    """Coefficient of the cluster's Wick monomial in the truncated-trig product.
-
-    Tensorised Gauss-Hermite over the joint Gaussian (Cholesky factor), with
-    the integrand built from the closed-form mixed derivatives.
-    """
-    cov = np.asarray(q.cov, dtype=float)
-    k = len(q.degrees)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("cluster covariance is not positive definite") from exc
-    nodes, weights = roots_hermitenorm(_CLUSTER_QUAD_ORDER)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    grids = np.meshgrid(*([nodes] * k), indexing="ij")
-    xi = np.stack([g.reshape(-1) for g in grids], axis=0)
-    z = chol @ xi
-    w = np.ones(xi.shape[1])
-    wg = np.meshgrid(*([weights] * k), indexing="ij")
-    for g in wg:
-        w = w * g.reshape(-1)
-    integrand = np.ones(xi.shape[1])
-    for j in range(k):
-        phase = chaos._TRIG_PHASE[q.trigs[j]]
-        integrand = integrand * chaos.dtheta_dz_truncated_trig(
-            z[j], q.thetas[j], phase, q.truncations[j], q.degrees[j], q.derivs[j],
-            float(cov[j, j]))
-    norm = 1.0
-    for n in q.degrees:
-        norm *= math.factorial(n)
-    return float(np.sum(w * integrand)) / norm
-
-
-# ---------------------------------------------------------------------------
 # exact Gaussian moments of products of trig factors and polynomials
 
 
@@ -321,6 +225,9 @@ def _poly_trig_expectation(var_idx: list[int], degrees: list[int],
     for v, th in zip(trig_vars, trig_thetas):
         tvec[v] += th
     var_t = float(tvec @ cov @ tvec)
+    if var_t > 1490.0:
+        # exp(-var_t / 2) underflows and no pairing sum can lift it back
+        return 0.0
     legs: list[int] = []
     for v, q in zip(var_idx, degrees):
         legs.extend([v] * q)
@@ -339,8 +246,6 @@ def _poly_trig_expectation(var_idx: list[int], degrees: list[int],
         else:
             contrib = -prod * ((-1.0) ** ((n_single - 1) // 2)) * math.sin(phi)
         total += contrib
-    if var_t > 1490.0:
-        return 0.0
     return math.exp(-0.5 * var_t) * total
 
 
@@ -348,9 +253,8 @@ def exact_trig_poly_moment(factor_atoms: list[list[tuple]], cov) -> float:
     """E of a product of factors, each a sum of trig/polynomial atoms.
 
     Factor j is a function of Gaussian Z_j; ``cov`` is the joint covariance.
-    Used as the exact small-configuration route for the correlation lemmas
-    (Monte Carlo and quadrature both lose the exponentially small values at
-    large frequencies).
+    Exact at every frequency: the correlation lemmas and cluster
+    coefficients read values far below any sampling or quadrature error.
     """
     cov = np.asarray(cov, dtype=float)
     total = []
@@ -394,12 +298,72 @@ def exact_functional_product_moment(specs, thetas, derivs, cov) -> float:
     ``specs`` is a list of (trig, t) pairs; the joint covariance supplies the
     per-variable variances.
     """
-    cov = np.asarray(cov, dtype=float)
+    if not len(specs) == len(thetas) == len(derivs):
+        raise ValueError("specs, thetas and derivs must have equal length")
+    cov = _checked_cov(cov, len(specs))
     atoms = []
     for j, ((trig, t), th, r) in enumerate(zip(specs, thetas, derivs)):
-        phase = chaos._TRIG_PHASE[trig]
-        atoms.append(truncated_factor_atoms(phase, th, t, r, float(cov[j, j])))
+        atoms.append(truncated_factor_atoms(_trig_phase(trig), th, t, r,
+                                            float(cov[j, j])))
     return exact_trig_poly_moment(atoms, cov)
+
+
+# ---------------------------------------------------------------------------
+# cluster chaos coefficients
+
+
+@dataclass(frozen=True)
+class ClusterCoeffQuery:
+    """One cluster's chaos coefficient: degrees, frequencies, derivative and
+    truncation orders per member, and the joint covariance."""
+
+    degrees: tuple[int, ...]
+    thetas: tuple[float, ...]
+    derivs: tuple[int, ...]
+    truncations: tuple[int, ...]
+    trigs: tuple[str, ...]
+    cov: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        k = len(self.degrees)
+        if not (len(self.thetas) == len(self.derivs) == len(self.truncations)
+                == len(self.trigs) == k):
+            raise ValueError("per-member fields must have equal length")
+        for trig in self.trigs:
+            _trig_phase(trig)
+        _checked_cov(self.cov, k)
+
+
+def cluster_coeff(q: ClusterCoeffQuery) -> float:
+    """Coefficient of the cluster's Wick monomial in the truncated-trig product.
+
+    It is E prod_j d^n_j/dz^n_j d^r_j/dtheta^r_j T_j(Z_j) / prod_j n_j! under
+    the joint Gaussian.  A z-derivative of a truncated factor is theta times
+    the factor phase-shifted by one with its truncation depth lowered by one,
+    and Leibniz in theta carries the theta^n prefactor through the
+    theta-derivatives, so every member's mixed derivative is a sum of trig
+    and polynomial atoms and the coefficient is one exact moment of them.
+    """
+    cov = _checked_cov(q.cov, len(q.degrees))
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("cluster covariance is not positive definite") from exc
+    atoms = []
+    for j, (n, th, r, t, trig) in enumerate(zip(q.degrees, q.thetas, q.derivs,
+                                                 q.truncations, q.trigs)):
+        phase = _trig_phase(trig)
+        member = []
+        for s in range(min(r, n) + 1):
+            pref = math.comb(r, s) * math.perm(n, s) * th ** (n - s)
+            if pref == 0.0:
+                continue
+            member.extend((pref * c, deg, freq, ph) for c, deg, freq, ph
+                          in truncated_factor_atoms(phase + n, th, t - n, r - s,
+                                                    float(cov[j, j])))
+        atoms.append(member)
+    norm = math.prod(math.factorial(n) for n in q.degrees)
+    return exact_trig_poly_moment(atoms, cov) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +376,6 @@ class RatioEntry:
     lhs: float
     rhs: float
     ratio: float
-    ci: tuple[float, float]
 
 
 @dataclass
@@ -435,8 +398,28 @@ class LemmaCheckConfig:
     eps: float = 0.05
     theta_grid: tuple[float, ...] = (1.0, 10.0, 100.0)
     n_configs: int = 8
-    n_mc: int = 20000
     seed: int = 7
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if self.n_configs < 1:
+            raise ValueError(f"n_configs must be at least 1, got {self.n_configs}")
+        if min(self.m1, self.m2) < 0:
+            raise ValueError("truncation orders m1, m2 must be non-negative")
+        _trig_phase(self.trig1)
+        _trig_phase(self.trig2)
+        if len(self.deriv) != 2 or not all(
+                0 <= r <= chaos.MAX_DERIV_ORDER for r in self.deriv):
+            raise ValueError(f"deriv must be two orders in [0, "
+                             f"{chaos.MAX_DERIV_ORDER}], got {self.deriv}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+        if not self.theta_grid or not all(math.isfinite(t) for t in self.theta_grid):
+            raise ValueError(f"theta_grid must be a non-empty tuple of finite "
+                             f"frequencies, got {self.theta_grid}")
 
 
 # hypothesis constants; BOX is a power of two, so box_points draws it exactly
@@ -446,24 +429,6 @@ BOX = 1.0
 _LINE = ScalingGeometry((1.0,))
 
 
-def _mc_lhs(cov: np.ndarray, specs, thetas, derivs, n_mc: int,
-            gen: np.random.Generator) -> tuple[float, float, float]:
-    """Monte-Carlo estimate (mean, lo, hi) of the functional-product mean;
-    variables are columns of the draw."""
-    w, v = np.linalg.eigh(cov)
-    w = np.clip(w, 0.0, None)
-    root = v * np.sqrt(w)
-    xi = gen.standard_normal((n_mc, cov.shape[0]))
-    z = xi @ root.T
-    prod = np.ones(n_mc)
-    for j, ((trig, t), th, r) in enumerate(zip(specs, thetas, derivs)):
-        phase = chaos._TRIG_PHASE[trig]
-        prod *= chaos.truncated_trig_deriv(z[:, j], th, phase, t, r, float(cov[j, j]))
-    mean = float(np.mean(prod))
-    se = float(np.std(prod, ddof=1) / math.sqrt(n_mc))
-    return mean, mean - 3 * se, mean + 3 * se
-
-
 def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport:
     """Ratio check of one pointwise correlation bound.
 
@@ -471,10 +436,11 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
     arbitrary configurations), 'singleton' (dominant frequency, its point
     family has an isolated point at scale 3*n*L0*eps), or 'fixed' (dominant
     frequency, its points all coincide; the epsilon-power factor enters the
-    right-hand side).  The left side is estimated by Monte Carlo (exactly for
-    2n = 2), the right side is exact, and the report carries the largest
-    observed ratio.  'singleton' raises ValueError before drawing when the
-    isolation scale is not below the box diameter 2*BOX.
+    right-hand side).  Both sides are exact at every n: the left side is
+    ``exact_functional_product_moment`` of the 4n factors, the right side a
+    Wick sum.  The report carries, per frequency, the configuration with
+    the largest ratio.  'singleton' raises ValueError before drawing when
+    the isolation scale is not below the box diameter 2*BOX.
     """
     if which not in ("comparable", "singleton", "fixed"):
         raise ValueError("which must be 'comparable', 'singleton' or 'fixed'")
@@ -491,7 +457,6 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
     ratio_thresh = 100.0 * cfg.n * (1.0 + LAM_CONST**2)
     entries: list[RatioEntry] = []
     rejections = 0
-    use_exact = cfg.n == 1
     for theta in cfg.theta_grid:
         if which == "comparable":
             theta_pair = (theta, theta)
@@ -520,11 +485,7 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
             specs = [(cfg.trig1, cfg.m1)] * n2 + [(cfg.trig2, cfg.m2)] * n2
             thetas = [theta_pair[0]] * n2 + [theta_pair[1]] * n2
             derivs = [cfg.deriv[0]] * n2 + [cfg.deriv[1]] * n2
-            if use_exact:
-                lhs = exact_functional_product_moment(specs, thetas, derivs, cov)
-                lo = hi = lhs
-            else:
-                lhs, lo, hi = _mc_lhs(cov, specs, thetas, derivs, cfg.n_mc, gen)
+            lhs = exact_functional_product_moment(specs, thetas, derivs, cov)
             if which == "fixed":
                 ranges = [(cfg.m2, mtop)] * n2
                 rhs = (cfg.eps ** (-cfg.alpha * mtop)
@@ -534,7 +495,7 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
                 rhs = wick_sum_moment(ranges, cov)
             ratio = abs(lhs) / rhs if rhs > 0 else math.inf
             entry = RatioEntry(theta=theta_pair, lhs=float(lhs), rhs=float(rhs),
-                               ratio=float(ratio), ci=(float(lo), float(hi)))
+                               ratio=float(ratio))
             if best is None or entry.ratio > best.ratio:
                 best = entry
         entries.append(best)

@@ -14,8 +14,9 @@ from scipy.integrate import quad
 from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
 
 from chaoslab import rng
-from chaoslab.chaos import truncated_trig_deriv
+from chaoslab.chaos import phase_coeff_deriv, truncated_trig_deriv
 from chaoslab.geometry import metric_many
+from chaoslab.isserlis import DMatrix
 from chaoslab.nonlinearity import _probe_family
 
 
@@ -150,6 +151,149 @@ def matching_wick_moment(degrees, cov) -> float:
     cov = np.asarray(cov, dtype=float)
     total = [math.prod(cov[a, b] for a, b in m) for m in ms]
     return math.fsum(total)
+
+
+# ---------------------------------------------------------------------------
+# Wick moments by contraction-matrix enumeration: the sum over symmetric
+# zero-diagonal D with prescribed row sums n_i of
+# (prod_i n_i!) / (prod_{i<j} d_ij!) * prod_{i<j} cov_ij ** d_ij
+
+MAX_ENUM_VARS = 12
+
+
+def enumerate_dmatrices(row_sums) -> list[DMatrix]:
+    """All contraction matrices with the given row sums, lexicographic in the upper triangle.
+
+    An odd total degree admits no matrix and yields the empty list.
+    """
+    rs = [int(v) for v in row_sums]
+    k = len(rs)
+    if k > MAX_ENUM_VARS:
+        raise ValueError(f"at most {MAX_ENUM_VARS} variables supported")
+    if any(v < 0 for v in rs):
+        raise ValueError("row sums must be non-negative")
+    if sum(rs) % 2 == 1:
+        return []
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    mat = [[0] * k for _ in range(k)]
+    resid = rs[:]
+    out: list[DMatrix] = []
+
+    def rec(idx: int):
+        if idx == len(pairs):
+            if all(v == 0 for v in resid):
+                out.append(DMatrix(tuple(tuple(row) for row in mat)))
+            return
+        i, j = pairs[idx]
+        closes_i = j == k - 1
+        closes_j = (i, j) == (k - 2, k - 1)
+        lo, hi = 0, min(resid[i], resid[j])
+        if closes_i:
+            # last free entry in row i: forced to exhaust its residual
+            if resid[i] > resid[j]:
+                return
+            lo = hi = resid[i]
+            if closes_j and resid[j] != resid[i]:
+                return
+        for v in range(lo, hi + 1):
+            mat[i][j] = mat[j][i] = v
+            resid[i] -= v
+            resid[j] -= v
+            rec(idx + 1)
+            resid[i] += v
+            resid[j] += v
+            mat[i][j] = mat[j][i] = 0
+
+    rec(0)
+    return out
+
+
+def _pairing_weight(degrees, d: DMatrix) -> int:
+    num = 1
+    for n in degrees:
+        num *= math.factorial(n)
+    den = 1
+    for i in range(d.size):
+        for j in range(i + 1, d.size):
+            den *= math.factorial(d.entries[i][j])
+    return num // den
+
+
+def dmatrix_wick_moment(degrees, cov) -> float:
+    """Exact E prod_i Z_i^{<>n_i} for jointly Gaussian Z with covariance ``cov``.
+
+    Self-contractions never occur (Wick powers are Hermite-orthogonalised),
+    so only off-diagonal covariances enter.
+    """
+    deg = [int(v) for v in degrees]
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (len(deg), len(deg)):
+        raise ValueError("degree/covariance size mismatch")
+    terms = []
+    for d in enumerate_dmatrices(deg):
+        w = float(_pairing_weight(deg, d))
+        p = 1.0
+        for i in range(d.size):
+            for j in range(i + 1, d.size):
+                if d.entries[i][j]:
+                    p *= cov[i, j] ** d.entries[i][j]
+        terms.append(w * p)
+    return math.fsum(terms)
+
+
+def dmatrix_wick_sum_moment(ranges, cov) -> float:
+    """E prod_i (sum_{k in range_i} Z_i^{<>k}), ranges given as (lo, hi) pairs.
+
+    The enumeration route the package used before it read Wick sums off the
+    Hermite generating function.
+    """
+    terms = []
+    for degs in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
+        terms.append(dmatrix_wick_moment(degs, cov))
+    return math.fsum(terms)
+
+
+def _ld_truncated_trig_deriv(z, theta: float, phase: int, t: int, r: int,
+                            sigma2: float):
+    """``chaos.truncated_trig_deriv`` in extended precision: the trig term
+    and the Wick powers in longdouble, the chaos coefficients as the
+    package rounds them."""
+    ld = np.longdouble
+    sigma = np.sqrt(ld(sigma2))
+    out = z**r * np.cos(ld(theta) * z + ld(phase + r) * (np.pi / ld(2.0)))
+    hkm1, hk = np.ones_like(z), z / sigma
+    for k in range(max(t, 0)):
+        c = phase_coeff_deriv(phase, k, theta, sigma2, r=r)
+        out = out - ld(c) * sigma**k * hkm1
+        hkm1, hk = hk, (z / sigma) * hk - (k + 1) * hkm1
+    return out
+
+
+def tensor_gh_cluster_coeff(q, order: int) -> float:
+    """``isserlis.cluster_coeff`` by a tensor Gauss-Hermite rule of ``order``
+    nodes per member over the Cholesky factor of the joint covariance, in
+    extended precision.  The integrand is each member's mixed derivative
+    d^n/dz^n d^r/dtheta^r, taken as theta^n times the factor phase-shifted
+    by n with n fewer chaos terms removed, with Leibniz in theta."""
+    cov = np.asarray(q.cov, dtype=float)
+    k = len(q.degrees)
+    nodes, weights = gh_rule(order)
+    xi = np.stack([g.reshape(-1) for g in
+                   np.meshgrid(*([nodes] * k), indexing="ij")])
+    z = np.linalg.cholesky(cov).astype(np.longdouble) @ xi
+    f = np.ones(xi.shape[1], dtype=np.longdouble)
+    for g in np.meshgrid(*([weights] * k), indexing="ij"):
+        f = f * g.reshape(-1)
+    for j, (n, th, r, t, trig) in enumerate(zip(q.degrees, q.thetas, q.derivs,
+                                                 q.truncations, q.trigs)):
+        phase = {"cos": 0, "sin": 3}[trig]
+        deriv = np.zeros_like(z[j])
+        for s in range(min(r, n) + 1):
+            pref = math.comb(r, s) * math.perm(n, s) * np.longdouble(th) ** (n - s)
+            deriv = deriv + pref * _ld_truncated_trig_deriv(
+                z[j], th, phase + n, t - n, r - s, float(cov[j, j]))
+        f = f * deriv
+    return float(np.sum(f)) / math.prod(math.factorial(n) for n in q.degrees)
 
 
 def random_correlation(gen, k: int) -> np.ndarray:

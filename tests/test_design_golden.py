@@ -5,9 +5,11 @@ The fixture was recorded before the isolated-point test, the bootstrap, the
 G/H quadrature and the heat-kernel stencil were each given one shared
 implementation.  It is recorded with the model draws taken by the per-draw
 route of ``oracles.per_draw_model_field``, the mollified derivative taken
-by the Gauss-Legendre route of ``oracles.legendre_mollified_deriv`` and the
-Gaussian means taken by the adaptive route of ``oracles.quad_gaussian_mean``;
-on those routes every number must be reproduced bit for bit.  The package pairs
+by the Gauss-Legendre route of ``oracles.legendre_mollified_deriv``, the
+Gaussian means taken by the adaptive route of ``oracles.quad_gaussian_mean``
+and the Wick sums taken by the contraction-matrix enumeration of
+``oracles.dmatrix_wick_sum_moment``; on those routes every number must be
+reproduced bit for bit.  The package pairs
 model draws in one complex transform, which moves the model outputs by
 rounding only, so on the production route every number must agree within
 1e-12 relative.  The exception is the two outputs built on the mollified
@@ -16,7 +18,8 @@ exact-weight Gauss rules remove the Legendre route's own quadrature error
 (up to 3.5e-7 relative per point inside (-delta, delta)), which moves them
 by up to 1.4e-10 relative, so they agree within MOLLIFIED_REL; the
 package's fixed Gaussian-mean rule moves the constant c_2 they subtract by
-rounding only.  One entry
+rounding only, as the generating-function Wick sums move the lemma checks'
+right sides.  One entry
 moved on the oracle route too: the growth family's ``remainder_pairing``
 now scales each factor of the two-frequency object by its own ladder
 prefactor, where the recording scaled their product by the merged one, so
@@ -30,7 +33,7 @@ import json
 import math
 from pathlib import Path
 
-from chaoslab import models, nonlinearity
+from chaoslab import isserlis, models, nonlinearity
 from chaoslab.clustering import partition_sum_check, volume_lemma_check, \
     volume_Sc
 from chaoslab.experiments import second_moment_G, second_moment_H
@@ -46,8 +49,8 @@ from chaoslab.models import (
     remainder_pairing,
 )
 from chaoslab.nonlinearity import make_nonlinearity
-from oracles import legendre_mollified_deriv, per_draw_model_field, \
-    quad_gaussian_mean
+from oracles import dmatrix_wick_sum_moment, legendre_mollified_deriv, \
+    per_draw_model_field, quad_gaussian_mean
 
 FIXTURE = Path(__file__).with_name("golden_design.json")
 # outputs on the mollified derivative against the Legendre-route fixture
@@ -88,8 +91,7 @@ def _lemma(rep):
 
 
 def _ratio(rep):
-    return {"grid": [[list(e.theta), e.lhs, e.rhs, e.ratio, list(e.ci)]
-                     for e in rep.grid],
+    return {"grid": [[list(e.theta), e.lhs, e.rhs, e.ratio] for e in rep.grid],
             "max_ratio": rep.max_ratio, "rejections": rep.rejections}
 
 
@@ -120,9 +122,9 @@ def design_outputs() -> dict:
     lemma = {which: _ratio(check_correlation_lemma(which, LemmaCheckConfig(
         n=1, theta_grid=(1.0, 10.0), n_configs=3, seed=11)))
         for which in ("comparable", "singleton", "fixed")}
-    lemma["fixed_n2_mc"] = _ratio(check_correlation_lemma(
+    lemma["fixed_n2"] = _ratio(check_correlation_lemma(
         "fixed", LemmaCheckConfig(n=2, theta_grid=(1.0, 10.0), n_configs=2,
-                                  n_mc=2_000, seed=13)))
+                                  seed=13)))
     out["check_correlation_lemma"] = lemma
 
     lat = lattice_from_counts(G1, 8.0 / 256, (256,))
@@ -191,6 +193,7 @@ def test_design_outputs_match_golden_fixture(monkeypatch):
                         legendre_mollified_deriv)
     monkeypatch.setattr(nonlinearity, "gaussian_mean", quad_gaussian_mean)
     monkeypatch.setattr(models, "gaussian_mean", quad_gaussian_mean)
+    monkeypatch.setattr(isserlis, "wick_sum_moment", dmatrix_wick_sum_moment)
     got = _normalise(design_outputs())
     want = json.loads(FIXTURE.read_text())
     study, entry = REORDERED
@@ -212,4 +215,5 @@ if __name__ == "__main__":
     models.sample_model_field_values = per_draw_model_field
     nonlinearity._mollified_block = legendre_mollified_deriv
     nonlinearity.gaussian_mean = models.gaussian_mean = quad_gaussian_mean
+    isserlis.wick_sum_moment = dmatrix_wick_sum_moment
     FIXTURE.write_text(json.dumps(design_outputs(), indent=1) + "\n")

@@ -7,6 +7,8 @@ import pytest
 from chaoslab import rng
 from chaoslab.chaos import ChaosTruncSpec, trig_chaos_coeff, \
     truncated_trig_deriv
+from chaoslab.field import CovarianceSpec
+from chaoslab.geometry import ScalingGeometry, box_points, pair_distances
 from chaoslab.isserlis import (
     LAM_CONST,
     ClusterCoeffQuery,
@@ -15,14 +17,21 @@ from chaoslab.isserlis import (
     StructuralError,
     check_correlation_lemma,
     cluster_coeff,
-    enumerate_dmatrices,
     exact_functional_product_moment,
     reduce_to_dstar,
-    wick_moment,
     wick_sum_moment,
 )
 
-from oracles import brute_wick_moment, matching_wick_moment, random_correlation
+from oracles import brute_wick_moment, dmatrix_wick_sum_moment, \
+    enumerate_dmatrices, matching_wick_moment, random_correlation, \
+    tensor_gh_cluster_coeff
+
+G1 = ScalingGeometry((1.0,))
+
+
+def wick_moment(degrees, cov) -> float:
+    """E prod_i Z_i^{<>n_i}: the Wick sum over the one-point ranges (n_i, n_i)."""
+    return wick_sum_moment([(n, n) for n in degrees], cov)
 
 
 def test_enumerate_forced():
@@ -86,7 +95,26 @@ def test_wick_moment_vs_bruteforce_small():
         degs = tuple(int(v) for v in gen.integers(0, 4, size=k))
         got = wick_moment(degs, cov)
         assert got == pytest.approx(brute_wick_moment(degs, cov), abs=1e-10)
-        assert got == pytest.approx(matching_wick_moment(degs, cov), abs=1e-10)
+        assert got == pytest.approx(matching_wick_moment(degs, cov), rel=1e-13,
+                                    abs=0.0)
+        assert got == pytest.approx(dmatrix_wick_sum_moment(
+            [(n, n) for n in degs], cov), rel=1e-13, abs=0.0)
+    # Wick sums over ranges against the contraction-matrix enumeration
+    for k in range(2, 9):
+        for _ in range(3):
+            cov = random_correlation(gen, k)
+            lo = [int(v) for v in gen.integers(0, 3, size=k)]
+            # the enumeration's cost grows with the range box; keep 8 variables
+            # at most one wide range per two variables
+            width = gen.integers(0, 2, size=k) if k < 7 else np.arange(k) % 2
+            ranges = [(a, a + int(w)) for a, w in zip(lo, width)]
+            assert wick_sum_moment(ranges, cov) == pytest.approx(
+                dmatrix_wick_sum_moment(ranges, cov), rel=1e-13, abs=0.0)
+    # the lemma checks' ranges
+    for k, ranges in ((4, (1, 2)), (4, (2, 3)), (6, (1, 2))):
+        cov = random_correlation(gen, k)
+        assert wick_sum_moment([ranges] * k, cov) == pytest.approx(
+            dmatrix_wick_sum_moment([ranges] * k, cov), rel=1e-13, abs=0.0)
 
 
 def test_reduce_identity_when_already_reduced():
@@ -195,6 +223,58 @@ def test_cluster_coeff_rejects_non_psd():
                           truncations=(1, 1), trigs=("sin", "sin"), cov=cov)
     with pytest.raises(ValueError):
         cluster_coeff(q)
+
+
+def _box_cov(gen, k: int) -> np.ndarray:
+    """Normalised covariance of k points uniform in the radius-0.3 ball."""
+    pts = box_points(gen, (k,), G1, 0.3)
+    return CovarianceSpec(alpha=0.6, epsilon=0.05).normalised(
+        pair_distances(pts, G1))
+
+
+def test_cluster_coeff_matches_quadrature_at_moderate_frequency():
+    # a 60-node tensor Gauss-Hermite rule is off by 1.6e-4 relative here
+    q = ClusterCoeffQuery(degrees=(3, 3, 3), thetas=(5.0,) * 3, derivs=(1,) * 3,
+                          truncations=(3,) * 3, trigs=("sin",) * 3,
+                          cov=_box_cov(rng.substream(22, 1), 3))
+    assert cluster_coeff(q) == pytest.approx(tensor_gh_cluster_coeff(q, 100),
+                                             rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cluster_coeff_exact_at_high_frequency(k):
+    # degree-1 members of sin(theta Z): the coefficient is E prod theta
+    # cos(theta Z_j), the mean over frequency signs of exp(-theta^2 s'Cs / 2)
+    theta = 20.0
+    cov = _box_cov(rng.substream(3, k), k)
+    q = ClusterCoeffQuery(degrees=(1,) * k, thetas=(theta,) * k, derivs=(0,) * k,
+                          truncations=(1,) * k, trigs=("sin",) * k, cov=cov)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+    var = np.einsum("si,ij,sj->s", signs, cov, signs)
+    want = theta**k * float(np.mean(np.exp(-0.5 * theta**2 * var)))
+    assert 0.0 < want < 1e-100
+    assert cluster_coeff(q) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_cluster_coeff_block_factorizes_beyond_four_members():
+    left = ClusterCoeffQuery(degrees=(1, 2), thetas=(0.9, 1.4), derivs=(0, 1),
+                             truncations=(1, 2), trigs=("sin", "cos"),
+                             cov=_box_cov(rng.substream(4, 1), 2))
+    right = ClusterCoeffQuery(degrees=(1, 1, 3), thetas=(1.2, 0.7, 1.1),
+                              derivs=(0, 0, 0), truncations=(1, 3, 3),
+                              trigs=("sin", "sin", "sin"),
+                              cov=_box_cov(rng.substream(4, 2), 3))
+    cov = np.zeros((5, 5))
+    cov[:2, :2] = left.cov
+    cov[2:, 2:] = right.cov
+    full = ClusterCoeffQuery(
+        degrees=left.degrees + right.degrees, thetas=left.thetas + right.thetas,
+        derivs=left.derivs + right.derivs,
+        truncations=left.truncations + right.truncations,
+        trigs=left.trigs + right.trigs, cov=cov)
+    want = cluster_coeff(left) * cluster_coeff(right)
+    assert want != 0.0
+    assert cluster_coeff(full) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_exact_moment_vs_quadrature_pair():
@@ -315,3 +395,73 @@ def test_lemma_singleton_rejects_scale_beyond_box():
     # diameter 2, so no configuration can have an isolated point
     with pytest.raises(ValueError, match="isolation scale"):
         check_correlation_lemma("singleton", LemmaCheckConfig(n=2))
+
+
+@pytest.mark.parametrize("which", ["comparable", "fixed"])
+def test_lemma_n2_left_sides_are_exact(which):
+    # at theta >= 10 the exact left side is far below any Monte Carlo error
+    rep = check_correlation_lemma(which, LemmaCheckConfig(n=2))
+    assert [e.theta[1] for e in rep.grid] == [1.0, 10.0, 100.0]
+    assert rep.grid[0].lhs != 0.0
+    for e in rep.grid[1:]:
+        assert abs(e.lhs) < 1e-40
+    assert all(np.isfinite(e.ratio) for e in rep.grid)
+
+
+@pytest.mark.parametrize("which", ["comparable", "fixed"])
+def test_lemma_n3_runs(which):
+    cfg = LemmaCheckConfig(n=3, eps=0.02, theta_grid=(1.0, 10.0), n_configs=2)
+    rep = check_correlation_lemma(which, cfg)
+    assert len(rep.grid) == 2
+    assert all(np.isfinite(e.ratio) for e in rep.grid)
+    assert rep.max_ratio < 100.0
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"n_configs": 0}, "n_configs"),
+    ({"n": 0}, "n must"),
+    ({"theta_grid": ()}, "theta_grid"),
+    ({"theta_grid": (1.0, math.inf)}, "theta_grid"),
+    ({"trig1": "tan"}, "trig"),
+    ({"trig2": "tan"}, "trig"),
+    ({"eps": math.nan}, "eps"),
+    ({"eps": 1.5}, "eps"),
+    ({"alpha": math.nan}, "alpha"),
+    ({"m1": -1}, "truncation"),
+    ({"deriv": (0, -1)}, "deriv"),
+], ids=["no-configs", "n-zero", "empty-grid", "inf-theta", "trig1", "trig2",
+        "nan-eps", "eps-above-one", "nan-alpha", "negative-m1", "negative-deriv"])
+def test_lemma_config_rejects_bad_input(bad, match):
+    with pytest.raises(ValueError, match=match):
+        LemmaCheckConfig(**bad)
+
+
+@pytest.mark.parametrize("ranges, cov, match", [
+    ([(2, 1)] * 2, np.eye(2), "lo <= hi"),
+    ([(-1, 1)] * 2, np.eye(2), "lo <= hi"),
+    ([(1, 2)] * 2, np.array([[1.0, math.nan], [math.nan, 1.0]]), "finite"),
+    ([(1, 2)] * 2, np.eye(3), "shape"),
+], ids=["empty-range", "negative-lo", "nan-cov", "wrong-shape"])
+def test_wick_sum_moment_rejects_bad_input(ranges, cov, match):
+    with pytest.raises(ValueError, match=match):
+        wick_sum_moment(ranges, cov)
+
+
+@pytest.mark.parametrize("cov, match", [
+    (np.array([[1.0, math.nan], [math.nan, 1.0]]), "finite"),
+    (np.eye(3), "shape"),
+], ids=["nan-cov", "wrong-shape"])
+def test_exact_moment_rejects_bad_covariance(cov, match):
+    with pytest.raises(ValueError, match=match):
+        exact_functional_product_moment([("sin", 1), ("sin", 1)], [1.0, 1.0],
+                                        [0, 0], cov)
+
+
+@pytest.mark.parametrize("trigs, cov, match", [
+    (("sin", "sin"), np.eye(3), "shape"),
+    (("sin", "tan"), np.eye(2), "trig"),
+], ids=["wrong-shape", "unknown-trig"])
+def test_cluster_query_rejects_bad_input(trigs, cov, match):
+    with pytest.raises(ValueError, match=match):
+        ClusterCoeffQuery(degrees=(1, 1), thetas=(1.0, 1.0), derivs=(0, 0),
+                          truncations=(1, 1), trigs=trigs, cov=cov)

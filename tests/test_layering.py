@@ -101,7 +101,7 @@ def test_no_unused_imports(path):
 # whole package; a ``field(...)`` without ``default`` or ``default_factory``
 # is a required field, not an option.  A change that adds an option raises
 # this ceiling in the same diff and says why in CHANGES.md.
-OPTION_CEILING = 71
+OPTION_CEILING = 70
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
