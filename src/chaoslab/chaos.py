@@ -94,24 +94,6 @@ def phase_coeff_deriv(phase: int, k: int, theta: float, sigma2: float, r: int = 
     return sgn / math.factorial(k) * val * math.exp(-expo)
 
 
-def trig_chaos_coeff(trig: str, k: int, theta: float, sigma2: float) -> float:
-    """Coefficient of Z^{<>k} in the chaos expansion of trig(theta Z), Z ~ N(0, sigma2)."""
-    if k < 0:
-        raise ValueError("chaos order must be non-negative")
-    return phase_coeff_deriv(_TRIG_PHASE[trig], k, theta, sigma2, r=0)
-
-
-def trig_chaos_coeff_log(trig: str, k: int, theta: float, sigma2: float) -> tuple[float, float]:
-    """(sign, log magnitude) of the coefficient; usable far past float underflow."""
-    sgn = _PHASE_SIGN[(_TRIG_PHASE[trig] + k) % 4]
-    if sgn == 0.0 or (theta == 0.0 and k > 0):
-        return 0.0, -math.inf
-    logmag = k * math.log(abs(theta)) - 0.5 * sigma2 * theta * theta - math.lgamma(k + 1)
-    if theta < 0 and k % 2:
-        sgn = -sgn
-    return sgn, logmag
-
-
 @dataclass(frozen=True)
 class ChaosTruncSpec:
     """Truncation spec: trig sign and the first retained chaos order ``m``.
@@ -169,22 +151,3 @@ def truncated_trig_deriv(x, theta: float, phase: int, m_remove: int, r: int, sig
         if c != 0.0:
             out = out - c * wick_power(x, k, sigma2)
     return out
-
-
-def truncated_trig(x_val, theta: float, spec: ChaosTruncSpec, sigma2: float):
-    """trig(theta x) with its first m-1 chaos components removed (orders < m)."""
-    out = truncated_trig_deriv(x_val, theta, spec.phase, spec.m, 0, sigma2)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def eval_functional(F: TwoPointFunctional, x_val, y_val, sigma2x: float, sigma2y: float):
-    """Pointwise value of the theta-derivative of the two-factor functional.
-
-    Broadcasts over array-valued ``x_val``/``y_val``.
-    """
-    tx, ty = F.theta
-    r1, r2 = F.deriv
-    fx = truncated_trig_deriv(x_val, tx, F.spec_x.phase, F.spec_x.m, r1, sigma2x)
-    fy = truncated_trig_deriv(y_val, ty, F.spec_y.phase, F.spec_y.m, r2, sigma2y)
-    out = fx * fy
-    return float(out) if np.ndim(out) == 0 else out

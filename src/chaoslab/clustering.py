@@ -1,15 +1,17 @@
-"""Equivalence-class clustering at a length scale, the isolated-point test,
-chain-partition membership, and the Monte Carlo volume estimates.
+"""The isolated-point test and the Monte Carlo volume estimates.
 
-Points are clustered by the transitive closure of "within distance scale" in
-the anisotropic metric; a configuration of 2n points is 'separated' when at
-least one point is farther than the scale from every other.  That event is
-decided in one place, :func:`has_isolated_point`, from pairwise distances,
-and every routine of the package that needs it calls it.  The complement of
-the event carries small volume, which the Monte Carlo estimators here
-quantify: :func:`volume_Sc` against the product bound (eps ^ n|s|) *
-(lambda ^ n|s|) up to a single constant, :func:`volume_lemma_check` for the
-kernel's two restricted-volume integrals.  All draw through one batch loop.
+A configuration of 2n points is 'separated' when at least one point is
+farther than the clustering scale from every other in the anisotropic
+metric.  That event is decided in one place, :func:`has_isolated_point`,
+from pairwise distances, and every routine of the package that needs it
+calls it.  The complement of the event carries small volume, which the
+Monte Carlo estimators here quantify: :func:`volume_Sc` against the product
+bound (eps ^ n|s|) * (lambda ^ n|s|) up to a single constant,
+:func:`volume_lemma_check` for the kernel's two restricted-volume
+integrals, and :func:`partition_sum_check` for the decomposition of the
+complement into chain-connected blocks.  All draw through one batch loop,
+and all reject a scale or grid that is empty, not finite or not positive
+before drawing.
 """
 
 from __future__ import annotations
@@ -25,29 +27,6 @@ from .geometry import ScalingGeometry, box_points, box_volume, pair_distances
 from .kernel import RenormKernel
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
-    scale: float
-    classes: tuple[tuple[int, ...], ...]
-    singletons: tuple[tuple[int, ...], ...]
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def has_isolated_point(dist: np.ndarray, scale: float) -> np.ndarray:
     """Per configuration: is some point farther than ``scale`` from every other?
 
@@ -56,43 +35,6 @@ def has_isolated_point(dist: np.ndarray, scale: float) -> np.ndarray:
     """
     off = np.where(np.eye(dist.shape[-1], dtype=bool), np.inf, dist)
     return np.any(np.min(off, axis=-1) > scale, axis=-1)
-
-
-def build_clusters(points, L_eps: float, g: ScalingGeometry) -> ClusterPartition:
-    """Union-find closure of the relation |z_i - z_j| <= L_eps."""
-    if L_eps <= 0:
-        raise ValueError("clustering scale must be positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != g.d:
-        raise ValueError("point dimension mismatch")
-    n = pts.shape[0]
-    dist = pair_distances(pts, g)
-    uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= L_eps:
-                uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    classes = tuple(sorted(tuple(sorted(v)) for v in groups.values()))
-    singles = tuple(c for c in classes if len(c) == 1)
-    return ClusterPartition(scale=float(L_eps), classes=classes, singletons=singles)
-
-
-def in_S2n(points, L_eps: float, g: ScalingGeometry | None = None) -> bool:
-    """True iff some point is farther than L_eps from every other point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if g is None:
-        g = ScalingGeometry((1.0,) * pts.shape[-1])
-    return bool(has_isolated_point(pair_distances(pts, g), L_eps))
-
-
-def in_chain_class(points, L_eps: float, g: ScalingGeometry) -> bool:
-    """Membership in the chain class: some relabelling has consecutive gaps <= L_eps."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    adj = pair_distances(pts, g) <= L_eps
-    return bool(_chain_mask(adj[None], tuple(range(len(pts))))[0])
 
 
 @dataclass
@@ -107,12 +49,20 @@ class VolumeEstimate:
 _MC_BATCH = 50_000
 
 
-def _check_mc(n: int, L: float, n_mc: int):
-    """ValueError for no configurations, no points or a scale constant L <= 0."""
+def _check_mc(n: int, L: float, n_mc: int, **scales):
+    """ValueError for no configurations, no points, a scale constant L that
+    is not positive, or a named scale (a number or a grid of them) that is
+    empty, not finite or not positive."""
     if n_mc < 1:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
-    if n < 1 or L <= 0:
+    if n < 1 or not L > 0:  # also rejects NaN
         raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
+    for name, value in scales.items():
+        grid = np.atleast_1d(np.asarray(value, dtype=float))
+        if grid.size == 0:
+            raise ValueError(f"{name} is empty")
+        if not np.all((grid > 0.0) & np.isfinite(grid)):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _box_batches(gen: np.random.Generator, n_pts: int, n_mc: int,
@@ -134,7 +84,7 @@ def volume_Sc(n: int, eps: float, lam: float, g: ScalingGeometry, n_mc: int,
     returned bound is (eps ^ n|s|) * (lam ^ n|s|) with eps capped at lam, for
     ratio reporting.
     """
-    _check_mc(n, L, n_mc)
+    _check_mc(n, L, n_mc, eps=eps, lam=lam)
     gen = rng.substream(seed, rng.POINTS, 1)
     n_pts = 2 * n
     hits = 0
@@ -189,7 +139,7 @@ def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
             "volume lemma sampling is implemented for d = 1 with s = (1,)")
     if 2 * n > 4:
         raise ValueError("volume lemma budget is 2n <= 4")
-    _check_mc(n, L, n_mc)
+    _check_mc(n, L, n_mc, eps_grid=eps_grid, lambda_grid=lambda_grid)
     q_far = g.total - kern.gamma + kern.r_e
     q_near = g.total - kern.gamma + kern.r_e - 1
     k = 2 * n
@@ -293,7 +243,7 @@ def partition_sum_check(n: int, eps: float, lam: float, n_mc: int,
     """
     if 2 * n > 8:
         raise ValueError("partition enumeration budget is 2n <= 8")
-    _check_mc(n, L, n_mc)
+    _check_mc(n, L, n_mc, eps=eps, lam=lam)
     if g is None:
         g = ScalingGeometry((1.0,))
     gen = rng.substream(seed, rng.POINTS, 2)

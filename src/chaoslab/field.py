@@ -55,12 +55,16 @@ class CovarianceSpec:
     lambda_const: float = 2.0
 
     def __post_init__(self):
+        # comparisons written so that NaN fails them
         if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("regularisation scale must lie in (0, 1)")
-        if self.lambda_const <= 1.0:
-            raise ValueError("sandwich constant must exceed 1")
-        if self.alpha <= 0.0:
-            raise ValueError("singularity exponent must be positive")
+            raise ValueError(f"regularisation scale epsilon must lie in (0, 1), "
+                             f"got {self.epsilon!r}")
+        if not (1.0 < self.lambda_const < math.inf):
+            raise ValueError(f"sandwich constant lambda_const must be finite and "
+                             f"exceed 1, got {self.lambda_const!r}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(f"singularity exponent alpha must be positive and "
+                             f"finite, got {self.alpha!r}")
 
     def target(self, lag_metric):
         """Target covariance of the raw field at the given metric lags."""

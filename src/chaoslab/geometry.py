@@ -46,23 +46,6 @@ class ScalingGeometry:
         return float(sum(self.s))
 
 
-def metric(x, g: ScalingGeometry) -> float:
-    """Anisotropic distance of ``x`` from the origin.
-
-    Returns ``max_i |x_i|**(1/s_i)``; zero iff ``x == 0``.  A scalar is a
-    point of a one-dimensional geometry.  Several points are rejected: their
-    distances come from :func:`metric_many`.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != g.d:
-        raise ValueError(f"point has {x.shape[-1]} coordinates, geometry has {g.d}")
-    if x.size != g.d:
-        raise ValueError(f"metric takes one point, got {x.size // g.d}; "
-                         "use metric_many for several")
-    exps = 1.0 / np.asarray(g.s)
-    return float(np.max(np.abs(x) ** exps))
-
-
 def metric_many(points: np.ndarray, g: ScalingGeometry) -> np.ndarray:
     """Vectorized metric over the last axis of ``points`` (shape (..., d))."""
     points = np.asarray(points, dtype=float)
@@ -141,11 +124,6 @@ class TestFunction:
             object.__setattr__(self, "profile", bump_profile)
 
 
-def eval_test_function(tf: TestFunction, y) -> float:
-    """Pointwise value of the rescaled test function at ``y``."""
-    return float(eval_test_function_many(tf, np.atleast_2d(np.asarray(y, dtype=float)))[0])
-
-
 def eval_test_function_many(tf: TestFunction, points: np.ndarray) -> np.ndarray:
     """Rescaled test function on an array of points (shape (..., d))."""
     g = tf.geometry
@@ -179,19 +157,12 @@ class Lattice:
         return tuple(len(a) for a in self.axes)
 
     @property
-    def n_points(self) -> int:
-        n = 1
-        for a in self.axes:
-            n *= len(a)
-        return n
-
-    @property
     def cell_volume(self) -> float:
         """Volume of one cell: base_step ** |s|."""
         return float(self.base_step) ** self.geometry.total
 
     def points(self) -> np.ndarray:
-        """All lattice points, shape (n_points, d), row-major order."""
+        """All lattice points, shape (prod(shape), d), row-major order."""
         grids = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([gr.reshape(-1) for gr in grids], axis=-1)
 
@@ -203,13 +174,13 @@ def build_lattice(g: ScalingGeometry, h: float, extent,
     Each axis carries points ``k * h**s_i`` for integer k with
     ``|k * h**s_i| <= extent_i``.
     """
-    if h <= 0:
-        raise ValueError("base step must be positive")
+    if not 0.0 < h < np.inf:  # also rejects NaN
+        raise ValueError(f"base step must be positive and finite, got h = {h!r}")
     ext = np.atleast_1d(np.asarray(extent, dtype=float))
     if len(ext) == 1 and g.d > 1:
         ext = np.full(g.d, ext[0])
-    if len(ext) != g.d or np.any(ext <= 0):
-        raise ValueError("extent must be positive per axis")
+    if len(ext) != g.d or not np.all((ext > 0) & np.isfinite(ext)):
+        raise ValueError(f"extent must be positive and finite per axis, got {extent!r}")
     axes = []
     total = 1
     for si, ei in zip(g.s, ext):
@@ -229,8 +200,8 @@ def lattice_from_counts(g: ScalingGeometry, h: float, counts,
     Used when an exact grid size matters more than an exact box, e.g. a
     power-of-two axis for spectral synthesis.
     """
-    if h <= 0:
-        raise ValueError("base step must be positive")
+    if not 0.0 < h < np.inf:  # also rejects NaN
+        raise ValueError(f"base step must be positive and finite, got h = {h!r}")
     counts = np.atleast_1d(np.asarray(counts, dtype=int))
     if len(counts) == 1 and g.d > 1:
         counts = np.full(g.d, counts[0])

@@ -5,13 +5,11 @@ Wick sum E prod_i (sum_k Z_i^{<>k}), the t^k coefficients of the Hermite
 generating function prod_{i<j} exp(C_ij t_i t_j).  The left side is a
 Gaussian moment of a product of chaos-truncated trig factors; each factor
 expands into trig and polynomial atoms whose joint moments are closed-form
-pairing sums times exp(-Var/2).  Cluster chaos coefficients are the same
-atom moments of the members' mixed derivatives.  The module also keeps the
-symmetric contraction matrices D (entry d_ij counts pairings between the
-legs of variables i and j) with the reduction moves that push a matrix
-with a distinguished index 0 into the zero-first-row class at a quantified
-epsilon-exponent cost, and the ratio checks of the pointwise correlation
-bounds, exact on both sides.
+pairing sums times exp(-Var/2), with the atoms' phases summed as integers
+so that a moment zero by parity is exactly 0.0.  Cluster chaos coefficients
+are the same atom moments of the members' mixed derivatives.  The module
+also holds the ratio checks of the pointwise correlation bounds, exact on
+both sides.
 """
 
 from __future__ import annotations
@@ -26,42 +24,6 @@ from . import chaos, rng
 from .clustering import has_isolated_point
 from .field import CovarianceSpec
 from .geometry import ScalingGeometry, box_points, pair_distances
-
-
-class StructuralError(RuntimeError):
-    """A reduction move required by the algorithm is unavailable."""
-
-
-@dataclass(frozen=True)
-class DMatrix:
-    """Symmetric zero-diagonal non-negative integer contraction matrix."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        k = len(self.entries)
-        for i, row in enumerate(self.entries):
-            if len(row) != k:
-                raise ValueError("matrix must be square")
-            if row[i] != 0:
-                raise ValueError("diagonal must be zero")
-            for j in range(k):
-                if row[j] < 0:
-                    raise ValueError("entries must be non-negative")
-                if row[j] != self.entries[j][i]:
-                    raise ValueError("matrix must be symmetric")
-
-    @classmethod
-    def from_array(cls, arr) -> "DMatrix":
-        a = np.asarray(arr, dtype=int)
-        return cls(tuple(tuple(int(v) for v in row) for row in a))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
 
 
 def _checked_cov(cov, k: int) -> np.ndarray:
@@ -122,63 +84,6 @@ def wick_sum_moment(ranges, cov) -> float:
     return math.fsum((weight * window).ravel())
 
 
-def reduce_to_dstar(d: DMatrix, alpha: float, m2: int) -> tuple[DMatrix, float]:
-    """Push a matrix with distinguished index 0 into the zero-first-row class.
-
-    Two moves: (i) while two links d_0i, d_0j > 0 exist, trade them for two
-    units on d_ij (no cost); (ii) zero the last remaining 0-link, then, while
-    that row's sum is below m2, move one unit off some d_ij onto d_{i*,i} and
-    d_{i*,j} at an epsilon-exponent cost of 2*alpha per move.  Returns the
-    reduced matrix and the accumulated penalty exponent (at most
-    alpha*(m2+1)).
-    """
-    k = d.size
-    mat = [list(row) for row in d.entries]
-    while True:
-        pos = [i for i in range(1, k) if mat[0][i] > 0]
-        if len(pos) <= 1:
-            break
-        i, j = pos[0], pos[1]
-        mat[0][i] -= 1
-        mat[i][0] -= 1
-        mat[0][j] -= 1
-        mat[j][0] -= 1
-        mat[i][j] += 2
-        mat[j][i] += 2
-    penalty = 0.0
-    pos = [i for i in range(1, k) if mat[0][i] > 0]
-    if pos:
-        istar = pos[0]
-        mat[0][istar] = 0
-        mat[istar][0] = 0
-        while sum(mat[istar]) < m2:
-            move = None
-            for i in range(1, k):
-                if i == istar:
-                    continue
-                for j in range(i + 1, k):
-                    if j != istar and mat[i][j] > 0:
-                        move = (i, j)
-                        break
-                if move:
-                    break
-            if move is None:
-                raise StructuralError("no rebalancing edge available; malformed degrees")
-            i, j = move
-            mat[istar][i] += 1
-            mat[i][istar] += 1
-            mat[istar][j] += 1
-            mat[j][istar] += 1
-            mat[i][j] -= 1
-            mat[j][i] -= 1
-            penalty += 2.0 * alpha
-    out = DMatrix(tuple(tuple(row) for row in mat))
-    sums = out.row_sums()
-    if any(out.entries[0][i] != 0 for i in range(1, k)) or any(s < m2 for s in sums[1:]):
-        raise StructuralError("reduction did not reach the target class; malformed input")
-    return out, penalty
-
-
 # ---------------------------------------------------------------------------
 # exact Gaussian moments of products of trig factors and polynomials
 
@@ -219,8 +124,10 @@ def _partial_pairings(legs: list[int]):
 
 def _poly_trig_expectation(var_idx: list[int], degrees: list[int],
                            trig_vars: list[int], trig_thetas: list[float],
-                           phi: float, cov: np.ndarray) -> float:
-    """E[ prod Z_{var_idx}^{deg} * cos(sum trig_thetas*Z_trig + phi) ] in closed form."""
+                           phase: int, cov: np.ndarray) -> float:
+    """E[ prod Z_{var_idx}^{deg} * cos(sum trig_thetas*Z_trig + phase*pi/2) ]
+    in closed form.  The phase is an integer, so cos(phase pi/2) and
+    sin(phase pi/2) = cos((phase - 1) pi/2) are exactly 0 or +-1."""
     tvec = np.zeros(cov.shape[0])
     for v, th in zip(trig_vars, trig_thetas):
         tvec[v] += th
@@ -232,6 +139,8 @@ def _poly_trig_expectation(var_idx: list[int], degrees: list[int],
     for v, q in zip(var_idx, degrees):
         legs.extend([v] * q)
     cov_t = cov @ tvec
+    cos_p = chaos._PHASE_SIGN[phase % 4]
+    sin_p = chaos._PHASE_SIGN[(phase - 1) % 4]
     total = 0.0
     for pairs, singles in _partial_pairings(legs):
         prod = 1.0
@@ -242,9 +151,9 @@ def _poly_trig_expectation(var_idx: list[int], degrees: list[int],
             prod *= cov_t[s]
         # i**n_single folded into the real part below
         if n_single % 2 == 0:
-            contrib = prod * ((-1.0) ** (n_single // 2)) * math.cos(phi)
+            contrib = prod * ((-1.0) ** (n_single // 2)) * cos_p
         else:
-            contrib = -prod * ((-1.0) ** ((n_single - 1) // 2)) * math.sin(phi)
+            contrib = -prod * ((-1.0) ** ((n_single - 1) // 2)) * sin_p
         total += contrib
     return math.exp(-0.5 * var_t) * total
 
@@ -255,13 +164,15 @@ def exact_trig_poly_moment(factor_atoms: list[list[tuple]], cov) -> float:
     Factor j is a function of Gaussian Z_j; ``cov`` is the joint covariance.
     Exact at every frequency: the correlation lemmas and cluster
     coefficients read values far below any sampling or quadrature error.
+    The atoms' phases are summed as integers, so a moment that parity makes
+    zero is exactly 0.0.
     """
     cov = np.asarray(cov, dtype=float)
     total = []
     for combo in itertools.product(*factor_atoms):
         coeff = 1.0
         var_idx, degrees = [], []
-        trig_vars, trig_thetas, trig_phis = [], [], []
+        trig_vars, trig_thetas, trig_phases = [], [], []
         for j, (c, deg, theta, phase) in enumerate(combo):
             coeff *= c
             if deg:
@@ -270,7 +181,7 @@ def exact_trig_poly_moment(factor_atoms: list[list[tuple]], cov) -> float:
             if theta is not None:
                 trig_vars.append(j)
                 trig_thetas.append(theta)
-                trig_phis.append(phase * math.pi / 2.0)
+                trig_phases.append(phase)
         if coeff == 0.0:
             continue
         if sum(degrees) > 14:
@@ -278,17 +189,17 @@ def exact_trig_poly_moment(factor_atoms: list[list[tuple]], cov) -> float:
         if trig_vars:
             # product of cosines -> mean over +-1 frequency sign patterns
             acc = 0.0
-            for signs in itertools.product((1.0, -1.0), repeat=len(trig_vars) - 1):
-                svec = (1.0,) + signs
+            for signs in itertools.product((1, -1), repeat=len(trig_vars) - 1):
+                svec = (1,) + signs
                 thetas = [s * th for s, th in zip(svec, trig_thetas)]
-                phi = sum(s * p for s, p in zip(svec, trig_phis))
+                phase = sum(s * p for s, p in zip(svec, trig_phases))
                 acc += _poly_trig_expectation(var_idx, degrees, trig_vars, thetas,
-                                              phi, cov)
+                                              phase, cov)
             acc /= 2.0 ** (len(trig_vars) - 1)
             total.append(coeff * acc)
         else:
             total.append(coeff * _poly_trig_expectation(var_idx, degrees, [], [],
-                                                        0.0, cov))
+                                                        0, cov))
     return math.fsum(total)
 
 

@@ -85,8 +85,8 @@ class RenormKernel:
             raise ValueError("smoothing order must lie in (0, |s|/2]")
         if self.r_e < 0 or self.r_e > 2:
             raise ValueError("supported Taylor depth is r_e in {0, 1, 2}")
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        if not 0.0 < self.cutoff < math.inf:  # also rejects NaN
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff!r}")
 
     @property
     def singularity_power(self) -> float:
@@ -106,10 +106,6 @@ def eval_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
     pos = r != 0.0
     out[pos] = _k0_of_radius(r[pos], k)
     return out
-
-
-def eval_K0(x, k: RenormKernel) -> float:
-    return float(eval_K0_many(np.atleast_2d(np.asarray(x, dtype=float)), k)[0])
 
 
 def grad_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
@@ -224,22 +220,3 @@ def check_region_bounds(k: RenormKernel, n_samples: int, seed: int = 0) -> Regio
                 ratio = vals[mask] / _region_bound(k, rx[mask], ry[mask], rxy[mask], name)
                 report[name] = float(np.max(ratio))
     return RegionBoundReport(r_e=k.r_e, max_ratio=report, n_samples=int(np.sum(keep)))
-
-
-_SLOPE_T_GRID = np.geomspace(1e-3, 0.3, 12)  # dilations of the slope fit
-
-
-def taylor_cancellation_slope(k: RenormKernel, y) -> float:
-    """Log-log slope of |K(x_t, y)| as x_t -> 0 along an anisotropic dilation."""
-    g = k.g
-    vals = []
-    for t in _SLOPE_T_GRID:
-        # dilation of the base point with metric radius 0.3: |x_t| = 0.3 t
-        xs = np.array([(0.3 * t) ** si for si in g.s])
-        vals.append(abs(eval_K(xs, np.asarray(y, dtype=float), k)))
-    vals = np.array(vals)
-    keep = vals > 0
-    if np.sum(keep) < 3:
-        return math.inf
-    slope, _ = np.polyfit(np.log(_SLOPE_T_GRID[keep]), np.log(vals[keep]), 1)
-    return float(slope)

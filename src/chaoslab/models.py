@@ -220,13 +220,6 @@ def renorm_constant(spec: ModelObjectSpec, sigma2: float) -> float:
         Derivative(spec.nonlinearity, k - 2), sigma2)
 
 
-def eval_object_field(spec: ModelObjectSpec, mf: ModelField,
-                      values: np.ndarray) -> np.ndarray:
-    """Renormalised object on the whole lattice for one field draw."""
-    c2 = renorm_constant(spec, mf.sigma2) if spec.order >= 2 else 0.0
-    return _object_field(spec, values, c2)
-
-
 def _object_field(spec: ModelObjectSpec, values: np.ndarray, c2: float) -> np.ndarray:
     """object_j of one draw: the ladder's prefactor times F^(k-j), less the
     constant of its slot (1 for 0', none for 1', c2 for 2', 3 c2 field for
@@ -242,21 +235,6 @@ def _object_field(spec: ModelObjectSpec, values: np.ndarray, c2: float) -> np.nd
     if j == 3:
         return out - 3.0 * c2 * values
     return out
-
-
-def eval_object(spec: ModelObjectSpec, mf: ModelField, values: np.ndarray,
-                z) -> float:
-    """Pointwise value at the lattice site nearest to z; ValueError unless z
-    has one coordinate per axis, each within half a step of the lattice."""
-    lat = mf.lattice
-    z = np.asarray(z, dtype=float)
-    if z.shape != (len(lat.axes),):
-        raise ValueError(f"z needs {len(lat.axes)} coordinates, got shape {z.shape}")
-    idx = tuple(int(np.argmin(np.abs(ax - zi))) for ax, zi in zip(lat.axes, z))
-    if not all(abs(ax[i] - zi) <= 0.5 * step
-               for ax, i, zi, step in zip(lat.axes, idx, z, lat.steps)):
-        raise ValueError(f"z = {tuple(z)} lies outside the lattice")
-    return float(eval_object_field(spec, mf, values)[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +266,20 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
     Max over dyadic scales and all lattice centers of
     lam^{-alpha} |<f, bump_lam_z>|, with the pairing done by periodic FFT
     correlation (the synthesized fields are periodic).  Refining the grid of
-    scales or centers never lowers the estimate.
+    scales or centers never lowers the estimate.  ValueError unless alpha is
+    negative, lambda_levels >= 1 and the lattice resolves the largest scale
+    (its base step at most half of it); finer scales the lattice cannot
+    resolve are left out.
     """
-    if alpha >= 0:
-        raise ValueError("this norm is for negative regularity exponents")
+    if not -math.inf < alpha < 0.0:  # also rejects NaN
+        raise ValueError(f"this norm is for finite negative regularity "
+                         f"exponents, got alpha = {alpha!r}")
+    if lambda_levels < 1:
+        raise ValueError(f"lambda_levels must be at least 1, got {lambda_levels}")
+    if _HOLDER_LAM0 < 2 * lat.base_step:
+        raise ValueError(f"base step {lat.base_step:g} cannot resolve the largest "
+                         f"probe scale {_HOLDER_LAM0:g} (needs step <= "
+                         f"{_HOLDER_LAM0 / 2:g})")
     per_level = []
     levels = []
     for k in range(lambda_levels):
@@ -305,7 +293,7 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
         level_val = float(np.max(np.abs(pair)) * lam ** (-alpha))
         levels.append(lam)
         per_level.append(level_val)
-    return HolderNormEstimate(alpha=alpha, value=max(per_level, default=0.0),
+    return HolderNormEstimate(alpha=alpha, value=max(per_level),
                               levels=levels, per_level=per_level)
 
 

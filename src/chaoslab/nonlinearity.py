@@ -70,15 +70,6 @@ class NonlinearitySpec:
     delta: float = 0.0
 
     @property
-    def k(self) -> int:
-        """Smoothness order of the class the instance certifies."""
-        if self.kind == "power_even":
-            return 2
-        if self.kind == "power_odd":
-            return 3
-        return max(len(self.coeffs) - 1, 0)
-
-    @property
     def power(self) -> float:
         if self.kind == "power_even":
             return 2.0 + self.beta
@@ -265,34 +256,6 @@ def mollify(spec: NonlinearitySpec, delta: float) -> NonlinearitySpec:
     if not 0.0 <= delta < 1.0:  # also rejects NaN
         raise ValueError(f"mollification scale must lie in [0, 1), got {delta!r}")
     return replace(spec, delta=float(delta))
-
-
-_GROWTH_RADII = (4.0, 8.0, 16.0, 32.0, 64.0)  # boxes of the growth fit
-_HOLDER_GRID = np.linspace(-8.0, 8.0, 801)  # base points of holder_quotient
-
-
-def growth_exponent(spec: NonlinearitySpec) -> float:
-    """Fitted growth power M: sup-derivative growth on increasing boxes."""
-    sups = []
-    for r in _GROWTH_RADII:
-        u = np.linspace(-r, r, 2001)
-        s = max(float(np.max(np.abs(spec.deriv(ell, u)))) for ell in range(spec.k + 1))
-        sups.append(s)
-    slope, _ = np.polyfit(np.log(_GROWTH_RADII), np.log(sups), 1)
-    return float(max(slope, 0.0))
-
-
-def holder_quotient(spec: NonlinearitySpec, beta: float,
-                    steps=(0.5, 0.1, 0.02)) -> float:
-    """Grid sup of |F^(k)(u+h)-F^(k)(u)| / (h^beta (1+|u|)^M)."""
-    m = growth_exponent(spec)
-    worst = 0.0
-    for h in steps:
-        num = np.abs(spec.deriv(spec.k, _HOLDER_GRID + h)
-                     - spec.deriv(spec.k, _HOLDER_GRID))
-        den = h**beta * (1.0 + np.abs(_HOLDER_GRID)) ** m
-        worst = max(worst, float(np.max(num / den)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +498,3 @@ def _finite_values(fn, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"Gaussian mean needs a finite integrand: not finite "
                          f"at u = {u[bad][0]:.6g}")
     return vals
-
-
-def coupling_constant(spec: NonlinearitySpec, sigma2: float, order: int) -> float:
-    """Gaussian average of the order-th derivative over N(0, sigma2), / order!,
-    by the rule of :func:`gaussian_mean` (exact to rounding for polynomials)."""
-    if order not in (2, 3):
-        raise ValueError("coupling constants are defined at orders 2 and 3")
-    if not 0.0 < sigma2 < math.inf:  # also rejects NaN
-        raise ValueError(f"variance must be positive and finite, got {sigma2!r}")
-    return gaussian_mean(Derivative(spec, order), sigma2) / math.factorial(order)

@@ -30,7 +30,9 @@ x supports and live y columns of every lambda cell), and each config gathers
 its columns from that table; a table is freed after the last config that
 reads it.  Only those union columns are normalised by eps^{alpha/2}, which
 commutes exactly with the gather.  Each config then costs two small matrix
-products; :func:`apply_batch` is the one-config case.
+products; :func:`apply_batch` is the one-config case.  The two are the
+module's only evaluation routes: a single sum of one factor against the
+test function is not an operator value, and no study reads one.
 """
 
 from __future__ import annotations
@@ -40,24 +42,13 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .chaos import ChaosTruncSpec, TwoPointFunctional, truncated_trig_deriv
+from .chaos import TwoPointFunctional, truncated_trig_deriv
 from .geometry import Lattice, TestFunction, eval_test_function_many, metric_many
 from .kernel import RenormKernel, eval_K_many
 
 
 class ResolutionError(RuntimeError):
     """Test-function support contains no lattice point (scale below the step)."""
-
-
-def _support(test: TestFunction, lattice: Lattice):
-    """Test-function values on its lattice support and that support's indices."""
-    phi = eval_test_function_many(test, lattice.points())
-    x_idx = np.nonzero(phi > 0.0)[0]
-    if len(x_idx) == 0:
-        raise ResolutionError(
-            f"test scale {test.scale} resolves no lattice point at "
-            f"step {lattice.base_step}")
-    return phi[x_idx], x_idx
 
 
 @dataclass(frozen=True)
@@ -75,12 +66,18 @@ class OperatorSetup:
         volume; y runs over the ball of radius y_radius, less the points
         where K(., y) vanishes on the whole test-function support."""
         lat = self.lattice
-        phi, x_idx = _support(self.test, lat)
         pts = lat.points()
+        phi = eval_test_function_many(self.test, pts)
+        x_idx = np.nonzero(phi > 0.0)[0]
+        if len(x_idx) == 0:
+            raise ResolutionError(
+                f"test scale {self.test.scale} resolves no lattice point at "
+                f"step {lat.base_step}")
         y_idx = np.nonzero(metric_many(pts, lat.geometry) <= self.y_radius)[0]
         kmat = eval_K_many(pts[x_idx], pts[y_idx], self.kernel, lat.base_step)
         live = np.any(kmat != 0.0, axis=0)
-        return dict(x_idx=x_idx, y_idx=y_idx[live], xw=phi * lat.cell_volume,
+        return dict(x_idx=x_idx, y_idx=y_idx[live],
+                    xw=phi[x_idx] * lat.cell_volume,
                     kmat=kmat[:, live] * lat.cell_volume)
 
 
@@ -93,12 +90,6 @@ class OperatorConfig:
         """Crude bound sup|F| * sum |K| |phi| * cell volumes for per-run checks."""
         st = self.setup.arrays
         return float(np.sum(f_sup * np.abs(st["xw"]) @ np.abs(st["kmat"])))
-
-
-def _check_draws(values: np.ndarray, lattice: Lattice):
-    if values.shape[1:] != lattice.shape:
-        raise ValueError(f"draws of shape {values.shape[1:]} do not match "
-                         f"the operator lattice {lattice.shape}")
 
 
 def _columns(table: np.ndarray, have: np.ndarray, want: np.ndarray):
@@ -128,7 +119,9 @@ def apply_configs(configs: dict, values: np.ndarray, sigma2: float,
     # kernel arrays first, so their build does not stack on the normalised draws
     arrays = {cell: cfg.setup.arrays for cell, cfg in configs.items()}
     for cfg in configs.values():
-        _check_draws(values, cfg.setup.lattice)
+        if values.shape[1:] != cfg.setup.lattice.shape:
+            raise ValueError(f"draws of shape {values.shape[1:]} do not match "
+                             f"the operator lattice {cfg.setup.lattice.shape}")
     uses = {cell: _factor_uses(cfg, arrays[cell])
             for cell, cfg in configs.items()}
     union, last = {}, {}
@@ -169,15 +162,3 @@ def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
     shape (B, *lattice.shape); sigma2, alpha and epsilon are those of the
     draws' spectrum."""
     return apply_configs({0: cfg}, values, sigma2, alpha, epsilon)[0]
-
-
-def apply_single(theta: float, spec: ChaosTruncSpec, test: TestFunction,
-                 lattice: Lattice, values: np.ndarray, sigma2: float,
-                 alpha: float, epsilon: float) -> np.ndarray:
-    """Single Riemann sums of the truncated trig field against the test
-    function, per draw of a batch read as in :func:`apply_batch`."""
-    _check_draws(values, lattice)
-    phi, x_idx = _support(test, lattice)
-    xv = epsilon ** (alpha / 2.0) * values.reshape(len(values), -1)[:, x_idx]
-    vals = truncated_trig_deriv(xv, theta, spec.phase, spec.m, 0, sigma2)
-    return vals @ phi * lattice.cell_volume

@@ -7,6 +7,7 @@ from finite differences.
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +17,6 @@ from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
 from chaoslab import rng
 from chaoslab.chaos import phase_coeff_deriv, truncated_trig_deriv
 from chaoslab.geometry import metric_many
-from chaoslab.isserlis import DMatrix
 from chaoslab.nonlinearity import _probe_family
 
 
@@ -159,6 +159,106 @@ def matching_wick_moment(degrees, cov) -> float:
 # (prod_i n_i!) / (prod_{i<j} d_ij!) * prod_{i<j} cov_ij ** d_ij
 
 MAX_ENUM_VARS = 12
+
+
+# The contraction matrices D (entry d_ij counts pairings between the legs of
+# variables i and j), with the reduction moves that push a matrix with a
+# distinguished index 0 into the zero-first-row class at a quantified
+# epsilon-exponent cost.  No study reports the reduction; its tests keep it
+# checked against the exact Wick sums.
+
+
+class StructuralError(RuntimeError):
+    """A reduction move required by the algorithm is unavailable."""
+
+
+@dataclass(frozen=True)
+class DMatrix:
+    """Symmetric zero-diagonal non-negative integer contraction matrix."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        k = len(self.entries)
+        for i, row in enumerate(self.entries):
+            if len(row) != k:
+                raise ValueError("matrix must be square")
+            if row[i] != 0:
+                raise ValueError("diagonal must be zero")
+            for j in range(k):
+                if row[j] < 0:
+                    raise ValueError("entries must be non-negative")
+                if row[j] != self.entries[j][i]:
+                    raise ValueError("matrix must be symmetric")
+
+    @classmethod
+    def from_array(cls, arr) -> "DMatrix":
+        a = np.asarray(arr, dtype=int)
+        return cls(tuple(tuple(int(v) for v in row) for row in a))
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+    def row_sums(self) -> tuple[int, ...]:
+        return tuple(sum(row) for row in self.entries)
+
+
+def reduce_to_dstar(d: DMatrix, alpha: float, m2: int) -> tuple[DMatrix, float]:
+    """Push a matrix with distinguished index 0 into the zero-first-row class.
+
+    Two moves: (i) while two links d_0i, d_0j > 0 exist, trade them for two
+    units on d_ij (no cost); (ii) zero the last remaining 0-link, then, while
+    that row's sum is below m2, move one unit off some d_ij onto d_{i*,i} and
+    d_{i*,j} at an epsilon-exponent cost of 2*alpha per move.  Returns the
+    reduced matrix and the accumulated penalty exponent (at most
+    alpha*(m2+1)).
+    """
+    k = d.size
+    mat = [list(row) for row in d.entries]
+    while True:
+        pos = [i for i in range(1, k) if mat[0][i] > 0]
+        if len(pos) <= 1:
+            break
+        i, j = pos[0], pos[1]
+        mat[0][i] -= 1
+        mat[i][0] -= 1
+        mat[0][j] -= 1
+        mat[j][0] -= 1
+        mat[i][j] += 2
+        mat[j][i] += 2
+    penalty = 0.0
+    pos = [i for i in range(1, k) if mat[0][i] > 0]
+    if pos:
+        istar = pos[0]
+        mat[0][istar] = 0
+        mat[istar][0] = 0
+        while sum(mat[istar]) < m2:
+            move = None
+            for i in range(1, k):
+                if i == istar:
+                    continue
+                for j in range(i + 1, k):
+                    if j != istar and mat[i][j] > 0:
+                        move = (i, j)
+                        break
+                if move:
+                    break
+            if move is None:
+                raise StructuralError("no rebalancing edge available; malformed degrees")
+            i, j = move
+            mat[istar][i] += 1
+            mat[i][istar] += 1
+            mat[istar][j] += 1
+            mat[j][istar] += 1
+            mat[i][j] -= 1
+            mat[j][i] -= 1
+            penalty += 2.0 * alpha
+    out = DMatrix(tuple(tuple(row) for row in mat))
+    sums = out.row_sums()
+    if any(out.entries[0][i] != 0 for i in range(1, k)) or any(s < m2 for s in sums[1:]):
+        raise StructuralError("reduction did not reach the target class; malformed input")
+    return out, penalty
 
 
 def enumerate_dmatrices(row_sums) -> list[DMatrix]:
@@ -594,7 +694,7 @@ def loop_bootstrap_moment_norm(values, n: int, seed: int = 0, tag: int = 0,
 def permutation_chain_class(points, L_eps: float, g) -> bool:
     """Chain-class membership by walking every ordering of the points.
 
-    The route the package used before ``in_chain_class`` shared the chain
+    The route the package used before its chain test shared the chain
     enumeration of the partition check: a Hamiltonian path in the proximity
     graph, each ordering tried once up to reversal.  Only the metric is
     shared with the package.
@@ -610,6 +710,59 @@ def permutation_chain_class(points, L_eps: float, g) -> bool:
         if all(adj[perm[i], perm[i + 1]] for i in range(m - 1)):
             return True
     return False
+
+# ---------------------------------------------------------------------------
+# clustering by union-find: an independent route to the isolated-point test
+
+
+@dataclass(frozen=True)
+class ClusterPartition:
+    scale: float
+    classes: tuple[tuple[int, ...], ...]
+    singletons: tuple[tuple[int, ...], ...]
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def build_clusters(points, L_eps: float, g) -> ClusterPartition:
+    """Union-find closure of the relation |z_i - z_j| <= L_eps.
+
+    A configuration has an isolated point iff some class is a singleton,
+    which ``clustering.has_isolated_point`` decides from distances alone.
+    Only the metric is shared with the package.
+    """
+    if L_eps <= 0:
+        raise ValueError("clustering scale must be positive")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != g.d:
+        raise ValueError("point dimension mismatch")
+    n = pts.shape[0]
+    dist = metric_many(pts[:, None, :] - pts[None, :, :], g)
+    uf = _UnionFind(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= L_eps:
+                uf.union(i, j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(uf.find(i), []).append(i)
+    classes = tuple(sorted(tuple(sorted(v)) for v in groups.values()))
+    singles = tuple(c for c in classes if len(c) == 1)
+    return ClusterPartition(scale=float(L_eps), classes=classes, singletons=singles)
 
 
 def probe_transform_full_fft(n_probes: int, m_probe: int, x_max: float,

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from chaoslab.chaos import (
+    PHASE_COS,
+    PHASE_SIN,
     ChaosTruncSpec,
     TwoPointFunctional,
-    eval_functional,
-    trig_chaos_coeff,
-    trig_chaos_coeff_log,
-    truncated_trig,
+    phase_coeff_deriv,
     truncated_trig_deriv,
     wick_power,
 )
@@ -18,6 +17,15 @@ from oracles import gauss_expect as gh_expect
 
 
 _SHIFTED = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
+_PHASE = {"cos": PHASE_COS, "sin": PHASE_SIN}
+
+
+def functional(fn: TwoPointFunctional, x, y, s2x: float, s2y: float):
+    """Value of the two-factor functional: the product of its factors."""
+    return (truncated_trig_deriv(x, fn.theta[0], fn.spec_x.phase, fn.spec_x.m,
+                                 fn.deriv[0], s2x)
+            * truncated_trig_deriv(y, fn.theta[1], fn.spec_y.phase, fn.spec_y.m,
+                                   fn.deriv[1], s2y))
 
 
 def coeff_quadrature(trig, n, theta, sigma2):
@@ -44,9 +52,12 @@ def test_wick_power_vectorized():
 
 
 def test_trig_chaos_coeff_examples():
-    assert trig_chaos_coeff("cos", 0, 1.0, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert trig_chaos_coeff("cos", 1, 3.7, 2.0) == 0.0
-    assert trig_chaos_coeff("sin", 1, 0.0, 1.0) == 0.0
+    assert phase_coeff_deriv(PHASE_COS, 0, 1.0, 1.0) == pytest.approx(math.exp(-0.5),
+                                                                     abs=1e-12)
+    assert phase_coeff_deriv(PHASE_COS, 1, 3.7, 2.0) == 0.0
+    assert phase_coeff_deriv(PHASE_SIN, 1, 0.0, 1.0) == 0.0
+    # the Gaussian factor exp(-5e5) underflows: exactly zero, not NaN
+    assert phase_coeff_deriv(PHASE_COS, 2, 1000.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("trig", ["cos", "sin"])
@@ -54,18 +65,9 @@ def test_trig_chaos_coeff_examples():
 @pytest.mark.parametrize("sigma2", [0.5, 1.0, 2.0])
 def test_coeff_matches_quadrature(trig, theta, sigma2):
     for n in range(13):
-        ana = trig_chaos_coeff(trig, n, theta, sigma2)
+        ana = phase_coeff_deriv(_PHASE[trig], n, theta, sigma2)
         quad = coeff_quadrature(trig, n, theta, sigma2)
         assert ana == pytest.approx(quad, abs=1e-8)
-
-
-def test_coeff_log_form():
-    sgn, logmag = trig_chaos_coeff_log("cos", 2, 1000.0, 1.0)
-    assert sgn == -1.0
-    expected = 2 * math.log(1000.0) - 0.5e6 - math.log(2.0)
-    assert logmag == pytest.approx(expected)
-    # plain form underflows to exactly zero there
-    assert trig_chaos_coeff("cos", 2, 1000.0, 1.0) == 0.0
 
 
 def test_parity_enforced():
@@ -81,13 +83,15 @@ def test_truncated_trig_theta_zero():
     spec = ChaosTruncSpec("cos", 2)
     for x in (-1.3, 0.0, 2.4):
         # cos(0 x) = 1 and the constant chaos term is removed exactly
-        assert truncated_trig(x, 0.0, spec, 1.0) == pytest.approx(0.0, abs=1e-15)
+        got = truncated_trig_deriv(x, 0.0, spec.phase, spec.m, 0, 1.0)
+        assert got == pytest.approx(0.0, abs=1e-15)
 
 
 def test_truncated_sin_order_zero_is_identity():
     spec = ChaosTruncSpec("sin", 1)
     x, theta = 0.7, 2.3
-    assert truncated_trig(x, theta, spec, 1.0) == pytest.approx(math.sin(theta * x))
+    got = truncated_trig_deriv(x, theta, spec.phase, spec.m, 0, 1.0)
+    assert got == pytest.approx(math.sin(theta * x))
 
 
 def test_truncation_orthogonality_exact():
@@ -129,7 +133,7 @@ def test_derivative_matches_finite_difference(r):
 
     def f(tx):
         fn = TwoPointFunctional(spec_x, spec_y, (tx, theta_y), (0, 0))
-        return eval_functional(fn, x, y, s2x, s2y)
+        return functional(fn, x, y, s2x, s2y)
 
     if r == 1:
         fd = (f(theta_x + step) - f(theta_x - step)) / (2 * step)
@@ -139,24 +143,14 @@ def test_derivative_matches_finite_difference(r):
         fd = (f(theta_x + 2 * step) - 2 * f(theta_x + step) + 2 * f(theta_x - step)
               - f(theta_x - 2 * step)) / (2 * step**3)
     fn = TwoPointFunctional(spec_x, spec_y, (theta_x, theta_y), (r, 0))
-    ana = eval_functional(fn, x, y, s2x, s2y)
+    ana = functional(fn, x, y, s2x, s2y)
     assert ana == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-
-def test_eval_functional_product_structure():
-    spec_x = ChaosTruncSpec("sin", 1)
-    spec_y = ChaosTruncSpec("cos", 2)
-    fn = TwoPointFunctional(spec_x, spec_y, (0.9, 1.7), (0, 0))
-    x, y = 0.31, -0.77
-    lhs = eval_functional(fn, x, y, 1.0, 1.0)
-    rhs = truncated_trig(x, 0.9, spec_x, 1.0) * truncated_trig(y, 1.7, spec_y, 1.0)
-    assert lhs == pytest.approx(rhs)
 
 
 def test_eval_functional_zero_theta():
     fn = TwoPointFunctional(ChaosTruncSpec("sin", 1), ChaosTruncSpec("cos", 2),
                             (0.0, 0.0), (0, 0))
-    assert eval_functional(fn, 0.5, 0.5, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert functional(fn, 0.5, 0.5, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mixed_derivative_finite_difference():
@@ -169,9 +163,9 @@ def test_mixed_derivative_finite_difference():
 
     def f(a, b):
         fn = TwoPointFunctional(spec_x, spec_y, (a, b), (0, 0))
-        return eval_functional(fn, x, y, 1.0, 1.0)
+        return functional(fn, x, y, 1.0, 1.0)
 
     fd = (f(tx + step, ty + step) - f(tx + step, ty - step)
           - f(tx - step, ty + step) + f(tx - step, ty - step)) / (4 * step**2)
     fn = TwoPointFunctional(spec_x, spec_y, (tx, ty), (1, 1))
-    assert eval_functional(fn, x, y, 1.0, 1.0) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+    assert functional(fn, x, y, 1.0, 1.0) == pytest.approx(fd, rel=1e-5, abs=1e-8)

@@ -4,20 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab.clustering import (
-    build_clusters,
-    in_S2n,
-    in_chain_class,
+    _chain_mask,
+    has_isolated_point,
     partition_sum_check,
+    volume_lemma_check,
     volume_Sc,
 )
-from chaoslab.geometry import ScalingGeometry
-from oracles import permutation_chain_class
+from chaoslab.geometry import ScalingGeometry, pair_distances
+from chaoslab.kernel import RenormKernel
+from oracles import build_clusters, permutation_chain_class
 
 G1 = ScalingGeometry((1.0,))
 
 
 def pts(*vals):
     return np.array(vals, dtype=float).reshape(-1, 1)
+
+
+def isolated(points, L_eps: float, g: ScalingGeometry = G1) -> bool:
+    """Whether one configuration has a point farther than L_eps from the rest."""
+    return bool(has_isolated_point(pair_distances(points, g), L_eps))
+
+
+def chain_class(points, L_eps: float, g: ScalingGeometry) -> bool:
+    """Whether some ordering of one configuration has all gaps <= L_eps."""
+    adj = pair_distances(points, g) <= L_eps
+    return bool(_chain_mask(adj[None], tuple(range(len(points))))[0])
 
 
 def test_build_clusters_forced():
@@ -56,10 +68,10 @@ def test_build_clusters_permutation_invariant(vals, rnd):
 
 def test_in_s2n_examples():
     L = 0.2
-    assert in_S2n(pts(0.0, 2 * L), L) is True
-    assert in_S2n(pts(0.0, 0.5 * L), L) is False
+    assert isolated(pts(0.0, 2 * L), L) is True
+    assert isolated(pts(0.0, 0.5 * L), L) is False
     # two tight pairs far apart: no isolated point
-    assert in_S2n(pts(0.0, 0.3 * L, 5.0, 5.0 + 0.3 * L), L) is False
+    assert isolated(pts(0.0, 0.3 * L, 5.0, 5.0 + 0.3 * L), L) is False
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,13 +79,13 @@ def test_in_s2n_examples():
 def test_in_s2n_iff_singleton_cluster(vals):
     L = 0.25
     part = build_clusters(pts(*vals), L, G1)
-    assert in_S2n(pts(*vals), L) == (len(part.singletons) >= 1)
+    assert isolated(pts(*vals), L) == (len(part.singletons) >= 1)
 
 
 def test_chain_class_membership():
     L = 1.0
-    assert in_chain_class(pts(0.0, 0.9, 1.8), L, G1) is True
-    assert in_chain_class(pts(0.0, 0.9, 5.0), L, G1) is False
+    assert chain_class(pts(0.0, 0.9, 1.8), L, G1) is True
+    assert chain_class(pts(0.0, 0.9, 5.0), L, G1) is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,7 +95,7 @@ def test_chain_class_membership():
 def test_chain_class_matches_permutation_oracle(vals, s):
     g = ScalingGeometry(s)
     points = np.array(vals, dtype=float).reshape(-1, 2)
-    assert in_chain_class(points, 0.6, g) is \
+    assert chain_class(points, 0.6, g) is \
         permutation_chain_class(points, 0.6, g)
 
 
@@ -125,6 +137,27 @@ def test_volume_checks_reject_invalid_input(n, L):
         partition_sum_check(n, 0.1, 0.25, n_mc=100, L=L)
 
 
+@pytest.mark.parametrize("eps, lam", [(float("nan"), 0.5), (0.1, -0.5),
+                                      (0.0, 0.5), (0.1, float("inf"))],
+                         ids=["nan-eps", "negative-lam", "zero-eps", "inf-lam"])
+def test_volume_checks_reject_bad_scales(eps, lam):
+    with pytest.raises(ValueError, match="eps must|lam must"):
+        volume_Sc(1, eps, lam, G1, n_mc=1000)
+    with pytest.raises(ValueError, match="eps must|lam must"):
+        partition_sum_check(1, eps, lam, n_mc=1000)
+    kern = RenormKernel(gamma=0.4, g=G1, r_e=1)
+    with pytest.raises(ValueError, match="grid must"):
+        volume_lemma_check(1, kern, [eps], [lam], alpha=0.6, m2=1, n_mc=100)
+
+
+@pytest.mark.parametrize("which", ["eps_grid", "lambda_grid"])
+def test_volume_lemma_check_rejects_empty_grid(which):
+    grids = {"eps_grid": [0.1], "lambda_grid": [0.5], which: []}
+    kern = RenormKernel(gamma=0.4, g=G1, r_e=1)
+    with pytest.raises(ValueError, match=f"{which} is empty"):
+        volume_lemma_check(1, kern, alpha=0.6, m2=1, n_mc=100, **grids)
+
+
 @pytest.mark.parametrize("n_mc", [0, -5])
 def test_volume_checks_reject_no_samples(n_mc):
     with pytest.raises(ValueError, match="n_mc must be positive"):
@@ -149,9 +182,9 @@ def test_partition_check_2d_reports_hub_witness():
     g2 = ScalingGeometry((1.0, 1.0))
     L = 1.0
     hub = np.array([[0.0, 0.0], [0.99, 0.0], [-0.5, 0.85], [-0.5, -0.85]])
-    assert in_S2n(hub, L, g2) is False  # every point has the hub within reach
+    assert isolated(hub, L, g2) is False  # every point has the hub within reach
     parts = list(_partitions_min_two((0, 1, 2, 3)))
     covered = False
     for part in parts:
-        covered = covered or all(in_chain_class(hub[list(b)], L, g2) for b in part)
+        covered = covered or all(chain_class(hub[list(b)], L, g2) for b in part)
     assert covered is False  # no chain partition at the same scale

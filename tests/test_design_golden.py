@@ -24,14 +24,23 @@ moved on the oracle route too: the growth family's ``remainder_pairing``
 now scales each factor of the two-frequency object by its own ladder
 prefactor, where the recording scaled their product by the merged one, so
 it agrees within REORDERED_REL there.
-Regenerate the fixture only when a change is meant to move these numbers:
+Regenerate the fixture only when a change is meant to move these numbers,
+and only the sections it moves:
 
-    PYTHONPATH=src python tests/test_design_golden.py
+    PYTHONPATH=src python tests/test_design_golden.py [section ...]
+
+With section names (top-level keys such as ``check_correlation_lemma``)
+only those sections are rewritten and every other byte of the file is
+kept; with none the whole file is rewritten.  Both record on the oracle
+route.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
+
+import pytest
 
 from chaoslab import isserlis, models, nonlinearity
 from chaoslab.clustering import partition_sum_check, volume_lemma_check, \
@@ -186,6 +195,49 @@ def _close(got, want, rel: float) -> bool:
     return got == want
 
 
+def _fragment(key: str, value) -> str:
+    """One top-level section's lines as ``json.dumps(..., indent=1)`` writes
+    them inside the whole document, without the separating comma."""
+    return json.dumps({key: value}, indent=1)[2:-2]
+
+
+def splice_sections(old_text: str, new: dict, sections) -> str:
+    """Fixture text whose named top-level sections come from ``new`` and
+    whose every other byte is ``old_text``'s; with no sections, all of
+    ``new``.  ValueError for a section missing from either side, or for a
+    fixture not laid out as ``json.dumps(..., indent=1)`` lays it out."""
+    if not sections:
+        return json.dumps(new, indent=1) + "\n"
+    old = json.loads(old_text)
+    missing = set(sections) - (old.keys() & new.keys())
+    if missing:
+        raise ValueError(f"sections {sorted(missing)} are not in both the "
+                         f"fixture and the outputs")
+    if json.dumps(old, indent=1) + "\n" != old_text:
+        raise ValueError("the fixture is not in the recorder's layout")
+    parts = [_fragment(key, new[key] if key in sections else old[key])
+             for key in old]
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+def test_splice_rewrites_only_named_sections():
+    old = {"a": [1.0, 0.1], "b": {"x": 0.30000000000000004, "y": None},
+           "c": 3}
+    new = {"a": [1.0, 0.2], "b": {"x": 0.3, "y": [1, 2]}, "c": 4}
+    old_text = json.dumps(old, indent=1) + "\n"
+    got = splice_sections(old_text, new, ["b"])
+    assert got == json.dumps({**old, "b": new["b"]}, indent=1) + "\n"
+    # the lines outside the named section are the old file's, byte for byte
+    lines, old_lines = got.splitlines(), old_text.splitlines()
+    assert lines[:5] == old_lines[:5] and lines[-2:] == old_lines[-2:]
+    assert splice_sections(old_text, new, []) == \
+        json.dumps(new, indent=1) + "\n"
+    with pytest.raises(ValueError, match="not in both"):
+        splice_sections(old_text, new, ["d"])
+    with pytest.raises(ValueError, match="layout"):
+        splice_sections(json.dumps(old), new, ["b"])
+
+
 def test_design_outputs_match_golden_fixture(monkeypatch):
     monkeypatch.setattr(models, "sample_model_field_values",
                         per_draw_model_field)
@@ -216,4 +268,5 @@ if __name__ == "__main__":
     nonlinearity._mollified_block = legendre_mollified_deriv
     nonlinearity.gaussian_mean = models.gaussian_mean = quad_gaussian_mean
     isserlis.wick_sum_moment = dmatrix_wick_sum_moment
-    FIXTURE.write_text(json.dumps(design_outputs(), indent=1) + "\n")
+    FIXTURE.write_text(splice_sections(FIXTURE.read_text(), design_outputs(),
+                                       sys.argv[1:]))

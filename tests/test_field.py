@@ -233,3 +233,11 @@ def test_covariance_spec_validation():
         CovarianceSpec(alpha=0.6, epsilon=0.1, lambda_const=0.9)
     with pytest.raises(ValueError):
         CovarianceSpec(alpha=-0.1, epsilon=0.1)
+    # NaN fails every comparison, so each check must be written to reject it
+    for field, kwargs in (("alpha", dict(alpha=math.nan, epsilon=0.1)),
+                          ("alpha", dict(alpha=math.inf, epsilon=0.1)),
+                          ("epsilon", dict(alpha=0.6, epsilon=math.nan)),
+                          ("lambda_const", dict(alpha=0.6, epsilon=0.1,
+                                                lambda_const=math.nan))):
+        with pytest.raises(ValueError, match=field):
+            CovarianceSpec(**kwargs)

@@ -4,16 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab.geometry import (
-    Lattice,
     ResourceBudgetError,
     ScalingGeometry,
     TestFunction,
     build_lattice,
-    eval_test_function,
     eval_test_function_many,
-    metric,
+    lattice_from_counts,
     metric_many,
 )
+
+
+def metric(x, g):
+    """Distance of one point from the origin, by the vector route."""
+    return float(metric_many(np.array([x], dtype=float), g)[0])
+
+
+def tf_value(tf, y):
+    """The rescaled test function at one point, by the vector route."""
+    return float(eval_test_function_many(tf, np.array([y], dtype=float))[0])
 
 
 def test_metric_examples():
@@ -27,18 +35,8 @@ def test_metric_examples():
 
 def test_metric_dimension_mismatch():
     g = ScalingGeometry((2.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="3 coordinates"):
         metric((1.0, 2.0, 3.0), g)
-    with pytest.raises(ValueError, match="1 coordinates"):
-        metric(0.5, g)
-    with pytest.raises(ValueError, match="metric_many"):
-        metric([[1.0, 0.0], [0.0, 4.0]], g)
-
-
-def test_metric_scalar_in_one_dimension():
-    g1 = ScalingGeometry((1.0,))
-    assert metric(0.5, g1) == metric((0.5,), g1) == pytest.approx(0.5)
-    assert metric(np.float64(-4.0), ScalingGeometry((2.0,))) == pytest.approx(2.0)
 
 
 def test_geometry_invariants():
@@ -78,30 +76,41 @@ def test_metric_quasi_triangle(s, xs, ys):
 def test_test_function_prefactor():
     g = ScalingGeometry((2.0, 1.0))
     tf = TestFunction(geometry=g, scale=0.5)
-    assert eval_test_function(tf, (0.0, 0.0)) == pytest.approx(0.5 ** -3.0)
+    assert tf_value(tf, (0.0, 0.0)) == pytest.approx(0.5 ** -3.0)
 
 
 def test_test_function_support():
     g = ScalingGeometry((1.0,))
     tf = TestFunction(geometry=g, scale=0.25, center=(0.1,))
     # outside the anisotropic ball of radius scale
-    assert eval_test_function(tf, (0.4,)) == 0.0
-    assert eval_test_function(tf, (0.1 + 0.26,)) == 0.0
-    assert eval_test_function(tf, (0.1,)) > 0.0
+    assert tf_value(tf, (0.4,)) == 0.0
+    assert tf_value(tf, (0.1 + 0.26,)) == 0.0
+    assert tf_value(tf, (0.1,)) > 0.0
 
 
 def test_test_function_identity_scale():
     g = ScalingGeometry((1.0,))
     tf = TestFunction(geometry=g, scale=1.0)
-    assert eval_test_function(tf, (0.0,)) == pytest.approx(1.0)
+    assert tf_value(tf, (0.0,)) == pytest.approx(1.0)
 
 
 def test_build_lattice_counts():
     g = ScalingGeometry((1.0,))
     lat = build_lattice(g, 0.25, 1.0)
-    assert lat.n_points == 9
+    assert lat.shape == (9,)
     assert lat.axes[0][0] == pytest.approx(-1.0)
     assert lat.axes[0][-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
+def test_lattice_rejects_bad_step(h):
+    g = ScalingGeometry((1.0,))
+    with pytest.raises(ValueError, match="base step must be positive"):
+        build_lattice(g, h, 1.0)
+    with pytest.raises(ValueError, match="base step must be positive"):
+        lattice_from_counts(g, h, 8)
+    with pytest.raises(ValueError, match="extent"):
+        build_lattice(g, 0.25, float("nan"))
 
 
 def test_build_lattice_steps_and_volume():

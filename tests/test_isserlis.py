@@ -5,28 +5,26 @@ import numpy as np
 import pytest
 
 from chaoslab import rng
-from chaoslab.chaos import ChaosTruncSpec, trig_chaos_coeff, \
-    truncated_trig_deriv
+from chaoslab.chaos import PHASE_COS, PHASE_SIN, ChaosTruncSpec, \
+    phase_coeff_deriv, truncated_trig_deriv
 from chaoslab.field import CovarianceSpec
 from chaoslab.geometry import ScalingGeometry, box_points, pair_distances
 from chaoslab.isserlis import (
     LAM_CONST,
     ClusterCoeffQuery,
-    DMatrix,
     LemmaCheckConfig,
-    StructuralError,
     check_correlation_lemma,
     cluster_coeff,
     exact_functional_product_moment,
-    reduce_to_dstar,
     wick_sum_moment,
 )
 
-from oracles import brute_wick_moment, dmatrix_wick_sum_moment, \
-    enumerate_dmatrices, matching_wick_moment, random_correlation, \
-    tensor_gh_cluster_coeff
+from oracles import DMatrix, StructuralError, brute_wick_moment, \
+    dmatrix_wick_sum_moment, enumerate_dmatrices, matching_wick_moment, \
+    random_correlation, reduce_to_dstar, tensor_gh_cluster_coeff
 
 G1 = ScalingGeometry((1.0,))
+PHASE = {"cos": PHASE_COS, "sin": PHASE_SIN}
 
 
 def wick_moment(degrees, cov) -> float:
@@ -202,8 +200,12 @@ def test_cluster_coeff_matches_analytic(trig, m):
         q = ClusterCoeffQuery(degrees=(k,), thetas=(theta,), derivs=(0,),
                               truncations=(m,), trigs=(trig,),
                               cov=np.array([[sigma2]]))
-        assert cluster_coeff(q) == pytest.approx(
-            trig_chaos_coeff(trig, k, theta, sigma2), abs=1e-10)
+        want = phase_coeff_deriv(PHASE[trig], k, theta, sigma2)
+        if want == 0.0:
+            # zero by parity: the integer phase sum makes it exactly 0.0
+            assert cluster_coeff(q) == 0.0
+        else:
+            assert cluster_coeff(q) == pytest.approx(want, abs=1e-10)
 
 
 def test_cluster_coeff_independence_factorizes():
@@ -213,7 +215,8 @@ def test_cluster_coeff_independence_factorizes():
                           truncations=(1, 2), trigs=("sin", "cos"),
                           cov=cov)
     got = cluster_coeff(q)
-    want = trig_chaos_coeff("sin", 1, theta1, 1.0) * trig_chaos_coeff("cos", 2, theta2, 1.2)
+    want = (phase_coeff_deriv(PHASE_SIN, 1, theta1, 1.0)
+            * phase_coeff_deriv(PHASE_COS, 2, theta2, 1.2))
     assert got == pytest.approx(want, abs=1e-10)
 
 

@@ -11,14 +11,30 @@ from chaoslab.kernel import (
     check_region_bounds,
     compute_re,
     eval_K,
-    eval_K0,
     eval_K0_many,
     eval_K_many,
     grad_K0_many,
-    taylor_cancellation_slope,
 )
 
 G1 = ScalingGeometry((1.0,))
+
+
+def eval_K0(x, k: RenormKernel) -> float:
+    """The base profile at one point, by the vector route."""
+    return float(eval_K0_many(np.array([x], dtype=float), k)[0])
+
+
+def taylor_cancellation_slope(k: RenormKernel, y) -> float:
+    """Log-log slope of |K(x_t, y)| as x_t -> 0 along an anisotropic
+    dilation of the base point, |x_t| = 0.3 t for t from 1e-3 to 0.3."""
+    ts = np.geomspace(1e-3, 0.3, 12)
+    vals = np.array([abs(eval_K([(0.3 * t) ** si for si in k.g.s], y, k))
+                     for t in ts])
+    keep = vals > 0
+    if np.sum(keep) < 3:
+        return math.inf
+    slope, _ = np.polyfit(np.log(ts[keep]), np.log(vals[keep]), 1)
+    return float(slope)
 
 
 def test_compute_re_examples():
@@ -136,6 +152,12 @@ def test_region_bounds_re1_finite_and_stable():
         assert np.isfinite(rep2.max_ratio[name])
         assert rep2.max_ratio[name] <= rep1.max_ratio[name] * 1.2 + 1e-9 or \
             rep1.max_ratio[name] <= rep2.max_ratio[name]
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.0])
+def test_kernel_rejects_bad_cutoff(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        RenormKernel(gamma=0.4, g=G1, r_e=0, cutoff=cutoff)
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])

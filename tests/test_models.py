@@ -11,8 +11,6 @@ from chaoslab.models import (
     ModelFieldSpec,
     ModelObjectSpec,
     build_model_field,
-    eval_object,
-    eval_object_field,
     heat_kernel,
     holder_norm,
     mollification_gap,
@@ -31,6 +29,12 @@ PHI4_SPEC = ModelFieldSpec(family="phi43", epsilon=0.5, h=0.25,
 
 CUBIC = make_nonlinearity("polynomial", coeffs=[0.0, 0.0, 0.0, 1.0])  # u^3
 QUADRATIC = make_nonlinearity("polynomial", coeffs=[0.0, 0.0, 1.0])   # u^2
+
+
+def object_field(spec: ModelObjectSpec, mf, values: np.ndarray) -> np.ndarray:
+    """The renormalised object on the lattice for one draw."""
+    c2 = renorm_constant(spec, mf.sigma2) if spec.order >= 2 else 0.0
+    return models._object_field(spec, values, c2)
 
 
 def test_heat_kernel_values():
@@ -92,7 +96,7 @@ def test_polynomial_reduction_wick_square():
     spec = ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=CUBIC,
                            a=1.0, epsilon=PHI4_SPEC.epsilon)
     vals = sample_model_field_values(mf, 2, [0])[0]
-    got = eval_object_field(spec, mf, vals)
+    got = object_field(spec, mf, vals)
     want = vals**2 - mf.var_raw
     np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -103,7 +107,7 @@ def test_kpz_constant_curvature_object_vanishes():
     spec = ModelObjectSpec(family="kpz", symbol="0'", nonlinearity=QUADRATIC,
                            a=1.0, epsilon=KPZ_SPEC.epsilon)
     vals = sample_model_field_values(mf, 2, [1])[0]
-    got = eval_object_field(spec, mf, vals)
+    got = object_field(spec, mf, vals)
     np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
 
@@ -129,34 +133,10 @@ def test_renormalized_mean_within_ci():
     means = []
     for i in range(200, 400):
         vals = sample_model_field_values(mf, 3, [i])[0]
-        means.append(float(np.mean(eval_object_field(spec, mf, vals))))
+        means.append(float(np.mean(object_field(spec, mf, vals))))
     m = np.mean(means)
     se = np.std(means, ddof=1) / math.sqrt(len(means))
     assert abs(m) < 4 * se + 1e-12
-
-
-def test_eval_object_pointwise():
-    mf = build_model_field(KPZ_SPEC)
-    spec = ModelObjectSpec(family="kpz", symbol="1'", nonlinearity=QUADRATIC,
-                           a=1.0, epsilon=KPZ_SPEC.epsilon)
-    vals = sample_model_field_values(mf, 5, [0])[0]
-    full = eval_object_field(spec, mf, vals)
-    z = (0.0, 0.0)
-    i0 = mf.lattice.shape[0] // 2
-    j0 = mf.lattice.shape[1] // 2
-    assert eval_object(spec, mf, vals, z) == pytest.approx(full[i0, j0])
-
-
-@pytest.mark.parametrize("z", [(100.0, -50.0), (0.0, 1.6), (float("nan"), 0.0),
-                               (0.0,), (0.0, 0.0, 0.0)],
-                         ids=["far", "past-edge", "nan", "short", "long"])
-def test_eval_object_rejects_bad_point(z):
-    mf = build_model_field(KPZ_SPEC)
-    spec = ModelObjectSpec(family="kpz", symbol="1'", nonlinearity=QUADRATIC,
-                           a=1.0, epsilon=KPZ_SPEC.epsilon)
-    vals = sample_model_field_values(mf, 5, [0])[0]
-    with pytest.raises(ValueError):
-        eval_object(spec, mf, vals, z)
 
 
 def test_holder_norm_zero_field():
@@ -184,6 +164,16 @@ def test_holder_norm_self_overlap():
     est = holder_norm(probe, lat, alpha=-0.5, lambda_levels=1)
     overlap = float(np.sum(probe * probe) * lat.cell_volume)
     assert est.value >= 0.5 ** 0.5 * overlap - 1e-12
+
+
+@pytest.mark.parametrize("h, alpha, levels", [
+    (0.3, -0.5, 4), (0.125, -0.5, 0), (0.125, float("nan"), 4)],
+    ids=["unresolved-scale", "no-levels", "nan-alpha"])
+def test_holder_norm_rejects_empty_or_nan_estimate(h, alpha, levels):
+    lat = replace(KPZ_SPEC, h=h).lattice()
+    vals = np.ones(lat.shape)
+    with pytest.raises(ValueError):
+        holder_norm(vals, lat, alpha=alpha, lambda_levels=levels)
 
 
 def test_remainder_pairing_zero_delta():
@@ -242,8 +232,8 @@ def _per_draw_pairing(family, nonlin, a, mfspec, delta, lam, n, n_samples, seed)
                 inner = fl.deriv(0, x) - gaussian_mean(fl, mf.sigma2)
                 outer = fl.deriv(1, x)
             else:
-                inner = eval_object_field(replace(two, symbol="3'"), mf, vals)
-                outer = eval_object_field(two, mf, vals)
+                inner = object_field(replace(two, symbol="3'"), mf, vals)
+                outer = object_field(two, mf, vals)
             conv = np.real(np.fft.ifftn(np.fft.fftn(inner) * kern_fft))
             taylor = float(np.sum(row * inner))
             taus.append(pref * outer * (conv - taylor) * lat.cell_volume)

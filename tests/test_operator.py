@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ from chaoslab import kernel, operator
 from chaoslab.chaos import ChaosTruncSpec, TwoPointFunctional
 from chaoslab.field import CovarianceSpec, build_spectrum, sample_field_values, \
     sample_fields
-from chaoslab.geometry import ScalingGeometry, TestFunction, build_lattice, \
-    eval_test_function_many
+from chaoslab.geometry import ScalingGeometry, TestFunction, build_lattice
 from chaoslab.kernel import RenormKernel
 from chaoslab.operator import (
     OperatorConfig,
@@ -17,7 +15,6 @@ from chaoslab.operator import (
     ResolutionError,
     apply_batch,
     apply_configs,
-    apply_single,
 )
 from oracles import per_config_operator_values
 
@@ -168,38 +165,6 @@ def test_sanity_envelope():
     assert abs(v) <= cfg.sanity_envelope(f_sup=4.0)
 
 
-def test_apply_single_zero_theta():
-    cfg, spec = make_setup()
-    s = sample_field_values(spec, 1, [0])
-    got = apply_single(0.0, ChaosTruncSpec("sin", 1), cfg.setup.test,
-                       spec.lattice, s, *spectrum_args(spec))
-    assert got[0] == 0.0
-
-
-def test_apply_single_constant_field():
-    cfg, spec = make_setup()
-    c = 0.7
-    s = synthetic_draw(cfg.setup.lattice, lambda x: np.full_like(x, c))
-    theta = 1.1
-    xnorm = 0.2 ** 0.3 * c  # eps^{alpha/2} * c
-    got = apply_single(theta, ChaosTruncSpec("sin", 1), cfg.setup.test,
-                       cfg.setup.lattice, s, *SYNTHETIC)[0]
-    pts = cfg.setup.lattice.points()
-    phi_int = float(np.sum(eval_test_function_many(cfg.setup.test, pts))
-                    * cfg.setup.lattice.cell_volume)
-    assert got == pytest.approx(math.sin(theta * xnorm) * phi_int, rel=1e-12)
-
-
-def test_apply_single_two_grid():
-    vals = {}
-    for h in (0.02, 0.01):
-        cfg, spec = make_setup(h=h)
-        s = synthetic_draw(cfg.setup.lattice, lambda x: np.cos(3 * x))
-        vals[h] = apply_single(1.3, ChaosTruncSpec("sin", 1), cfg.setup.test,
-                               cfg.setup.lattice, s, *SYNTHETIC)[0]
-    assert vals[0.02] == pytest.approx(vals[0.01], rel=0.05)
-
-
 def test_lattice_mismatch_rejected():
     cfg, spec = make_setup(h=0.05)
     other_lat = build_lattice(G1, 0.04, 2.0)
@@ -207,9 +172,6 @@ def test_lattice_mismatch_rejected():
     s = sample_field_values(other_spec, 1, [0])
     with pytest.raises(ValueError):
         apply_batch(cfg, s, *spectrum_args(other_spec))
-    with pytest.raises(ValueError):
-        apply_single(1.0, ChaosTruncSpec("sin", 1), cfg.setup.test,
-                     cfg.setup.lattice, s, *spectrum_args(other_spec))
 
 
 def test_shared_factors_match_per_config_route():
