@@ -60,6 +60,16 @@ def test_trig_chaos_coeff_examples():
     assert phase_coeff_deriv(PHASE_COS, 2, 1000.0, 1.0) == 0.0
 
 
+def test_coeff_log_form():
+    # sign and log magnitude of -theta^2 e^{-sigma2 theta^2/2} / 2! far out in theta
+    c = phase_coeff_deriv(PHASE_COS, 2, 30.0, 1.0)
+    assert c < 0.0
+    expected = 2 * math.log(30.0) - 0.5 * 900.0 - math.log(2.0)
+    assert math.log(-c) == pytest.approx(expected, rel=1e-12)
+    # past double-precision underflow the coefficient is exactly zero
+    assert phase_coeff_deriv(PHASE_COS, 2, 1000.0, 1.0) == 0.0
+
+
 @pytest.mark.parametrize("trig", ["cos", "sin"])
 @pytest.mark.parametrize("theta", [0.1, 1.0, 5.0, 20.0])
 @pytest.mark.parametrize("sigma2", [0.5, 1.0, 2.0])
