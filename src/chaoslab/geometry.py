@@ -47,12 +47,22 @@ class ScalingGeometry:
 
 
 def metric_many(points: np.ndarray, g: ScalingGeometry) -> np.ndarray:
-    """Vectorized metric over the last axis of ``points`` (shape (..., d))."""
+    """Vectorized metric over the last axis of ``points`` (shape (..., d)).
+
+    The per-axis terms are taken by the array power ``** exps`` (a scalar
+    exponent 0.5 would turn into ``sqrt``, which is not bit-equal to
+    ``pow``) and their max by ``np.maximum`` column by column, which is
+    exact, propagates NaN and avoids a strided reduction over a short axis.
+    """
     points = np.asarray(points, dtype=float)
     if points.shape[-1] != g.d:
         raise ValueError(f"points have {points.shape[-1]} coordinates, geometry has {g.d}")
     exps = 1.0 / np.asarray(g.s)
-    return np.max(np.abs(points) ** exps, axis=-1)
+    terms = np.abs(points) ** exps
+    r = terms[..., 0]
+    for i in range(1, g.d):
+        r = np.maximum(r, terms[..., i])
+    return r
 
 
 def pair_distances(points: np.ndarray, g: ScalingGeometry) -> np.ndarray:

@@ -134,6 +134,41 @@ def grad_K0_many(points: np.ndarray, k: RenormKernel) -> np.ndarray:
     return radial[..., None] * dr
 
 
+def _pair_radii(x_points: np.ndarray, y_points: np.ndarray,
+                g: ScalingGeometry):
+    """Metric radius |x_i - y_j| of every pair as ``(values, codes)``: the
+    radius of pair (i, j) is ``values[codes[i, j]]``, and ``codes`` is None
+    when ``values`` is itself the (Nx, Ny) matrix.
+
+    At d = 1 the radii come from the full difference array, as a table of
+    distinct values would be as large as the pair set.  At d >= 2 each axis
+    a gets a small table |ux - uy|^(1/s_a) over the distinct coordinates ux
+    of x and uy of y on that axis, by ``metric_many`` on the differences
+    embedded on axis a, so that each entry is bit-equal to that axis's term
+    of the full metric.  The tables' values are merged into one sorted array
+    (NaN last), and the radius of a pair is its largest per-axis code into it.
+    """
+    if g.d == 1:
+        return metric_many(x_points[:, None, :] - y_points[None, :, :], g), None
+    tables = []
+    for a in range(g.d):
+        ux, ix = np.unique(x_points[:, a], return_inverse=True)
+        uy, iy = np.unique(y_points[:, a], return_inverse=True)
+        diffs = np.zeros((len(ux), len(uy), g.d))
+        diffs[..., a] = ux[:, None] - uy[None, :]
+        tables.append((metric_many(diffs, g), ix, iy))
+    values, inverse = np.unique(np.concatenate([t.ravel() for t, _, _ in tables]),
+                                return_inverse=True)
+    codes, start = None, 0
+    for t, ix, iy in tables:
+        table = inverse[start:start + t.size].reshape(t.shape)
+        start += t.size
+        axis_codes = table.take(ix, axis=0).take(iy, axis=1)
+        codes = axis_codes if codes is None else \
+            np.maximum(codes, axis_codes, out=codes)
+    return values, codes
+
+
 def eval_K_many(x_points: np.ndarray, y_points: np.ndarray, k: RenormKernel,
                 step: float) -> np.ndarray:
     """Renormalised kernel on the product grid, shape (Nx, Ny), for quadrature.
@@ -143,31 +178,59 @@ def eval_K_many(x_points: np.ndarray, y_points: np.ndarray, k: RenormKernel,
     of base step ``step``: a pair is set to 0 when |x - y| < DIAGONAL_CELLS
     * step, when x = y, and, at r_e >= 1, when y = 0, where the Taylor terms
     are singular.
+
+    The pair radii are read off per-axis distance tables (see
+    :func:`_pair_radii`), the profile K0 and the exclusion rule are taken
+    once per distinct radius, and the Taylor terms, which depend on y alone,
+    are subtracted as a row.  Every entry is bit-equal to the entry built
+    from the full (Nx, Ny, d) difference array.
     """
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
-    r = metric_many(x_points[:, None, :] - y_points[None, :, :], k.g)
-    keep = (r >= DIAGONAL_CELLS * step) & (r > 0.0)
-    out = np.zeros_like(r)
-    out[keep] = _k0_of_radius(r[keep], k)
+    if x_points.shape[-1] != k.g.d or y_points.shape[-1] != k.g.d:
+        raise ValueError(f"points have {x_points.shape[-1]} and "
+                         f"{y_points.shape[-1]} coordinates, geometry has {k.g.d}")
+    radii, codes = _pair_radii(x_points, y_points, k.g)
+    keep = (radii >= DIAGONAL_CELLS * step) & (radii > 0.0)
+    out = np.zeros_like(radii)
+    out[keep] = _k0_of_radius(radii[keep], k)
+    if codes is not None:
+        out = out.take(codes)
     if k.r_e >= 1:
+        if codes is not None:
+            keep = keep.take(codes)
         off = np.any(y_points != 0.0, axis=1)
         keep &= off
-        out[:, off] -= eval_K0_many(-y_points[off], k)
+        taylor = np.zeros(len(y_points))
+        taylor[off] = eval_K0_many(-y_points[off], k)
+        out -= taylor
         if k.r_e >= 2:
-            grad = grad_K0_many(-y_points[off], k)
-            out[:, off] -= np.einsum("xi,yi->xy", x_points, grad)
-    out[~keep] = 0.0
+            grad = np.zeros_like(y_points)
+            grad[off] = grad_K0_many(-y_points[off], k)
+            out -= np.einsum("xi,yi->xy", x_points, grad)
+        out[~keep] = 0.0
     return out
 
 
-def eval_K(x, y, k: RenormKernel) -> float:
-    """Renormalised kernel at one pair; raises at x = y and, at r_e >= 1, y = 0."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if np.array_equal(x, y) or (k.r_e >= 1 and not np.any(y)):
+def eval_K_pairs(x_points: np.ndarray, y_points: np.ndarray,
+                 k: RenormKernel) -> np.ndarray:
+    """Renormalised kernel at the paired points (x_n, y_n), shape (n,).
+
+    K(x, y) = K0(x - y) - [r_e >= 1] K0(-y) - [r_e >= 2] x . grad K0(-y),
+    with no exclusion rule: any pair with x = y or, at r_e >= 1, y = 0
+    raises SingularEvaluationError.
+    """
+    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
+    y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
+    if np.any(np.all(x_points == y_points, axis=-1)) or \
+            (k.r_e >= 1 and np.any(np.all(y_points == 0.0, axis=-1))):
         raise SingularEvaluationError("kernel requested at a singular pair")
-    return float(eval_K_many(x, y, k, 0.0)[0, 0])
+    out = eval_K0_many(x_points - y_points, k)
+    if k.r_e >= 1:
+        out -= eval_K0_many(-y_points, k)
+        if k.r_e >= 2:
+            out -= np.einsum("ni,ni->n", x_points, grad_K0_many(-y_points, k))
+    return out
 
 
 @dataclass
@@ -206,7 +269,7 @@ def check_region_bounds(k: RenormKernel, n_samples: int, seed: int = 0) -> Regio
     rxy = metric_many(x - y, g)
     keep = (rx > 1e-9) & (ry > 1e-9) & (rxy > 1e-9)
     x, y, rx, ry, rxy = x[keep], y[keep], rx[keep], ry[keep], rxy[keep]
-    vals = np.abs(np.array([eval_K(xi, yi, k) for xi, yi in zip(x, y)]))
+    vals = np.abs(eval_K_pairs(x, y, k))
     report: dict[str, float] = {}
     if k.r_e == 0:
         ratio = vals / _region_bound(k, rx, ry, rxy, "all")

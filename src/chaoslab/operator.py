@@ -8,9 +8,13 @@ and the two-factor truncated trig functional:
 with x running over the test-function support and y over the fixed metric
 ball of radius 2.  ``kernel.eval_K_many`` builds the kernel matrix on the
 lattice step and drops the pairs its exclusion rule names (|x - y| below
-``kernel.DIAGONAL_CELLS`` steps); for gamma > 0 the excluded mass is
-O(h^gamma).  The y points whose kernel column is zero (K vanishes once
-|x - y| and |y| both pass the cutoff) are dropped before any factor is
+``kernel.DIAGONAL_CELLS`` steps, measured on the computed coordinates); for
+gamma > 0 the excluded mass is O(h^gamma).  At d >= 2 it reads each pair's
+radius off small per-axis distance tables over the distinct lattice
+coordinates and takes the profile and the exclusion rule once per distinct
+radius, so the matrix is bit-equal to the one built from the full pairwise
+difference array.  The y points whose kernel column is zero (K vanishes
+once |x - y| and |y| both pass the cutoff) are dropped before any factor is
 evaluated at them.
 
 The kernel matrix and test-function weights do not depend on the frequency

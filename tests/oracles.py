@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
 
-from chaoslab import rng
+from chaoslab import kernel, rng
 from chaoslab.chaos import phase_coeff_deriv, truncated_trig_deriv
 from chaoslab.geometry import metric_many
 from chaoslab.nonlinearity import _probe_family
@@ -650,6 +650,34 @@ def per_config_operator_values(cfg, values, sigma2: float, alpha: float,
                               fn.spec_y.phase, fn.spec_y.m, fn.deriv[1], sigma2)
     inner = gy @ st["kmat"].T
     return np.einsum("bx,x,bx->b", inner, st["xw"], fx)
+
+
+def dense_eval_K_many(x_points, y_points, k, step: float) -> np.ndarray:
+    """``kernel.eval_K_many`` from the full (Nx, Ny, d) difference array.
+
+    The route the package used before it read the pair radii off per-axis
+    distance tables: every pair's metric is the max over the last axis of
+    |x - y|^(1/s), the profile is taken on every kept pair and the Taylor
+    terms are subtracted from the columns with y != 0.  The profile, its
+    gradient and the exclusion width are shared with the package.
+    """
+    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
+    y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
+    exps = 1.0 / np.asarray(k.g.s)
+    r = np.max(np.abs(x_points[:, None, :] - y_points[None, :, :]) ** exps,
+               axis=-1)
+    keep = (r >= kernel.DIAGONAL_CELLS * step) & (r > 0.0)
+    out = np.zeros_like(r)
+    out[keep] = kernel._k0_of_radius(r[keep], k)
+    if k.r_e >= 1:
+        off = np.any(y_points != 0.0, axis=1)
+        keep &= off
+        out[:, off] -= kernel.eval_K0_many(-y_points[off], k)
+        if k.r_e >= 2:
+            grad = kernel.grad_K0_many(-y_points[off], k)
+            out[:, off] -= np.einsum("xi,yi->xy", x_points, grad)
+    out[~keep] = 0.0
+    return out
 
 
 def per_draw_model_field(mf, seed: int, indices) -> np.ndarray:

@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab.geometry import ScalingGeometry, build_lattice
+from chaoslab.experiments import StudyDesign
+from chaoslab.geometry import (ScalingGeometry, TestFunction, build_lattice,
+                               eval_test_function_many, metric_many)
 from chaoslab.kernel import (
     DIAGONAL_CELLS,
     RenormKernel,
     SingularEvaluationError,
     check_region_bounds,
     compute_re,
-    eval_K,
     eval_K0_many,
     eval_K_many,
+    eval_K_pairs,
     grad_K0_many,
 )
+from oracles import dense_eval_K_many
 
 G1 = ScalingGeometry((1.0,))
 
@@ -24,12 +27,18 @@ def eval_K0(x, k: RenormKernel) -> float:
     return float(eval_K0_many(np.array([x], dtype=float), k)[0])
 
 
+def eval_K(x, y, k: RenormKernel) -> float:
+    """The renormalised kernel at one pair, by the paired route."""
+    return float(eval_K_pairs(np.array([x], dtype=float),
+                              np.array([y], dtype=float), k)[0])
+
+
 def taylor_cancellation_slope(k: RenormKernel, y) -> float:
     """Log-log slope of |K(x_t, y)| as x_t -> 0 along an anisotropic
     dilation of the base point, |x_t| = 0.3 t for t from 1e-3 to 0.3."""
     ts = np.geomspace(1e-3, 0.3, 12)
-    vals = np.array([abs(eval_K([(0.3 * t) ** si for si in k.g.s], y, k))
-                     for t in ts])
+    xs = (0.3 * ts[:, None]) ** np.asarray(k.g.s)
+    vals = np.abs(eval_K_pairs(xs, np.broadcast_to(y, xs.shape), k))
     keep = vals > 0
     if np.sum(keep) < 3:
         return math.inf
@@ -95,13 +104,14 @@ def test_eval_k_re2_taylor_term():
 
 
 def test_eval_k_many_matches_scalar():
+    # every entry of the matrix is the paired kernel at that pair
     k = RenormKernel(gamma=0.4, g=G1, r_e=1)
     xs = np.array([[0.05], [0.1], [-0.2]])
     ys = np.array([[0.3], [-0.7], [1.4]])
     mat = eval_K_many(xs, ys, k, step=0.0)
-    for i in range(3):
-        for j in range(3):
-            assert mat[i, j] == pytest.approx(eval_K(xs[i], ys[j], k))
+    xi, yj = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    pairs = eval_K_pairs(xs[xi.ravel()], ys[yj.ravel()], k).reshape(3, 3)
+    assert mat == pytest.approx(pairs, rel=1e-14)
 
 
 def test_eval_k_raises_at_singular_pairs():
@@ -109,10 +119,15 @@ def test_eval_k_raises_at_singular_pairs():
         k = RenormKernel(gamma=0.45, g=G1, r_e=r_e)
         with pytest.raises(SingularEvaluationError):
             eval_K((0.3,), (0.3,), k)
+        # one singular pair among regular ones is enough
+        with pytest.raises(SingularEvaluationError):
+            eval_K_pairs([[0.1], [0.3], [0.2]], [[0.5], [0.3], [0.4]], k)
         if r_e >= 1:
             for x in ((0.0,), (0.1,)):
                 with pytest.raises(SingularEvaluationError):
                     eval_K(x, (0.0,), k)
+            with pytest.raises(SingularEvaluationError):
+                eval_K_pairs([[0.1], [0.2]], [[0.4], [0.0]], k)
     # without Taylor terms y = 0 is a regular point
     k = RenormKernel(gamma=0.45, g=G1, r_e=0)
     assert eval_K((0.1,), (0.0,), k) == eval_K0((0.1,), k)
@@ -135,6 +150,70 @@ def test_eval_k_many_exclusion_rule(r_e):
                 assert mat[i, j] == 0.0
             else:
                 assert mat[i, j] == pytest.approx(eval_K(x, y, k), rel=1e-14)
+
+
+def _operator_pairs(test: TestFunction, lattice, y_radius: float = 2.0):
+    """The x and y points of an operator set-up's kernel matrix."""
+    pts = lattice.points()
+    x = pts[eval_test_function_many(test, pts) > 0.0]
+    return x, pts[metric_many(pts, lattice.geometry) <= y_radius]
+
+
+def _float_dust_case():
+    # d = 1, h = 0.05, lambda = 0.4: the float rule drops 14 of the 30
+    # nearest-neighbour pairs, and the table route must drop the same ones
+    lat = build_lattice(G1, 0.05, 2.0)
+    x, y = _operator_pairs(TestFunction(G1, 0.4), lat)
+    offsets = np.rint((x[:, None, 0] - y[None, :, 0]) / 0.05)
+    neighbours = np.abs(offsets) == 1
+    r = np.abs(x[:, None, 0] - y[None, :, 0])
+    assert (neighbours.sum(), (neighbours & (r < 0.05)).sum()) == (30, 14)
+    return G1, x, y, 0.05
+
+
+def _sweep_d2_case():
+    # the kernel matrix of the sweep_d2 benchmark design, s = (2, 1)
+    design = StudyDesign(alpha=0.6, m1=1, m2=1, trig1="sin", trig2="sin",
+                         gamma=0.4, s=(2.0, 1.0), h=0.1, extent=3.0)
+    setup = design.operator_setup(0.2)
+    return (design.geometry, *_operator_pairs(setup.test, setup.lattice),
+            design.h)
+
+
+def _random_case(s):
+    # off-lattice points, with duplicate pairs (x = y), y = 0, shared
+    # coordinates on axis 0 and pairs at radius up to 0.01 .. 0.1, on both
+    # sides of the exclusion width 0.05
+    g = ScalingGeometry(s)
+    gen = np.random.default_rng(5)
+    x = gen.uniform(-1.0, 1.0, (40, g.d))
+    y = gen.uniform(-1.5, 1.5, (60, g.d))
+    y[:5] = x[:5]
+    y[5] = 0.0
+    x[6:10, 0] = y[6:10, 0]
+    radius = np.linspace(0.01, 0.1, 10)[:, None]
+    y[10:20] = x[10:20] + gen.uniform(-1.0, 1.0, (10, g.d)) * radius ** np.asarray(s)
+    r = metric_many(x[10:20] - y[10:20], g)
+    assert np.any(r < 0.05) and np.any(r > 0.05)
+    return g, x, y, 0.05
+
+
+CASES = {"float_dust_d1": _float_dust_case, "sweep_d2": _sweep_d2_case,
+         "random_d2": lambda: _random_case((2.0, 1.0)),
+         "random_d3": lambda: _random_case((1.0, 2.0, 3.0))}
+
+
+@pytest.mark.parametrize("r_e", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_eval_k_many_matches_dense_oracle(case, r_e):
+    # the per-axis table route reproduces the full-difference route bit for
+    # bit, exclusion rule included
+    g, x, y, step = CASES[case]()
+    k = RenormKernel(gamma=0.45 if r_e == 2 else 0.4, g=g, r_e=r_e)
+    got = eval_K_many(x, y, k, step)
+    want = dense_eval_K_many(x, y, k, step)
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(got) > 0 and np.count_nonzero(got == 0.0) > 0
 
 
 def test_region_bounds_re0_at_most_one():
