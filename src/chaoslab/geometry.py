@@ -11,6 +11,7 @@ configurations with :func:`box_points` and measures them with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,16 +192,8 @@ def build_lattice(g: ScalingGeometry, h: float, extent,
         ext = np.full(g.d, ext[0])
     if len(ext) != g.d or not np.all((ext > 0) & np.isfinite(ext)):
         raise ValueError(f"extent must be positive and finite per axis, got {extent!r}")
-    axes = []
-    total = 1
-    for si, ei in zip(g.s, ext):
-        step = h ** si
-        m = int(np.floor(ei / step + 1e-12))
-        axes.append(np.arange(-m, m + 1) * step)
-        total *= 2 * m + 1
-        if total > budget:
-            raise ResourceBudgetError(f"lattice would have {total}+ points, budget {budget}")
-    return Lattice(geometry=g, base_step=float(h), axes=tuple(axes))
+    counts = [2 * int(np.floor(ei / h ** si + 1e-12)) + 1 for si, ei in zip(g.s, ext)]
+    return lattice_from_counts(g, h, counts, budget)
 
 
 def lattice_from_counts(g: ScalingGeometry, h: float, counts,
@@ -212,13 +205,15 @@ def lattice_from_counts(g: ScalingGeometry, h: float, counts,
     """
     if not 0.0 < h < np.inf:  # also rejects NaN
         raise ValueError(f"base step must be positive and finite, got h = {h!r}")
-    counts = np.atleast_1d(np.asarray(counts, dtype=int))
+    counts = [int(c) for c in np.atleast_1d(counts)]
     if len(counts) == 1 and g.d > 1:
-        counts = np.full(g.d, counts[0])
-    if len(counts) != g.d or np.any(counts < 1):
+        counts *= g.d
+    if len(counts) != g.d or min(counts) < 1:
         raise ValueError("counts must be positive per axis")
-    if int(np.prod(counts)) > budget:
-        raise ResourceBudgetError(f"lattice would have {int(np.prod(counts))} points, budget {budget}")
+    # Python ints: an int64 product of large counts wraps round
+    total = math.prod(counts)
+    if total > budget:
+        raise ResourceBudgetError(f"lattice would have {total} points, budget {budget}")
     axes = []
     for si, ni in zip(g.s, counts):
         step = h ** si

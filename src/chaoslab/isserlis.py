@@ -1,15 +1,16 @@
 """Exact Gaussian moments for the pointwise correlation lemmas.
 
-Both sides of a correlation lemma have closed forms.  The right side is a
-Wick sum E prod_i (sum_k Z_i^{<>k}), the t^k coefficients of the Hermite
-generating function prod_{i<j} exp(C_ij t_i t_j).  The left side is a
-Gaussian moment of a product of chaos-truncated trig factors; each factor
-expands into trig and polynomial atoms whose joint moments are closed-form
-pairing sums times exp(-Var/2), with the atoms' phases summed as integers
-so that a moment zero by parity is exactly 0.0.  Cluster chaos coefficients
-are the same atom moments of the members' mixed derivatives.  The module
-also holds the ratio checks of the pointwise correlation bounds, exact on
-both sides.
+Both sides of a correlation lemma are read off one generating-function
+expansion, the t^k coefficients of exp(sum_m a_m t^(e_m)) over pair, square
+and linear monomials.  The right side is a Wick sum E prod_i (sum_k
+Z_i^{<>k}), the coefficients of prod_{i<j} exp(C_ij t_i t_j).  The left side
+is a Gaussian moment of a product of chaos-truncated trig factors; each
+factor expands into trig and polynomial atoms, and E prod Z^d exp(i tau.Z)
+is exp(-Var/2) times the coefficients of exp(t'Ct/2 + i (C tau).t), with
+the atoms' phases summed as integers so that a moment zero by parity is
+exactly 0.0.  Cluster chaos coefficients are the same atom moments of the
+members' mixed derivatives.  The module also holds the ratio checks of the
+pointwise correlation bounds, exact on both sides.
 """
 
 from __future__ import annotations
@@ -44,17 +45,43 @@ def _trig_phase(trig: str) -> int:
     return chaos._TRIG_PHASE[trig]
 
 
+def _exp_series(terms, hi: list[int]) -> np.ndarray:
+    """Coefficients of exp(sum_m a_m prod_{v in vars_m} t_v), truncated at
+    degree hi_i in t_i, on one dense array.
+
+    Each term (a, vars) is a pair (i, j), a square (j, j) or a linear
+    monomial (j,) with a real or complex coefficient a.  Its factor
+    exp(a t^e) = sum_p a^p / p! t^(p e) multiplies in as one shifted add per
+    power p.
+    """
+    k = len(hi)
+    dtype = np.result_type(float, *(a for a, _ in terms))
+    coef = np.zeros([b + 1 for b in hi], dtype=dtype)
+    coef[(0,) * k] = 1.0
+    for a, idx in terms:
+        if a == 0.0:
+            continue
+        step = [idx.count(v) for v in range(k)]
+        grown = coef.copy()
+        term = 1.0
+        for p in range(1, min(hi[v] // step[v] for v in idx) + 1):
+            term *= a / p
+            src = tuple(slice(0, b + 1 - p * e) for b, e in zip(hi, step))
+            dst = tuple(slice(p * e, None) for e in step)
+            grown[dst] += term * coef[src]
+        coef = grown
+    return coef
+
+
 def wick_sum_moment(ranges, cov) -> float:
     """E prod_i (sum_{k=lo_i}^{hi_i} Z_i^{<>k}), ranges given as (lo, hi) pairs.
 
     The Hermite generating function sum_k Z^{<>k} t^k / k! = exp(tZ -
     t^2 sigma^2 / 2) gives E prod_i exp(t_i Z_i - t_i^2 sigma_i^2 / 2) =
     prod_{i<j} exp(C_ij t_i t_j), so E prod_i Z_i^{<>k_i} is prod_i k_i!
-    times the t^k coefficient of that product.  The product is expanded on
-    one dense coefficient array truncated at degree hi_i in t_i, one
-    shifted add per pair and power.  Only off-diagonal covariances enter:
-    Wick powers have no self-contractions.  A single degree vector is the
-    case lo_i = hi_i.
+    times the t^k coefficient of that product.  Only off-diagonal
+    covariances enter: Wick powers have no self-contractions.  A single
+    degree vector is the case lo_i = hi_i.
     """
     lo = [int(a) for a, _ in ranges]
     hi = [int(b) for _, b in ranges]
@@ -62,21 +89,8 @@ def wick_sum_moment(ranges, cov) -> float:
         raise ValueError(f"ranges must satisfy 0 <= lo <= hi, got {list(ranges)}")
     k = len(hi)
     cov = _checked_cov(cov, k)
-    coef = np.zeros([b + 1 for b in hi])
-    coef[(0,) * k] = 1.0
-    for i, j in itertools.combinations(range(k), 2):
-        if cov[i, j] == 0.0:
-            continue
-        grown = coef.copy()
-        term = 1.0
-        for p in range(1, min(hi[i], hi[j]) + 1):
-            term *= cov[i, j] / p
-            src = [slice(None)] * k
-            dst = [slice(None)] * k
-            src[i], src[j] = slice(0, hi[i] + 1 - p), slice(0, hi[j] + 1 - p)
-            dst[i], dst[j] = slice(p, None), slice(p, None)
-            grown[tuple(dst)] += term * coef[tuple(src)]
-        coef = grown
+    coef = _exp_series([(cov[i, j], (i, j))
+                        for i, j in itertools.combinations(range(k), 2)], hi)
     window = coef[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
     weight = np.ones(())
     for a, b in zip(lo, hi):
@@ -108,54 +122,35 @@ def truncated_factor_atoms(phase: int, theta: float, t: int, r: int,
     return atoms
 
 
-def _partial_pairings(legs: list[int]):
-    """Yield (pairs, singles) decompositions of the index list ``legs``."""
-    if not legs:
-        yield [], []
-        return
-    first, rest = legs[0], legs[1:]
-    for pairs, singles in _partial_pairings(rest):
-        yield pairs, [first] + singles
-    for i in range(len(rest)):
-        sub = rest[:i] + rest[i + 1:]
-        for pairs, singles in _partial_pairings(sub):
-            yield [(first, rest[i])] + pairs, singles
-
-
 def _poly_trig_expectation(var_idx: list[int], degrees: list[int],
                            trig_vars: list[int], trig_thetas: list[float],
                            phase: int, cov: np.ndarray) -> float:
     """E[ prod Z_{var_idx}^{deg} * cos(sum trig_thetas*Z_trig + phase*pi/2) ]
-    in closed form.  The phase is an integer, so cos(phase pi/2) and
-    sin(phase pi/2) = cos((phase - 1) pi/2) are exactly 0 or +-1."""
+    in closed form: exp(-tau'C tau / 2) prod d! Re(i^phase [t^d] exp(t'Ct / 2
+    + i (C tau).t)) over the variables of positive degree, tau the summed
+    frequency vector.  The phase is an integer, so cos(phase pi/2) and
+    sin(phase pi/2) = cos((phase - 1) pi/2) are exactly 0 or +-1, and a
+    coefficient of odd degree is purely imaginary: parity zeros are exact."""
     tvec = np.zeros(cov.shape[0])
     for v, th in zip(trig_vars, trig_thetas):
         tvec[v] += th
     var_t = float(tvec @ cov @ tvec)
     if var_t > 1490.0:
-        # exp(-var_t / 2) underflows and no pairing sum can lift it back
+        # exp(-var_t / 2) underflows and no polynomial factor can lift it back
         return 0.0
-    legs: list[int] = []
-    for v, q in zip(var_idx, degrees):
-        legs.extend([v] * q)
-    cov_t = cov @ tvec
     cos_p = chaos._PHASE_SIGN[phase % 4]
+    if not var_idx:
+        return math.exp(-0.5 * var_t) * cos_p
     sin_p = chaos._PHASE_SIGN[(phase - 1) % 4]
-    total = 0.0
-    for pairs, singles in _partial_pairings(legs):
-        prod = 1.0
-        for a, b in pairs:
-            prod *= cov[a, b]
-        n_single = len(singles)
-        for s in singles:
-            prod *= cov_t[s]
-        # i**n_single folded into the real part below
-        if n_single % 2 == 0:
-            contrib = prod * ((-1.0) ** (n_single // 2)) * cos_p
-        else:
-            contrib = -prod * ((-1.0) ** ((n_single - 1) // 2)) * sin_p
-        total += contrib
-    return math.exp(-0.5 * var_t) * total
+    sub = cov[np.ix_(var_idx, var_idx)]
+    cov_t = (cov @ tvec)[var_idx]
+    k = len(var_idx)
+    terms = [(sub[i, j] if i < j else 0.5 * sub[i, i], (i, j))
+             for i, j in itertools.combinations_with_replacement(range(k), 2)]
+    terms += [(1j * cov_t[i], (i,)) for i in range(k)]
+    top = _exp_series(terms, degrees)[tuple(degrees)]
+    scale = math.prod(math.factorial(q) for q in degrees)
+    return math.exp(-0.5 * var_t) * scale * (cos_p * top.real - sin_p * top.imag)
 
 
 def exact_trig_poly_moment(factor_atoms: list[list[tuple]], cov) -> float:
@@ -184,22 +179,16 @@ def exact_trig_poly_moment(factor_atoms: list[list[tuple]], cov) -> float:
                 trig_phases.append(phase)
         if coeff == 0.0:
             continue
-        if sum(degrees) > 14:
-            raise ValueError("polynomial degree too large for exact pairing expansion")
-        if trig_vars:
-            # product of cosines -> mean over +-1 frequency sign patterns
-            acc = 0.0
-            for signs in itertools.product((1, -1), repeat=len(trig_vars) - 1):
-                svec = (1,) + signs
-                thetas = [s * th for s, th in zip(svec, trig_thetas)]
-                phase = sum(s * p for s, p in zip(svec, trig_phases))
-                acc += _poly_trig_expectation(var_idx, degrees, trig_vars, thetas,
-                                              phase, cov)
-            acc /= 2.0 ** (len(trig_vars) - 1)
-            total.append(coeff * acc)
-        else:
-            total.append(coeff * _poly_trig_expectation(var_idx, degrees, [], [],
-                                                        0, cov))
+        # product of cosines -> mean over +-1 frequency sign patterns
+        n_signs = max(len(trig_vars) - 1, 0)
+        acc = 0.0
+        for signs in itertools.product((1, -1), repeat=n_signs):
+            svec = (1,) + signs
+            thetas = [s * th for s, th in zip(svec, trig_thetas)]
+            phase = sum(s * p for s, p in zip(svec, trig_phases))
+            acc += _poly_trig_expectation(var_idx, degrees, trig_vars, thetas,
+                                          phase, cov)
+        total.append(coeff * (acc / 2.0 ** n_signs))
     return math.fsum(total)
 
 

@@ -39,28 +39,28 @@ def compute_re(gamma: float, alpha: float, m2: int) -> int:
     return max(int(math.ceil(v)), 0)
 
 
-def smooth_cutoff(r, low: float, high: float):
-    """C-infinity transition: 1 on r <= low, 0 on r >= high."""
-    r = np.asarray(r, dtype=float)
-    t = (high - r) / (high - low)
-    out = np.zeros_like(t)
-    out[t >= 1.0] = 1.0
+def _cutoff_parts(r, low: float, high: float):
+    """Transition variable t = (high - r) / (high - low), the mask of
+    0 < t < 1, and exp(-1/t), exp(-1/(1-t)) on that mask."""
+    t = (high - np.asarray(r, dtype=float)) / (high - low)
     mid = (t > 0.0) & (t < 1.0)
     tm = t[mid]
-    f = np.exp(-1.0 / tm)
-    g = np.exp(-1.0 / (1.0 - tm))
+    return t, mid, tm, np.exp(-1.0 / tm), np.exp(-1.0 / (1.0 - tm))
+
+
+def smooth_cutoff(r, low: float, high: float):
+    """C-infinity transition: 1 on r <= low, 0 on r >= high."""
+    t, mid, _, f, g = _cutoff_parts(r, low, high)
+    out = np.zeros_like(t)
+    out[t >= 1.0] = 1.0
     out[mid] = f / (f + g)
     return out
 
 
 def _cutoff_slope(r, low: float, high: float):
     """d/dr of smooth_cutoff(r, low, high); zero off (low, high)."""
-    t = (high - np.asarray(r, dtype=float)) / (high - low)
+    t, mid, tm, f, g = _cutoff_parts(r, low, high)
     out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    f = np.exp(-1.0 / tm)
-    g = np.exp(-1.0 / (1.0 - tm))
     out[mid] = -f * g * (1.0 / tm**2 + 1.0 / (1.0 - tm) ** 2) \
         / ((f + g) ** 2 * (high - low))
     return out

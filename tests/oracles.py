@@ -817,3 +817,52 @@ def probe_transform_full_fft(n_probes: int, m_probe: int, x_max: float,
         out_pos[j] = du * np.exp(-1j * u[0] * xpos) * fh
     x = np.concatenate([-xpos[:0:-1], xpos])
     return x, np.concatenate([np.conj(out_pos[:, :0:-1]), out_pos], axis=1)
+
+
+def _partial_pairings(legs: list[int]):
+    """Yield (pairs, singles) decompositions of the index list ``legs``."""
+    if not legs:
+        yield [], []
+        return
+    first, rest = legs[0], legs[1:]
+    for pairs, singles in _partial_pairings(rest):
+        yield pairs, [first] + singles
+    for i in range(len(rest)):
+        sub = rest[:i] + rest[i + 1:]
+        for pairs, singles in _partial_pairings(sub):
+            yield [(first, rest[i])] + pairs, singles
+
+
+def pairing_poly_trig_expectation(var_idx, degrees, trig_vars, trig_thetas,
+                                  phase: int, cov) -> float:
+    """``isserlis._poly_trig_expectation`` by enumerating every partial
+    matching of the monomial legs: matched legs contract through C, each
+    unmatched leg through (C tau) times a factor i folded into the real part.
+    The count grows like the telephone numbers, so keep the degree small.
+    """
+    cos_q = (1.0, 0.0, -1.0, 0.0)  # cos(q*pi/2) for q mod 4
+    tvec = np.zeros(cov.shape[0])
+    for v, th in zip(trig_vars, trig_thetas):
+        tvec[v] += th
+    var_t = float(tvec @ cov @ tvec)
+    if var_t > 1490.0:
+        return 0.0
+    legs: list[int] = []
+    for v, q in zip(var_idx, degrees):
+        legs.extend([v] * q)
+    cov_t = cov @ tvec
+    cos_p = cos_q[phase % 4]
+    sin_p = cos_q[(phase - 1) % 4]
+    total = 0.0
+    for pairs, singles in _partial_pairings(legs):
+        prod = 1.0
+        for a, b in pairs:
+            prod *= cov[a, b]
+        n_single = len(singles)
+        for s in singles:
+            prod *= cov_t[s]
+        if n_single % 2 == 0:
+            total += prod * ((-1.0) ** (n_single // 2)) * cos_p
+        else:
+            total += -prod * ((-1.0) ** ((n_single - 1) // 2)) * sin_p
+    return math.exp(-0.5 * var_t) * total

@@ -100,6 +100,7 @@ def test_build_lattice_counts():
     assert lat.shape == (9,)
     assert lat.axes[0][0] == pytest.approx(-1.0)
     assert lat.axes[0][-1] == pytest.approx(1.0)
+    assert np.array_equal(lat.axes[0], np.arange(-4, 5) * 0.25)
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
@@ -124,6 +125,12 @@ def test_build_lattice_budget():
     g = ScalingGeometry((1.0, 1.0))
     with pytest.raises(ResourceBudgetError):
         build_lattice(g, 1e-4, (1.0, 1.0), budget=10_000)
+    # counts far beyond int64
+    with pytest.raises(ResourceBudgetError):
+        build_lattice(g, 1e-300, (1.0, 1.0))
+    # the int64 product of these counts is 2**64, which wraps round to 0
+    with pytest.raises(ResourceBudgetError, match=str(2**64)):
+        lattice_from_counts(ScalingGeometry((1.0,) * 4), 0.1, (2**16,) * 4)
 
 
 def test_riemann_sum_two_grid():

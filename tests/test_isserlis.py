@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import rng
+from chaoslab import isserlis, rng
 from chaoslab.chaos import PHASE_COS, PHASE_SIN, ChaosTruncSpec, \
     phase_coeff_deriv, truncated_trig_deriv
 from chaoslab.field import CovarianceSpec
@@ -16,12 +16,14 @@ from chaoslab.isserlis import (
     check_correlation_lemma,
     cluster_coeff,
     exact_functional_product_moment,
+    exact_trig_poly_moment,
     wick_sum_moment,
 )
 
 from oracles import DMatrix, StructuralError, brute_wick_moment, \
     dmatrix_wick_sum_moment, enumerate_dmatrices, matching_wick_moment, \
-    random_correlation, reduce_to_dstar, tensor_gh_cluster_coeff
+    pairing_poly_trig_expectation, random_correlation, reduce_to_dstar, \
+    tensor_gh_cluster_coeff
 
 G1 = ScalingGeometry((1.0,))
 PHASE = {"cos": PHASE_COS, "sin": PHASE_SIN}
@@ -298,29 +300,106 @@ def test_exact_moment_vs_quadrature_pair():
     assert got == pytest.approx(want, abs=1e-10)
 
 
-@pytest.mark.parametrize("specs, thetas, derivs", [
-    ([("sin", 3), ("sin", 3)], [1.3, 0.7], [0, 0]),
-    ([("cos", 4), ("cos", 2)], [1.1, 2.0], [0, 0]),
-    ([("sin", 5), ("sin", 3)], [0.9, 1.6], [0, 1]),
-], ids=["sin3-sin3", "cos4-cos2", "sin5-dsin3"])
-def test_exact_moment_with_polynomial_atoms_matches_quadrature(specs, thetas,
-                                                                derivs):
-    # these truncations (and the theta-derivative) leave atoms of degree >= 1,
-    # so the closed form runs through its pairings; pairs of mixed parity
-    # vanish by symmetry and would test nothing
+def _tensor_gh_moment(specs, thetas, derivs, cov, order: int) -> float:
+    """E prod_j d^r_j T_(t_j-1)(trig_j(theta_j Z_j)) by a tensor Gauss-Hermite
+    rule of ``order`` nodes per variable."""
     from oracles import gh_rule
-    cov = np.array([[1.3, 0.5], [0.5, 0.8]])
-    got = exact_functional_product_moment(specs, thetas, derivs, cov)
-    x, w = gh_rule(120)
+    x, w = gh_rule(order)
     x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
-    xi = np.stack([g.reshape(-1) for g in np.meshgrid(x, x, indexing="ij")])
+    k = len(specs)
+    xi = np.stack([g.reshape(-1) for g in np.meshgrid(*[x] * k, indexing="ij")])
     z = np.linalg.cholesky(cov) @ xi
-    f = np.outer(w, w).reshape(-1)
+    f = np.ones(())
+    for _ in range(k):
+        f = np.multiply.outer(f, w)
+    f = f.reshape(-1)
     for j, ((trig, t), th, r) in enumerate(zip(specs, thetas, derivs)):
         f = f * truncated_trig_deriv(z[j], th, ChaosTruncSpec(trig, t).phase,
                                      t, r, cov[j, j])
-    want = float(np.sum(f))
+    return float(np.sum(f))
+
+
+COV3 = np.array([[1.3, 0.5, 0.2], [0.5, 0.8, 0.3], [0.2, 0.3, 1.1]])
+
+
+@pytest.mark.parametrize("specs, thetas, derivs, order", [
+    ([("sin", 3), ("sin", 3)], [1.3, 0.7], [0, 0], 120),
+    ([("cos", 4), ("cos", 2)], [1.1, 2.0], [0, 0], 120),
+    ([("sin", 5), ("sin", 3)], [0.9, 1.6], [0, 1], 120),
+    # 6 + 5 + 5 monomial legs, past the 14 a pairing enumeration affords
+    ([("sin", 3), ("cos", 2), ("sin", 1)], [1.1, 0.8, 1.4], [6, 5, 5], 60),
+], ids=["sin3-sin3", "cos4-cos2", "sin5-dsin3", "dsin3-dcos2-dsin1"])
+def test_exact_moment_with_polynomial_atoms_matches_quadrature(specs, thetas,
+                                                                derivs, order):
+    # these truncations (and the theta-derivatives) leave atoms of degree
+    # >= 1, so the closed form runs through its polynomial expansion; pairs
+    # of mixed parity vanish by symmetry and would test nothing
+    cov = COV3[:len(specs), :len(specs)]
+    got = exact_functional_product_moment(specs, thetas, derivs, cov)
+    want = _tensor_gh_moment(specs, thetas, derivs, cov, order)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _random_atoms(gen, k: int, kind: str):
+    """Random factor atoms for ``exact_trig_poly_moment`` on k variables.
+
+    Factor j's first atom has the factor's largest monomial degree, at most
+    6, and these sum to at most 8 (a parity fix may lift a degree 0 to 1),
+    which keeps the pairing enumeration cheap.  'degree0' draws only degree-0
+    atoms; 'parity0' gives every atom of factor j the parity b_j of degree
+    plus phase, with sum_j b_j odd, so that the moment is 0 by symmetry.
+    """
+    bits = gen.integers(0, 2, size=k)
+    if kind == "parity0" and bits.sum() % 2 == 0:
+        bits[0] ^= 1
+    while True:
+        tops = gen.integers(0, 7, size=k) if kind != "degree0" else np.zeros(k, int)
+        if tops.sum() <= 8:
+            break
+    factors = []
+    for j in range(k):
+        atoms = []
+        for a in range(int(gen.integers(1, 4))):
+            coeff = float(gen.normal())
+            deg = int(tops[j]) if a == 0 else int(gen.integers(0, tops[j] + 1))
+            if gen.uniform() < 0.3:
+                theta, phase = None, 0
+            else:
+                theta, phase = float(gen.uniform(0.2, 3.0)), int(gen.integers(0, 4))
+            if kind == "parity0" and (deg + phase) % 2 != bits[j]:
+                if theta is None:
+                    deg = deg - 1 if deg else 1
+                else:
+                    phase += 1
+            atoms.append((coeff, deg, theta, phase))
+        factors.append(atoms)
+    return factors
+
+
+@pytest.mark.parametrize("kind", ["mixed", "degree0", "parity0"])
+def test_trig_poly_moment_matches_pairing_oracle(monkeypatch, kind):
+    gen = rng.substream(20, {"mixed": 1, "degree0": 2, "parity0": 3}[kind])
+    nonzero = 0
+    for _ in range(24):
+        k = int(gen.integers(1, 5))
+        scale = gen.uniform(0.7, 1.3, size=k)
+        cov = random_correlation(gen, k) * np.outer(scale, scale)
+        atoms = _random_atoms(gen, k, kind)
+        got = exact_trig_poly_moment(atoms, cov)
+        with monkeypatch.context() as m:
+            m.setattr(isserlis, "_poly_trig_expectation",
+                      pairing_poly_trig_expectation)
+            want = exact_trig_poly_moment(atoms, cov)
+        if kind == "degree0":
+            assert got == want
+        elif kind == "parity0":
+            assert got == 0.0 and want == 0.0
+        else:
+            # a mixed draw can still vanish by parity; then both are 0.0
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        nonzero += want != 0.0
+    if kind != "parity0":
+        assert nonzero >= 16
 
 
 def test_exact_moment_block_factorization():
@@ -408,6 +487,14 @@ def test_lemma_n2_left_sides_are_exact(which):
     assert rep.grid[0].lhs != 0.0
     for e in rep.grid[1:]:
         assert abs(e.lhs) < 1e-40
+    assert all(np.isfinite(e.ratio) for e in rep.grid)
+
+
+def test_lemma_check_runs_past_sixteen_legs():
+    # deriv = (4, 4) puts 16 monomial legs on the four factors
+    rep = check_correlation_lemma("comparable", LemmaCheckConfig(
+        n=1, deriv=(4, 4), n_configs=1, theta_grid=(1.0,)))
+    assert rep.grid[0].lhs != 0.0
     assert all(np.isfinite(e.ratio) for e in rep.grid)
 
 
