@@ -2,7 +2,9 @@
 
 The operator studies (:func:`freq_sweep`, :func:`scaling_scan`) estimate
 2n-th root moment norms of operator values over many field draws, with the
-bootstrap intervals of :mod:`stats`, and report single-constant domination
+bootstrap intervals of :mod:`stats`: one ``moment_norm`` call per study call
+resamples the (draws x cells) table once, so every cell's interval is taken
+from the same resamples of the draws.  They report single-constant domination
 against the target power laws and fitted slopes; the underlying bound is
 one-sided, so slope checks are lower bounds, never equalities.  The
 deterministic routines integrate the |K|-smeared Wick second moments G and H
@@ -25,7 +27,8 @@ from .geometry import Lattice, ScalingGeometry, TestFunction, build_lattice, \
     eval_test_function_many
 from .kernel import DIAGONAL_CELLS, RenormKernel, compute_re, eval_K_many
 from .operator import OperatorConfig, OperatorSetup, apply_configs
-# BOOTSTRAP_RESAMPLES is read here by name by the benchmark's tracer
+# the benchmark's tracer wraps moment_norm and reads BOOTSTRAP_RESAMPLES here
+# by name: the studies resample through this name, once per call
 from .stats import BOOTSTRAP_RESAMPLES, MomentEstimate, moment_norm  # noqa: F401
 
 
@@ -34,6 +37,10 @@ class QuadratureRefinementNeeded(RuntimeError):
 
 
 _TWO_GRID_TOL = 0.10  # G/H quadrature: largest certified two-grid gap
+# BOOTSTRAP substream tags of the studies' paired resamples, one per call;
+# field.verify_assumption1 and the model studies open tags 1, 11 and 12
+_FREQ_SWEEP_TAG = 21
+_SCALING_SCAN_TAG = 22
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,8 @@ def freq_sweep(design: StudyDesign, eps: float, lam: float, theta_grid,
     """Moment-norm estimates across a frequency grid on shared field draws.
 
     Sharing the draws across frequencies removes sampling noise from the
-    headline max/min ratio, which is the experiment's statistic.
+    headline max/min ratio, which is the experiment's statistic; the
+    frequencies' intervals share one set of bootstrap resamples too.
     """
     cells = [(float(lam), (float(t[0]), float(t[1]))) for t in theta_grid]
     _check_study(n_samples, theta_grid=cells)
@@ -181,11 +189,10 @@ def freq_sweep(design: StudyDesign, eps: float, lam: float, theta_grid,
                for cell in cells}
     values, = _run_cells([design.spectrum(eps, lat)], configs, n_samples,
                          seed, workers)
-    rows = []
-    for tag, cell in enumerate(cells):
-        rows.append(FreqRow(theta=cell[1],
-                            estimate=moment_norm(values[cell], n, seed=seed,
-                                                 tag=tag)))
+    ests = moment_norm(np.column_stack([values[cell] for cell in cells]), n,
+                       seed=seed, tag=_FREQ_SWEEP_TAG)
+    rows = [FreqRow(theta=cell[1], estimate=est)
+            for cell, est in zip(cells, ests)]
     vals = [r.estimate.value for r in rows if r.estimate.value > 0]
     ratio = max(vals) / min(vals) if vals else math.inf
     return FreqSweepResult(eps=eps, lam=lam, rows=rows, max_min_ratio=float(ratio))
@@ -217,10 +224,11 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
                  workers: int = 1) -> ScalingReport:
     """Log-log scan of the moment norm over a geometric (eps, lam) grid.
 
-    Grid points whose bootstrap interval reaches zero are flagged and left
-    out of the slope fit.  The slopes are NaN unless the fitted points hold
-    two eps and two lam values off one log-log line, and their standard
-    errors are NaN unless a degree of freedom is left.  The bound constant
+    Every grid point reads the same draws, and their bootstrap intervals
+    share one set of resamples.  Grid points whose interval reaches zero are
+    flagged and left out of the slope fit.  The slopes are NaN unless the
+    fitted points hold two eps and two lam values off one log-log line, and
+    their standard errors are NaN unless a degree of freedom is left.  The bound constant
     is the largest ratio of the estimate to eps^(a-eta) * lam^(b-eta) with
     a, b the target exponents.
     """
@@ -240,14 +248,13 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
                for cell in cells}
     per_eps = _run_cells([design.spectrum(eps, lat) for eps in eps_grid],
                          configs, n_samples, seed, workers)
-    rows: list[ScalingRow] = []
-    tag = 0
-    for eps, values in zip(eps_grid, per_eps):
-        for cell in cells:
-            est = moment_norm(values[cell], n, seed=seed, tag=tag)
-            tag += 1
-            rows.append(ScalingRow(eps=eps, lam=cell[0], estimate=est,
-                                   excluded=est.ci[0] <= 0.0))
+    grid = [(eps, values, cell) for eps, values in zip(eps_grid, per_eps)
+            for cell in cells]
+    ests = moment_norm(np.column_stack([v[cell] for _, v, cell in grid]), n,
+                       seed=seed, tag=_SCALING_SCAN_TAG)
+    rows = [ScalingRow(eps=eps, lam=cell[0], estimate=est,
+                       excluded=est.ci[0] <= 0.0)
+            for (eps, _, cell), est in zip(grid, ests)]
     fit_rows = [r for r in rows if not r.excluded and r.estimate.value > 0]
     eps_slope = lam_slope = eps_se = lam_se = math.nan
     if len(fit_rows) >= 3:

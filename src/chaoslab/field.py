@@ -146,12 +146,14 @@ def synthesise(multipliers, seed: int, purpose: int, indices):
 
     Draw k is the real part (k even) or the imaginary part (k odd) of the
     transform of w_{2j} + i w_{2j+1}, j = k // 2, with w_k the noise of the
-    (seed, purpose, k) substream.  The pair is fixed by the absolute index,
-    never by the batch: a lone index still draws its partner's noise and
-    discards the partner's half.  Numpy's batched FFT rows do not depend on
-    the rest of the batch, so each draw is a function of (seed, purpose,
-    index) alone: batching, order, repeats and worker splits cannot change
-    any sample.  Non-integer or negative indices raise ValueError.
+    (seed, purpose, k) substream; one generator is re-keyed from stream to
+    stream (``rng.substream_opener``) rather than one built per draw.  The
+    pair is fixed by the absolute index, never by the batch: a lone index
+    still draws its partner's noise and discards the partner's half.
+    Numpy's batched FFT rows do not depend on the rest of the batch, so each
+    draw is a function of (seed, purpose, index) alone: batching, order,
+    repeats and worker splits cannot change any sample.  Non-integer or
+    negative indices raise ValueError.
 
     The noise is drawn and transformed once; each multiplier then costs one
     product and one in-place inverse transform.  Only the noise transform
@@ -165,10 +167,11 @@ def synthesise(multipliers, seed: int, purpose: int, indices):
         raise ValueError("multipliers must share one lattice shape")
     pairs, row = np.unique(idx // 2, return_inverse=True)
     noise = np.empty((len(pairs),) + shape, dtype=complex)
+    open_stream = rng.substream_opener(seed, purpose)
     for j, pair in enumerate(pairs):
         k = 2 * int(pair)
-        noise.real[j] = rng.substream(seed, purpose, k).standard_normal(shape)
-        noise.imag[j] = rng.substream(seed, purpose, k + 1).standard_normal(shape)
+        noise.real[j] = open_stream(k).standard_normal(shape)
+        noise.imag[j] = open_stream(k + 1).standard_normal(shape)
     axes = tuple(range(1, len(shape) + 1))
     noise = np.fft.fftn(noise, axes=axes, out=noise)
     part = idx % 2  # 0: real part, 1: imaginary part

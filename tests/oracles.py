@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
 
-from chaoslab import kernel, rng
+from chaoslab import kernel, rng, stats
 from chaoslab.chaos import phase_coeff_deriv, truncated_trig_deriv
 from chaoslab.geometry import metric_many
 from chaoslab.nonlinearity import _probe_family
@@ -698,25 +698,50 @@ def per_draw_model_field(mf, seed: int, indices) -> np.ndarray:
     return out
 
 
+def gather_bootstrap_means(x: np.ndarray, seed: int, tag: int) -> np.ndarray:
+    """``stats.bootstrap_means`` by gathering the resampled rows.
+
+    The route the package used before it counted each block's resample
+    indices: a block of resamples gathers its rows, (rows, m, *rest), and
+    takes their mean over m, with the block holding at most
+    ``stats.BOOTSTRAP_BLOCK`` resampled values.  The index stream and the
+    constants are shared with the package.
+    """
+    m = len(x)
+    gen = rng.substream(seed, rng.BOOTSTRAP, tag)
+    out = np.empty((stats.BOOTSTRAP_RESAMPLES,) + x.shape[1:])
+    rows = max(1, stats.BOOTSTRAP_BLOCK // x.size)
+    for lo in range(0, stats.BOOTSTRAP_RESAMPLES, rows):
+        hi = min(lo + rows, stats.BOOTSTRAP_RESAMPLES)
+        out[lo:hi] = np.mean(x[gen.integers(0, m, size=(hi - lo, m))], axis=1)
+    return out
+
+
 def loop_bootstrap_moment_norm(values, n: int, seed: int = 0, tag: int = 0,
                                resamples: int = 500):
-    """(point, (lo, hi)) of the moment norm with one resample per loop step.
+    """[(point, (lo, hi))] of the moment norm per column of ``values``, with
+    one resample per loop step.
 
-    The bootstrap the package used before it drew its resample indices in
-    (rows, m) blocks: each resample is one ``integers(0, m, size=m)`` call on
-    the (seed, BOOTSTRAP, tag) substream and one scalar mean.
+    ``values`` holds draws, or (draws, cells).  The bootstrap the package
+    used before it drew its resample indices in (rows, m) blocks: each
+    resample is one ``integers(0, m, size=m)`` call on the (seed, BOOTSTRAP,
+    tag) substream, shared by every column, and one mean of the picked rows.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    m = len(values)
-    powers = np.abs(values) ** (2 * n)
-    point = float(np.mean(powers) ** (1.0 / (2 * n)))
+    values = np.asarray(values, dtype=float)
+    table = values.reshape(len(values), -1)
+    m = len(table)
+    powers = np.abs(table) ** (2 * n)
+    points = [float(np.mean(col) ** (1.0 / (2 * n))) for col in powers.T]
     gen = rng.substream(seed, rng.BOOTSTRAP, tag)
-    boot = np.empty(resamples)
+    boot = np.empty((resamples, table.shape[1]))
     for b in range(resamples):
         pick = gen.integers(0, m, size=m)
-        boot[b] = np.mean(powers[pick]) ** (1.0 / (2 * n))
-    lo, hi = np.percentile(boot, [2.5, 97.5])
-    return point, (float(min(lo, point)), float(max(hi, point)))
+        boot[b] = np.mean(powers[pick], axis=0) ** (1.0 / (2 * n))
+    out = []
+    for col, point in zip(boot.T, points):
+        lo, hi = np.percentile(col, [2.5, 97.5])
+        out.append((point, (float(min(lo, point)), float(max(hi, point)))))
+    return out
 
 
 def permutation_chain_class(points, L_eps: float, g) -> bool:

@@ -6,13 +6,14 @@ G/H quadrature and the heat-kernel stencil were each given one shared
 implementation.  It is recorded with the model draws taken by the per-draw
 route of ``oracles.per_draw_model_field``, the mollified derivative taken
 by the Gauss-Legendre route of ``oracles.legendre_mollified_deriv``, the
-Gaussian means taken by the adaptive route of ``oracles.quad_gaussian_mean``
-and the Wick sums taken by the contraction-matrix enumeration of
-``oracles.dmatrix_wick_sum_moment``; on those routes every number must be
-reproduced bit for bit.  The package pairs
-model draws in one complex transform, which moves the model outputs by
-rounding only, so on the production route every number must agree within
-1e-12 relative.  The exception is the two outputs built on the mollified
+Gaussian means taken by the adaptive route of ``oracles.quad_gaussian_mean``,
+the Wick sums taken by the contraction-matrix enumeration of
+``oracles.dmatrix_wick_sum_moment`` and the bootstrap means taken by the
+gather route of ``oracles.gather_bootstrap_means``; on those routes every
+number must be reproduced bit for bit.  The package pairs model draws in one
+complex transform and counts its bootstrap resample indices, which moves the
+model outputs and the bootstrap intervals by rounding only, so on the
+production route every number must agree within 1e-12 relative.  The exception is the two outputs built on the mollified
 derivative, ``remainder_pairing`` and ``mollification_gap``: the package's
 exact-weight Gauss rules remove the Legendre route's own quadrature error
 (up to 3.5e-7 relative per point inside (-delta, delta)), which moves them
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from chaoslab import isserlis, models, nonlinearity
+from chaoslab import field, isserlis, models, nonlinearity, stats
 from chaoslab.clustering import partition_sum_check, volume_lemma_check, \
     volume_Sc
 from chaoslab.experiments import second_moment_G, second_moment_H
@@ -58,8 +59,8 @@ from chaoslab.models import (
     remainder_pairing,
 )
 from chaoslab.nonlinearity import make_nonlinearity
-from oracles import dmatrix_wick_sum_moment, legendre_mollified_deriv, \
-    per_draw_model_field, quad_gaussian_mean
+from oracles import dmatrix_wick_sum_moment, gather_bootstrap_means, \
+    legendre_mollified_deriv, per_draw_model_field, quad_gaussian_mean
 
 FIXTURE = Path(__file__).with_name("golden_design.json")
 # outputs on the mollified derivative against the Legendre-route fixture
@@ -246,6 +247,8 @@ def test_design_outputs_match_golden_fixture(monkeypatch):
     monkeypatch.setattr(nonlinearity, "gaussian_mean", quad_gaussian_mean)
     monkeypatch.setattr(models, "gaussian_mean", quad_gaussian_mean)
     monkeypatch.setattr(isserlis, "wick_sum_moment", dmatrix_wick_sum_moment)
+    monkeypatch.setattr(stats, "bootstrap_means", gather_bootstrap_means)
+    monkeypatch.setattr(field, "bootstrap_means", gather_bootstrap_means)
     got = _normalise(design_outputs())
     want = json.loads(FIXTURE.read_text())
     study, entry = REORDERED
@@ -268,5 +271,6 @@ if __name__ == "__main__":
     nonlinearity._mollified_block = legendre_mollified_deriv
     nonlinearity.gaussian_mean = models.gaussian_mean = quad_gaussian_mean
     isserlis.wick_sum_moment = dmatrix_wick_sum_moment
+    stats.bootstrap_means = field.bootstrap_means = gather_bootstrap_means
     FIXTURE.write_text(splice_sections(FIXTURE.read_text(), design_outputs(),
                                        sys.argv[1:]))

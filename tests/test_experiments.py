@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chaoslab import experiments, operator, rng
+from chaoslab import experiments, models, operator, rng, stats
 from chaoslab.experiments import (
     BOOTSTRAP_RESAMPLES,
     SAMPLE_CHUNK,
@@ -21,9 +21,12 @@ from chaoslab.experiments import (
     second_moment_H,
 )
 from chaoslab.clustering import volume_lemma_check
-from chaoslab.field import CovarianceSpec, sample_field_values
+from chaoslab.field import CovarianceSpec, sample_field_values, \
+    verify_assumption1
 from chaoslab.geometry import ScalingGeometry, TestFunction, eval_test_function_many
 from chaoslab.kernel import RenormKernel, eval_K0_many, grad_K0_many
+from chaoslab.models import ModelFieldSpec
+from chaoslab.nonlinearity import make_nonlinearity
 from chaoslab.operator import apply_batch
 from oracles import full_complex_field_values, loop_bootstrap_moment_norm, \
     per_config_operator_values
@@ -84,12 +87,63 @@ def test_moment_norm_deterministic():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", [1, 3, 1025, 70_000])
 def test_moment_norm_matches_loop_bootstrap(m, n):
+    # the same index stream; the resample means are counts times values,
+    # summed in another order than the loop's gathered means (measured
+    # worst 3.9e-15 relative)
     z = rng.substream(13, 7, m).standard_normal(m)
     est = moment_norm(z, n, seed=13, tag=m)
-    point, ci = loop_bootstrap_moment_norm(z, n, seed=13, tag=m,
-                                           resamples=BOOTSTRAP_RESAMPLES)
+    (point, ci), = loop_bootstrap_moment_norm(z, n, seed=13, tag=m,
+                                              resamples=BOOTSTRAP_RESAMPLES)
     assert est.value == point
-    assert est.ci == ci
+    assert est.ci == pytest.approx(ci, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m, cells, n", [(1, 1, 1), (3, 5, 2), (1025, 16, 1),
+                                         (1025, 16, 2), (70_000, 1, 1)])
+def test_moment_norm_columns_match_loop_bootstrap(m, cells, n):
+    # a (draws, cells) table: one estimate per column, every column resampled
+    # with the same indices; the last column is all zero
+    table = rng.substream(17, 7, m).standard_normal((m, cells + 1))
+    table[:, -1] = 0.0
+    ests = moment_norm(table, n, seed=17, tag=cells)
+    want = loop_bootstrap_moment_norm(table, n, seed=17, tag=cells,
+                                      resamples=BOOTSTRAP_RESAMPLES)
+    assert len(ests) == cells + 1
+    for j, (est, (point, ci)) in enumerate(zip(ests, want)):
+        assert est.value == point, j
+        assert est.ci == pytest.approx(ci, rel=1e-13, abs=0.0), j
+        assert est.n_samples == m
+        alone = moment_norm(table[:, j], n, seed=17, tag=cells)
+        assert est.value == alone.value, j
+        assert est.ci == pytest.approx(alone.ci, rel=1e-13, abs=0.0), j
+    assert ests[-1] == MomentEstimate(n=n, value=0.0, ci=(0.0, 0.0),
+                                      n_samples=m)
+
+
+@pytest.mark.parametrize("block", [1, 4096, 10 ** 7])
+def test_bootstrap_means_agree_across_block_sizes(monkeypatch, block):
+    # the index stream does not depend on the block size; the product's
+    # rounding does (BLAS by the block's row and column count: <= 2.6e-15)
+    x = rng.substream(19, 7).standard_normal((1024, 16)) ** 2
+    want = stats.bootstrap_means(x, 19, 3)
+    monkeypatch.setattr(stats, "BOOTSTRAP_BLOCK", block)
+    np.testing.assert_allclose(stats.bootstrap_means(x, 19, 3), want,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_bootstrap_means_peak_memory_is_blocked():
+    # 1024 draws x 16 cells, the scan benchmark's table: the temporaries
+    # are one block of indices and counts (measured 1.1 MB), well below the
+    # 500 x 1024 count matrix of an unblocked resample (4.1 MB)
+    x = rng.substream(23, 7).standard_normal((1024, 16)) ** 2
+    stats.bootstrap_means(x, 23, 3)
+    tracemalloc.start()
+    try:
+        stats.bootstrap_means(x, 23, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * BOOTSTRAP_RESAMPLES * 1024 * 8
 
 
 def test_freq_sweep_zero_theta_row():
@@ -260,22 +314,70 @@ def test_scaling_scan_pool_matches_serial():
         scaling_scan(DESIGN, workers=1, **kwargs)
 
 
-def test_scaling_scan_opens_each_field_substream_once(monkeypatch):
-    # the noise of a chunk is drawn once for every eps of the call; an odd
-    # n_samples still opens the partner of its last draw
+def _opened_paths(monkeypatch) -> list:
+    """Substream paths opened from now on, by rng.substream or through
+    rng.substream_opener, in order."""
     opened = []
-    substream = rng.substream
+    substream, substream_opener = rng.substream, rng.substream_opener
 
     def counting(seed, *path):
         opened.append(path)
         return substream(seed, *path)
 
+    def counting_opener(seed, purpose):
+        open_stream = substream_opener(seed, purpose)
+
+        def counting_open(k):
+            opened.append((purpose, k))
+            return open_stream(k)
+        return counting_open
+
     monkeypatch.setattr(rng, "substream", counting)
+    monkeypatch.setattr(rng, "substream_opener", counting_opener)
+    return opened
+
+
+def test_scaling_scan_opens_each_field_substream_once(monkeypatch):
+    # the noise of a chunk is drawn once for every eps of the call; an odd
+    # n_samples still opens the partner of its last draw
+    opened = _opened_paths(monkeypatch)
     n_samples = SAMPLE_CHUNK + 3
     scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
                  lambda_grid=[0.8, 0.4], n=1, n_samples=n_samples, seed=2)
     field_paths = sorted(p for p in opened if p[0] == rng.FIELD)
     assert field_paths == [(rng.FIELD, k) for k in range(n_samples + 1)]
+
+
+def test_each_resampling_routine_opens_its_own_bootstrap_stream(monkeypatch):
+    # one study call resamples every cell from one BOOTSTRAP stream, and no
+    # two routines share one at the same seed
+    opened = _opened_paths(monkeypatch)
+    seed, rough = 3, make_nonlinearity("power_even", beta=0.5)
+    kpz = ModelFieldSpec(family="kpz", epsilon=0.3, h=0.125, counts=(24, 12),
+                         kernel_cut=0.4)
+    calls = {
+        "freq_sweep": lambda: freq_sweep(
+            DESIGN, eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0), (3.0, 2.0)],
+            n=1, n_samples=40, seed=seed),
+        "scaling_scan": lambda: scaling_scan(
+            DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
+            lambda_grid=[0.8, 0.4], n=1, n_samples=40, seed=seed),
+        "verify_assumption1": lambda: verify_assumption1(
+            DESIGN.spectrum(0.2, DESIGN.lattice()), 8, seed=seed),
+        "remainder_pairing": lambda: models.remainder_pairing(
+            "kpz", rough, a=1.0, mfspec=kpz, delta=0.2, lam=0.4, n=1,
+            n_samples=3, seed=seed),
+        "mollification_gap": lambda: models.mollification_gap(
+            rough, a=1.0, mfspec=kpz, delta=0.3, lam=0.4, n=1, n_samples=3,
+            seed=seed),
+    }
+    paths = {}
+    for name, call in calls.items():
+        opened.clear()
+        call()
+        paths[name] = [p for p in opened if p[0] == rng.BOOTSTRAP]
+        assert len(paths[name]) == 1, name
+    assert len({tuple(p) for p in paths.values()}) == len(calls)
 
 
 def _no_draws(monkeypatch):
@@ -328,14 +430,14 @@ def _power_law_scan(monkeypatch, eps_grid, lambda_grid, excluded=()):
     """scaling_scan with every moment norm replaced by eps^0.6 * lam^-0.2;
     the cells at the row positions in ``excluded`` get an interval reaching
     zero."""
-    values = iter([(i, e ** 0.6 * lam ** -0.2) for i, (e, lam) in enumerate(
-        (e, lam) for e in eps_grid for lam in lambda_grid)])
+    values = [e ** 0.6 * lam ** -0.2 for e in eps_grid for lam in lambda_grid]
 
-    def fake_norm(vals, n, seed=0, tag=0):
-        i, v = next(values)
-        lo = 0.0 if i in excluded else 0.5 * v
-        return MomentEstimate(n=n, value=v, ci=(lo, 2.0 * v),
-                              n_samples=len(vals))
+    def fake_norm(table, n, seed=0, tag=0):
+        assert table.shape == (len(table), len(values))
+        return [MomentEstimate(n=n, value=v,
+                               ci=(0.0 if i in excluded else 0.5 * v, 2.0 * v),
+                               n_samples=len(table))
+                for i, v in enumerate(values)]
 
     monkeypatch.setattr(experiments, "moment_norm", fake_norm)
     return scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=eps_grid,
@@ -454,14 +556,16 @@ def test_volume_lemma_near_part_present_for_re1():
     assert rep.max_ratio_near is not None
 
 
-def _per_config_study(design, cells, eps_grid, n, n_samples, seed, apply):
+def _per_config_study(design, cells, eps_grid, n, n_samples, seed, tag,
+                      apply):
     """Moment estimates of a study by the per-eps, per-config route: each
     eps drawn on its own by ``sample_field_values``, each (lam, theta) cell
-    of ``cells`` contracted on its own by ``apply``."""
+    of ``cells`` contracted on its own by ``apply``, and the (eps, cell)
+    columns resampled together from the BOOTSTRAP stream ``tag``."""
     lat = design.lattice()
     configs = [design.operator_config(lam, theta, lattice=lat)
                for lam, theta in cells]
-    out, tag = [], 0
+    columns = []
     for eps in eps_grid:
         spec = design.spectrum(eps, lat)
         chunks = []
@@ -471,11 +575,9 @@ def _per_config_study(design, cells, eps_grid, n, n_samples, seed, apply):
             chunks.append([apply(cfg, values, spec.sigma2, design.alpha, eps)
                            for cfg in configs])
             del values
-        for j in range(len(configs)):
-            out.append(moment_norm(np.concatenate([c[j] for c in chunks]), n,
-                                   seed=seed, tag=tag))
-            tag += 1
-    return out
+        columns += [np.concatenate([c[j] for c in chunks])
+                    for j in range(len(configs))]
+    return moment_norm(np.column_stack(columns), n, seed=seed, tag=tag)
 
 
 def _traced_peak(fn):
@@ -502,7 +604,8 @@ def test_freq_sweep_peak_memory_within_per_config_route():
         design, 0.05, 0.2, thetas, n=1, n_samples=32, seed=4))
     for apply in (apply_batch, per_config_operator_values):
         want, ref_peak = _traced_peak(lambda: _per_config_study(
-            design, [(0.2, t) for t in thetas], [0.05], 1, 32, 4, apply))
+            design, [(0.2, t) for t in thetas], [0.05], 1, 32, 4,
+            experiments._FREQ_SWEEP_TAG, apply))
         assert [r.estimate for r in res.rows] == want
         assert peak <= ref_peak, apply.__name__
 
@@ -524,7 +627,7 @@ def test_scaling_scan_peak_memory_within_per_config_route():
         n_samples=SAMPLE_CHUNK, seed=4))
     want, ref_peak = _traced_peak(lambda: _per_config_study(
         design, cells, eps_grid, 1, SAMPLE_CHUNK, 4,
-        per_config_operator_values))
+        experiments._SCALING_SCAN_TAG, per_config_operator_values))
     assert [r.estimate for r in rep.rows] == want
     assert peak <= ref_peak
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chaoslab import rng
 from chaoslab.field import (
     CovarianceSpec,
     InfeasibleEmbeddingError,
@@ -133,6 +134,23 @@ def test_synthesise_holds_only_the_noise_between_draws():
     assert block <= held[0] < 1.25 * block
     assert block <= held[1] < 1.25 * block
     assert held[2] < 0.25 * block
+
+
+@pytest.mark.parametrize("shape", [(64,), (8, 6)], ids=["d1", "d2"])
+def test_substream_opener_matches_substream(shape):
+    # one re-keyed generator reproduces every (seed, purpose, k) stream bit
+    # for bit, in any order and after a stream left half a word buffered
+    ks = [0, 1, 2, 7, 6, 2 ** 40, 2 ** 40 + 1, 1]
+    for seed in (3, 2 ** 70 + 5):
+        open_stream = rng.substream_opener(seed, rng.FIELD)
+        for k in ks:
+            gen = open_stream(k)
+            assert np.array_equal(
+                gen.standard_normal(shape),
+                rng.substream(seed, rng.FIELD, k).standard_normal(shape)), k
+            gen.integers(0, 10, size=3, dtype=np.uint32)
+        with pytest.raises(ValueError, match="non-negative"):
+            open_stream(-1)
 
 
 def test_synthesise_rejects_mixed_shapes():
