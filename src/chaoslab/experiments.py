@@ -1,16 +1,18 @@
 """Operator studies and deterministic second moments.
 
-The operator studies (:func:`freq_sweep`, :func:`scaling_scan`) estimate
-2n-th root moment norms of operator values over many field draws, with the
-bootstrap intervals of :mod:`stats`: one ``moment_norm`` call per study call
-resamples the (draws x cells) table once, so every cell's interval is taken
-from the same resamples of the draws.  They report single-constant domination
-against the target power laws and fitted slopes; the underlying bound is
-one-sided, so slope checks are lower bounds, never equalities.  The
-deterministic routines integrate the |K|-smeared Wick second moments G and H
-on two grids; they are implemented on the line with s = (1,) only.  The
-Monte Carlo check of the restricted-volume integrals lives in
-:mod:`clustering`, beside the other volume estimates.
+The operator studies (:func:`freq_sweep`, :func:`scaling_scan`) are two
+reports over one core, :func:`_study`: a table of 2n-th root moment norms,
+one per (eps, lam, theta) cell.  A call builds one operator set-up per
+lambda, one spectrum per eps and one noise per draw, shared by every cell;
+each cell's operator values are taken over the same draws, and one
+``moment_norm`` call resamples the (draws x cells) table once, so every
+cell's bootstrap interval comes from the same resamples.  The studies report
+single-constant domination against the target power laws and fitted slopes;
+the underlying bound is one-sided, so slope checks are lower bounds, never
+equalities.  The deterministic routines integrate the |K|-smeared Wick
+second moments G and H on two grids; they are implemented on the line with
+s = (1,) only.  The Monte Carlo check of the restricted-volume integrals
+lives in :mod:`clustering`, beside the other volume estimates.
 """
 
 from __future__ import annotations
@@ -120,47 +122,36 @@ class FreqSweepResult:
     max_min_ratio: float
 
 
-def _chunk_values(args):
-    """Operator values for one fixed sample-index chunk: per spectrum, in the
-    order given, cell -> values for every (lam, theta) cell.
+def _study(design: StudyDesign, eps_grid: list[float], cells: list,
+           n: int, n_samples: int, seed: int, tag: int) -> list[MomentEstimate]:
+    """The moment-norm estimate of every (eps, cell) pair, eps-major, where a
+    cell is (lam, theta).
 
-    Top-level so process pools can pickle it.  The chunk boundaries are fixed
-    by SAMPLE_CHUNK, never by the worker count, and every sample's noise comes
-    from its own counter substream, so any pool size reproduces identical
-    numbers.  The spectra (one lattice) and the configs come from the study
-    call.  The chunk's noise is drawn and transformed once for all spectra,
-    and within each spectrum every distinct trig factor is evaluated once
-    (``operator.apply_configs``).  The cells share one operator set-up per
-    lambda, whose arrays are built before the chunk's draws exist, at the
-    first chunk, and reused by every later chunk (a pool task builds them
-    once per lambda in its own copy).
+    One operator set-up per distinct lam serves every theta and every sample
+    block; its arrays are built before any draw exists, so they never stack
+    on the draws.  Each block of SAMPLE_CHUNK draws is synthesised once for
+    every eps (:func:`field.sample_fields`), and every sample's noise comes
+    from its own counter substream, so the blocking changes no number.  The
+    (draws x pairs) table is resampled once, from BOOTSTRAP tag ``tag``.
     """
-    spectra, configs, lo, hi, seed = args
-    for cfg in configs.values():
-        cfg.setup.arrays  # built before the draws, so never stacked on them
-    draws = sample_fields(spectra, seed, np.arange(lo, hi))
-    # next() inside the call: no name keeps a spectrum's draws past its cells
-    return lo, [apply_configs(configs, next(draws), spec.sigma2,
-                              spec.spec.alpha, spec.spec.epsilon)
-                for spec in spectra]
-
-
-def _run_cells(spectra: list[Spectrum], configs: dict, n_samples: int,
-               seed: int, workers: int) -> list[dict]:
-    """Operator values per spectrum of ``spectra`` (all on one lattice) and
-    per cell of ``configs`` (cell -> config): a list, in the order of
-    ``spectra``, of cell -> values over draws 0, ..., n_samples - 1."""
-    tasks = [(spectra, configs, lo, min(lo + SAMPLE_CHUNK, n_samples), seed)
-             for lo in range(0, n_samples, SAMPLE_CHUNK)]
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_values, tasks))
-    else:
-        chunks = [_chunk_values(t) for t in tasks]
-    chunks.sort(key=lambda c: c[0])
-    return [{cell: np.concatenate([c[1][i][cell] for c in chunks])
-             for cell in configs} for i in range(len(spectra))]
+    lat = design.lattice()
+    setups = {lam: design.operator_setup(lam, lat) for lam, _ in cells}
+    configs = {cell: OperatorConfig(setups[cell[0]], design.functional(cell[1]))
+               for cell in cells}
+    spectra = [design.spectrum(eps, lat) for eps in eps_grid]
+    for setup in setups.values():
+        setup.arrays  # built before the draws, so never stacked on them
+    blocks = []
+    for lo in range(0, n_samples, SAMPLE_CHUNK):
+        draws = sample_fields(spectra, seed,
+                              np.arange(lo, min(lo + SAMPLE_CHUNK, n_samples)))
+        # next() inside the call: no name keeps a spectrum's draws past its cells
+        blocks.append([apply_configs(configs, next(draws), spec.sigma2,
+                                     spec.spec.alpha, spec.spec.epsilon)
+                       for spec in spectra])
+    table = np.column_stack([np.concatenate([b[i][cell] for b in blocks])
+                             for i in range(len(spectra)) for cell in cells])
+    return moment_norm(table, n, seed=seed, tag=tag)
 
 
 def _check_study(n_samples: int, **grids):
@@ -173,24 +164,17 @@ def _check_study(n_samples: int, **grids):
 
 
 def freq_sweep(design: StudyDesign, eps: float, lam: float, theta_grid,
-               n: int, n_samples: int, seed: int = 0,
-               workers: int = 1) -> FreqSweepResult:
-    """Moment-norm estimates across a frequency grid on shared field draws.
+               n: int, n_samples: int, seed: int = 0) -> FreqSweepResult:
+    """Moment-norm estimates across a frequency grid at one (eps, lam).
 
-    Sharing the draws across frequencies removes sampling noise from the
-    headline max/min ratio, which is the experiment's statistic; the
-    frequencies' intervals share one set of bootstrap resamples too.
+    Every frequency reads one operator set-up, the same field draws and the
+    same bootstrap resamples (:func:`_study`), which removes sampling noise
+    from the headline max/min ratio, the experiment's statistic.
     """
     cells = [(float(lam), (float(t[0]), float(t[1]))) for t in theta_grid]
     _check_study(n_samples, theta_grid=cells)
-    lat = design.lattice()
-    setup = design.operator_setup(float(lam), lattice=lat)
-    configs = {cell: OperatorConfig(setup, design.functional(cell[1]))
-               for cell in cells}
-    values, = _run_cells([design.spectrum(eps, lat)], configs, n_samples,
-                         seed, workers)
-    ests = moment_norm(np.column_stack([values[cell] for cell in cells]), n,
-                       seed=seed, tag=_FREQ_SWEEP_TAG)
+    ests = _study(design, [float(eps)], cells, n, n_samples, seed,
+                  _FREQ_SWEEP_TAG)
     rows = [FreqRow(theta=cell[1], estimate=est)
             for cell, est in zip(cells, ests)]
     vals = [r.estimate.value for r in rows if r.estimate.value > 0]
@@ -220,17 +204,17 @@ class ScalingReport:
 
 
 def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
-                 n_samples: int, seed: int = 0, eta: float = 0.1,
-                 workers: int = 1) -> ScalingReport:
+                 n_samples: int, seed: int = 0,
+                 eta: float = 0.1) -> ScalingReport:
     """Log-log scan of the moment norm over a geometric (eps, lam) grid.
 
-    Every grid point reads the same draws, and their bootstrap intervals
-    share one set of resamples.  Grid points whose interval reaches zero are
-    flagged and left out of the slope fit.  The slopes are NaN unless the
-    fitted points hold two eps and two lam values off one log-log line, and
-    their standard errors are NaN unless a degree of freedom is left.  The bound constant
-    is the largest ratio of the estimate to eps^(a-eta) * lam^(b-eta) with
-    a, b the target exponents.
+    Every grid point reads the operator set-up of its lam, the same field
+    draws and the same bootstrap resamples (:func:`_study`).  Grid points
+    whose interval reaches zero are flagged and left out of the slope fit.
+    The slopes are NaN unless the fitted points hold two eps and two lam
+    values off one log-log line, and their standard errors are NaN unless a
+    degree of freedom is left.  The bound constant is the largest ratio of
+    the estimate to eps^(a-eta) * lam^(b-eta) with a, b the target exponents.
     """
     a_t = design.alpha * (design.m1 + design.m2) / 2.0
     b_t = design.gamma - a_t
@@ -241,20 +225,12 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
     for eps in eps_grid:
         if eps < 2 * design.h:
             raise ValueError(f"eps {eps} below resolution 2h = {2 * design.h}")
-    # the operator set-ups do not depend on eps: one per lambda for the call
-    lat = design.lattice()
-    fn = design.functional(theta)
-    configs = {cell: OperatorConfig(design.operator_setup(cell[0], lat), fn)
-               for cell in cells}
-    per_eps = _run_cells([design.spectrum(eps, lat) for eps in eps_grid],
-                         configs, n_samples, seed, workers)
-    grid = [(eps, values, cell) for eps, values in zip(eps_grid, per_eps)
-            for cell in cells]
-    ests = moment_norm(np.column_stack([v[cell] for _, v, cell in grid]), n,
-                       seed=seed, tag=_SCALING_SCAN_TAG)
-    rows = [ScalingRow(eps=eps, lam=cell[0], estimate=est,
+    ests = _study(design, eps_grid, cells, n, n_samples, seed,
+                  _SCALING_SCAN_TAG)
+    grid = [(eps, lam) for eps in eps_grid for lam, _ in cells]
+    rows = [ScalingRow(eps=eps, lam=lam, estimate=est,
                        excluded=est.ci[0] <= 0.0)
-            for (eps, _, cell), est in zip(grid, ests)]
+            for (eps, lam), est in zip(grid, ests)]
     fit_rows = [r for r in rows if not r.excluded and r.estimate.value > 0]
     eps_slope = lam_slope = eps_se = lam_se = math.nan
     if len(fit_rows) >= 3:

@@ -341,6 +341,13 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
     Wick sum.  The report carries, per frequency, the configuration with
     the largest ratio.  'singleton' raises ValueError before drawing when
     the isolation scale is not below the box diameter 2*BOX.
+
+    ``config.deriv`` differentiates the left side's factors in theta; the
+    right side is the same Wick sum over chaos orders m to max(m1, m2) + 1
+    at every order, with no derivative factor.  A theta-derivative raises a
+    factor's top chaos order by its order, so at deriv > 0 the ratio is not
+    a check of the lemma: the 'comparable' ratio grows with the order (at
+    n = 1, theta = 1 from 0.021 at (0, 0) to 2.2e9 at (8, 8)).
     """
     if which not in ("comparable", "singleton", "fixed"):
         raise ValueError("which must be 'comparable', 'singleton' or 'fixed'")

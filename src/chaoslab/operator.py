@@ -23,7 +23,7 @@ builds them at first use and keeps them for its lifetime; its fields are
 frozen, so the arrays cannot go stale.  An ``OperatorConfig`` pairs a set-up
 with the theta-dependent functional, so configs that differ only in theta
 share one set-up: the studies in ``experiments`` build one per lambda per
-call and share it across theta cells and sample chunks.
+call and share it across theta cells and sample blocks.
 
 :func:`apply_configs` reads a batch of draws, as
 ``field.sample_field_values`` returns them, against a dict of configs.  A
@@ -63,6 +63,10 @@ class OperatorSetup:
     test: TestFunction
     lattice: Lattice
     y_radius: float = 2.0
+
+    def __post_init__(self):
+        if not self.y_radius > 0.0:  # NaN fails too
+            raise ValueError(f"y_radius must be positive, got {self.y_radius}")
 
     @cached_property
     def arrays(self) -> dict:

@@ -1,10 +1,14 @@
 """Counter-based random streams for reproducible, order-independent sampling.
 
 Every stochastic routine in the package draws from a Philox substream
-addressed by (seed, *path).  Streams with distinct paths are independent,
-and a stream's output never depends on how many other streams were opened
-before it, so per-sample work can be farmed out to any number of workers
-without changing a single drawn number.
+addressed by (seed, *path).  A draw depends on (seed, path) alone: not on
+which other streams were opened before it or in what order, nor on how the
+draws are batched, so a sampling loop gives the same numbers however it is
+split.  Streams of distinct paths are not yet disjoint: the path fills the
+Philox counter, whose first word is the one Philox increments, so the
+stream of (purpose + 1, k) is that of (purpose, k) less its first block, and
+a trailing zero index addresses the same stream as the shorter path
+(ROADMAP item 2).
 """
 
 from __future__ import annotations

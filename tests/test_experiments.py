@@ -300,18 +300,25 @@ def test_operator_keeps_no_all_zero_kernel_column():
     assert np.all(np.any(kmat != 0.0, axis=0))
 
 
-def test_freq_sweep_pool_matches_serial():
-    kwargs = dict(eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0), (3.0, 2.0)], n=1,
-                  n_samples=600, seed=3)
-    assert freq_sweep(DESIGN, workers=2, **kwargs) == \
-        freq_sweep(DESIGN, workers=1, **kwargs)
+@pytest.mark.parametrize("block", [7, 1000])
+def test_studies_do_not_depend_on_the_block_size(monkeypatch, block):
+    # every draw comes from its own counter substream, so blocks of 7 draws
+    # (the last one short) or one block of all 600 give the numbers of 256;
+    # bit-equal with numpy 2.4's OpenBLAS, and 1e-12 leaves room for a BLAS
+    # whose rounding depends on the row count of the contraction
+    fs_args = dict(eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0), (3.0, 2.0)],
+                   n=1, n_samples=600, seed=3)
+    sc_args = dict(theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
+                   lambda_grid=[0.8, 0.4], n=1, n_samples=600, seed=3)
 
+    def studies():
+        return json.loads(json.dumps([
+            dataclasses.asdict(freq_sweep(DESIGN, **fs_args)),
+            dataclasses.asdict(scaling_scan(DESIGN, **sc_args))]))
 
-def test_scaling_scan_pool_matches_serial():
-    kwargs = dict(theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
-                  lambda_grid=[0.8, 0.4], n=1, n_samples=600, seed=3)
-    assert scaling_scan(DESIGN, workers=2, **kwargs) == \
-        scaling_scan(DESIGN, workers=1, **kwargs)
+    want = studies()
+    monkeypatch.setattr(experiments, "SAMPLE_CHUNK", block)
+    _assert_close(studies(), want, rel=1e-12)
 
 
 def _opened_paths(monkeypatch) -> list:
@@ -392,6 +399,21 @@ def test_scaling_scan_resolution_guard(monkeypatch):
     with pytest.raises(ValueError, match="below resolution"):
         scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.05],
                      lambda_grid=[0.4], n=1, n_samples=300)
+
+
+@pytest.mark.parametrize("y_radius", [0.0, -1.0, math.nan],
+                         ids=["zero", "negative", "nan"])
+def test_studies_reject_bad_y_radius(monkeypatch, y_radius):
+    # a ball without a positive radius holds no y point, so the operator
+    # would read 0 on every draw; both studies refuse before drawing
+    _no_draws(monkeypatch)
+    design = dataclasses.replace(DESIGN, y_radius=y_radius)
+    with pytest.raises(ValueError, match="y_radius"):
+        freq_sweep(design, eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0)], n=1,
+                   n_samples=4)
+    with pytest.raises(ValueError, match="y_radius"):
+        scaling_scan(design, theta=(1.0, 1.0), eps_grid=[0.2],
+                     lambda_grid=[0.4], n=1, n_samples=4)
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -153,6 +153,19 @@ def test_substream_opener_matches_substream(shape):
             open_stream(-1)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_substreams_share_no_raw_word():
+    # every path of the package's purposes, indices 0-5 and lengths 1-3:
+    # no raw 64-bit word may appear in two streams (or twice in one)
+    purposes = (rng.FIELD, rng.BOOTSTRAP, rng.POINTS, rng.MODEL)
+    paths = [(p,) for p in purposes]
+    paths += [(p, i) for p in purposes for i in range(6)]
+    paths += [(p, i, j) for p in purposes for i in range(6) for j in range(6)]
+    words = np.concatenate([rng.substream(7, *path).bit_generator.random_raw(100)
+                            for path in paths])
+    assert len(np.unique(words)) == len(words)
+
+
 def test_synthesise_rejects_mixed_shapes():
     with pytest.raises(ValueError, match="one lattice shape"):
         next(synthesise([np.ones(8), np.ones(6)], 1, 1, [0]))
