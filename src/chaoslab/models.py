@@ -17,8 +17,9 @@ Gaussian mean of object 2' before its constant, taken by the fixed rule of
 :func:`nonlinearity.gaussian_mean` (one array call of F^(k-2), within about
 1e-15 of E|F^(k-2)|) at the exact stencil variance, and the top object 3'
 subtracts 3 c_2 field(z).
-``_object_field`` is the one place that applies the prefactor and the
-constants; the studies read their objects from it:
+``_ladder`` is the one place that applies the prefactors and the
+constants, and it takes c_2 once per ladder, only when a rung above 1'
+needs it; the studies read their objects from it:
 
 - the two-frequency object pairs object k' on the kernel side with object
   (k-1)' outside it (F and F' for growth, 3' and 2' for phase
@@ -30,15 +31,19 @@ Wick-polynomial form, which is the strongest oracle in this module.
 
 The two-frequency objects use the r_e = 1 kernel K0(x - y) - K0(0 - y): the
 Taylor term sits at the basepoint x = 0, the centre index n // 2 of the
-lattice arrays (index 0 is the lattice corner).  Studies synthesise draws a
-block at a time but evaluate objects one draw at a time; over a whole block
-the temporaries made a call slower and larger.
+lattice arrays (index 0 is the lattice corner).  The kernel is transformed
+once per field, by :func:`build_model_field`, and the pairing reuses that
+transform: no singular origin cell needs dropping, because the heat kernel
+has no support at t <= 0 and so is already 0 there.  Studies synthesise
+draws a block at a time but evaluate objects one draw at a time; over a
+whole block the temporaries made a call slower and larger.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -71,6 +76,9 @@ class ModelFieldSpec:
             raise ValueError("family must be 'kpz' or 'phi43'")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
+        if not 0.0 < self.kernel_cut < math.inf:  # also rejects NaN
+            raise ValueError(f"kernel_cut must be positive and finite, got "
+                             f"{self.kernel_cut!r}")
 
     @property
     def geometry(self) -> ScalingGeometry:
@@ -80,7 +88,7 @@ class ModelFieldSpec:
         return lattice_from_counts(self.geometry, self.h, self.counts)
 
 
-def heat_kernel(points: np.ndarray, g: ScalingGeometry, derivative: bool) -> np.ndarray:
+def heat_kernel(points: np.ndarray, derivative: bool) -> np.ndarray:
     """Heat kernel (optionally d/dx of it) at space-time points (t, x...)."""
     points = np.asarray(points, dtype=float)
     t = points[..., 0]
@@ -102,7 +110,7 @@ def _cut_heat_kernel(spec: ModelFieldSpec, lat: Lattice) -> np.ndarray:
     on the lattice sites (centred, lattice-shaped)."""
     g = lat.geometry
     pts = lat.points().reshape(lat.shape + (g.d,))
-    kern = heat_kernel(pts, g, derivative=spec.family == "kpz")
+    kern = heat_kernel(pts, derivative=spec.family == "kpz")
     return kern * smooth_cutoff(metric_many(pts, g), 0.5 * spec.kernel_cut,
                                 spec.kernel_cut)
 
@@ -135,10 +143,12 @@ def _mollifier_grid(lat: Lattice, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelField:
-    """Stencil and exact variance for one family's synthesized field."""
+    """Kernel and stencil transforms and exact variance for one family's
+    synthesized field."""
 
     spec: ModelFieldSpec
     lattice: Lattice
+    kernel_fft: np.ndarray = field(repr=False)
     stencil_fft: np.ndarray = field(repr=False)
     var_raw: float
 
@@ -151,13 +161,14 @@ class ModelField:
 def build_model_field(spec: ModelFieldSpec) -> ModelField:
     lat = spec.lattice()
     # periodic convolution of kernel and mollifier, both centered at index 0
-    stencil_fft = np.fft.fftn(_to_origin(_cut_heat_kernel(spec, lat))) \
+    kernel_fft = np.fft.fftn(_to_origin(_cut_heat_kernel(spec, lat)))
+    stencil_fft = kernel_fft \
         * np.fft.fftn(_to_origin(_mollifier_grid(lat, spec.epsilon))) \
         * lat.cell_volume
     var_raw = float(np.sum(np.abs(stencil_fft) ** 2)) / stencil_fft.size \
         * lat.cell_volume
-    return ModelField(spec=spec, lattice=lat, stencil_fft=stencil_fft,
-                      var_raw=var_raw)
+    return ModelField(spec=spec, lattice=lat, kernel_fft=kernel_fft,
+                      stencil_fft=stencil_fft, var_raw=var_raw)
 
 
 def sample_model_field_values(mf: ModelField, seed: int, indices) -> np.ndarray:
@@ -168,73 +179,34 @@ def sample_model_field_values(mf: ModelField, seed: int, indices) -> np.ndarray:
         [mf.stencil_fft], seed, rng.MODEL, indices))
 
 
-def _per_draw(mf: ModelField, seed: int, n_samples: int, fn) -> np.ndarray:
-    """fn(draw) for draws 0, ..., n_samples - 1, synthesised in blocks."""
-    out = []
-    for lo in range(0, n_samples, SAMPLE_CHUNK):
-        indices = np.arange(lo, min(lo + SAMPLE_CHUNK, n_samples))
-        out += [fn(values) for values in sample_model_field_values(mf, seed, indices)]
-    return np.array(out)
-
-
 # ---------------------------------------------------------------------------
 # renormalised first-order objects
 
 
-@dataclass(frozen=True)
-class ModelObjectSpec:
-    family: str
-    symbol: str  # "0'", "1'", "2'", "3'"
-    nonlinearity: NonlinearitySpec
-    a: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.family not in _FAMILY_ORDER:
-            raise ValueError("family must be 'kpz' or 'phi43'")
-        j = self.order
-        k = _FAMILY_ORDER[self.family]
-        if not (0 <= j <= k):
-            raise ValueError(f"symbol {self.symbol!r} not available for {self.family}")
-
-    @property
-    def order(self) -> int:
-        if not self.symbol.endswith("'"):
-            raise ValueError("symbols are of the form \"j'\"")
-        return int(self.symbol[:-1])
-
-
-def _object_prefactor(spec: ModelObjectSpec) -> float:
-    j = spec.order
-    k = _FAMILY_ORDER[spec.family]
-    return math.factorial(j) / (math.factorial(k) * spec.a
-                                * spec.epsilon ** (j / 2.0))
-
-
-def renorm_constant(spec: ModelObjectSpec, sigma2: float) -> float:
-    """The ladder's constant c_2 for the spec's family and nonlinearity (its
-    symbol aside): the Gaussian mean of object 2' before its constant, at
-    the exact variance sigma2 of sqrt(eps) * field."""
-    k = _FAMILY_ORDER[spec.family]
-    return _object_prefactor(replace(spec, symbol="2'")) * gaussian_mean(
-        Derivative(spec.nonlinearity, k - 2), sigma2)
-
-
-def _object_field(spec: ModelObjectSpec, values: np.ndarray, c2: float) -> np.ndarray:
-    """object_j of one draw: the ladder's prefactor times F^(k-j), less the
+def _ladder(fl: NonlinearitySpec, a: float, mf: ModelField, rungs) -> list:
+    """Object j' of one draw, as a function of the draw, for each j in rungs:
+    the ladder's prefactor times F^(k-j) of sqrt(eps) field, less the
     constant of its slot (1 for 0', none for 1', c2 for 2', 3 c2 field for
-    3')."""
-    j = spec.order
-    k = _FAMILY_ORDER[spec.family]
-    x = math.sqrt(spec.epsilon) * values
-    out = _object_prefactor(spec) * spec.nonlinearity.deriv(k - j, x)
-    if j == 0:
-        return out - 1.0
-    if j == 2:
-        return out - c2
-    if j == 3:
-        return out - 3.0 * c2 * values
-    return out
+    3').  The family and eps are the field's; c2 is taken once, and only
+    when a rung above 1' is read."""
+    eps = mf.spec.epsilon
+    k = _FAMILY_ORDER[mf.spec.family]
+    pref = [math.factorial(j) / (math.factorial(k) * a * eps ** (j / 2.0))
+            for j in range(k + 1)]
+    c2 = pref[2] * gaussian_mean(Derivative(fl, k - 2), mf.sigma2) \
+        if max(rungs) > 1 else None
+
+    def rung(j, values):
+        out = pref[j] * fl.deriv(k - j, math.sqrt(eps) * values)
+        if j == 0:
+            return out - 1.0
+        if j == 2:
+            return out - c2
+        if j == 3:
+            return out - 3.0 * c2 * values
+        return out
+
+    return [partial(rung, j) for j in rungs]
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +252,7 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
         raise ValueError(f"base step {lat.base_step:g} cannot resolve the largest "
                          f"probe scale {_HOLDER_LAM0:g} (needs step <= "
                          f"{_HOLDER_LAM0 / 2:g})")
+    values_fft = np.fft.fftn(values)
     per_level = []
     levels = []
     for k in range(lambda_levels):
@@ -287,7 +260,7 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
         if lam < 2 * lat.base_step:
             break
         probe0 = _to_origin(_bump(lat, lam))
-        pair = np.real(np.fft.ifftn(np.fft.fftn(values)
+        pair = np.real(np.fft.ifftn(values_fft
                                     * np.conj(np.fft.fftn(probe0)))) \
             * lat.cell_volume
         level_val = float(np.max(np.abs(pair)) * lam ** (-alpha))
@@ -301,45 +274,47 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
 # two-frequency remainder pairings and the mollification gap
 
 
-def _two_freq_parts(family: str, fl: NonlinearitySpec, a: float,
-                    mf: ModelField):
-    """(inner, outer) of the two-frequency object: the family's objects k'
-    (the kernel side) and (k-1)', each mapping one draw to a lattice array.
-    The one constant c_2 is computed here, once."""
-    k = _FAMILY_ORDER[family]
-    top = ModelObjectSpec(family=family, symbol=f"{k}'", nonlinearity=fl, a=a,
-                          epsilon=mf.spec.epsilon)
-    below = replace(top, symbol=f"{k - 1}'")
-    c2 = renorm_constant(top, mf.sigma2)
-    return (lambda values: _object_field(top, values, c2),
-            lambda values: _object_field(below, values, c2))
+def _two_freq_object(fl: NonlinearitySpec, a: float, mf: ModelField):
+    """The object outer(x) * sum_y (K0(x - y) - K0(0 - y)) inner(y) over the
+    lattice, as a function of one draw, with inner and outer the family's
+    objects k' (the kernel side) and (k-1)'."""
+    k = _FAMILY_ORDER[mf.spec.family]
+    inner, outer = _ladder(fl, a, mf, [k, k - 1])
+    cell = mf.lattice.cell_volume
+    centre = tuple(n // 2 for n in mf.lattice.shape)
+
+    def obj(values):
+        # no cell y = x to drop: the heat kernel is 0 at t <= 0
+        conv = np.real(np.fft.ifftn(np.fft.fftn(inner(values)) * mf.kernel_fft)) \
+            * cell
+        # Taylor (r_e = 1) part: the convolution at the basepoint x = 0
+        return outer(values) * (conv - conv[centre])
+
+    return obj
 
 
-def _pairing_kernel_fft(mf: ModelField) -> np.ndarray:
-    """FFT of K0, the family's cut heat-kernel profile with the singular
-    cell at the origin dropped."""
-    kern0 = _to_origin(_cut_heat_kernel(mf.spec, mf.lattice))
-    kern0[(0,) * kern0.ndim] = 0.0  # diagonal exclusion
-    return np.fft.fftn(kern0)
-
-
-def _two_freq_object(values: np.ndarray, kern_fft: np.ndarray,
-                     cell_volume: float, inner, outer) -> np.ndarray:
-    """One draw of the object outer(x) * sum_y (K0(x - y) - K0(0 - y))
-    inner(y) over the lattice."""
-    conv = np.real(np.fft.ifftn(np.fft.fftn(inner(values)) * kern_fft)) \
-        * cell_volume
-    # Taylor (r_e = 1) part: the convolution at the basepoint x = 0
-    taylor = conv[tuple(n // 2 for n in conv.shape)]
-    return outer(values) * (conv - taylor)
-
-
-def _probe_setup(mfspec: ModelFieldSpec, lam: float):
-    """Model field of a study and the bump at scale lam on its lattice."""
+def _gap_study(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec,
+               delta: float, lam: float, n: int, n_samples: int, seed: int,
+               tag: int, make_object) -> MomentEstimate:
+    """Moment norm, over draws 0, ..., n_samples - 1 synthesised in blocks,
+    of the pairing of make_object(F) - make_object(F mollified at delta)
+    with the bump at scale lam.  make_object(fl, a, field) maps one draw to
+    a lattice array; the field and the bump are built once."""
+    if not (math.isfinite(a) and a != 0.0):
+        raise ValueError(f"a must be finite and non-zero, got {a!r}")
     if mfspec.epsilon < 2 * mfspec.h:
         raise ValueError("resolution guard: eps >= 2h required")
     mf = build_model_field(mfspec)
-    return mf, _bump(mf.lattice, lam)
+    phi = _bump(mf.lattice, lam)
+    cell = mf.lattice.cell_volume
+    exact = make_object(nonlin, a, mf)
+    smooth = make_object(mollify(nonlin, delta), a, mf)
+    out = []
+    for lo in range(0, n_samples, SAMPLE_CHUNK):
+        indices = np.arange(lo, min(lo + SAMPLE_CHUNK, n_samples))
+        out += [float(np.sum(phi * (exact(values) - smooth(values))) * cell)
+                for values in sample_model_field_values(mf, seed, indices)]
+    return moment_norm(np.array(out), n, seed=seed, tag=tag)
 
 
 def remainder_pairing(family: str, nonlin: NonlinearitySpec, a: float,
@@ -351,20 +326,13 @@ def remainder_pairing(family: str, nonlin: NonlinearitySpec, a: float,
     version replaces it by its bump convolution at scale delta everywhere,
     including the renormalisation constants.  delta = 0 gives exactly zero.
     The constants do not depend on the draw and are computed once per call.
+    family must be mfspec.family, the field's own; ValueError otherwise.
     """
-    mf, phi = _probe_setup(mfspec, lam)
-    cell = mf.lattice.cell_volume
-    kern_fft = _pairing_kernel_fft(mf)
-    parts = _two_freq_parts(family, nonlin, a, mf)
-    parts_d = _two_freq_parts(family, mollify(nonlin, delta), a, mf)
-
-    def pairing(values):
-        tau = _two_freq_object(values, kern_fft, cell, *parts)
-        tau_d = _two_freq_object(values, kern_fft, cell, *parts_d)
-        return float(np.sum(phi * (tau - tau_d)) * cell)
-
-    return moment_norm(_per_draw(mf, seed, n_samples, pairing), n, seed=seed,
-                       tag=11)
+    if family != mfspec.family:
+        raise ValueError(f"family {family!r} does not match the field's "
+                         f"family {mfspec.family!r}")
+    return _gap_study(nonlin, a, mfspec, delta, lam, n, n_samples, seed, 11,
+                      _two_freq_object)
 
 
 def mollification_gap(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec,
@@ -377,15 +345,5 @@ def mollification_gap(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec
     """
     if mfspec.family != "kpz":
         raise ValueError("the mollification-gap experiment is for the growth family")
-    mf, phi = _probe_setup(mfspec, lam)
-    cell = mf.lattice.cell_volume
-    one = ModelObjectSpec(family="kpz", symbol="1'", nonlinearity=nonlin, a=a,
-                          epsilon=mfspec.epsilon)
-    one_d = replace(one, nonlinearity=mollify(nonlin, delta))
-
-    def pairing(values):
-        gap = _object_field(one, values, 0.0) - _object_field(one_d, values, 0.0)
-        return float(np.sum(phi * gap) * cell)
-
-    return moment_norm(_per_draw(mf, seed, n_samples, pairing), n, seed=seed,
-                       tag=12)
+    return _gap_study(nonlin, a, mfspec, delta, lam, n, n_samples, seed, 12,
+                      lambda fl, a, mf: _ladder(fl, a, mf, [1])[0])

@@ -302,7 +302,9 @@ def _probe_family(n_probes: int, m_probe: int):
     return u[keep], np.stack([p[keep] for p in probes])
 
 
-@lru_cache(maxsize=64)
+# one entry at the default x_max holds about 45 MB and a window-norm call
+# reads one key: two entries keep the cache near 90 MB, where 64 held GBs
+@lru_cache(maxsize=2)
 def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float):
     """Spatial transforms Psi_j(x) = int probe_j(u) e^{-iux} du on a uniform x-grid.
 

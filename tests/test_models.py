@@ -7,15 +7,12 @@ import pytest
 from chaoslab import models
 from chaoslab.geometry import TestFunction, eval_test_function_many
 from chaoslab.models import (
-    KPZ_GEOMETRY,
     ModelFieldSpec,
-    ModelObjectSpec,
     build_model_field,
     heat_kernel,
     holder_norm,
     mollification_gap,
     remainder_pairing,
-    renorm_constant,
     sample_model_field_values,
 )
 from chaoslab.nonlinearity import gaussian_mean, make_nonlinearity, mollify
@@ -31,27 +28,40 @@ CUBIC = make_nonlinearity("polynomial", coeffs=[0.0, 0.0, 0.0, 1.0])  # u^3
 QUADRATIC = make_nonlinearity("polynomial", coeffs=[0.0, 0.0, 1.0])   # u^2
 
 
-def object_field(spec: ModelObjectSpec, mf, values: np.ndarray) -> np.ndarray:
-    """The renormalised object on the lattice for one draw."""
-    c2 = renorm_constant(spec, mf.sigma2) if spec.order >= 2 else 0.0
-    return models._object_field(spec, values, c2)
+def _no_draws(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the study drew before validating its input")
+    monkeypatch.setattr(models, "sample_model_field_values", fail)
+
+
+def object_field(nonlin, j: int, mf, values: np.ndarray) -> np.ndarray:
+    """The renormalised object j' (a = 1) on the lattice for one draw."""
+    return models._ladder(nonlin, 1.0, mf, [j])[0](values)
 
 
 def test_heat_kernel_values():
-    g = KPZ_GEOMETRY
-    pts = np.array([[0.1, 0.2], [-0.1, 0.2], [0.1, 0.0]])
-    vals = heat_kernel(pts, g, derivative=False)
+    pts = np.array([[0.1, 0.2], [-0.1, 0.2], [0.1, 0.0], [0.0, 0.0]])
+    vals = heat_kernel(pts, derivative=False)
     assert vals[1] == 0.0  # no backward-in-time support
+    assert vals[3] == 0.0  # nor at t = 0: the origin cell needs no dropping
     want = (4 * math.pi * 0.1) ** -0.5 * math.exp(-0.04 / 0.4)
     assert vals[0] == pytest.approx(want)
     assert vals[2] == pytest.approx((4 * math.pi * 0.1) ** -0.5)
 
 
 def test_kpz_kernel_odd_in_space():
-    g = KPZ_GEOMETRY
     pts = np.array([[0.1, 0.2], [0.1, -0.2]])
-    vals = heat_kernel(pts, g, derivative=True)
+    vals = heat_kernel(pts, derivative=True)
     assert vals[0] == pytest.approx(-vals[1])
+
+
+@pytest.mark.parametrize("cut", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_model_field_spec_rejects_bad_kernel_cut(monkeypatch, cut):
+    # 0, NaN and inf built a zero field, -1 an uncut kernel, with no error
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match="kernel_cut"):
+        replace(KPZ_SPEC, kernel_cut=cut)
 
 
 def test_field_variance_matches_stencil():
@@ -93,10 +103,8 @@ def test_model_field_batches_match_single_draws():
 def test_polynomial_reduction_wick_square():
     # cubic nonlinearity: the second-slot object is exactly the Wick square
     mf = build_model_field(PHI4_SPEC)
-    spec = ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=CUBIC,
-                           a=1.0, epsilon=PHI4_SPEC.epsilon)
     vals = sample_model_field_values(mf, 2, [0])[0]
-    got = object_field(spec, mf, vals)
+    got = object_field(CUBIC, 2, mf, vals)
     want = vals**2 - mf.var_raw
     np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -104,36 +112,34 @@ def test_polynomial_reduction_wick_square():
 def test_kpz_constant_curvature_object_vanishes():
     # F'' = 2a constant: the zeroth object is identically zero
     mf = build_model_field(KPZ_SPEC)
-    spec = ModelObjectSpec(family="kpz", symbol="0'", nonlinearity=QUADRATIC,
-                           a=1.0, epsilon=KPZ_SPEC.epsilon)
     vals = sample_model_field_values(mf, 2, [1])[0]
-    got = object_field(spec, mf, vals)
+    got = object_field(QUADRATIC, 0, mf, vals)
     np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
 
 def test_renorm_analytic_vs_empirical():
     # the analytic c_2 against the Monte Carlo mean of object 2' before its
-    # constant, over dedicated draws
+    # constant, 2! / (3! a eps) F'(sqrt(eps) field) at a = 1, over dedicated
+    # draws; the ladder's c_2 is what its object 2' subtracts
     beta = 0.5
     f = make_nonlinearity("power_odd", beta=beta)
     mf = build_model_field(PHI4_SPEC)
-    spec = ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=f,
-                           a=1.0, epsilon=PHI4_SPEC.epsilon)
-    c_ana = renorm_constant(spec, mf.sigma2)
+    eps = PHI4_SPEC.epsilon
     vals = sample_model_field_values(mf, 8, np.arange(150))
-    c_emp = float(np.mean(models._object_field(spec, vals, 0.0)))
+    before = 2.0 / (6.0 * eps) * f.deriv(1, math.sqrt(eps) * vals)
+    c_ana = float(np.mean(before - object_field(f, 2, mf, vals)))
+    c_emp = float(np.mean(before))
     assert c_emp == pytest.approx(c_ana, rel=0.1)
 
 
 def test_renormalized_mean_within_ci():
     f = make_nonlinearity("power_odd", beta=0.5)
     mf = build_model_field(PHI4_SPEC)
-    spec = ModelObjectSpec(family="phi43", symbol="2'", nonlinearity=f, a=1.0,
-                           epsilon=PHI4_SPEC.epsilon)
+    two = models._ladder(f, 1.0, mf, [2])[0]
     means = []
     for i in range(200, 400):
         vals = sample_model_field_values(mf, 3, [i])[0]
-        means.append(float(np.mean(object_field(spec, mf, vals))))
+        means.append(float(np.mean(two(vals))))
     m = np.mean(means)
     se = np.std(means, ddof=1) / math.sqrt(len(means))
     assert abs(m) < 4 * se + 1e-12
@@ -202,19 +208,60 @@ def test_remainder_pairing_polynomial_small():
     assert est_poly.value < est_rough.value
 
 
+def test_remainder_pairing_evaluates_heat_kernel_once(monkeypatch):
+    # the field's kernel transform is the pairing's: one evaluation per call
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return heat_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(models, "heat_kernel", counted)
+    remainder_pairing("kpz", make_nonlinearity("power_even", beta=0.5), a=1.0,
+                      mfspec=KPZ_SPEC, delta=0.2, lam=0.4, n=1, n_samples=2,
+                      seed=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", ["phi43", "foo"])
+def test_remainder_pairing_rejects_family_not_of_field(monkeypatch, family):
+    # a phi43 ladder on a kpz field gave a number; an unknown family a KeyError
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match="family"):
+        remainder_pairing(family, make_nonlinearity("power_odd", beta=0.5),
+                          a=1.0, mfspec=KPZ_SPEC, delta=0.2, lam=0.4, n=1,
+                          n_samples=4, seed=1)
+
+
+@pytest.mark.parametrize("study", ["remainder_pairing", "mollification_gap"])
+@pytest.mark.parametrize("a", [0.0, float("nan"), float("inf")],
+                         ids=["zero", "nan", "inf"])
+def test_studies_reject_bad_a(monkeypatch, study, a):
+    # a = 0 raised a bare ZeroDivisionError, NaN failed only after drawing
+    _no_draws(monkeypatch)
+    f = make_nonlinearity("power_even", beta=0.5)
+    args = dict(a=a, mfspec=KPZ_SPEC, delta=0.2, lam=0.4, n=1, n_samples=4,
+                seed=1)
+    with pytest.raises(ValueError, match=r"\ba\b"):
+        if study == "remainder_pairing":
+            remainder_pairing("kpz", f, **args)
+        else:
+            mollification_gap(f, **args)
+
+
 def _per_draw_pairing(family, nonlin, a, mfspec, delta, lam, n, n_samples, seed):
     """remainder_pairing with every constant recomputed on every draw.
 
     The Taylor term is the row sum_y K0(0 - y) inner(y): on the centred
     lattice arrays (even counts) K0(0 - y) is the centred kernel flipped and
-    rolled by one.
+    rolled by one.  Both transforms drop the singular cell y = 0.
     """
     mf = build_model_field(mfspec)
     lat = mf.lattice
     g = lat.geometry
-    kern_fft = models._pairing_kernel_fft(mf)
     kern_c = models._cut_heat_kernel(mfspec, lat)
     kern_c[tuple(k // 2 for k in lat.shape)] = 0.0  # the singular cell y = 0
+    kern_fft = np.fft.fftn(models._to_origin(kern_c))
     axes = tuple(range(g.d))
     row = np.roll(np.flip(kern_c, axis=axes), 1, axis=axes)
     pref = 1.0 / (2.0 * a**2 * mfspec.epsilon ** 1.5) if family == "kpz" else 1.0
@@ -226,14 +273,12 @@ def _per_draw_pairing(family, nonlin, a, mfspec, delta, lam, n, n_samples, seed)
         x = math.sqrt(mfspec.epsilon) * vals
         taus = []
         for fl in (nonlin, mollify(nonlin, delta)):
-            two = ModelObjectSpec(family=family, symbol="2'", nonlinearity=fl,
-                                  a=a, epsilon=mfspec.epsilon)
             if family == "kpz":
                 inner = fl.deriv(0, x) - gaussian_mean(fl, mf.sigma2)
                 outer = fl.deriv(1, x)
             else:
-                inner = object_field(replace(two, symbol="3'"), mf, vals)
-                outer = object_field(two, mf, vals)
+                three, two = models._ladder(fl, a, mf, [3, 2])
+                inner, outer = three(vals), two(vals)
             conv = np.real(np.fft.ifftn(np.fft.fftn(inner) * kern_fft))
             taylor = float(np.sum(row * inner))
             taus.append(pref * outer * (conv - taylor) * lat.cell_volume)
@@ -288,7 +333,8 @@ def _direct_two_freq_object(family, nonlin, mf, values):
 
     kmat = k0(sites[:, None, :] - sites[None, :, :])
     taylor = k0(origin[None, :] - sites)
-    inner, outer = models._two_freq_parts(family, nonlin, 1.0, mf)
+    k = {"kpz": 2, "phi43": 3}[family]
+    inner, outer = models._ladder(nonlin, 1.0, mf, [k, k - 1])
     conv = (kmat - taylor[None, :]) @ inner(values).reshape(-1) \
         * lat.cell_volume
     return outer(values) * conv.reshape(lat.shape)
@@ -305,9 +351,7 @@ def _direct_two_freq_object(family, nonlin, mf, values):
 def test_two_freq_object_matches_torus_double_sum(family, nonlin, mfspec):
     mf = build_model_field(mfspec)
     vals = sample_model_field_values(mf, 3, [0])[0]
-    got = models._two_freq_object(
-        vals, models._pairing_kernel_fft(mf), mf.lattice.cell_volume,
-        *models._two_freq_parts(family, nonlin, 1.0, mf))
+    got = models._two_freq_object(nonlin, 1.0, mf)(vals)
     want = _direct_two_freq_object(family, nonlin, mf, vals)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -336,12 +380,3 @@ def test_mollification_gap_rejects_phi43():
     with pytest.raises(ValueError):
         mollification_gap(f, a=1.0, mfspec=PHI4_SPEC, delta=0.1, lam=0.4,
                           n=1, n_samples=10)
-
-
-def test_symbol_validation():
-    with pytest.raises(ValueError):
-        ModelObjectSpec(family="kpz", symbol="3'", nonlinearity=QUADRATIC,
-                        a=1.0, epsilon=0.3)
-    with pytest.raises(ValueError):
-        ModelObjectSpec(family="phi43", symbol="4'", nonlinearity=CUBIC,
-                        a=1.0, epsilon=0.3)

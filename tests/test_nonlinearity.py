@@ -434,6 +434,23 @@ def test_probe_transform_memory():
     assert peak < 80e6
 
 
+def test_probe_transform_cache_is_bounded():
+    # one cached transform at x_max = 1500 holds about 45 MB: a cache of 64
+    # keys kept every x_max a process ever asked for
+    f = make_nonlinearity("power_even", beta=0.5)
+    q = WindowNormQuery(ells=(2,), center=(4,), m_probe=4)
+    nonlinearity._probe_transform.cache_clear()
+    window_norm(f, q, x_max=750.0)
+    tracemalloc.start()
+    try:
+        for x_max in (1500.0, 1400.0, 1300.0, 1200.0):
+            window_norm(f, q, x_max=x_max)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 110e6
+
+
 def test_coupling_constant_quadratic():
     p = make_nonlinearity("polynomial", coeffs=[0.0, 0.0, 1.0])  # u^2, F'' = 2
     for sigma2 in (0.5, 1.0, 2.0):
