@@ -174,9 +174,10 @@ def build_model_field(spec: ModelFieldSpec) -> ModelField:
 def sample_model_field_values(mf: ModelField, seed: int, indices) -> np.ndarray:
     """Batched draws, shape (len(indices), *lattice.shape).  White noise of
     density 1/sqrt(cell volume) per cell meets a stencil sum carrying one
-    cell volume, leaving a net sqrt(cell volume)."""
+    cell volume, leaving a net sqrt(cell volume).  The field is periodic on
+    its own lattice, so the window is the whole stencil."""
     return math.sqrt(mf.lattice.cell_volume) * next(synthesise(
-        [mf.stencil_fft], seed, rng.MODEL, indices))
+        [mf.stencil_fft], mf.stencil_fft.shape, seed, rng.MODEL, indices))
 
 
 # ---------------------------------------------------------------------------

@@ -614,16 +614,17 @@ def split_quad_gaussian_mean(fn, sigma2: float, cut: float) -> float:
                      for a, b in zip(cuts, cuts[1:]))
 
 
-def full_complex_field_values(spectrum, seed: int, indices) -> np.ndarray:
-    """Field draws by one full complex transform per draw.
+def full_torus_field_values(spectrum, seed: int, indices) -> np.ndarray:
+    """Whole-torus field draws by one full complex transform per draw.
 
     The route the package used before it paired draws 2j and 2j + 1 in one
-    complex transform: each draw's real noise goes through its own complex
-    ``fftn``/``ifftn`` and the imaginary half is discarded.  Only the noise
-    substreams and the spectrum are shared with the package.
+    complex transform: each draw's real noise, of the spectrum's torus
+    shape, goes through its own complex ``fftn``/``ifftn`` and the imaginary
+    half is discarded.  Only the noise substreams and the spectrum are
+    shared with the package.
     """
     indices = np.asarray(indices, dtype=int)
-    shape = spectrum.lattice.shape
+    shape = spectrum.eigenvalues.shape
     w = np.empty((len(indices),) + shape)
     for row, idx in enumerate(indices):
         w[row] = rng.substream(seed, rng.FIELD, int(idx)).standard_normal(shape)
@@ -631,6 +632,23 @@ def full_complex_field_values(spectrum, seed: int, indices) -> np.ndarray:
     wh = np.fft.fftn(w, axes=axes)
     xh = wh * np.sqrt(spectrum.eigenvalues)[None, ...]
     return np.real(np.fft.ifftn(xh, axes=axes))
+
+
+def full_complex_field_values(spectrum, seed: int, indices) -> np.ndarray:
+    """:func:`full_torus_field_values` sliced to the lattice, the torus's
+    leading window."""
+    window = tuple(slice(n) for n in spectrum.lattice.shape)
+    return full_torus_field_values(spectrum, seed, indices)[(slice(None),)
+                                                             + window]
+
+
+def torus_lag_products(values: np.ndarray, lags) -> np.ndarray:
+    """Site averages of x(p) x(p + k) over whole torus draws, one column per
+    lag multi-index k, by shifting each draw (no transform)."""
+    axes = tuple(range(1, values.ndim))
+    return np.stack([np.mean(values * np.roll(values, [-k_i for k_i in k],
+                                              axis=axes), axis=axes)
+                     for k in lags], axis=1)
 
 
 def per_config_operator_values(cfg, values, sigma2: float, alpha: float,

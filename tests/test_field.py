@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaoslab import rng
+from chaoslab import field, rng
 from chaoslab.field import (
     CovarianceSpec,
     InfeasibleEmbeddingError,
@@ -15,8 +15,10 @@ from chaoslab.field import (
     synthesise,
     verify_assumption1,
 )
-from chaoslab.geometry import ScalingGeometry, lattice_from_counts
-from oracles import full_complex_field_values
+from chaoslab.geometry import ScalingGeometry, build_lattice, \
+    lattice_from_counts
+from oracles import full_complex_field_values, full_torus_field_values, \
+    torus_lag_products
 
 G1 = ScalingGeometry((1.0,))
 G2 = ScalingGeometry((2.0, 1.0))
@@ -119,8 +121,10 @@ def test_synthesise_holds_only_the_noise_between_draws():
     # released before every yield, the transform before the last
     sp = small_spectrum(n=512)
     mult = np.sqrt(sp.eigenvalues)
-    next(synthesise([mult], 3, 1, [0]))  # one-off imports, before tracing
-    gen = synthesise([mult, 2.0 * mult, 3.0 * mult], 3, 1, np.arange(64))
+    # one-off imports, before tracing
+    next(synthesise([mult], mult.shape, 3, 1, [0]))
+    gen = synthesise([mult, 2.0 * mult, 3.0 * mult], mult.shape, 3, 1,
+                     np.arange(64))
     held = []
     tracemalloc.start()
     try:
@@ -168,7 +172,7 @@ def test_substreams_share_no_raw_word():
 
 def test_synthesise_rejects_mixed_shapes():
     with pytest.raises(ValueError, match="one lattice shape"):
-        next(synthesise([np.ones(8), np.ones(6)], 1, 1, [0]))
+        next(synthesise([np.ones(8), np.ones(6)], (6,), 1, 1, [0]))
 
 
 def test_sample_moments():
@@ -272,3 +276,115 @@ def test_covariance_spec_validation():
                                                 lambda_const=math.nan))):
         with pytest.raises(ValueError, match=field):
             CovarianceSpec(**kwargs)
+
+
+def test_fast_length_matches_brute_force():
+    # every 5-smooth number up to past 5000, and the least one at or above n
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(14)
+                    for b in range(9) for c in range(7)
+                    if 2 ** a * 3 ** b * 5 ** c <= 6000)
+    for n in range(1, 5001):
+        assert field._fast_length(n) == next(m for m in smooth if m >= n), n
+
+
+# the operator studies' benchmark designs, at prime axis lengths: scan_d1's
+# line (h = 0.0125, extent 4) and sweep_d2's plane (s = (2, 1), h = 0.1,
+# extent 3), with the studies' alpha and sandwich budget
+SCAN_D1 = (ScalingGeometry((1.0,)), 0.0125, 4.0)
+SWEEP_D2 = (ScalingGeometry((2.0, 1.0)), 0.1, 3.0)
+
+
+def study_spectrum(design, eps):
+    return build_spectrum(CovarianceSpec(alpha=0.6, epsilon=eps,
+                                         lambda_const=2.0),
+                          build_lattice(*design))
+
+
+def test_benchmark_lattices_pad_to_fast_tori():
+    assert [field._fast_length(n) for n in (601, 61, 641)] == [625, 64, 648]
+    sp = study_spectrum(SWEEP_D2, 0.05)
+    assert sp.lattice.shape == (601, 61)
+    assert sp.eigenvalues.shape == sp.covariance().shape == (625, 64)
+    assert sp.clipped_mass < 0.01  # the default threshold
+    sp = study_spectrum(SCAN_D1, 0.025)
+    assert (sp.lattice.shape, sp.eigenvalues.shape) == ((641,), (648,))
+    assert sp.clipped_mass == 0.0
+
+
+def _window_periodogram(sp, n_samples, seed, lags):
+    """Per-lag means of the periodograms of lattice windows, each taken as
+    if it were periodic: the sandwich estimate on the wrong draws."""
+    vals = sample_field_values(sp, seed, np.arange(n_samples))
+    axes = tuple(range(1, vals.ndim))
+    acf = np.real(np.fft.ifftn(np.abs(np.fft.fftn(vals, axes=axes)) ** 2,
+                               axes=axes)) / math.prod(sp.lattice.shape)
+    return np.array([acf[(slice(None),) + k].mean() for k in lags])
+
+
+@pytest.mark.parametrize("design, eps, n_samples",
+                         [(SCAN_D1, 0.2, 400), (SCAN_D1, 0.025, 400),
+                          (SWEEP_D2, 0.05, 64)],
+                         ids=["scan_d1-0.2", "scan_d1-0.025", "sweep_d2"])
+def test_windowed_fields_at_non_smooth_lengths(design, eps, n_samples):
+    sp = study_spectrum(design, eps)
+    assert sp.eigenvalues.shape != sp.lattice.shape
+    # the draws are the leading window of whole torus draws
+    indices = [0, 5, 3, 4]
+    got = sample_field_values(sp, 4, indices)
+    want = full_complex_field_values(sp, 4, indices)
+    assert got.shape == (len(indices),) + sp.lattice.shape
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    # the exact covariance lies within the budget
+    assert exact_lambda_hat(sp) <= sp.spec.lambda_const
+    # the sandwich check averages the lag products of whole torus draws and
+    # passes at the tolerances of the smooth-length tests
+    rep = verify_assumption1(sp, n_samples, seed=3,
+                             lambda_budget=sp.spec.lambda_const)
+    lags = field._lag_indices(sp.eigenvalues.shape[0], sp.lattice.geometry.d)
+    draws = full_torus_field_values(sp, 3, np.arange(n_samples))
+    products = torus_lag_products(draws, lags).mean(axis=0)
+    c_hat = np.array([e.c_hat for e in rep.per_lag])
+    assert np.max(np.abs(c_hat - products)) <= 1e-12 * c_hat[0]
+    assert rep.lambda_hat < 2.0
+    assert rep.violations == []
+    for e in rep.per_lag:
+        assert e.lo <= e.c_hat <= e.hi
+    # a window is not periodic: its periodogram mixes each lag k with the
+    # wrapped lag, and misses the torus lag products
+    windowed = _window_periodogram(sp, n_samples, 3, lags)
+    assert np.max(np.abs(windowed - products)) > 1e-3 * c_hat[0]
+
+
+def _no_draws(*args):
+    raise AssertionError("a noise stream was opened")
+
+
+def test_bad_arguments_rejected_before_any_draw(monkeypatch):
+    monkeypatch.setattr(rng, "substream_opener", _no_draws)
+    sp = small_spectrum(n=64)
+    with pytest.raises(ValueError, match="at least one spectrum"):
+        sample_fields([], 1, [0])
+    with pytest.raises(ValueError, match="at least one multiplier"):
+        next(synthesise([], (4,), 1, 1, [0]))
+    for window in ((65,), (0,), (8, 8), ()):
+        with pytest.raises(ValueError, match="does not fit"):
+            next(synthesise([np.ones(64)], window, 1, 1, [0]))
+    # 601 and 605 points both pad to a 625-point torus, whose windows differ
+    spectra = [build_spectrum(CovarianceSpec(alpha=0.6, epsilon=0.1),
+                              lattice_from_counts(G1, 0.01, (n,)))
+               for n in (601, 605)]
+    assert {s.eigenvalues.shape for s in spectra} == {(625,)}
+    with pytest.raises(ValueError, match="one lattice shape"):
+        sample_fields(spectra, 1, [0])
+    for n_samples in (2.5, 1, math.nan, "4"):
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_assumption1(sp, n_samples)
+    for budget in (math.nan, 0.5, math.inf, -2.0):
+        with pytest.raises(ValueError, match="lambda_budget"):
+            verify_assumption1(sp, 4, lambda_budget=budget)
+    for threshold in (math.nan, -0.01, 1.5, math.inf):
+        with pytest.raises(ValueError, match="clip_threshold"):
+            build_spectrum(sp.spec, sp.lattice, clip_threshold=threshold)
+    assert build_spectrum(sp.spec, sp.lattice, clip_threshold=0.0) \
+        .clipped_mass == 0.0

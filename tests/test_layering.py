@@ -102,6 +102,18 @@ def test_package_does_not_load_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_study_modules_do_not_load_scipy():
+    # importing scipy.fft alone takes about 0.19 s, more than an operator
+    # study's whole set-up, so the study path imports no scipy module
+    code = ("import sys, chaoslab.experiments, chaoslab.field, "
+            "chaoslab.operator; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names that ``path`` imports and never reads.
 
