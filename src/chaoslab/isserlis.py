@@ -4,13 +4,13 @@ Both sides of a correlation lemma are read off one generating-function
 expansion, the t^k coefficients of exp(sum_m a_m t^(e_m)) over pair, square
 and linear monomials.  The right side is a Wick sum E prod_i (sum_k
 Z_i^{<>k}), the coefficients of prod_{i<j} exp(C_ij t_i t_j).  The left side
-is a Gaussian moment of a product of chaos-truncated trig factors; each
-factor expands into trig and polynomial atoms, and E prod Z^d exp(i tau.Z)
-is exp(-Var/2) times the coefficients of exp(t'Ct/2 + i (C tau).t), with
-the atoms' phases summed as integers so that a moment zero by parity is
-exactly 0.0.  Cluster chaos coefficients are the same atom moments of the
-members' mixed derivatives.  The module also holds the ratio checks of the
-pointwise correlation bounds, exact on both sides.
+is a Gaussian moment of a product of chaos-truncated trig factors; one
+builder expands each factor, n times z- and r times theta-differentiated,
+into trig and polynomial atoms (cluster chaos coefficients are its n >= 1
+case), and E prod Z^d exp(i tau.Z) is exp(-Var/2) times the coefficients of
+exp(t'Ct/2 + i (C tau).t), the atoms' phases summed as integers so that a
+moment zero by parity is exactly 0.0.  The module also holds the ratio
+checks of the pointwise correlation bounds, exact on both sides.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -83,10 +84,10 @@ def wick_sum_moment(ranges, cov) -> float:
     covariances enter: Wick powers have no self-contractions.  A single
     degree vector is the case lo_i = hi_i.
     """
-    lo = [int(a) for a, _ in ranges]
-    hi = [int(b) for _, b in ranges]
-    if any(a < 0 or a > b for a, b in zip(lo, hi)):
-        raise ValueError(f"ranges must satisfy 0 <= lo <= hi, got {list(ranges)}")
+    if not all(isinstance(a, Integral) and isinstance(b, Integral) and 0 <= a <= b
+               for a, b in ranges):
+        raise ValueError(f"ranges must be integer pairs, 0 <= lo <= hi: {list(ranges)}")
+    lo, hi = [int(a) for a, _ in ranges], [int(b) for _, b in ranges]
     k = len(hi)
     cov = _checked_cov(cov, k)
     coef = _exp_series([(cov[i, j], (i, j))
@@ -102,23 +103,31 @@ def wick_sum_moment(ranges, cov) -> float:
 # exact Gaussian moments of products of trig factors and polynomials
 
 
-def truncated_factor_atoms(phase: int, theta: float, t: int, r: int,
-                           sigma2: float) -> list[tuple[float, int, float | None, int]]:
-    """Expand d^r/dtheta^r of a truncated trig factor into atoms.
+def _factor_atoms(trig: str, n: int, theta: float, t: int, r: int,
+                  sigma2: float) -> list[tuple[float, int, float | None, int]]:
+    """Atoms of d^n/dz^n d^r/dtheta^r T_(t-1)(trig(theta Z)), Var Z = sigma2.
 
     Each atom is (coeff, monomial degree, frequency or None, phase); a
-    frequency of None marks a pure polynomial atom.
+    frequency of None marks a pure polynomial atom.  A z-derivative is theta
+    times the factor phase-shifted by one at truncation depth t - 1, and
+    Leibniz carries theta^n through the theta-derivatives; at n = 0 the one
+    prefactor is exactly 1.0.
     """
-    atoms: list[tuple[float, int, float | None, int]] = [(1.0, r, theta, phase + r)]
+    phase = _trig_phase(trig) + n
     sigma = math.sqrt(sigma2)
-    for k in range(max(t, 0)):
-        c = chaos.phase_coeff_deriv(phase, k, theta, sigma2, r=r)
-        if c == 0.0:
+    atoms: list[tuple[float, int, float | None, int]] = []
+    for s in range(min(r, n) + 1):
+        pref = math.comb(r, s) * math.perm(n, s) * theta ** (n - s)
+        if pref == 0.0:
             continue
-        herm = np.polynomial.hermite_e.herme2poly([0.0] * k + [1.0])
-        for j, hj in enumerate(herm):
-            if hj != 0.0:
-                atoms.append((-c * hj * sigma ** (k - j), j, None, 0))
+        atoms.append((pref, r - s, theta, phase + r - s))
+        for k in range(max(t - n, 0)):
+            c = chaos.phase_coeff_deriv(phase, k, theta, sigma2, r=r - s)
+            if c == 0.0:
+                continue
+            herm = np.polynomial.hermite_e.herme2poly([0.0] * k + [1.0])
+            atoms.extend((pref * (-c * hj * sigma ** (k - j)), j, None, 0)
+                         for j, hj in enumerate(herm) if hj != 0.0)
     return atoms
 
 
@@ -165,20 +174,14 @@ def exact_trig_poly_moment(factor_atoms: list[list[tuple]], cov) -> float:
     cov = np.asarray(cov, dtype=float)
     total = []
     for combo in itertools.product(*factor_atoms):
-        coeff = 1.0
-        var_idx, degrees = [], []
-        trig_vars, trig_thetas, trig_phases = [], [], []
-        for j, (c, deg, theta, phase) in enumerate(combo):
-            coeff *= c
-            if deg:
-                var_idx.append(j)
-                degrees.append(deg)
-            if theta is not None:
-                trig_vars.append(j)
-                trig_thetas.append(theta)
-                trig_phases.append(phase)
+        coeff = math.prod(c for c, _, _, _ in combo)
         if coeff == 0.0:
             continue
+        var_idx = [j for j, atom in enumerate(combo) if atom[1]]
+        degrees = [combo[j][1] for j in var_idx]
+        trig_vars = [j for j, atom in enumerate(combo) if atom[2] is not None]
+        trig_thetas = [combo[j][2] for j in trig_vars]
+        trig_phases = [combo[j][3] for j in trig_vars]
         # product of cosines -> mean over +-1 frequency sign patterns
         n_signs = max(len(trig_vars) - 1, 0)
         acc = 0.0
@@ -201,11 +204,9 @@ def exact_functional_product_moment(specs, thetas, derivs, cov) -> float:
     if not len(specs) == len(thetas) == len(derivs):
         raise ValueError("specs, thetas and derivs must have equal length")
     cov = _checked_cov(cov, len(specs))
-    atoms = []
-    for j, ((trig, t), th, r) in enumerate(zip(specs, thetas, derivs)):
-        atoms.append(truncated_factor_atoms(_trig_phase(trig), th, t, r,
-                                            float(cov[j, j])))
-    return exact_trig_poly_moment(atoms, cov)
+    return exact_trig_poly_moment(
+        [_factor_atoms(trig, 0, th, t, r, float(cov[j, j]))
+         for j, ((trig, t), th, r) in enumerate(zip(specs, thetas, derivs))], cov)
 
 
 # ---------------------------------------------------------------------------
@@ -238,30 +239,16 @@ def cluster_coeff(q: ClusterCoeffQuery) -> float:
     """Coefficient of the cluster's Wick monomial in the truncated-trig product.
 
     It is E prod_j d^n_j/dz^n_j d^r_j/dtheta^r_j T_j(Z_j) / prod_j n_j! under
-    the joint Gaussian.  A z-derivative of a truncated factor is theta times
-    the factor phase-shifted by one with its truncation depth lowered by one,
-    and Leibniz in theta carries the theta^n prefactor through the
-    theta-derivatives, so every member's mixed derivative is a sum of trig
-    and polynomial atoms and the coefficient is one exact moment of them.
+    the joint Gaussian, one exact moment of the members' atoms at degrees n_j.
     """
     cov = _checked_cov(q.cov, len(q.degrees))
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("cluster covariance is not positive definite") from exc
-    atoms = []
-    for j, (n, th, r, t, trig) in enumerate(zip(q.degrees, q.thetas, q.derivs,
-                                                 q.truncations, q.trigs)):
-        phase = _trig_phase(trig)
-        member = []
-        for s in range(min(r, n) + 1):
-            pref = math.comb(r, s) * math.perm(n, s) * th ** (n - s)
-            if pref == 0.0:
-                continue
-            member.extend((pref * c, deg, freq, ph) for c, deg, freq, ph
-                          in truncated_factor_atoms(phase + n, th, t - n, r - s,
-                                                    float(cov[j, j])))
-        atoms.append(member)
+    atoms = [_factor_atoms(trig, n, th, t, r, float(cov[j, j]))
+             for j, (n, th, r, t, trig) in enumerate(zip(
+                 q.degrees, q.thetas, q.derivs, q.truncations, q.trigs))]
     norm = math.prod(math.factorial(n) for n in q.degrees)
     return exact_trig_poly_moment(atoms, cov) / norm
 
@@ -301,6 +288,9 @@ class LemmaCheckConfig:
     seed: int = 7
 
     def __post_init__(self):
+        for name in ("n", "m1", "m2", "n_configs", "seed"):
+            if not isinstance(value := getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.n_configs < 1:
@@ -310,8 +300,9 @@ class LemmaCheckConfig:
         _trig_phase(self.trig1)
         _trig_phase(self.trig2)
         if len(self.deriv) != 2 or not all(
-                0 <= r <= chaos.MAX_DERIV_ORDER for r in self.deriv):
-            raise ValueError(f"deriv must be two orders in [0, "
+                isinstance(r, Integral) and 0 <= r <= chaos.MAX_DERIV_ORDER
+                for r in self.deriv):
+            raise ValueError(f"deriv must be two integer orders in [0, "
                              f"{chaos.MAX_DERIV_ORDER}], got {self.deriv}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
@@ -359,17 +350,22 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
                          f"isolated point")
     n2 = 2 * cfg.n
     mtop = max(cfg.m1, cfg.m2) + 1
-    which_tag = {"comparable": 1, "singleton": 2, "fixed": 3}[which]
-    gen = rng.substream(cfg.seed, rng.POINTS, which_tag)
+    gen = rng.substream(cfg.seed, rng.POINTS,
+                        {"comparable": 1, "singleton": 2, "fixed": 3}[which])
     ratio_thresh = 100.0 * cfg.n * (1.0 + LAM_CONST**2)
+    cov_spec = CovarianceSpec(alpha=cfg.alpha, epsilon=cfg.eps)
+    specs = [(cfg.trig1, cfg.m1)] * n2 + [(cfg.trig2, cfg.m2)] * n2
+    derivs = [cfg.deriv[0]] * n2 + [cfg.deriv[1]] * n2
+    # 'fixed' bounds by the Wick sum of the y points alone, times eps^(-alpha mtop)
+    pref, lo = (cfg.eps ** (-cfg.alpha * mtop), n2) if which == "fixed" else (1.0, 0)
+    ranges = ([(cfg.m1, mtop)] * n2 + [(cfg.m2, mtop)] * n2)[lo:]
     entries: list[RatioEntry] = []
     rejections = 0
     for theta in cfg.theta_grid:
-        if which == "comparable":
-            theta_pair = (theta, theta)
-        else:
-            theta_pair = (theta * 1.05 * ratio_thresh, theta)
-        best = None
+        theta_pair = ((theta, theta) if which == "comparable"
+                      else (theta * 1.05 * ratio_thresh, theta))
+        thetas = [theta_pair[0]] * n2 + [theta_pair[1]] * n2
+        grid = []
         for _ in range(cfg.n_configs):
             if which == "fixed":
                 x_pts = np.repeat(box_points(gen, (1,), _LINE, BOX), n2, axis=0)
@@ -386,26 +382,15 @@ def check_correlation_lemma(which: str, config: LemmaCheckConfig) -> RatioReport
             else:
                 x_pts = box_points(gen, (n2,), _LINE, BOX)
                 y_pts = x_pts + gen.uniform(-L0 * cfg.eps, L0 * cfg.eps, (n2, 1))
-            pts = np.concatenate([x_pts, y_pts])
-            cov = CovarianceSpec(alpha=cfg.alpha, epsilon=cfg.eps).normalised(
-                pair_distances(pts, _LINE))
-            specs = [(cfg.trig1, cfg.m1)] * n2 + [(cfg.trig2, cfg.m2)] * n2
-            thetas = [theta_pair[0]] * n2 + [theta_pair[1]] * n2
-            derivs = [cfg.deriv[0]] * n2 + [cfg.deriv[1]] * n2
+            cov = cov_spec.normalised(pair_distances(np.concatenate([x_pts, y_pts]),
+                                                     _LINE))
             lhs = exact_functional_product_moment(specs, thetas, derivs, cov)
-            if which == "fixed":
-                ranges = [(cfg.m2, mtop)] * n2
-                rhs = (cfg.eps ** (-cfg.alpha * mtop)
-                       * wick_sum_moment(ranges, cov[n2:, n2:]))
-            else:
-                ranges = ([(cfg.m1, mtop)] * n2) + ([(cfg.m2, mtop)] * n2)
-                rhs = wick_sum_moment(ranges, cov)
+            rhs = pref * wick_sum_moment(ranges, cov[lo:, lo:])
             ratio = abs(lhs) / rhs if rhs > 0 else math.inf
-            entry = RatioEntry(theta=theta_pair, lhs=float(lhs), rhs=float(rhs),
-                               ratio=float(ratio))
-            if best is None or entry.ratio > best.ratio:
-                best = entry
-        entries.append(best)
-    max_ratio = max(e.ratio for e in entries)
-    return RatioReport(lemma=which, grid=entries, max_ratio=float(max_ratio),
+            grid.append(RatioEntry(theta=theta_pair, lhs=float(lhs), rhs=float(rhs),
+                                   ratio=float(ratio)))
+        # the first largest ratio; a NaN never displaces an entry
+        entries.append(max(grid, key=lambda e: e.ratio))
+    return RatioReport(lemma=which, grid=entries,
+                       max_ratio=float(max(e.ratio for e in entries)),
                        rejections=rejections)

@@ -13,6 +13,8 @@ a trailing zero index addresses the same stream as the shorter path
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Fixed purpose tags; keep values stable, they are part of the
@@ -24,19 +26,24 @@ MODEL = 5
 
 
 def _counter(path) -> list[int]:
-    """The Philox counter of a substream path: one word per index."""
+    """The Philox counter of a substream path: one word per index, each read
+    through ``operator.index`` so that a float raises rather than truncates."""
     if len(path) > 4:
         raise ValueError("substream path supports at most 4 indices")
     counter = [0, 0, 0, 0]
     for i, p in enumerate(path):
-        if p < 0:
-            raise ValueError("substream path indices must be non-negative")
-        counter[i] = int(p)
+        counter[i] = operator.index(p)
+        if counter[i] < 0:
+            raise ValueError(f"substream path indices must be non-negative, got {p!r}")
     return counter
 
 
 def _key(seed: int) -> int:
-    return int(seed) & ((1 << 128) - 1)
+    """The Philox key of a seed, an integer in [0, 2^128) and never wrapped."""
+    key = operator.index(seed)
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"seed must lie in [0, 2^128), got {seed!r}")
+    return key
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -157,6 +157,35 @@ def test_substream_opener_matches_substream(shape):
             open_stream(-1)
 
 
+# the two routes into the stream of (seed, purpose, k)
+_ROUTES = {
+    "substream": lambda seed, path: rng.substream(seed, *path),
+    "opener": lambda seed, path: rng.substream_opener(seed, path[0])(path[1]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("seed, path, error, match", [
+    (1.7, (2, 3), TypeError, "integer"),     # once read as seed 1
+    (-1, (2, 3), ValueError, "-1"),          # once read as seed 2^128 - 1
+    (1 << 128, (2, 3), ValueError, "2\\^128"),  # once read as seed 0
+    (1, (2.5, 3), TypeError, "integer"),     # once read as index 2
+    (1, (2, -3), ValueError, "-3"),
+], ids=["float-seed", "negative-seed", "seed-past-key", "float-index",
+        "negative-index"])
+def test_substream_rejects_inputs_that_alias_other_streams(route, seed, path,
+                                                           error, match):
+    with pytest.raises(error, match=match):
+        _ROUTES[route](seed, path)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_substream_reads_numpy_integers_as_their_value(route):
+    want = rng.substream(5, 2, 3).standard_normal(8)
+    got = _ROUTES[route](np.int64(5), (np.uint8(2), np.int32(3)))
+    assert np.array_equal(got.standard_normal(8), want)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_substreams_share_no_raw_word():
     # every path of the package's purposes, indices 0-5 and lengths 1-3:

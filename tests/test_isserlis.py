@@ -230,6 +230,28 @@ def test_cluster_coeff_rejects_non_psd():
         cluster_coeff(q)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_cluster_coeff_at_degree_zero_is_the_factor_moment(k):
+    # one atom builder serves both: at all-zero degrees its prefactor is
+    # exactly 1.0, so the two agree bit for bit
+    gen = rng.substream(31, k)
+    nonzero = 0
+    for _ in range(16):
+        scale = gen.uniform(0.7, 1.3, size=k)
+        cov = random_correlation(gen, k) * np.outer(scale, scale)
+        trigs = tuple(str(v) for v in gen.choice(["sin", "cos"], size=k))
+        ts = tuple(int(v) for v in gen.integers(0, 5, size=k))
+        rs = tuple(int(v) for v in gen.integers(0, 4, size=k))
+        thetas = tuple(float(v) for v in gen.uniform(0.2, 3.0, size=k))
+        q = ClusterCoeffQuery(degrees=(0,) * k, thetas=thetas, derivs=rs,
+                              truncations=ts, trigs=trigs, cov=cov)
+        want = exact_functional_product_moment(list(zip(trigs, ts)), list(thetas),
+                                               list(rs), cov)
+        assert cluster_coeff(q) == want
+        nonzero += want != 0.0
+    assert nonzero >= 8
+
+
 def _box_cov(gen, k: int) -> np.ndarray:
     """Normalised covariance of k points uniform in the radius-0.3 ball."""
     pts = box_points(gen, (k,), G1, 0.3)
@@ -519,8 +541,14 @@ def test_lemma_n3_runs(which):
     ({"alpha": math.nan}, "alpha"),
     ({"m1": -1}, "truncation"),
     ({"deriv": (0, -1)}, "deriv"),
+    ({"n": 2.0}, "n must be an integer"),
+    ({"n_configs": 2.0}, "n_configs must be an integer"),
+    ({"m1": 1.0}, "m1 must be an integer"),
+    ({"deriv": (1.0, 0)}, "deriv must be two integer"),
+    ({"seed": 7.0}, "seed must be an integer"),
 ], ids=["no-configs", "n-zero", "empty-grid", "inf-theta", "trig1", "trig2",
-        "nan-eps", "eps-above-one", "nan-alpha", "negative-m1", "negative-deriv"])
+        "nan-eps", "eps-above-one", "nan-alpha", "negative-m1", "negative-deriv",
+        "float-n", "float-configs", "float-m1", "float-deriv", "float-seed"])
 def test_lemma_config_rejects_bad_input(bad, match):
     with pytest.raises(ValueError, match=match):
         LemmaCheckConfig(**bad)
@@ -531,7 +559,8 @@ def test_lemma_config_rejects_bad_input(bad, match):
     ([(-1, 1)] * 2, np.eye(2), "lo <= hi"),
     ([(1, 2)] * 2, np.array([[1.0, math.nan], [math.nan, 1.0]]), "finite"),
     ([(1, 2)] * 2, np.eye(3), "shape"),
-], ids=["empty-range", "negative-lo", "nan-cov", "wrong-shape"])
+    ([(1, 1.9)], np.eye(1), "integer"),  # once truncated to (1, 1)
+], ids=["empty-range", "negative-lo", "nan-cov", "wrong-shape", "float-hi"])
 def test_wick_sum_moment_rejects_bad_input(ranges, cov, match):
     with pytest.raises(ValueError, match=match):
         wick_sum_moment(ranges, cov)
