@@ -10,11 +10,12 @@ for the weight rho gives the value.  Where it has one, at a point inside
 kink, and each side is a function of its half-width alone for a given
 exponent; it is read from a piecewise Chebyshev table, built once per
 exponent from an 80-node Gauss-Jacobi rule, at O(1) cost per point.  Both
-routes agree with adaptive quadrature to about 4e-14 at ell <= 2 (2e-12
+routes agree with adaptive quadrature to about 5e-14 at ell <= 2 (5e-12
 inside and 7e-12 at +-delta for the singular ell = 3 of |u|^(2+beta)).
 Gaussian means E F^(ell)(sigma Z), the renormalisation constants of the
 model objects, take one fixed graded Gauss-Legendre rule in z and one
-array call of the integrand.
+array call of the integrand.  Every Gauss rule here comes from numpy alone:
+Golub-Welsch nodes polished by Newton steps, with Christoffel weights.
 
 Window norms are certified lower bounds: the true norm is a sup over an
 infinite ball of test functions, which is not computable; we maximise the
@@ -32,14 +33,12 @@ from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_jacobi, roots_legendre
 
 from .geometry import bump_of_gap, bump_profile
 
 _BUMP_NODES = 32  # Gauss rule for the bump weight, away from the kink
 # the mass of rho on (-1, 1); the 256-node sum _bump_rule is built from is
-# 1.67e-14 relative below it
+# 2.2e-16 relative above it
 _BUMP_MASS = 1.2069003224378762
 _KINK_NODES = 80  # Gauss-Jacobi rule a kink side's table is built from
 # piecewise Chebyshev table of a kink side over its half-width in [0, 1]:
@@ -122,17 +121,52 @@ def make_nonlinearity(kind: str, beta: float = 0.5,
     raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
 
+def _gauss_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule (nodes, weights) for the weight (1 - x)^a on (-1, 1);
+    a = 0 is Gauss-Legendre.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the Jacobi matrix of the polynomials P_k^(a, 0), each polished by two
+    Newton steps on their three-term recurrence, and the weights are
+    Christoffel's, 2^(a+1) / ((1 - x^2) P_n'(x)^2).
+    """
+    if n < 1:
+        raise ValueError(f"a Gauss rule needs n >= 1 nodes, got n = {n!r}")
+    if not a > -1.0:  # also rejects NaN
+        raise ValueError(f"the weight (1 - x)^a is integrable for a > -1 only, "
+                         f"got a = {a!r}")
+    k = np.arange(1, n)
+    sk = 2.0 * k + a
+    diag = np.concatenate([[-a / (a + 2.0)], -a * a / (sk * (sk + 2.0))])
+    off = 2.0 * k * (k + a) / (sk * np.sqrt(sk * sk - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    s = 2.0 * n + a
+    for step in range(3):  # two Newton steps, then P_n' at the polished nodes
+        p0, p1 = np.ones_like(x), 0.5 * (a + (a + 2.0) * x)  # P_0, P_1
+        for m in range(2, n + 1):
+            sm = 2.0 * m + a
+            p0, p1 = p1, ((sm - 1.0) * (sm * (sm - 2.0) * x + a * a) * p1
+                          - 2.0 * (m + a - 1.0) * (m - 1.0) * sm * p0) / (
+                              2.0 * m * (m + a) * (sm - 2.0))
+        gap = (1.0 - x) * (1.0 + x)
+        dp = n * ((a - s * x) * p1 + 2.0 * (n + a) * p0) / (s * gap)  # P_n'
+        if step < 2:
+            x = x - p1 / dp
+    return x, 2.0 ** (a + 1.0) / (gap * dp * dp)
+
+
 @lru_cache(maxsize=1)
 def _bump_rule():
     """Gauss rule (nodes, weights) for the weight rho/mass on (-1, 1).
 
     The discretised Stieltjes procedure: Lanczos with full
-    reorthogonalisation on a 256-node Gauss-Legendre discretisation of the
-    bump gives the Jacobi matrix of rho's orthogonal polynomials, whose
-    eigenvalues are the nodes and whose first eigenvector components squared
-    are the weights (Golub & Welsch).
+    reorthogonalisation on the 256-node Gauss-Legendre discretisation of the
+    bump (:func:`_gauss_rule`) gives the 32 x 32 Jacobi matrix of rho's
+    orthogonal polynomials; a dense symmetric eigensolve of it gives the
+    nodes as its eigenvalues and the weights as its first eigenvector
+    components squared (Golub & Welsch).
     """
-    x, w = roots_legendre(256)
+    x, w = _gauss_rule(256, 0.0)
     omega = w * bump_profile(x)
     q = np.zeros((x.size, _BUMP_NODES))
     q[:, 0] = np.sqrt(omega / np.sum(omega))
@@ -146,7 +180,7 @@ def _bump_rule():
         if k + 1 < _BUMP_NODES:
             beta[k] = np.linalg.norm(r)
             q[:, k + 1] = r / beta[k]
-    nodes, vecs = eigh_tridiagonal(alpha, beta)
+    nodes, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
     return nodes, vecs[0] ** 2
 
 
@@ -157,15 +191,17 @@ def _kink_table(a: float) -> np.ndarray:
     of T_j.
 
     side_a(h) = h^(a+1) sum_j w_j rho(1 - z_j), z_j = h (1 + x_j), with the
-    80-node Gauss-Jacobi rule (x_j, w_j) for the weight (1 - x)^a, is sampled
-    at each uniform panel's Chebyshev points of the first kind; they are
-    interior, so the bump is never evaluated at the gap 0 of h = 0.
+    80-node Gauss-Jacobi rule (x_j, w_j) for the weight (1 - x)^a from
+    :func:`_gauss_rule` (weights within 3.4e-13 relative of a 40-digit
+    reference at the tests' eight exponents), is sampled at each uniform
+    panel's Chebyshev points of the first kind; they are interior, so the
+    bump is never evaluated at the gap 0 of h = 0.
     """
     n = _TABLE_DEGREE + 1
     theta = math.pi * (np.arange(n) + 0.5) / n
     h = (np.arange(_TABLE_PANELS)[:, None] + 0.5 * (1.0 + np.cos(theta))) / _TABLE_PANELS
     side = np.zeros_like(h)  # one node at a time: temporaries of 32 KB, not 2.6 MB
-    for xj, wj in zip(*roots_jacobi(_KINK_NODES, a, 0.0)):
+    for xj, wj in zip(*_gauss_rule(_KINK_NODES, a)):
         z = h * (1.0 + xj)
         side += wj * bump_of_gap(z * (2.0 - z))
     side *= h ** (a + 1.0)
@@ -202,15 +238,16 @@ def _mollified_deriv(spec: NonlinearitySpec, ell: int, u):
     side_a depends on a alone, so each inside point reads it at its two
     half-widths (1 +- t*)/2 from a table of _TABLE_PANELS panels of degree
     _TABLE_DEGREE, cached per exponent, by Clenshaw: no bump evaluation per
-    point.  The table matches the per-point Gauss-Jacobi sum (the test
-    oracle) within 2.5e-14 abs/max(1, |ref|) at ell <= 3 of both power kinds
-    and delta in {0.2, 0.4}; mirror points swap the half-widths exactly, so
-    F_delta^(ell)(-u) = +-F_delta^(ell)(u) bit for bit.  Against adaptive
-    quadrature split at the kink (abs/max(1, |ref|), delta in {0.2, 0.4}),
-    both power kinds agree within 4.3e-14 inside, 2.0e-14 at +-delta and
-    9e-16 out to 750 at ell in {0, 1, 2}; at ell = 3, within 4.6e-14 for
-    sign(u)|u|^3.3, and within 2.2e-12 inside and 6.7e-12 at +-delta for
-    |u|^2.5, where F^(3) ~ |u|^(-1/2).  Points are walked in blocks so that
+    point.  The table matches the per-point sum of a 40-digit reference
+    Gauss-Jacobi rule (the test oracle) within 2.3e-14 abs/max(1, |ref|) at
+    ell <= 3 of both power kinds and delta in {0.2, 0.4}; mirror points swap
+    the half-widths exactly, so F_delta^(ell)(-u) = +-F_delta^(ell)(u) bit
+    for bit.  Against adaptive quadrature split at the kink (abs/max(1,
+    |ref|), delta in {0.2, 0.4}), both power kinds agree within 4.7e-14
+    inside, 2.0e-14 at +-delta and 7e-16 out to 750 at ell in {0, 1, 2}; at
+    ell = 3, within 4.6e-14 for sign(u)|u|^3.3, and within 5.2e-12 inside
+    and 6.7e-12 at +-delta for |u|^2.5, where F^(3) ~ |u|^(-1/2) and the
+    quadrature itself reports roundoff.  Points are walked in blocks so that
     the (points x nodes) temporaries of the outside rule stay about 1 MB.
     """
     if spec.kind != "polynomial" and spec.power - ell <= -1.0:
@@ -448,7 +485,7 @@ def _gaussian_rule(edge: float):
     edges = np.unique(np.concatenate([
         [0.0, min(edge, _GAUSS_EDGE_MAX)],
         _GAUSS_EDGE_MAX * 0.5 ** np.arange(_GAUSS_PANELS)]))
-    x, w = roots_legendre(_GAUSS_NODES)
+    x, w = _gauss_rule(_GAUSS_NODES, 0.0)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     z = (mid + half * x).reshape(-1)
@@ -470,10 +507,12 @@ def gaussian_mean(fn, sigma2: float) -> float:
     smooth but not analytic at u = +-delta, so its rule gets one more edge
     at delta / sigma.  Over both power kinds, beta in {0.1, 0.5, 0.9},
     ell <= 3 and sigma2 in {0.0219, 1, 4}, in units of E|fn|: the raw
-    derivatives match the closed form within 7.4e-16, and the mollified
+    derivatives match the closed form within 7.2e-16, and the mollified
     ones (delta in {0.2, 0.4}) adaptive quadrature split at 0 and
-    +-delta/sigma within 9.2e-16; without the edge at delta/sigma they were
-    off by up to 2.1e-11.  The half-lines are summed node by node, so an fn
+    +-delta/sigma within 8.7e-16; without the edge at delta/sigma they were
+    off by up to 2.1e-11.  The 32-point Legendre rule is
+    :func:`_gauss_rule`'s, its weights within 3.0e-15 relative of a
+    40-digit reference.  The half-lines are summed node by node, so an fn
     with fn(-u) = -fn(u) exactly gives exactly 0.  sigma2 = 0 gives fn(0);
     a negative or non-finite sigma2, or a value of fn that is not finite at
     a node, raises ValueError.

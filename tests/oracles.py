@@ -6,13 +6,15 @@ from finite differences.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_hermitenorm, roots_jacobi, roots_legendre
+from scipy.special import roots_hermitenorm, roots_legendre
 
 from chaoslab import kernel, rng, stats
 from chaoslab.chaos import phase_coeff_deriv, truncated_trig_deriv
@@ -520,9 +522,26 @@ def _scalar_deriv(spec, ell: int):
     return lambda v: c * abs(v) ** a * (math.copysign(1.0, v) if odd else 1.0)
 
 
+@lru_cache(maxsize=1)
+def _reference_rules() -> dict:
+    """(n, a) -> (nodes, weights) of the Gauss rules for the weight
+    (1 - x)^a on (-1, 1) in gauss_rules.json, computed at 40 digits by
+    make_gauss_rules.py and stored as the nearest doubles."""
+    data = json.loads((Path(__file__).parent / "gauss_rules.json").read_text())
+    return {(r["n"], r["a"]): (np.array(r["x"]), np.array(r["w"]))
+            for r in data["rules"]}
+
+
+def reference_gauss_rule(n: int, a: float):
+    """The committed n-point reference rule for the weight (1 - x)^a; a
+    missing (n, a) is added in make_gauss_rules.py."""
+    return _reference_rules()[(n, a)]
+
+
 def gauss_jacobi_kink_deriv(spec, ell: int, u):
     """(F^(ell) * rho_delta)(u) for a power kind at points inside (-delta, delta),
-    by an 80-node Gauss-Jacobi rule on each side of the kink at every point.
+    by the 80-node reference Gauss-Jacobi rule on each side of the kink at
+    every point.
 
     The package's route before it read the sides from a cached table.  The
     kink sits at t* = u / delta; on the side of half-width h, F^(ell)(u -
@@ -538,7 +557,7 @@ def gauss_jacobi_kink_deriv(spec, ell: int, u):
     if spec.kind == "polynomial" or np.any(np.abs(tstar) >= 1.0):
         raise ValueError("the kink route needs a power kind and |u| < delta")
     c, a, odd = _power_law(spec, ell)
-    x, w = roots_jacobi(80, a, 0.0)
+    x, w = reference_gauss_rule(80, a)
     mass = quad_bump_mass()
     sides = []
     for h in (0.5 * (1.0 + tstar), 0.5 * (1.0 - tstar)):

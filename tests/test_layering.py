@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from chaoslab.nonlinearity import gaussian_mean, make_nonlinearity, mollify
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chaoslab"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -91,27 +93,57 @@ def test_no_module_starts_processes(path):
     assert imported_modules(path).isdisjoint(NO_PROCESS_MODULES)
 
 
-def test_package_does_not_load_scipy_integrate():
-    # scipy.integrate pulls in scipy.sparse, about a third of the package's
-    # import time and a quarter of its resident memory, for no package route
-    names = ", ".join(f"chaoslab.{p.stem}" for p in MODULES)
-    code = f"import sys, {names}; print('scipy.integrate' in sys.modules)"
+def _run_with_package(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    the package from ``src/``."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=ROOT,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+IMPORT_ALL = "import " + ", ".join(f"chaoslab.{p.stem}" for p in MODULES)
+
+
+def test_package_does_not_load_scipy_integrate():
+    # scipy.integrate pulls in scipy.sparse, about a third of the package's
+    # import time and a quarter of its resident memory, for no package route
+    code = f"import sys; {IMPORT_ALL}; print('scipy.integrate' in sys.modules)"
+    assert _run_with_package(code) == "False"
 
 
 def test_study_modules_do_not_load_scipy():
     # importing scipy.fft alone takes about 0.19 s, more than an operator
-    # study's whole set-up, so the study path imports no scipy module
-    code = ("import sys, chaoslab.experiments, chaoslab.field, "
-            "chaoslab.operator; print(sorted(m for m in sys.modules "
+    # study's whole set-up, and scipy.linalg and scipy.special took
+    # 0.28-0.33 s, most of the model workloads' set-up; the package's Gauss
+    # rules are numpy's, so no module at all, study or model, loads scipy
+    code = (f"import sys; {IMPORT_ALL}; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd=ROOT,
-                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert out.stdout.strip() == "[]"
+    assert _run_with_package(code) == "[]"
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test dependency only: with every scipy import blocked, the
+    # package imports, and a Gaussian mean of a mollified power and an
+    # ell = 3 mollified derivative inside the kink (every Gauss rule and a
+    # kink table) give the numbers they give here
+    code = f"""
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
+{IMPORT_ALL}
+from chaoslab.nonlinearity import gaussian_mean, make_nonlinearity, mollify
+md = mollify(make_nonlinearity("power_even", beta=0.5), 0.2)
+print(repr(gaussian_mean(md, 1.0)), repr(md.deriv(3, 0.05)))
+"""
+    md = mollify(make_nonlinearity("power_even", beta=0.5), 0.2)
+    want = (gaussian_mean(md, 1.0), md.deriv(3, 0.05))
+    assert tuple(map(float, _run_with_package(code).split())) == want
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -335,7 +367,7 @@ def test_option_count_stays_under_ceiling():
 
 
 # distribution name -> import name of every declared runtime dependency
-IMPORT_NAMES = {"numpy": "numpy", "scipy": "scipy"}
+IMPORT_NAMES = {"numpy": "numpy"}
 
 
 def declared_dependencies(text: str) -> list[str]:

@@ -23,6 +23,7 @@ from oracles import (
     probe_transform_full_fft,
     quad_bump_mass,
     quad_mollified_deriv,
+    reference_gauss_rule,
     split_quad_gaussian_mean,
     two_panel_mollified_deriv,
 )
@@ -193,14 +194,41 @@ def test_mollified_singular_top_derivative(u):
 
 
 POWER_KINDS = MOLLIFY_KINDS[:2]
+# the kink tables' exponents a = p - ell, ell <= 3, as the package computes them
+KINK_EXPONENTS = [spec._power_law(ell)[1] for spec in POWER_KINDS for ell in range(4)]
+
+
+# (n, a, largest relative weight error against the 40-digit reference).
+# Measured: 3.0e-15 at n = 32, 2.7e-13 at n = 256 and at most 3.4e-13 at
+# n = 80; scipy's roots_legendre is 6.2e-13 and 1.3e-10 off, and its
+# roots_jacobi(80, a, 0) 2.7e-12 to 1.6e-11
+GAUSS_RULE_CASES = [(32, 0.0, 1e-14), (256, 0.0, 1e-12)] + \
+    [(80, a, 1e-12) for a in KINK_EXPONENTS]
+
+
+@pytest.mark.parametrize("n, a, tol", GAUSS_RULE_CASES)
+def test_gauss_rule_matches_reference(n, a, tol):
+    x, w = nonlinearity._gauss_rule(n, a)
+    x_ref, w_ref = reference_gauss_rule(n, a)
+    assert np.max(np.abs(x - x_ref)) <= 3e-16
+    assert np.max(np.abs(w / w_ref - 1.0)) <= tol
+
+
+@pytest.mark.parametrize("n, a, match", [
+    (0, 0.0, "n >= 1"), (-3, 0.5, "n >= 1"),
+    (8, -1.0, "a > -1"), (8, -2.5, "a > -1"), (8, math.nan, "a > -1")])
+def test_gauss_rule_rejects_bad_arguments(n, a, match):
+    with pytest.raises(ValueError, match=match):
+        nonlinearity._gauss_rule(n, a)
 
 
 @pytest.mark.parametrize("spec", POWER_KINDS, ids=lambda f: f.kind)
 @pytest.mark.parametrize("delta", [0.4, 0.2])
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])
 def test_kink_table_matches_gauss_jacobi_oracle(spec, delta, ell):
-    # the table against the per-point Gauss-Jacobi sums it was built from, on
-    # a dense grid of t* = u / delta reaching within 1e-9 of the support's end
+    # the table against per-point sums of the 40-digit reference Gauss-Jacobi
+    # rule, on a dense grid of t* = u / delta reaching within 1e-9 of the
+    # support's end
     md = mollify(spec, delta)
     tstar = np.concatenate([np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 3001), [0.0]])
     u = tstar * delta
