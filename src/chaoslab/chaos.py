@@ -54,16 +54,14 @@ def wick_power(x, k: int, sigma2: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _phase_trig(u, phase: int):
-    """cos(u + phase*pi/2) without evaluating the shifted argument."""
+def _phase_trig(u: np.ndarray, phase: int) -> np.ndarray:
+    """cos(u + phase*pi/2) without evaluating the shifted argument, written
+    over ``u``."""
     p = phase % 4
-    if p == 0:
-        return np.cos(u)
-    if p == 1:
-        return -np.sin(u)
-    if p == 2:
-        return -np.cos(u)
-    return np.sin(u)
+    (np.cos if p % 2 == 0 else np.sin)(u, out=u)
+    if p in (1, 2):
+        np.negative(u, out=u)
+    return u
 
 
 def _gauss_poly_deriv(k: int, r: int, a: float) -> np.ndarray:
@@ -143,11 +141,12 @@ class TwoPointFunctional:
 def truncated_trig_deriv(x, theta: float, phase: int, m_remove: int, r: int, sigma2: float):
     """d^r/dtheta^r of cos(theta x + phase*pi/2) minus its first m_remove chaos terms."""
     x = np.asarray(x, dtype=float)
-    out = _phase_trig(theta * x, phase + r)
+    # one temporary: theta * x, overwritten by every later step
+    out = _phase_trig(np.multiply(theta, x, out=np.empty_like(x)), phase + r)
     if r:
-        out = x**r * out
+        out *= x**r
     for k in range(max(m_remove, 0)):
         c = phase_coeff_deriv(phase, k, theta, sigma2, r=r)
         if c != 0.0:
-            out = out - c * wick_power(x, k, sigma2)
-    return out
+            out -= c * wick_power(x, k, sigma2)
+    return out[()]  # a scalar for a scalar x

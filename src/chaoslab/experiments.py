@@ -2,11 +2,12 @@
 
 The operator studies (:func:`freq_sweep`, :func:`scaling_scan`) are two
 reports over one core, :func:`_study`: a table of 2n-th root moment norms,
-one per (eps, lam, theta) cell.  A call builds one operator set-up per
-lambda, one spectrum per eps and one noise per draw, shared by every cell;
-each cell's operator values are taken over the same draws, and one
-``moment_norm`` call resamples the (draws x cells) table once, so every
-cell's bootstrap interval comes from the same resamples.  The studies report
+one per (eps, lam, theta) cell.  A call builds one kernel matrix, which
+every lambda reads at the rows of its test support, one spectrum per eps
+and one noise per draw, all shared by every cell.  Each cell's operator
+values are taken over the same draws, and one ``moment_norm`` call
+resamples the (draws x cells) table once, so every cell's bootstrap
+interval comes from the same resamples.  The studies report
 single-constant domination against the target power laws and fitted slopes;
 the underlying bound is one-sided, so slope checks are lower bounds, never
 equalities.  The deterministic routines integrate the |K|-smeared Wick
@@ -28,7 +29,8 @@ from .field import SAMPLE_CHUNK, CovarianceSpec, Spectrum, build_spectrum, \
 from .geometry import Lattice, ScalingGeometry, TestFunction, build_lattice, \
     eval_test_function_many
 from .kernel import DIAGONAL_CELLS, RenormKernel, compute_re, eval_K_many
-from .operator import OperatorConfig, OperatorSetup, apply_configs
+from .operator import OperatorConfig, OperatorPlan, OperatorSetup, \
+    apply_configs
 # the benchmark's tracer wraps moment_norm and reads BOOTSTRAP_RESAMPLES here
 # by name: the studies resample through this name, once per call
 from .stats import BOOTSTRAP_RESAMPLES, MomentEstimate, moment_norm  # noqa: F401
@@ -127,26 +129,27 @@ def _study(design: StudyDesign, eps_grid: list[float], cells: list,
     """The moment-norm estimate of every (eps, cell) pair, eps-major, where a
     cell is (lam, theta).
 
-    One operator set-up per distinct lam serves every theta and every sample
-    block; its arrays are built before any draw exists, so they never stack
-    on the draws.  Each block of SAMPLE_CHUNK draws is synthesised once for
-    every eps (:func:`field.sample_fields`), and every sample's noise comes
-    from its own counter substream, so the blocking changes no number.  The
-    (draws x pairs) table is resampled once, from BOOTSTRAP tag ``tag``.
+    One :class:`operator.OperatorPlan` serves every cell and every sample
+    block: one kernel matrix on the union of the lams' test supports, which
+    each lam reads at its own rows.  It is built before any draw exists, so
+    it never stacks on the draws.  Each block of SAMPLE_CHUNK draws is
+    synthesised once for every eps (:func:`field.sample_fields`), and every
+    sample's noise comes from its own counter substream, so the blocking
+    changes no number.  The (draws x pairs) table is resampled once, from
+    BOOTSTRAP tag ``tag``.
     """
     lat = design.lattice()
     setups = {lam: design.operator_setup(lam, lat) for lam, _ in cells}
-    configs = {cell: OperatorConfig(setups[cell[0]], design.functional(cell[1]))
-               for cell in cells}
     spectra = [design.spectrum(eps, lat) for eps in eps_grid]
-    for setup in setups.values():
-        setup.arrays  # built before the draws, so never stacked on them
+    plan = OperatorPlan({cell: OperatorConfig(setups[cell[0]],
+                                              design.functional(cell[1]))
+                         for cell in cells})
     blocks = []
     for lo in range(0, n_samples, SAMPLE_CHUNK):
         draws = sample_fields(spectra, seed,
                               np.arange(lo, min(lo + SAMPLE_CHUNK, n_samples)))
         # next() inside the call: no name keeps a spectrum's draws past its cells
-        blocks.append([apply_configs(configs, next(draws), spec.sigma2,
+        blocks.append([apply_configs(plan, next(draws), spec.sigma2,
                                      spec.spec.alpha, spec.spec.epsilon)
                        for spec in spectra])
     table = np.column_stack([np.concatenate([b[i][cell] for b in blocks])
@@ -208,7 +211,7 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
                  eta: float = 0.1) -> ScalingReport:
     """Log-log scan of the moment norm over a geometric (eps, lam) grid.
 
-    Every grid point reads the operator set-up of its lam, the same field
+    Every grid point reads its lam's rows of one kernel matrix, the same field
     draws and the same bootstrap resamples (:func:`_study`).  Grid points
     whose interval reaches zero are flagged and left out of the slope fit.
     The slopes are NaN unless the fitted points hold two eps and two lam

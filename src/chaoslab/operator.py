@@ -17,26 +17,38 @@ difference array.  The y points whose kernel column is zero (K vanishes
 once |x - y| and |y| both pass the cutoff) are dropped before any factor is
 evaluated at them.
 
-The kernel matrix and test-function weights do not depend on the frequency
-theta.  An ``OperatorSetup`` (kernel, test function, lattice, y radius)
-builds them at first use and keeps them for its lifetime; its fields are
-frozen, so the arrays cannot go stale.  An ``OperatorConfig`` pairs a set-up
-with the theta-dependent functional, so configs that differ only in theta
-share one set-up: the studies in ``experiments`` build one per lambda per
-call and share it across theta cells and sample blocks.
+Neither the kernel matrix nor the test-function weights depend on the
+frequency theta, and the kernel matrix depends on the test function only
+through the x rows it is read at.  An ``OperatorSetup`` (kernel, test
+function, lattice, y radius) builds its own arrays at first use and keeps
+them for its lifetime; its fields are frozen, so the arrays cannot go stale.
+An ``OperatorConfig`` pairs a set-up with the theta-dependent functional.
+
+An :class:`OperatorPlan` holds what the draws do not change of a dict of
+configs.  Set-ups that share kernel, lattice and y radius share one kernel
+matrix, built by one ``eval_K_many`` call on the union of their x supports;
+each keeps only its row positions in it and its test weights (a lone set-up
+reads its own arrays).  A y column that is live for the union but not for
+one set-up holds zeros in that set-up's rows, so its sum over the shared
+columns is its own sum; with numpy 2.4's OpenBLAS it is bit for bit, as the
+tests check.  The studies in ``experiments`` build one plan per call,
+shared by every lambda, theta and sample block.
 
 :func:`apply_configs` reads a batch of draws, as
-``field.sample_field_values`` returns them, against a dict of configs.  A
-truncated trig factor is fixed by its key (theta, phase, m, r) and is a
-pointwise function of the draw, so each distinct key is evaluated once per
-batch, on the union of the lattice points at which any config needs it (the
-x supports and live y columns of every lambda cell), and each config gathers
-its columns from that table; a table is freed after the last config that
-reads it.  Only those union columns are normalised by eps^{alpha/2}, which
-commutes exactly with the gather.  Each config then costs two small matrix
-products; :func:`apply_batch` is the one-config case.  The two are the
-module's only evaluation routes: a single sum of one factor against the
-test function is not an operator value, and no study reads one.
+``field.sample_field_values`` returns them, against a plan.  A truncated
+trig factor is fixed by its key (theta, phase, m, r) and is a pointwise
+function of the draw, so each distinct key is evaluated once per batch, on
+the union of the lattice points at which any config needs it (the x
+supports of its x readers and the live y columns of its y readers), and
+each reader gathers its columns from that table at positions the plan
+computed once.  Only those union columns are normalised by eps^{alpha/2},
+which commutes exactly with the gather.  Each distinct pair of y factor and
+kernel matrix is contracted once, G = f_y @ K^T over the matrix's rows, and
+each config sums its own rows of G against its test weights and its x
+factor.  A table or contraction is freed after its last reader.
+:func:`apply_batch` is the one-config case.  The two are the module's only
+evaluation routes: a single sum of one factor against the test function is
+not an operator value, and no study reads one.
 """
 
 from __future__ import annotations
@@ -55,6 +67,38 @@ class ResolutionError(RuntimeError):
     """Test-function support contains no lattice point (scale below the step)."""
 
 
+def _kernel_rows(setups: list) -> dict:
+    """One kernel matrix for ``setups``, which share kernel, lattice and y
+    radius, times the cell volume.
+
+    Its rows are the union ``x_idx`` of their test-function supports, its
+    columns ``y_idx`` the ball of radius y_radius less the points where
+    K(., y) vanishes on every row.  ``rows`` and ``xw`` hold, in the order
+    of ``setups``, each set-up's row positions and its test weights times
+    the cell volume.
+    """
+    first = setups[0]
+    lat = first.lattice
+    pts = lat.points()
+    supports, weights = [], []
+    for setup in setups:
+        phi = eval_test_function_many(setup.test, pts)
+        support = np.nonzero(phi > 0.0)[0]
+        if len(support) == 0:
+            raise ResolutionError(
+                f"test scale {setup.test.scale} resolves no lattice point at "
+                f"step {lat.base_step}")
+        supports.append(support)
+        weights.append(phi[support] * lat.cell_volume)
+    x_idx = reduce(np.union1d, supports)
+    y_idx = np.nonzero(metric_many(pts, lat.geometry) <= first.y_radius)[0]
+    kmat = eval_K_many(pts[x_idx], pts[y_idx], first.kernel, lat.base_step)
+    live = np.any(kmat != 0.0, axis=0)
+    return dict(x_idx=x_idx, y_idx=y_idx[live],
+                kmat=kmat[:, live] * lat.cell_volume,
+                rows=[np.searchsorted(x_idx, s) for s in supports], xw=weights)
+
+
 @dataclass(frozen=True)
 class OperatorSetup:
     """The theta-independent part of the operator, with its arrays built once."""
@@ -67,26 +111,16 @@ class OperatorSetup:
     def __post_init__(self):
         if not self.y_radius > 0.0:  # NaN fails too
             raise ValueError(f"y_radius must be positive, got {self.y_radius}")
+        scalings = {"kernel": self.kernel.g.s, "test": self.test.geometry.s,
+                    "lattice": self.lattice.geometry.s}
+        if len(set(scalings.values())) > 1:
+            raise ValueError(f"the set-up's scaling vectors differ: {scalings}")
 
     @cached_property
     def arrays(self) -> dict:
-        """x/y index sets, test weights and the kernel matrix times the cell
-        volume; y runs over the ball of radius y_radius, less the points
-        where K(., y) vanishes on the whole test-function support."""
-        lat = self.lattice
-        pts = lat.points()
-        phi = eval_test_function_many(self.test, pts)
-        x_idx = np.nonzero(phi > 0.0)[0]
-        if len(x_idx) == 0:
-            raise ResolutionError(
-                f"test scale {self.test.scale} resolves no lattice point at "
-                f"step {lat.base_step}")
-        y_idx = np.nonzero(metric_many(pts, lat.geometry) <= self.y_radius)[0]
-        kmat = eval_K_many(pts[x_idx], pts[y_idx], self.kernel, lat.base_step)
-        live = np.any(kmat != 0.0, axis=0)
-        return dict(x_idx=x_idx, y_idx=y_idx[live],
-                    xw=phi[x_idx] * lat.cell_volume,
-                    kmat=kmat[:, live] * lat.cell_volume)
+        """This set-up's kernel matrix on its own support (see _kernel_rows),
+        so ``xw`` and ``rows`` hold one entry each."""
+        return _kernel_rows([self])
 
 
 @dataclass(frozen=True)
@@ -95,72 +129,126 @@ class OperatorConfig:
     functional: TwoPointFunctional
 
     def sanity_envelope(self, f_sup: float) -> float:
-        """Crude bound sup|F| * sum |K| |phi| * cell volumes for per-run checks."""
+        """Crude bound sup|F| * sum |K| |phi| * cell volumes for per-run
+        checks, on the set-up's own arrays (built here if no apply built
+        them)."""
         st = self.setup.arrays
-        return float(np.sum(f_sup * np.abs(st["xw"]) @ np.abs(st["kmat"])))
+        return float(np.sum(f_sup * np.abs(st["xw"][0]) @ np.abs(st["kmat"])))
 
 
-def _columns(table: np.ndarray, have: np.ndarray, want: np.ndarray):
-    """Columns ``want`` of ``table``, whose columns sit at the sorted indices
-    ``have``; ``want`` is a sorted subset of ``have``."""
-    if len(want) == len(have):
-        return table
-    return table[:, np.searchsorted(have, want)]
+def _lead(first: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The sorted indices ``idx`` with their sorted subset ``first`` moved
+    to the front."""
+    return np.concatenate([first, np.setdiff1d(idx, first, assume_unique=True)])
 
 
-def _factor_uses(cfg: OperatorConfig, st: dict):
-    """(key, index set) of the x factor and of the y factor of ``cfg``."""
-    fn = cfg.functional
-    return (((fn.theta[0], fn.spec_x.phase, fn.spec_x.m, fn.deriv[0]),
-             st["x_idx"]),
-            ((fn.theta[1], fn.spec_y.phase, fn.spec_y.m, fn.deriv[1]),
-             st["y_idx"]))
+def _positions(have: np.ndarray, want: np.ndarray):
+    """Positions of the indices ``want`` in ``have``, which holds them all,
+    or None when the two are equal."""
+    if np.array_equal(have, want):
+        return None
+    sorter = np.argsort(have)
+    return sorter[np.searchsorted(have, want, sorter=sorter)]
 
 
-def apply_configs(configs: dict, values: np.ndarray, sigma2: float,
+def _take(table: np.ndarray, positions) -> np.ndarray:
+    return table if positions is None else table[:, positions]
+
+
+class OperatorPlan:
+    """What :func:`apply_configs` reads of ``configs`` (cell -> config)
+    that no draw changes: the kernel matrices, the union columns of every
+    factor key and each reader's positions in them (see the module
+    docstring).  Building the plan builds the kernel matrices."""
+
+    def __init__(self, configs: dict):
+        # (kernel, lattice, y radius) -> {id: set-up}; lattices by identity,
+        # as their axes are arrays
+        groups = {}
+        for cfg in configs.values():
+            st = cfg.setup
+            groups.setdefault((st.kernel, id(st.lattice), st.y_radius),
+                              {})[id(st)] = st
+        blocks, where = [], {}  # where: set-up id -> (block, position)
+        for group in groups.values():
+            setups = list(group.values())
+            blocks.append(setups[0].arrays if len(setups) == 1
+                          else _kernel_rows(setups))
+            where.update({sid: (len(blocks) - 1, pos)
+                          for pos, sid in enumerate(group)})
+        uses, union, y_first = {}, {}, {}
+        for cell, cfg in configs.items():
+            b, pos = where[id(cfg.setup)]
+            block, fn = blocks[b], cfg.functional
+            kx = (fn.theta[0], fn.spec_x.phase, fn.spec_x.m, fn.deriv[0])
+            ky = (fn.theta[1], fn.spec_y.phase, fn.spec_y.m, fn.deriv[1])
+            rows = block["rows"][pos]
+            uses[cell] = (kx, block["x_idx"][rows], (ky, b), rows,
+                          block["xw"][pos])
+            y_first.setdefault(ky, block["y_idx"])
+            for key, idx in ((kx, block["x_idx"][rows]), (ky, block["y_idx"])):
+                union[key] = np.union1d(union[key], idx) if key in union else idx
+        # a key's table holds the columns of its first y reader first, so
+        # that reader's factor is a leading slice of it, read without a copy
+        order = {key: _lead(y_first.get(key, idx[:0]), idx)
+                 for key, idx in union.items()}
+        self.shapes = {cfg.setup.lattice.shape for cfg in configs.values()}
+        self.cols = _lead(next(iter(order.values())),
+                          reduce(np.union1d, union.values()))
+        # key -> positions of its table's columns in cols
+        self.tables = {key: _positions(self.cols, idx)
+                       for key, idx in order.items()}
+        self.contractions, self.cells, self.last = {}, {}, {}
+        for cell, (kx, ix, (ky, b), rows, xw) in uses.items():
+            block = blocks[b]
+            y_idx = block["y_idx"]
+            lead = np.array_equal(order[ky][:len(y_idx)], y_idx)
+            self.contractions[ky, b] = (
+                slice(len(y_idx)) if lead else _positions(order[ky], y_idx),
+                block["kmat"])
+            full = len(rows) == len(block["x_idx"])
+            self.cells[cell] = (kx, _positions(order[kx], ix), (ky, b),
+                                None if full else rows, xw)
+            for name in (kx, ky, (ky, b)):
+                self.last[name] = cell
+
+
+def apply_configs(plan: OperatorPlan, values: np.ndarray, sigma2: float,
                   alpha: float, epsilon: float) -> dict:
-    """Double Riemann sums of phi_lam * K * F for every config of ``configs``
-    (cell -> config) over a batch of raw draws, shape (B, *lattice.shape):
-    cell -> shape (B,).  sigma2, alpha and epsilon are those of the draws'
-    spectrum.  Each distinct factor key is evaluated once, on the union of
-    the points its configs read (see the module docstring)."""
-    # kernel arrays first, so their build does not stack on the normalised draws
-    arrays = {cell: cfg.setup.arrays for cell, cfg in configs.items()}
-    for cfg in configs.values():
-        if values.shape[1:] != cfg.setup.lattice.shape:
+    """Double Riemann sums of phi_lam * K * F for every config of ``plan``
+    over a batch of raw draws, shape (B, *lattice.shape): cell -> shape
+    (B,).  sigma2, alpha and epsilon are those of the draws' spectrum.
+    Each distinct factor key is evaluated once, on the union of the points
+    its readers need (see the module docstring)."""
+    for shape in plan.shapes:
+        if values.shape[1:] != shape:
             raise ValueError(f"draws of shape {values.shape[1:]} do not match "
-                             f"the operator lattice {cfg.setup.lattice.shape}")
-    uses = {cell: _factor_uses(cfg, arrays[cell])
-            for cell, cfg in configs.items()}
-    union, last = {}, {}
-    for cell, pair in uses.items():
-        for key, idx in pair:
-            union[key] = np.union1d(union[key], idx) if key in union else idx
-            last[key] = cell
-    cols = reduce(np.union1d, union.values())
-    norm = values.reshape(len(values), -1)[:, cols]  # a copy, scaled in place
+                             f"the operator lattice {shape}")
+    norm = values.reshape(len(values), -1)[:, plan.cols]  # a copy, scaled in place
     norm *= epsilon ** (alpha / 2.0)
-    tables, out, unbuilt = {}, {}, set(union)
+    tables, contracted, out, unbuilt = {}, {}, {}, set(plan.tables)
 
-    def factor(key, idx):
+    def factor(key):
         nonlocal norm
         if key not in tables:
             theta, phase, m, r = key
             tables[key] = truncated_trig_deriv(
-                _columns(norm, cols, union[key]), theta, phase, m, r, sigma2)
+                _take(norm, plan.tables[key]), theta, phase, m, r, sigma2)
             unbuilt.discard(key)
             if not unbuilt:
                 norm = None  # every table is built
-        return _columns(tables[key], union[key], idx)
+        return tables[key]
 
-    for cell, ((kx, ix), (ky, iy)) in uses.items():
-        st = arrays[cell]
-        # one expression, so no factor outlives its cell
-        out[cell] = np.einsum("bx,x,bx->b", factor(ky, iy) @ st["kmat"].T,
-                              st["xw"], factor(kx, ix))
-        for key in (kx, ky):
-            if last[key] == cell:
-                tables.pop(key, None)
+    for cell, (kx, xpos, (ky, b), rows, xw) in plan.cells.items():
+        if (ky, b) not in contracted:
+            ypos, kmat = plan.contractions[ky, b]
+            contracted[ky, b] = _take(factor(ky), ypos) @ kmat.T
+        # one expression, so no gathered copy outlives its cell
+        out[cell] = np.einsum("bx,x,bx->b", _take(contracted[ky, b], rows), xw,
+                              _take(factor(kx), xpos))
+        for name, store in ((kx, tables), (ky, tables), ((ky, b), contracted)):
+            if plan.last[name] == cell:
+                store.pop(name, None)
     return out
 
 
@@ -169,4 +257,5 @@ def apply_batch(cfg: OperatorConfig, values: np.ndarray, sigma2: float,
     """Double Riemann sums of phi_lam * K * F over a batch of raw draws,
     shape (B, *lattice.shape); sigma2, alpha and epsilon are those of the
     draws' spectrum."""
-    return apply_configs({0: cfg}, values, sigma2, alpha, epsilon)[0]
+    return apply_configs(OperatorPlan({0: cfg}), values, sigma2, alpha,
+                         epsilon)[0]

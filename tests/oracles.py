@@ -18,7 +18,7 @@ from scipy.special import roots_hermitenorm, roots_legendre
 
 from chaoslab import kernel, rng, stats
 from chaoslab.chaos import phase_coeff_deriv, truncated_trig_deriv
-from chaoslab.geometry import metric_many
+from chaoslab.geometry import eval_test_function_many, metric_many
 from chaoslab.nonlinearity import _probe_family
 
 
@@ -670,16 +670,37 @@ def torus_lag_products(values: np.ndarray, lags) -> np.ndarray:
                      for k in lags], axis=1)
 
 
+def own_operator_arrays(setup) -> dict:
+    """x/y index sets, test weights and kernel matrix of one operator set-up,
+    built on its own: x over the set-up's test support, y over its ball of
+    radius y_radius less the columns where the kernel vanishes on that
+    support, and the kernel from :func:`dense_eval_K_many`.  Nothing is read
+    of the package's operator arrays, so a wrong row map or a shared matrix
+    read at the wrong rows shows against it."""
+    lat = setup.lattice
+    pts = lat.points()
+    phi = eval_test_function_many(setup.test, pts)
+    x_idx = np.nonzero(phi > 0.0)[0]
+    y_idx = np.nonzero(metric_many(pts, lat.geometry) <= setup.y_radius)[0]
+    kmat = dense_eval_K_many(pts[x_idx], pts[y_idx], setup.kernel,
+                             lat.base_step)
+    live = np.any(kmat != 0.0, axis=0)
+    return dict(x_idx=x_idx, y_idx=y_idx[live], xw=phi[x_idx] * lat.cell_volume,
+                kmat=kmat[:, live] * lat.cell_volume)
+
+
 def per_config_operator_values(cfg, values, sigma2: float, alpha: float,
                                epsilon: float) -> np.ndarray:
     """Operator sums of one config over a batch of raw draws, factor by factor.
 
-    The route ``operator`` used before configs shared their trig factors:
-    the whole draw is normalised, and both factors are evaluated on the
-    config's own x and y columns.  Only the set-up arrays and the truncated
-    trig factor are shared with the package.
+    The route ``operator`` used before configs shared their trig factors and
+    their kernel matrix: the set-up's arrays are built on their own
+    (:func:`own_operator_arrays`), the whole draw is normalised, and both
+    factors are evaluated on the config's own x and y columns.  Only the
+    test function, the metric, the kernel profile and the truncated trig
+    factor are shared with the package.
     """
-    st, fn = cfg.setup.arrays, cfg.functional
+    st, fn = own_operator_arrays(cfg.setup), cfg.functional
     flat = (epsilon ** (alpha / 2.0) * values).reshape(len(values), -1)
     fx = truncated_trig_deriv(flat[:, st["x_idx"]], fn.theta[0],
                               fn.spec_x.phase, fn.spec_x.m, fn.deriv[0], sigma2)

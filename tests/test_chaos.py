@@ -104,6 +104,33 @@ def test_truncated_sin_order_zero_is_identity():
     assert got == pytest.approx(math.sin(theta * x))
 
 
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("phase", range(4))
+def test_trig_factor_written_in_place_matches_allocating_form(phase, r):
+    # the factor is written over its theta * x temporary; it must keep the
+    # bits of the form that allocates at every step, leave x as it was and
+    # return a scalar for a scalar x
+    x = 2.0 * np.random.default_rng(5).standard_normal((7, 33))
+    x0 = x.copy()
+    theta, sigma2, m = 1.7, 0.8, 3
+
+    def allocating(z):
+        out = _SHIFTED[(phase + r) % 4](theta * z)
+        if r:
+            out = z**r * out
+        for k in range(m):
+            c = phase_coeff_deriv(phase, k, theta, sigma2, r=r)
+            if c != 0.0:
+                out = out - c * wick_power(z, k, sigma2)
+        return out
+
+    got = truncated_trig_deriv(x, theta, phase, m, r, sigma2)
+    assert np.array_equal(got, allocating(x))
+    assert np.array_equal(x, x0) and not np.shares_memory(got, x)
+    one = truncated_trig_deriv(x[0, 0], theta, phase, m, r, sigma2)
+    assert np.ndim(one) == 0 and one == allocating(x[0, 0])
+
+
 def test_truncation_orthogonality_exact():
     # E[T_(m-1)(trig(theta Z)) Z^{<>k}] = c_k k! sigma^{2k} - same, exactly zero for k < m
     for trig, m in (("cos", 2), ("sin", 3), ("cos", 4)):

@@ -239,6 +239,9 @@ def test_studies_match_golden_fixture_paired_synthesis():
 
 @pytest.mark.parametrize("n_samples", [100, 2 * SAMPLE_CHUNK + 1])
 def test_studies_build_each_setup_once(monkeypatch, n_samples):
+    # one kernel matrix per call, whatever the number of lambdas, thetas,
+    # eps and sample blocks: every lambda reads its rows of the matrix built
+    # on the union of the test supports
     builds = []
     eval_K_many = operator.eval_K_many
 
@@ -254,7 +257,7 @@ def test_studies_build_each_setup_once(monkeypatch, n_samples):
     builds.clear()
     scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.4, 0.2],
                  lambda_grid=[0.8, 0.6, 0.4], n=1, n_samples=n_samples, seed=2)
-    assert len(builds) == 3
+    assert len(builds) == 1
 
 
 def test_operator_at_taylor_depth_two_matches_pairwise_sum():
@@ -640,7 +643,7 @@ def test_scaling_scan_peak_memory_within_per_config_route():
     # the peak stays at or below the route that drew each eps on its own
     # and contracted each config on its own columns.  (Against the public
     # apply_batch, which shares the lean contraction, the transform shows:
-    # 5.2 MB against 4.0 MB, measured with numpy 2.4.)
+    # 4.5 MB against 4.0 MB, measured with numpy 2.4.)
     design = StudyDesign(alpha=0.6, m1=1, m2=1, trig1="sin", trig2="sin",
                          gamma=0.5, h=0.0125, extent=4.0)
     eps_grid, cells = [0.2, 0.1], [(1.0, (3.0, 3.0)), (0.6, (3.0, 3.0))]

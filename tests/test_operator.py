@@ -11,6 +11,7 @@ from chaoslab.geometry import ScalingGeometry, TestFunction, build_lattice
 from chaoslab.kernel import RenormKernel
 from chaoslab.operator import (
     OperatorConfig,
+    OperatorPlan,
     OperatorSetup,
     ResolutionError,
     apply_batch,
@@ -203,7 +204,8 @@ def test_shared_factors_match_per_config_route():
     for spec, values in zip(spectra, sample_fields(spectra, 6, indices)):
         alone = sample_field_values(spec, 6, indices)
         assert np.array_equal(values, alone)
-        got = apply_configs(configs, values, *spectrum_args(spec))
+        got = apply_configs(OperatorPlan(configs), values,
+                            *spectrum_args(spec))
         assert got.keys() == configs.keys()
         for cell, cfg in configs.items():
             want = per_config_operator_values(cfg, alone, *spectrum_args(spec))
@@ -228,8 +230,66 @@ def test_shared_factors_evaluated_once_per_key(monkeypatch):
         cfg.setup, test=TestFunction(geometry=G1, scale=lam)), cfg.functional)
         for lam in (1.0, 0.8, 0.6, 0.4)}
     values = sample_field_values(spec, 2, np.arange(5))
-    apply_configs(configs, values, *spectrum_args(spec))
+    apply_configs(OperatorPlan(configs), values, *spectrum_args(spec))
     union = set()
     for c in configs.values():
         union |= set(c.setup.arrays["x_idx"]) | set(c.setup.arrays["y_idx"])
     assert calls == [(5, len(union))]
+
+
+@pytest.mark.parametrize("r_e", [0, 2])
+@pytest.mark.parametrize("s", [(1.0,), (2.0, 1.0)])
+def test_shared_kernel_rows_match_own_set_ups(monkeypatch, s, r_e):
+    # set-ups that share kernel, lattice and y radius share one kernel
+    # matrix on the union of their supports and read it at their own rows.
+    # Two y radii give two matrices; in each, two test functions with
+    # different centres and scales have supports that overlap but neither
+    # holds the other.  Every value must be the one of the set-up's own
+    # matrix, built by the oracle on its own support and y ball.
+    g = ScalingGeometry(s)
+    lat = build_lattice(g, 0.05, 2.0) if len(s) == 1 else \
+        build_lattice(g, 0.2, 1.2)
+    kern = RenormKernel(gamma=0.45 if r_e == 2 else 0.4, g=g, r_e=r_e)
+    tests = [(-0.3, 0.6), (0.4, 0.5), (0.1, 0.7), (-0.5, 0.3)]  # (centre, lam)
+    setups = [OperatorSetup(kernel=kern, lattice=lat, y_radius=y_radius,
+                            test=TestFunction(geometry=g, scale=lam,
+                                              center=(c,) if len(s) == 1
+                                              else (c / 2, c)))
+              for (c, lam), y_radius in zip(tests, (1.0, 1.0, 2.0, 2.0))]
+    for a, b in ((0, 1), (2, 3)):
+        xa, xb = (set(setups[i].arrays["x_idx"]) for i in (a, b))
+        assert xa & xb and not xa <= xb and not xb <= xa
+    builds = []
+    eval_K_many = operator.eval_K_many
+
+    def counting(*args):
+        builds.append(len(args[0]))
+        return eval_K_many(*args)
+
+    monkeypatch.setattr(operator, "eval_K_many", counting)
+    sin1, cos2 = ChaosTruncSpec("sin", 1), ChaosTruncSpec("cos", 2)
+    fns = [TwoPointFunctional(sin1, sin1, (1.0, 2.0)),
+           TwoPointFunctional(cos2, sin1, (2.0, 1.0), deriv=(0, 1))]
+    configs = {(i, j): OperatorConfig(setup, fn)
+               for i, setup in enumerate(setups) for j, fn in enumerate(fns)}
+    plan = OperatorPlan(configs)
+    supports = [set(st.arrays["x_idx"]) for st in setups]
+    assert builds == [len(supports[0] | supports[1]),
+                      len(supports[2] | supports[3])]
+    values = np.random.default_rng(8).standard_normal((6,) + lat.shape)
+    got = apply_configs(plan, values, *SYNTHETIC)
+    for cell, cfg in configs.items():
+        want = per_config_operator_values(cfg, values, *SYNTHETIC)
+        assert np.array_equal(got[cell], want), cell
+
+
+def test_set_up_rejects_mixed_scaling_vectors():
+    # a kernel, test function and lattice on different scaling vectors
+    # would pair a support measured in one metric with a kernel in another
+    g21, g11 = ScalingGeometry((2.0, 1.0)), ScalingGeometry((1.0, 1.0))
+    lat = build_lattice(g21, 0.1, 2.0)
+    for kern_g, test_g in ((g21, g11), (g11, g21)):
+        with pytest.raises(ValueError, match="scaling vectors"):
+            OperatorSetup(kernel=RenormKernel(gamma=0.4, g=kern_g, r_e=0),
+                          test=TestFunction(geometry=test_g, scale=0.4),
+                          lattice=lat)
