@@ -247,8 +247,11 @@ def _mollified_deriv(spec: NonlinearitySpec, ell: int, u):
     inside, 2.0e-14 at +-delta and 7e-16 out to 750 at ell in {0, 1, 2}; at
     ell = 3, within 4.6e-14 for sign(u)|u|^3.3, and within 5.2e-12 inside
     and 6.7e-12 at +-delta for |u|^2.5, where F^(3) ~ |u|^(-1/2) and the
-    quadrature itself reports roundoff.  Points are walked in blocks so that
-    the (points x nodes) temporaries of the outside rule stay about 1 MB.
+    quadrature itself reports roundoff.  The outside rule writes
+    c |u - delta t|^a into one (points x nodes) temporary in place and takes
+    the sign of an odd kind after the node sum, the same bits as
+    F^(ell)(u - delta t) @ w; points are walked in blocks of _BLOCK so that
+    temporary stays about 1 MB.
     """
     if spec.kind != "polynomial" and spec.power - ell <= -1.0:
         raise ValueError(f"order-{ell} mollified derivative of |u|^{spec.power:g} "
@@ -271,17 +274,28 @@ def _mollified_block(spec: NonlinearitySpec, ell: int, u: np.ndarray) -> np.ndar
     t, w = _bump_rule()
     if spec.kind == "polynomial":
         return spec._raw_deriv(ell, u[:, None] - delta * t) @ w
+    c, a, odd = spec._power_law(ell)
     tstar = u / delta
     kink = np.abs(tstar) < 1.0
     n_kink = np.count_nonzero(kink)
     out = np.empty_like(u)
     if n_kink < u.size:
+        # c |u - delta t|^a sign(u - delta t)^odd over one temporary; outside
+        # the kink every node's u - delta t has the sign of u, and a sign
+        # flip commutes exactly with the node sum
         smooth = ~kink
-        out[smooth] = spec._raw_deriv(ell, u[smooth][:, None] - delta * t) @ w
+        us = u[smooth]
+        vals = us[:, None] - delta * t
+        np.abs(vals, out=vals)
+        vals **= a  # the operator keeps numpy's scalar-power fast paths
+        vals *= c
+        vals = vals @ w
+        if odd:
+            vals *= np.sign(us)
+        out[smooth] = vals
     if n_kink:
         # half-widths h = (1 + t*)/2 and (1 - t*)/2 of the sides (-1, t*) and
         # (t*, 1): a point and its mirror image swap them exactly
-        c, a, odd = spec._power_law(ell)
         left, right = _kink_sides(a, 0.5 + np.multiply.outer((0.5, -0.5), tstar[kink]))
         # u - delta t is positive on the left side and negative on the right
         out[kink] = c * delta**a / _BUMP_MASS * (left - right if odd else left + right)
@@ -310,8 +324,14 @@ class WindowNormQuery:
     n_probes: int = 6
 
     def __post_init__(self):
+        if not self.ells:
+            raise ValueError("ells must hold at least one derivative order")
         if len(self.ells) != len(self.center):
             raise ValueError("one window center per derivative order required")
+        for name, low in (("m_probe", 0), ("n_probes", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @lru_cache(maxsize=32)
@@ -356,8 +376,12 @@ def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float
     returns per-probe decay fits (amp, rate) with
     |Psi_j(x)| <~ amp * exp(-rate * sqrt(|x|)), estimated on the clean range
     above the double-precision floor; the tail guard extrapolates with these
-    because the computed transform bottoms out near 1e-14.
+    because the computed transform bottoms out near 1e-14.  An x_max or dx
+    that is not finite and positive raises ValueError.
     """
+    for name, value in (("x_max", x_max), ("dx", dx_target)):
+        if not 0.0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     u, probes = _probe_family(n_probes, m_probe)
     du = float(u[1] - u[0])
     nfft = 1 << 21
@@ -397,11 +421,15 @@ def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
     """|<transform of f, probe_j(. - center)>| for every probe.
 
     ``values(x)`` gives f on an array of x: a derivative F^(ell), or the
-    difference of two derivatives.  The tail guard integrates |f| against
-    the fitted transform envelope beyond x_max (with a factor-100 safety
-    margin) and raises when it exceeds _TAIL_TOL of the absolute integrand
-    mass; pairings themselves can be tiny through cancellation, so they do
-    not set the health scale.  A non-finite value of f (a derivative
+    difference of two derivatives.  Every pairing is the trapezoid sum of
+    f(x) e^{-i center x} Psi_j(x) over the transform's grid, so f times the
+    modulation, with the trapezoid's half weights at the two ends, is formed
+    once and all probes take it in one complex matrix product.  The tail
+    guard integrates |f| against the fitted transform envelope beyond x_max
+    (with a factor-100 safety margin) and raises when it exceeds _TAIL_TOL
+    of the absolute integrand mass sum_x |Psi_j| |f| dx, taken one probe row
+    at a time; pairings themselves can be tiny through cancellation, so they
+    do not set the health scale.  A non-finite value of f (a derivative
     singular at a grid point) raises ValueError instead of a NaN norm.
     """
     x, psi, fits = _probe_transform(n_probes, m_probe, x_max, dx)
@@ -414,23 +442,22 @@ def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
         if bad.any():
             raise ValueError(f"paired function is not finite at x = "
                              f"{grid[bad][0]:.6g}")
-    mod = np.exp(-1j * center * x)
-    out = np.empty(n_probes)
+    fabs = np.abs(fvals)
     for j in range(n_probes):
-        integrand = fvals * mod * psi[j]
-        total = np.trapezoid(integrand, dx=dx) / (2.0 * math.pi)
-        whole_abs = float(np.sum(np.abs(integrand))) * dx
         amp, rate = fits[j]
         if rate <= 0.0:
             raise TailTruncationError("no usable decay fit; widen x_max")
+        whole_abs = float(np.abs(psi[j]) @ fabs) * dx
         tail_abs = 200.0 * float(np.trapezoid(
             ft * amp * np.exp(-rate * np.sqrt(xt)), xt))
         if tail_abs > _TAIL_TOL * whole_abs:
             raise TailTruncationError(
                 f"extrapolated tail share {tail_abs / whole_abs:.3g} exceeds "
                 f"{_TAIL_TOL:.1g}; widen x_max")
-        out[j] = abs(total)
-    return out
+    g = np.exp(-1j * center * x)
+    g *= fvals
+    g[[0, -1]] *= 0.5
+    return np.abs(psi @ g) * (dx / (2.0 * math.pi))
 
 
 def window_norm(spec: NonlinearitySpec, q: WindowNormQuery, x_max: float = 1500.0,

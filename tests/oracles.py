@@ -19,7 +19,14 @@ from scipy.special import roots_hermitenorm, roots_legendre
 from chaoslab import kernel, rng, stats
 from chaoslab.chaos import phase_coeff_deriv, truncated_trig_deriv
 from chaoslab.geometry import eval_test_function_many, metric_many
-from chaoslab.nonlinearity import _probe_family
+from chaoslab.nonlinearity import (
+    _BLOCK,
+    _TAIL_TOL,
+    TailTruncationError,
+    _bump_rule,
+    _probe_family,
+    _probe_transform,
+)
 
 
 def _orthonormal_hermite(x, order):
@@ -496,6 +503,27 @@ def legendre_mollified_deriv(spec, ell: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
+
+def allocating_outside_rule(spec, ell: int, u: np.ndarray) -> np.ndarray:
+    """The outside rule of ``nonlinearity._mollified_block`` as the package
+    wrote it before it took one temporary: ``spec._raw_deriv(ell, u - delta
+    t) @ w`` over the 32-node bump rule, which allocates the modulus, its
+    power, a sign array (ones for an even kind) and two products.
+
+    A power kind's points with |u / delta| < 1 read NaN; the rest are taken
+    per block of ``_BLOCK`` points as the package walks them, so every row
+    of the node sum sits where the package puts it.
+    """
+    t, w = _bump_rule()
+    delta = spec.delta
+    out = np.full(u.shape, np.nan)
+    for start in range(0, u.size, _BLOCK):
+        block = u[start:start + _BLOCK]
+        smooth = np.abs(block / delta) >= 1.0
+        out[start:start + _BLOCK][smooth] = spec._raw_deriv(
+            ell, block[smooth][:, None] - delta * t) @ w
+    return out
+
 def _rho(t: float) -> float:
     return math.exp(1.0 - 1.0 / (1.0 - t * t)) if abs(t) < 1.0 else 0.0
 
@@ -901,6 +929,44 @@ def probe_transform_full_fft(n_probes: int, m_probe: int, x_max: float,
     x = np.concatenate([-xpos[:0:-1], xpos])
     return x, np.concatenate([np.conj(out_pos[:, :0:-1]), out_pos], axis=1)
 
+
+
+def per_probe_factor_pairings(values, center: int, m_probe: int,
+                              n_probes: int, x_max: float, dx: float):
+    """(pairings, absolute masses) of ``nonlinearity._factor_pairings``,
+    one probe at a time.
+
+    The route the package took before it formed f times the modulation once
+    and paired every probe in one matrix product: per probe, the integrand
+    f(x) e^{-i center x} Psi_j(x), its trapezoid sum and the sum of its
+    modulus, with the same tail guard.  The masses sum |integrand| dx / 2 pi
+    are the scale of the pairings' rounding.  Only the probe transform is
+    shared with the package.
+    """
+    x, psi, fits = _probe_transform(n_probes, m_probe, x_max, dx)
+    xt = np.geomspace(x_max, 20.0 * x_max, 200)
+    with np.errstate(all="ignore"):
+        fvals = values(x)
+        ft = np.abs(values(xt))
+    mod = np.exp(-1j * center * x)
+    out = np.empty(n_probes)
+    mass = np.empty(n_probes)
+    for j in range(n_probes):
+        integrand = fvals * mod * psi[j]
+        total = np.trapezoid(integrand, dx=dx) / (2.0 * math.pi)
+        whole_abs = float(np.sum(np.abs(integrand))) * dx
+        amp, rate = fits[j]
+        if rate <= 0.0:
+            raise TailTruncationError("no usable decay fit; widen x_max")
+        tail_abs = 200.0 * float(np.trapezoid(
+            ft * amp * np.exp(-rate * np.sqrt(xt)), xt))
+        if tail_abs > _TAIL_TOL * whole_abs:
+            raise TailTruncationError(
+                f"extrapolated tail share {tail_abs / whole_abs:.3g} exceeds "
+                f"{_TAIL_TOL:.1g}; widen x_max")
+        out[j] = abs(total)
+        mass[j] = whole_abs / (2.0 * math.pi)
+    return out, mass
 
 def _partial_pairings(legs: list[int]):
     """Yield (pairs, singles) decompositions of the index list ``legs``."""

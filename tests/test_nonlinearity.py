@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from chaoslab.nonlinearity import (
 )
 
 from oracles import (
+    allocating_outside_rule,
     gauss_jacobi_kink_deriv,
+    per_probe_factor_pairings,
     probe_transform_full_fft,
     quad_bump_mass,
     quad_mollified_deriv,
@@ -264,6 +267,27 @@ def test_kink_points_evaluate_no_bump(monkeypatch):
     assert sum(calls) > 0
 
 
+
+@pytest.mark.parametrize("spec", POWER_KINDS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("delta", [0.2, 0.4])
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [4095, 4096, 4097])
+def test_outside_rule_matches_allocating_form(spec, delta, ell, n):
+    # the one-temporary outside rule gives the bits of F^(ell)(u - delta t) @ w
+    # at every point with no kink in its support: kink and outside points
+    # mixed, +-delta itself, both signs out to 750, at one block, one point
+    # short of it and one point past it
+    md = mollify(spec, delta)
+    gen = rng.substream(11, 6)
+    u = np.concatenate([gen.uniform(-delta, delta, n // 4), [-delta, delta],
+                        gen.uniform(-3.0, 3.0, n // 4),
+                        gen.uniform(-750.0, 750.0, n - 2 - 2 * (n // 4))])
+    gen.shuffle(u)
+    got, want = md.deriv(ell, u), allocating_outside_rule(md, ell, u)
+    outside = ~np.isnan(want)
+    assert u.size == n and 0 < np.count_nonzero(outside) < n
+    assert np.array_equal(got[outside], want[outside])
+
 def test_deriv_rejects_negative_order():
     f = make_nonlinearity("power_even", beta=0.5)
     for spec in (f, mollify(f, 0.2)):
@@ -393,6 +417,66 @@ def test_window_norm_rejects_non_finite_derivative():
             with pytest.raises(ValueError, match="not finite"):
                 norm()
 
+
+
+# 24 cases: |u|^2.5 at ell <= 2, two ranges, two centres, the window
+# norm and the difference norm at delta = 0.2; cases share a range in a row
+# so the two-entry probe transform cache holds
+PAIRING_CASES = [(x_max, ell, center, diff)
+                 for x_max in (750.0, 1500.0) for ell in (0, 1, 2)
+                 for center in (4, 8) for diff in (False, True)]
+# largest |pairing - oracle| over the cases, in units of the oracle's
+# absolute mass sum |f Psi_j| dx / 2 pi: 8.1e-16 (the difference norms at
+# ell = 2); as relative changes of the norm, at most 6.5e-13 (ell = 0 at
+# x_max = 1500, the transform's rounding floor) and 2.6e-15 elsewhere
+PAIRING_MASS_TOL = 2e-15
+
+
+def test_factor_pairings_match_per_probe_oracle():
+    f = make_nonlinearity("power_even", beta=0.5)
+    moll = mollify(f, 0.2)
+    raised = 0
+    for x_max, ell, center, diff in PAIRING_CASES:
+        if diff:
+            def values(x, ell=ell):
+                return f.deriv(ell, x) - moll.deriv(ell, x)
+        else:
+            values = partial(f.deriv, ell)
+        args = (values, center, 4, 6, x_max, 0.006)
+        try:
+            want, mass = per_probe_factor_pairings(*args)
+        except TailTruncationError as err:
+            # the same guard raises with the same share
+            with pytest.raises(TailTruncationError, match=str(err)[:32]):
+                nonlinearity._factor_pairings(*args)
+            raised += 1
+            continue
+        got = nonlinearity._factor_pairings(*args)
+        assert np.all(np.abs(got - want) <= PAIRING_MASS_TOL * mass)
+    # the four window norms at ell <= 1 on the shorter range
+    assert raised == 4
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_probes": 0}, "n_probes"), ({"n_probes": -2}, "n_probes"),
+    ({"m_probe": -1}, "m_probe"), ({"ells": (), "center": ()}, "ells")])
+def test_window_norm_query_rejects_bad_arguments(kwargs, match):
+    args = {"ells": (2,), "center": (4,), "m_probe": 4} | kwargs
+    with pytest.raises(ValueError, match=match):
+        WindowNormQuery(**args)
+
+
+@pytest.mark.parametrize("grid, match", [
+    ({"x_max": 0.0}, "x_max"), ({"x_max": -5.0}, "x_max"),
+    ({"x_max": math.nan}, "x_max"), ({"dx": 0.0}, "dx"),
+    ({"dx": -0.006}, "dx")])
+def test_window_norms_reject_bad_grid(grid, match):
+    f = make_nonlinearity("power_even", beta=0.5)
+    q = WindowNormQuery(ells=(2,), center=(4,), m_probe=4)
+    for norm in (lambda: window_norm(f, q, **grid),
+                 lambda: window_norm_difference(f, 0.2, q, **grid)):
+        with pytest.raises(ValueError, match=match):
+            norm()
 
 # the probe transform's native x-spacing 2 pi / (2^21 du), du = 1/512
 _DX0 = 2.0 * math.pi * 512 / (1 << 21)
