@@ -9,9 +9,11 @@ Monte Carlo estimators here quantify: :func:`volume_Sc` against the product
 bound (eps ^ n|s|) * (lambda ^ n|s|) up to a single constant,
 :func:`volume_lemma_check` for the kernel's two restricted-volume
 integrals, and :func:`partition_sum_check` for the decomposition of the
-complement into chain-connected blocks.  All draw through one batch loop,
-and all reject a scale or grid that is empty, not finite or not positive
-before drawing.
+complement into chain-connected blocks.  Their uniform configurations come
+from one batch loop, ``_box_batches``; the near part of
+:func:`volume_lemma_check` draws its n_mc importance samples at once and
+tests them in slices of the same batch size.  All reject a scale or grid
+that is empty, not finite or not positive before drawing.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from .operator import OperatorConfig, OperatorPlan, OperatorSetup, \
 # the benchmark's tracer wraps moment_norm and reads BOOTSTRAP_RESAMPLES here
 # by name: the studies resample through this name, once per call
 from .stats import BOOTSTRAP_RESAMPLES, MomentEstimate, moment_norm  # noqa: F401
+from .stats import _check_half_order
 
 
 class QuadratureRefinementNeeded(RuntimeError):
@@ -136,8 +137,10 @@ def _study(design: StudyDesign, eps_grid: list[float], cells: list,
     synthesised once for every eps (:func:`field.sample_fields`), and every
     sample's noise comes from its own counter substream, so the blocking
     changes no number.  The (draws x pairs) table is resampled once, from
-    BOOTSTRAP tag ``tag``.
+    BOOTSTRAP tag ``tag``.  A bad half-order n raises before the plan is
+    built.
     """
+    _check_half_order(n)
     lat = design.lattice()
     setups = {lam: design.operator_setup(lam, lat) for lam, _ in cells}
     spectra = [design.spectrum(eps, lat) for eps in eps_grid]

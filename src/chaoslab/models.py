@@ -53,7 +53,7 @@ from .geometry import Lattice, ScalingGeometry, TestFunction, bump_profile, \
     eval_test_function_many, lattice_from_counts, metric_many
 from .kernel import smooth_cutoff
 from .nonlinearity import Derivative, NonlinearitySpec, gaussian_mean, mollify
-from .stats import MomentEstimate, moment_norm
+from .stats import MomentEstimate, _check_half_order, moment_norm
 
 KPZ_GEOMETRY = ScalingGeometry((2.0, 1.0))
 PHI4_GEOMETRY = ScalingGeometry((2.0, 1.0, 1.0, 1.0))
@@ -300,7 +300,9 @@ def _gap_study(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec,
     """Moment norm, over draws 0, ..., n_samples - 1 synthesised in blocks,
     of the pairing of make_object(F) - make_object(F mollified at delta)
     with the bump at scale lam.  make_object(fl, a, field) maps one draw to
-    a lattice array; the field and the bump are built once."""
+    a lattice array; the field and the bump are built once.  Bad arguments
+    raise before either is built."""
+    _check_half_order(n)
     if not (math.isfinite(a) and a != 0.0):
         raise ValueError(f"a must be finite and non-zero, got {a!r}")
     if mfspec.epsilon < 2 * mfspec.h:

@@ -91,8 +91,14 @@ class NonlinearitySpec:
             c = npoly.polyder(self.coeffs, ell) if ell else np.asarray(self.coeffs)
             return npoly.polyval(u, c)
         c, a, odd = self._power_law(ell)
-        sgn = np.sign(u) if odd else np.ones_like(u)
-        return c * np.abs(u) ** a * sgn
+        # in place; np.abs of a 0-d u is a numpy scalar, so a scalar keeps
+        # the scalar power
+        v = np.abs(u)
+        v **= a
+        v *= c
+        if odd:
+            v *= np.sign(u)
+        return v
 
     def _power_law(self, ell: int) -> tuple[float, float, bool]:
         """(c, a, odd) with F^(ell)(u) = c |u|^a sign(u)^odd, a power kind."""

@@ -20,19 +20,20 @@ evaluated at them.
 Neither the kernel matrix nor the test-function weights depend on the
 frequency theta, and the kernel matrix depends on the test function only
 through the x rows it is read at.  An ``OperatorSetup`` (kernel, test
-function, lattice, y radius) builds its own arrays at first use and keeps
-them for its lifetime; its fields are frozen, so the arrays cannot go stale.
-An ``OperatorConfig`` pairs a set-up with the theta-dependent functional.
+function, lattice, y radius) is a frozen value that holds no arrays, and an
+``OperatorConfig`` pairs a set-up with the theta-dependent functional.
+:func:`_kernel_rows` is the one builder of the kernel matrix, by one
+``eval_K_many`` call.
 
 An :class:`OperatorPlan` holds what the draws do not change of a dict of
-configs.  Set-ups that share kernel, lattice and y radius share one kernel
-matrix, built by one ``eval_K_many`` call on the union of their x supports;
-each keeps only its row positions in it and its test weights (a lone set-up
-reads its own arrays).  A y column that is live for the union but not for
-one set-up holds zeros in that set-up's rows, so its sum over the shared
-columns is its own sum; with numpy 2.4's OpenBLAS it is bit for bit, as the
-tests check.  The studies in ``experiments`` build one plan per call,
-shared by every lambda, theta and sample block.
+configs, and owns their one kernel matrix.  The configs' set-ups must share
+kernel, lattice and y radius; the matrix's rows are the union of their x
+supports, and each set-up keeps only its row positions in it and its test
+weights.  A y column that is live for the union but not for one set-up holds
+zeros in that set-up's rows, so its sum over the shared columns is its own
+sum; with numpy 2.4's OpenBLAS it is bit for bit, as the tests check.  The
+studies in ``experiments`` build one plan per call, shared by every lambda,
+theta and sample block.
 
 :func:`apply_configs` reads a batch of draws, as
 ``field.sample_field_values`` returns them, against a plan.  A truncated
@@ -42,10 +43,11 @@ the union of the lattice points at which any config needs it (the x
 supports of its x readers and the live y columns of its y readers), and
 each reader gathers its columns from that table at positions the plan
 computed once.  Only those union columns are normalised by eps^{alpha/2},
-which commutes exactly with the gather.  Each distinct pair of y factor and
-kernel matrix is contracted once, G = f_y @ K^T over the matrix's rows, and
-each config sums its own rows of G against its test weights and its x
-factor.  A table or contraction is freed after its last reader.
+which commutes exactly with the gather.  A y key's table holds the
+matrix's columns first, so each distinct y factor is contracted once, as
+G = f_y @ K^T over a leading slice of its table, and each config sums its
+own rows of G against its test weights and its x factor.  A table or
+contraction is freed after its last reader.
 :func:`apply_batch` is the one-config case.  The two are the module's only
 evaluation routes: a single sum of one factor against the test function is
 not an operator value, and no study reads one.
@@ -54,7 +56,7 @@ not an operator value, and no study reads one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -68,17 +70,21 @@ class ResolutionError(RuntimeError):
 
 
 def _kernel_rows(setups: list) -> dict:
-    """One kernel matrix for ``setups``, which share kernel, lattice and y
-    radius, times the cell volume.
+    """One kernel matrix for ``setups``, times the cell volume: the
+    operator's one matrix builder.
 
-    Its rows are the union ``x_idx`` of their test-function supports, its
-    columns ``y_idx`` the ball of radius y_radius less the points where
-    K(., y) vanishes on every row.  ``rows`` and ``xw`` hold, in the order
-    of ``setups``, each set-up's row positions and its test weights times
-    the cell volume.
+    The set-ups must share kernel, lattice and y radius (ValueError
+    otherwise, or when there are none).  The matrix's rows are the union
+    ``x_idx`` of their test-function supports, its columns ``y_idx`` the
+    ball of radius y_radius less the points where K(., y) vanishes on every
+    row.  ``rows`` and ``xw`` hold, in the order of ``setups``, each
+    set-up's row positions and its test weights times the cell volume.
     """
-    first = setups[0]
-    lat = first.lattice
+    # lattices by identity, as their axes are arrays
+    if len({(st.kernel, id(st.lattice), st.y_radius) for st in setups}) != 1:
+        raise ValueError("a kernel matrix needs one or more set-ups that "
+                         "share kernel, lattice and y radius")
+    lat = setups[0].lattice
     pts = lat.points()
     supports, weights = [], []
     for setup in setups:
@@ -91,8 +97,8 @@ def _kernel_rows(setups: list) -> dict:
         supports.append(support)
         weights.append(phi[support] * lat.cell_volume)
     x_idx = reduce(np.union1d, supports)
-    y_idx = np.nonzero(metric_many(pts, lat.geometry) <= first.y_radius)[0]
-    kmat = eval_K_many(pts[x_idx], pts[y_idx], first.kernel, lat.base_step)
+    y_idx = np.nonzero(metric_many(pts, lat.geometry) <= setups[0].y_radius)[0]
+    kmat = eval_K_many(pts[x_idx], pts[y_idx], setups[0].kernel, lat.base_step)
     live = np.any(kmat != 0.0, axis=0)
     return dict(x_idx=x_idx, y_idx=y_idx[live],
                 kmat=kmat[:, live] * lat.cell_volume,
@@ -101,7 +107,9 @@ def _kernel_rows(setups: list) -> dict:
 
 @dataclass(frozen=True)
 class OperatorSetup:
-    """The theta-independent part of the operator, with its arrays built once."""
+    """The theta-independent part of the operator: a frozen value, whose
+    kernel matrix an :class:`OperatorPlan` builds (see the module
+    docstring)."""
 
     kernel: RenormKernel
     test: TestFunction
@@ -116,12 +124,6 @@ class OperatorSetup:
         if len(set(scalings.values())) > 1:
             raise ValueError(f"the set-up's scaling vectors differ: {scalings}")
 
-    @cached_property
-    def arrays(self) -> dict:
-        """This set-up's kernel matrix on its own support (see _kernel_rows),
-        so ``xw`` and ``rows`` hold one entry each."""
-        return _kernel_rows([self])
-
 
 @dataclass(frozen=True)
 class OperatorConfig:
@@ -130,9 +132,8 @@ class OperatorConfig:
 
     def sanity_envelope(self, f_sup: float) -> float:
         """Crude bound sup|F| * sum |K| |phi| * cell volumes for per-run
-        checks, on the set-up's own arrays (built here if no apply built
-        them)."""
-        st = self.setup.arrays
+        checks, on a kernel matrix built for the set-up alone."""
+        st = _kernel_rows([self.setup])
         return float(np.sum(f_sup * np.abs(st["xw"][0]) @ np.abs(st["kmat"])))
 
 
@@ -157,60 +158,41 @@ def _take(table: np.ndarray, positions) -> np.ndarray:
 
 class OperatorPlan:
     """What :func:`apply_configs` reads of ``configs`` (cell -> config)
-    that no draw changes: the kernel matrices, the union columns of every
+    that no draw changes: the one kernel matrix, the union columns of every
     factor key and each reader's positions in them (see the module
-    docstring).  Building the plan builds the kernel matrices."""
+    docstring).  The configs' set-ups must share kernel, lattice and y
+    radius; building the plan builds the kernel matrix."""
 
     def __init__(self, configs: dict):
-        # (kernel, lattice, y radius) -> {id: set-up}; lattices by identity,
-        # as their axes are arrays
-        groups = {}
-        for cfg in configs.values():
-            st = cfg.setup
-            groups.setdefault((st.kernel, id(st.lattice), st.y_radius),
-                              {})[id(st)] = st
-        blocks, where = [], {}  # where: set-up id -> (block, position)
-        for group in groups.values():
-            setups = list(group.values())
-            blocks.append(setups[0].arrays if len(setups) == 1
-                          else _kernel_rows(setups))
-            where.update({sid: (len(blocks) - 1, pos)
-                          for pos, sid in enumerate(group)})
-        uses, union, y_first = {}, {}, {}
+        setups = {id(cfg.setup): cfg.setup for cfg in configs.values()}
+        block = _kernel_rows(list(setups.values()))
+        own = dict(zip(setups, zip(block["rows"], block["xw"])))
+        x_idx, y_idx = block["x_idx"], block["y_idx"]
+        # the last cell to read each factor table and each y key's contraction
+        uses, union, self.last, self.last_y = {}, {}, {}, {}
         for cell, cfg in configs.items():
-            b, pos = where[id(cfg.setup)]
-            block, fn = blocks[b], cfg.functional
+            fn, (rows, xw) = cfg.functional, own[id(cfg.setup)]
             kx = (fn.theta[0], fn.spec_x.phase, fn.spec_x.m, fn.deriv[0])
             ky = (fn.theta[1], fn.spec_y.phase, fn.spec_y.m, fn.deriv[1])
-            rows = block["rows"][pos]
-            uses[cell] = (kx, block["x_idx"][rows], (ky, b), rows,
-                          block["xw"][pos])
-            y_first.setdefault(ky, block["y_idx"])
-            for key, idx in ((kx, block["x_idx"][rows]), (ky, block["y_idx"])):
+            uses[cell] = (kx, ky, rows, xw)
+            self.last.update({kx: cell, ky: cell})
+            self.last_y[ky] = cell
+            for key, idx in ((kx, x_idx[rows]), (ky, y_idx)):
                 union[key] = np.union1d(union[key], idx) if key in union else idx
-        # a key's table holds the columns of its first y reader first, so
-        # that reader's factor is a leading slice of it, read without a copy
-        order = {key: _lead(y_first.get(key, idx[:0]), idx)
+        # a y key's table holds the matrix's columns first, so its factor is
+        # a leading slice of the table, read without a copy
+        order = {key: _lead(y_idx, idx) if key in self.last_y else idx
                  for key, idx in union.items()}
-        self.shapes = {cfg.setup.lattice.shape for cfg in configs.values()}
+        self.shape = next(iter(setups.values())).lattice.shape
+        self.kmat, self.ny = block["kmat"], len(y_idx)
         self.cols = _lead(next(iter(order.values())),
                           reduce(np.union1d, union.values()))
         # key -> positions of its table's columns in cols
         self.tables = {key: _positions(self.cols, idx)
                        for key, idx in order.items()}
-        self.contractions, self.cells, self.last = {}, {}, {}
-        for cell, (kx, ix, (ky, b), rows, xw) in uses.items():
-            block = blocks[b]
-            y_idx = block["y_idx"]
-            lead = np.array_equal(order[ky][:len(y_idx)], y_idx)
-            self.contractions[ky, b] = (
-                slice(len(y_idx)) if lead else _positions(order[ky], y_idx),
-                block["kmat"])
-            full = len(rows) == len(block["x_idx"])
-            self.cells[cell] = (kx, _positions(order[kx], ix), (ky, b),
-                                None if full else rows, xw)
-            for name in (kx, ky, (ky, b)):
-                self.last[name] = cell
+        self.cells = {cell: (kx, _positions(order[kx], x_idx[rows]), ky,
+                             None if len(rows) == len(x_idx) else rows, xw)
+                      for cell, (kx, ky, rows, xw) in uses.items()}
 
 
 def apply_configs(plan: OperatorPlan, values: np.ndarray, sigma2: float,
@@ -220,10 +202,9 @@ def apply_configs(plan: OperatorPlan, values: np.ndarray, sigma2: float,
     (B,).  sigma2, alpha and epsilon are those of the draws' spectrum.
     Each distinct factor key is evaluated once, on the union of the points
     its readers need (see the module docstring)."""
-    for shape in plan.shapes:
-        if values.shape[1:] != shape:
-            raise ValueError(f"draws of shape {values.shape[1:]} do not match "
-                             f"the operator lattice {shape}")
+    if values.shape[1:] != plan.shape:
+        raise ValueError(f"draws of shape {values.shape[1:]} do not match "
+                         f"the operator lattice {plan.shape}")
     norm = values.reshape(len(values), -1)[:, plan.cols]  # a copy, scaled in place
     norm *= epsilon ** (alpha / 2.0)
     tables, contracted, out, unbuilt = {}, {}, {}, set(plan.tables)
@@ -239,16 +220,17 @@ def apply_configs(plan: OperatorPlan, values: np.ndarray, sigma2: float,
                 norm = None  # every table is built
         return tables[key]
 
-    for cell, (kx, xpos, (ky, b), rows, xw) in plan.cells.items():
-        if (ky, b) not in contracted:
-            ypos, kmat = plan.contractions[ky, b]
-            contracted[ky, b] = _take(factor(ky), ypos) @ kmat.T
+    for cell, (kx, xpos, ky, rows, xw) in plan.cells.items():
+        if ky not in contracted:
+            contracted[ky] = factor(ky)[:, :plan.ny] @ plan.kmat.T
         # one expression, so no gathered copy outlives its cell
-        out[cell] = np.einsum("bx,x,bx->b", _take(contracted[ky, b], rows), xw,
+        out[cell] = np.einsum("bx,x,bx->b", _take(contracted[ky], rows), xw,
                               _take(factor(kx), xpos))
-        for name, store in ((kx, tables), (ky, tables), ((ky, b), contracted)):
-            if plan.last[name] == cell:
-                store.pop(name, None)
+        for key, store, last in ((kx, tables, plan.last),
+                                 (ky, tables, plan.last),
+                                 (ky, contracted, plan.last_y)):
+            if last[key] == cell:
+                store.pop(key, None)
     return out
 
 

@@ -23,6 +23,7 @@ product only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -40,6 +41,13 @@ class MomentEstimate:
     value: float
     ci: tuple[float, float]
     n_samples: int
+
+
+def _check_half_order(n) -> None:
+    """ValueError, naming ``n``, unless the half-order n is an integer >= 1;
+    the studies call it before their first draw."""
+    if not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"half-order n must be an integer >= 1, got {n!r}")
 
 
 def bootstrap_means(x: np.ndarray, seed: int, tag: int) -> np.ndarray:
@@ -72,9 +80,8 @@ def moment_norm(values, n: int, seed: int = 0, tag: int = 0):
     :class:`MomentEstimate`.  A (draws, cells) array gives a list of
     estimates, one per column, whose intervals share one set of resamples.
     """
+    _check_half_order(n)
     values = np.asarray(values, dtype=float)
-    if n < 1:
-        raise ValueError("half-order n must be >= 1")
     single = values.ndim != 2
     table = values.reshape(-1, 1) if single else values
     m = len(table)

@@ -504,11 +504,21 @@ def legendre_mollified_deriv(spec, ell: int, u: np.ndarray) -> np.ndarray:
 
 
 
+def allocating_raw_deriv(spec, ell: int, u):
+    """F^(ell) of a power kind as ``NonlinearitySpec._raw_deriv`` wrote it
+    before it worked in place: ``c * |u| ** a * sgn``, which allocates the
+    modulus, its power, a sign array (ones for an even kind) and two
+    products.  (c, a, odd) come from the spec's ``_power_law``."""
+    u = np.asarray(u, dtype=float)
+    c, a, odd = spec._power_law(ell)
+    sgn = np.sign(u) if odd else np.ones_like(u)
+    return c * np.abs(u) ** a * sgn
+
+
 def allocating_outside_rule(spec, ell: int, u: np.ndarray) -> np.ndarray:
     """The outside rule of ``nonlinearity._mollified_block`` as the package
-    wrote it before it took one temporary: ``spec._raw_deriv(ell, u - delta
-    t) @ w`` over the 32-node bump rule, which allocates the modulus, its
-    power, a sign array (ones for an even kind) and two products.
+    wrote it before it took one temporary: :func:`allocating_raw_deriv` at
+    u - delta t, then ``@ w`` over the 32-node bump rule.
 
     A power kind's points with |u / delta| < 1 read NaN; the rest are taken
     per block of ``_BLOCK`` points as the package walks them, so every row
@@ -520,8 +530,8 @@ def allocating_outside_rule(spec, ell: int, u: np.ndarray) -> np.ndarray:
     for start in range(0, u.size, _BLOCK):
         block = u[start:start + _BLOCK]
         smooth = np.abs(block / delta) >= 1.0
-        out[start:start + _BLOCK][smooth] = spec._raw_deriv(
-            ell, block[smooth][:, None] - delta * t) @ w
+        out[start:start + _BLOCK][smooth] = allocating_raw_deriv(
+            spec, ell, block[smooth][:, None] - delta * t) @ w
     return out
 
 def _rho(t: float) -> float:

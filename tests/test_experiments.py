@@ -297,9 +297,9 @@ def test_operator_at_taylor_depth_two_matches_pairwise_sum():
 def test_operator_keeps_no_all_zero_kernel_column():
     # K(x, y) vanishes once |x - y| and |y| both pass the cutoff, so such y
     # points add nothing to the double sum and are left out of its y set
-    setup = DESIGN.operator_setup(0.4)
-    kmat = setup.arrays["kmat"]
-    assert kmat.shape[1] == len(setup.arrays["y_idx"])
+    arrays = operator._kernel_rows([DESIGN.operator_setup(0.4)])
+    kmat = arrays["kmat"]
+    assert kmat.shape[1] == len(arrays["y_idx"])
     assert np.all(np.any(kmat != 0.0, axis=0))
 
 
@@ -440,6 +440,33 @@ def test_scaling_scan_rejects_empty_input(monkeypatch, kwargs, match):
                 n_samples=4)
     with pytest.raises(ValueError, match=match):
         scaling_scan(DESIGN, **{**args, **kwargs})
+
+
+@pytest.mark.parametrize("n", [0, 1.5], ids=["zero", "fraction"])
+def test_studies_check_the_half_order_first(monkeypatch, n):
+    # n = 0 raised only after every draw and contraction, and n = 1.5 ran and
+    # returned an estimate of order 1.5; both raise before the plan's kernel
+    # matrix or any draw, and moment_norm rejects them itself
+    _no_draws(monkeypatch)
+
+    def no_plan(*args):
+        raise AssertionError("the study built its plan before validating n")
+
+    monkeypatch.setattr(experiments, "OperatorPlan", no_plan)
+    match = "half-order n must be an integer >= 1"
+    with pytest.raises(ValueError, match=match):
+        freq_sweep(DESIGN, eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0)], n=n,
+                   n_samples=4)
+    with pytest.raises(ValueError, match=match):
+        scaling_scan(DESIGN, theta=(1.0, 1.0), eps_grid=[0.2],
+                     lambda_grid=[0.4], n=n, n_samples=4)
+    with pytest.raises(ValueError, match=match):
+        moment_norm(np.ones(4), n)
+
+
+def test_moment_norm_accepts_numpy_integer_order():
+    z = rng.substream(3, 9).standard_normal(200)
+    assert moment_norm(z, np.int64(2), seed=5) == moment_norm(z, 2, seed=5)
 
 
 def test_scaling_scan_accepts_one_cell():

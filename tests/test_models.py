@@ -249,6 +249,27 @@ def test_studies_reject_bad_a(monkeypatch, study, a):
             mollification_gap(f, **args)
 
 
+@pytest.mark.parametrize("study", ["remainder_pairing", "mollification_gap"])
+@pytest.mark.parametrize("n", [0, 1.5], ids=["zero", "fraction"])
+def test_studies_check_the_half_order_first(monkeypatch, study, n):
+    # n = 0 raised only after every draw, and n = 1.5 ran and returned an
+    # estimate of order 1.5; both raise before the field is built
+    _no_draws(monkeypatch)
+
+    def no_field(*args):
+        raise AssertionError("the study built its field before validating n")
+
+    monkeypatch.setattr(models, "build_model_field", no_field)
+    f = make_nonlinearity("power_even", beta=0.5)
+    args = dict(a=1.0, mfspec=KPZ_SPEC, delta=0.2, lam=0.4, n=n, n_samples=4,
+                seed=1)
+    with pytest.raises(ValueError, match="half-order n must be an integer"):
+        if study == "remainder_pairing":
+            remainder_pairing("kpz", f, **args)
+        else:
+            mollification_gap(f, **args)
+
+
 def _per_draw_pairing(family, nonlin, a, mfspec, delta, lam, n, n_samples, seed):
     """remainder_pairing with every constant recomputed on every draw.
 

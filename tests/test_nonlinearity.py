@@ -21,6 +21,7 @@ from chaoslab.nonlinearity import (
 
 from oracles import (
     allocating_outside_rule,
+    allocating_raw_deriv,
     gauss_jacobi_kink_deriv,
     per_probe_factor_pairings,
     probe_transform_full_fft,
@@ -287,6 +288,32 @@ def test_outside_rule_matches_allocating_form(spec, delta, ell, n):
     outside = ~np.isnan(want)
     assert u.size == n and 0 < np.count_nonzero(outside) < n
     assert np.array_equal(got[outside], want[outside])
+
+@pytest.mark.parametrize("kind", ["power_even", "power_odd"])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+def test_raw_deriv_matches_allocating_form(kind, beta):
+    # the in-place power kind gives the bits of the allocating expression and
+    # its return type: an array for an array, a numpy scalar for a 0-d array
+    # or a float.  u = 0 at a negative power gives inf (and inf * 0 a NaN),
+    # compared bit for bit too.
+    f = make_nonlinearity(kind, beta=beta)
+    gen = rng.substream(11, 7)
+    u = np.concatenate([[0.0, -0.0, 0.7, -0.7, 1.0, -1.0],
+                        gen.uniform(-3.0, 3.0, 4000),
+                        gen.uniform(-750.0, 750.0, 4000),
+                        1e-3 * gen.standard_normal(2000)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ell in range(4):
+            got, want = f.deriv(ell, u), allocating_raw_deriv(f, ell, u)
+            assert type(got) is type(want) is np.ndarray
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for x in u[:200]:
+                for arg in (float(x), np.array(x)):
+                    got = f.deriv(ell, arg)
+                    want = allocating_raw_deriv(f, ell, arg)
+                    assert type(got) is type(want) is np.float64
+                    assert got.view(np.int64) == want.view(np.int64), (ell, x)
+
 
 def test_deriv_rejects_negative_order():
     f = make_nonlinearity("power_even", beta=0.5)

@@ -17,7 +17,7 @@ from chaoslab.operator import (
     apply_batch,
     apply_configs,
 )
-from oracles import per_config_operator_values
+from oracles import own_operator_arrays, per_config_operator_values
 
 G1 = ScalingGeometry((1.0,))
 
@@ -63,7 +63,8 @@ def test_zero_test_function():
     cfg, spec = make_setup()
     zero_tf = TestFunction(geometry=G1, scale=0.4, profile=lambda r: np.zeros_like(r))
     with pytest.raises(ResolutionError):
-        dataclasses.replace(cfg.setup, test=zero_tf).arrays
+        OperatorPlan({0: dataclasses.replace(
+            cfg, setup=dataclasses.replace(cfg.setup, test=zero_tf))})
 
 
 def test_scale_below_step_raises():
@@ -75,7 +76,7 @@ def test_scale_below_step_raises():
     off = TestFunction(geometry=G1, scale=0.01, center=(0.024,))
     bad = dataclasses.replace(cfg.setup, test=off)
     with pytest.raises(ResolutionError):
-        bad.arrays
+        OperatorPlan({0: dataclasses.replace(cfg, setup=bad)})
 
 
 def test_linearity_in_test_function():
@@ -143,10 +144,14 @@ def test_diagonal_policy_robust(monkeypatch):
 
 
 def test_setup_is_frozen_and_replace_rebuilds():
-    # the set-up's arrays are built once; changing a field must give a new
-    # set-up with its own arrays, never the old kernel matrix
+    # a set-up is a frozen value that keeps no arrays, so building a plan
+    # leaves nothing on it to go stale; changing a field gives a new set-up,
+    # whose kernel matrix is that of a set-up built with the new field
     cfg, spec = make_setup(h=0.025)
-    full = np.count_nonzero(cfg.setup.arrays["kmat"])
+    OperatorPlan({0: cfg})
+    assert vars(cfg.setup).keys() == \
+        {f.name for f in dataclasses.fields(OperatorSetup)}
+    full = np.count_nonzero(operator._kernel_rows([cfg.setup])["kmat"])
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.setup.y_radius = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -155,9 +160,10 @@ def test_setup_is_frozen_and_replace_rebuilds():
                                                                y_radius=0.5))
     fresh = OperatorSetup(kernel=cfg.setup.kernel, test=cfg.setup.test,
                           lattice=cfg.setup.lattice, y_radius=0.5)
-    assert np.array_equal(small.setup.arrays["kmat"], fresh.arrays["kmat"])
-    assert np.count_nonzero(small.setup.arrays["kmat"]) < full
-    assert np.count_nonzero(cfg.setup.arrays["kmat"]) == full
+    small_kmat = operator._kernel_rows([small.setup])["kmat"]
+    assert np.array_equal(small_kmat, operator._kernel_rows([fresh])["kmat"])
+    assert np.count_nonzero(small_kmat) < full
+    assert np.count_nonzero(operator._kernel_rows([cfg.setup])["kmat"]) == full
 
 
 def test_sanity_envelope():
@@ -182,7 +188,8 @@ def test_shared_factors_match_per_config_route():
     # as drawing each spectrum alone and evaluating each config's factors on
     # its own columns.  The mix: sin and cos, theta_x != theta_y, one key
     # read as x by one config and as y by another, deriv = (1, 0), and an x
-    # support (lam = 0.8) reaching outside the y ball of radius 0.3.
+    # support (lam = 0.8) reaching outside the y ball of radius 0.3.  A plan
+    # serves one y radius, so each set-up gets its own.
     lat = build_lattice(G1, 0.05, 2.0)
     kern = RenormKernel(gamma=0.4, g=G1, r_e=0)
     setups = [OperatorSetup(kernel=kern,
@@ -195,23 +202,26 @@ def test_shared_factors_match_per_config_route():
            TwoPointFunctional(cos2, sin1, (1.0, 2.5)),
            TwoPointFunctional(sin1, sin1, (2.5, 1.0)),
            TwoPointFunctional(sin1, cos0, (2.5, 1.0), deriv=(1, 0))]
-    configs = {(i, j): OperatorConfig(setup, fn)
-               for i, setup in enumerate(setups) for j, fn in enumerate(fns)}
-    assert not set(setups[0].arrays["x_idx"]) <= set(setups[0].arrays["y_idx"])
+    configs = [{(i, j): OperatorConfig(setup, fn) for j, fn in enumerate(fns)}
+               for i, setup in enumerate(setups)]
+    own = own_operator_arrays(setups[0])
+    assert not set(own["x_idx"]) <= set(own["y_idx"])
     spectra = [build_spectrum(CovarianceSpec(alpha=0.6, epsilon=eps), lat)
                for eps in (0.4, 0.2)]
     indices = np.arange(3, 40)
     for spec, values in zip(spectra, sample_fields(spectra, 6, indices)):
         alone = sample_field_values(spec, 6, indices)
         assert np.array_equal(values, alone)
-        got = apply_configs(OperatorPlan(configs), values,
-                            *spectrum_args(spec))
-        assert got.keys() == configs.keys()
-        for cell, cfg in configs.items():
-            want = per_config_operator_values(cfg, alone, *spectrum_args(spec))
-            assert np.array_equal(got[cell], want), cell
-            assert np.array_equal(apply_batch(cfg, alone, *spectrum_args(spec)),
-                                  want), cell
+        for plan_configs in configs:
+            got = apply_configs(OperatorPlan(plan_configs), values,
+                                *spectrum_args(spec))
+            assert got.keys() == plan_configs.keys()
+            for cell, cfg in plan_configs.items():
+                want = per_config_operator_values(cfg, alone,
+                                                  *spectrum_args(spec))
+                assert np.array_equal(got[cell], want), cell
+                assert np.array_equal(
+                    apply_batch(cfg, alone, *spectrum_args(spec)), want), cell
 
 
 def test_shared_factors_evaluated_once_per_key(monkeypatch):
@@ -233,7 +243,8 @@ def test_shared_factors_evaluated_once_per_key(monkeypatch):
     apply_configs(OperatorPlan(configs), values, *spectrum_args(spec))
     union = set()
     for c in configs.values():
-        union |= set(c.setup.arrays["x_idx"]) | set(c.setup.arrays["y_idx"])
+        own = operator._kernel_rows([c.setup])
+        union |= set(own["x_idx"]) | set(own["y_idx"])
     assert calls == [(5, len(union))]
 
 
@@ -242,10 +253,10 @@ def test_shared_factors_evaluated_once_per_key(monkeypatch):
 def test_shared_kernel_rows_match_own_set_ups(monkeypatch, s, r_e):
     # set-ups that share kernel, lattice and y radius share one kernel
     # matrix on the union of their supports and read it at their own rows.
-    # Two y radii give two matrices; in each, two test functions with
-    # different centres and scales have supports that overlap but neither
-    # holds the other.  Every value must be the one of the set-up's own
-    # matrix, built by the oracle on its own support and y ball.
+    # Two y radii give two plans, one matrix each; in each, two test
+    # functions with different centres and scales have supports that overlap
+    # but neither holds the other.  Every value must be the one of the
+    # set-up's own matrix, built by the oracle on its own support and y ball.
     g = ScalingGeometry(s)
     lat = build_lattice(g, 0.05, 2.0) if len(s) == 1 else \
         build_lattice(g, 0.2, 1.2)
@@ -256,8 +267,9 @@ def test_shared_kernel_rows_match_own_set_ups(monkeypatch, s, r_e):
                                               center=(c,) if len(s) == 1
                                               else (c / 2, c)))
               for (c, lam), y_radius in zip(tests, (1.0, 1.0, 2.0, 2.0))]
+    supports = [set(own_operator_arrays(st)["x_idx"]) for st in setups]
     for a, b in ((0, 1), (2, 3)):
-        xa, xb = (set(setups[i].arrays["x_idx"]) for i in (a, b))
+        xa, xb = supports[a], supports[b]
         assert xa & xb and not xa <= xb and not xb <= xa
     builds = []
     eval_K_many = operator.eval_K_many
@@ -270,17 +282,17 @@ def test_shared_kernel_rows_match_own_set_ups(monkeypatch, s, r_e):
     sin1, cos2 = ChaosTruncSpec("sin", 1), ChaosTruncSpec("cos", 2)
     fns = [TwoPointFunctional(sin1, sin1, (1.0, 2.0)),
            TwoPointFunctional(cos2, sin1, (2.0, 1.0), deriv=(0, 1))]
-    configs = {(i, j): OperatorConfig(setup, fn)
-               for i, setup in enumerate(setups) for j, fn in enumerate(fns)}
-    plan = OperatorPlan(configs)
-    supports = [set(st.arrays["x_idx"]) for st in setups]
-    assert builds == [len(supports[0] | supports[1]),
-                      len(supports[2] | supports[3])]
     values = np.random.default_rng(8).standard_normal((6,) + lat.shape)
-    got = apply_configs(plan, values, *SYNTHETIC)
-    for cell, cfg in configs.items():
-        want = per_config_operator_values(cfg, values, *SYNTHETIC)
-        assert np.array_equal(got[cell], want), cell
+    for a, b in ((0, 1), (2, 3)):
+        configs = {(i, j): OperatorConfig(setups[i], fn)
+                   for i in (a, b) for j, fn in enumerate(fns)}
+        builds.clear()
+        plan = OperatorPlan(configs)
+        assert builds == [len(supports[a] | supports[b])]
+        got = apply_configs(plan, values, *SYNTHETIC)
+        for cell, cfg in configs.items():
+            want = per_config_operator_values(cfg, values, *SYNTHETIC)
+            assert np.array_equal(got[cell], want), cell
 
 
 def test_set_up_rejects_mixed_scaling_vectors():
@@ -293,3 +305,22 @@ def test_set_up_rejects_mixed_scaling_vectors():
             OperatorSetup(kernel=RenormKernel(gamma=0.4, g=kern_g, r_e=0),
                           test=TestFunction(geometry=test_g, scale=0.4),
                           lattice=lat)
+
+
+@pytest.mark.parametrize("change", ["kernel", "lattice", "y_radius", "none"])
+def test_plan_needs_one_kernel_lattice_and_y_radius(monkeypatch, change):
+    # a plan owns one kernel matrix, so set-ups with another kernel, another
+    # lattice object (an equal copy too: lattices are matched by identity)
+    # or another y radius, or no config at all, raise before any build
+    builds = []
+    monkeypatch.setattr(operator, "eval_K_many",
+                        lambda *args: builds.append(args))
+    cfg, _ = make_setup()
+    other = {"kernel": dict(kernel=RenormKernel(gamma=0.5, g=G1, r_e=0)),
+             "lattice": dict(lattice=build_lattice(G1, 0.05, 2.0)),
+             "y_radius": dict(y_radius=1.0)}
+    configs = {} if change == "none" else {0: cfg, 1: dataclasses.replace(
+        cfg, setup=dataclasses.replace(cfg.setup, **other[change]))}
+    with pytest.raises(ValueError, match="share kernel, lattice and y radius"):
+        OperatorPlan(configs)
+    assert builds == []
