@@ -22,7 +22,11 @@ infinite ball of test functions, which is not computable; we maximise the
 pairing over a finite family of normalised bump-times-monomial probes and
 validate the *decay* of that lower bound, which is what the theory
 constrains.  The pairing with a frequency-window probe is pushed to the
-spatial side, where the probe's transform decays super-polynomially.
+spatial side, where the probe's transform decays super-polynomially, and
+folded onto its x >= 0 half, since the probes are real.  F^(ell) of a power
+kind is even or odd, and so is its mollification by the even bump, so a
+power kind's window norms evaluate the derivative on x >= 0 only; a
+polynomial's is evaluated on the whole grid.
 """
 
 from __future__ import annotations
@@ -246,18 +250,21 @@ def _mollified_deriv(spec: NonlinearitySpec, ell: int, u):
     _TABLE_DEGREE, cached per exponent, by Clenshaw: no bump evaluation per
     point.  The table matches the per-point sum of a 40-digit reference
     Gauss-Jacobi rule (the test oracle) within 2.3e-14 abs/max(1, |ref|) at
-    ell <= 3 of both power kinds and delta in {0.2, 0.4}; mirror points swap
-    the half-widths exactly, so F_delta^(ell)(-u) = +-F_delta^(ell)(u) bit
-    for bit.  Against adaptive quadrature split at the kink (abs/max(1,
-    |ref|), delta in {0.2, 0.4}), both power kinds agree within 4.7e-14
-    inside, 2.0e-14 at +-delta and 7e-16 out to 750 at ell in {0, 1, 2}; at
-    ell = 3, within 4.6e-14 for sign(u)|u|^3.3, and within 5.2e-12 inside
-    and 6.7e-12 at +-delta for |u|^2.5, where F^(3) ~ |u|^(-1/2) and the
-    quadrature itself reports roundoff.  The outside rule writes
-    c |u - delta t|^a into one (points x nodes) temporary in place and takes
-    the sign of an odd kind after the node sum, the same bits as
-    F^(ell)(u - delta t) @ w; points are walked in blocks of _BLOCK so that
-    temporary stays about 1 MB.
+    ell <= 3 of both power kinds and delta in {0.2, 0.4}; inside
+    (-delta, delta) mirror points swap the half-widths exactly, so there
+    F_delta^(ell)(-u) = +-F_delta^(ell)(u) bit for bit.  Outside, a mirror
+    point sums the nodes in the other order and agrees to rounding only
+    (about 62 % of a window-norm grid bit for bit), and a point's bits can
+    depend on its row in the block's node sum.  Against adaptive quadrature
+    split at the kink (abs/max(1, |ref|), delta in {0.2, 0.4}), both power
+    kinds agree within 4.7e-14 inside, 2.0e-14 at +-delta and 7e-16 out to
+    750 at ell in {0, 1, 2}; at ell = 3, within 4.6e-14 for sign(u)|u|^3.3,
+    and within 5.2e-12 inside and 6.7e-12 at +-delta for |u|^2.5, where
+    F^(3) ~ |u|^(-1/2) and the quadrature itself reports roundoff.  The
+    outside rule writes c |u - delta t|^a into one (points x nodes)
+    temporary in place and takes the sign of an odd kind after the node
+    sum, the same bits as F^(ell)(u - delta t) @ w; points are walked in
+    blocks of _BLOCK so that temporary stays about 1 MB.
     """
     if spec.kind != "polynomial" and spec.power - ell <= -1.0:
         raise ValueError(f"order-{ell} mollified derivative of |u|^{spec.power:g} "
@@ -334,6 +341,8 @@ class WindowNormQuery:
             raise ValueError("ells must hold at least one derivative order")
         if len(self.ells) != len(self.center):
             raise ValueError("one window center per derivative order required")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
         for name, low in (("m_probe", 0), ("n_probes", 1)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < low:
@@ -423,32 +432,50 @@ def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float
 
 
 def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
-                     x_max: float, dx: float) -> np.ndarray:
+                     x_max: float, dx: float, parity) -> np.ndarray:
     """|<transform of f, probe_j(. - center)>| for every probe.
 
     ``values(x)`` gives f on an array of x: a derivative F^(ell), or the
     difference of two derivatives.  Every pairing is the trapezoid sum of
-    f(x) e^{-i center x} Psi_j(x) over the transform's grid, so f times the
-    modulation, with the trapezoid's half weights at the two ends, is formed
-    once and all probes take it in one complex matrix product.  The tail
-    guard integrates |f| against the fitted transform envelope beyond x_max
-    (with a factor-100 safety margin) and raises when it exceeds _TAIL_TOL
-    of the absolute integrand mass sum_x |Psi_j| |f| dx, taken one probe row
-    at a time; pairings themselves can be tiny through cancellation, so they
-    do not set the health scale.  A non-finite value of f (a derivative
-    singular at a grid point) raises ValueError instead of a NaN norm.
+    f(x) e^{-i center x} Psi_j(x) over the transform's grid, folded onto its
+    x >= 0 half: f is real and Psi_j(-x) = conj Psi_j(x), so with
+    g(h) = e^{-i center x} w h on x >= 0, where w = 1/2 at x = 0 and at
+    x_max, the pairing is Psi_j g(f+) + conj(Psi_j g(f-)), f+-(x) = f(+-x).
+    A ``parity`` p of +-1 says f(-x) = p f(x): f is evaluated on x >= 0
+    only, the second product is p conj of the first and is skipped, and
+    the pairing is twice the first's real (p = 1) or imaginary (p = -1)
+    part.  With parity None, f is evaluated once on the whole grid and split
+    at x = 0; a separate call on the negative half can give a point other
+    bits (see :func:`_mollified_deriv`).  All probes take each g in one
+    complex matrix-vector product.  The tail guard integrates |f| against
+    the fitted transform envelope beyond x_max (with a factor-100 safety
+    margin) and raises when it exceeds _TAIL_TOL of the absolute integrand
+    mass sum_x |Psi_j| |f| dx over the whole grid, taken one probe row at a
+    time on the half; pairings themselves can be tiny through cancellation,
+    so they do not set the health scale.  A non-finite value of f (a
+    derivative singular at a grid point) raises ValueError instead of a NaN
+    norm.
     """
     x, psi, fits = _probe_transform(n_probes, m_probe, x_max, dx)
+    m_max = x.size // 2  # x[m_max] = 0
+    grid = x if parity is None else x[m_max:]
     xt = np.geomspace(x_max, 20.0 * x_max, 200)
     with np.errstate(all="ignore"):
-        fvals = values(x)
+        fvals = values(grid)
         ft = np.abs(values(xt))
-    for grid, vals in ((x, fvals), (xt, ft)):
+    for pts, vals in ((grid, fvals), (xt, ft)):
         bad = ~np.isfinite(vals)
         if bad.any():
             raise ValueError(f"paired function is not finite at x = "
-                             f"{grid[bad][0]:.6g}")
-    fabs = np.abs(fvals)
+                             f"{pts[bad][0]:.6g}")
+    if parity is None:  # f+ and f-, each from x = 0 outward
+        fpos, fneg = fvals[m_max:], fvals[m_max::-1]
+    else:
+        fpos = fneg = fvals
+    fabs = np.abs(fpos)
+    fabs += np.abs(fneg)
+    fabs[0] *= 0.5  # x = 0 is one point of the whole grid
+    psi = psi[:, m_max:]
     for j in range(n_probes):
         amp, rate = fits[j]
         if rate <= 0.0:
@@ -460,10 +487,22 @@ def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
             raise TailTruncationError(
                 f"extrapolated tail share {tail_abs / whole_abs:.3g} exceeds "
                 f"{_TAIL_TOL:.1g}; widen x_max")
-    g = np.exp(-1j * center * x)
-    g *= fvals
-    g[[0, -1]] *= 0.5
-    return np.abs(psi @ g) * (dx / (2.0 * math.pi))
+    mod = np.exp(-1j * center * x[m_max:])
+    mod[[0, -1]] *= 0.5
+    pair = psi @ (fpos * mod)
+    if parity is None:
+        pair += np.conj(psi @ (fneg * mod))
+    else:  # f- = p f+: the second product is p conj of the first
+        pair = 2.0 * (pair.real if parity > 0 else pair.imag)
+    return np.abs(pair) * (dx / (2.0 * math.pi))
+
+
+def _parity(spec: NonlinearitySpec, ell: int):
+    """+1 or -1 as F^(ell) of a power kind, and every mollification of it by
+    the even bump, is even or odd; None for a polynomial."""
+    if spec.kind == "polynomial":
+        return None
+    return -1 if spec._power_law(ell)[2] else 1
 
 
 def window_norm(spec: NonlinearitySpec, q: WindowNormQuery, x_max: float = 1500.0,
@@ -476,7 +515,7 @@ def window_norm(spec: NonlinearitySpec, q: WindowNormQuery, x_max: float = 1500.
     value = 1.0
     for ell, c in zip(q.ells, q.center):
         pair = _factor_pairings(partial(spec.deriv, ell), c, q.m_probe,
-                                q.n_probes, x_max, dx)
+                                q.n_probes, x_max, dx, _parity(spec, ell))
         value *= float(np.max(pair))
     return value
 
@@ -494,7 +533,8 @@ def window_norm_difference(spec: NonlinearitySpec, delta: float,
     ell = q.ells[0]
     moll = mollify(spec, delta)
     pair = _factor_pairings(lambda x: spec.deriv(ell, x) - moll.deriv(ell, x),
-                            q.center[0], q.m_probe, q.n_probes, x_max, dx)
+                            q.center[0], q.m_probe, q.n_probes, x_max, dx,
+                            _parity(spec, ell))
     return float(np.max(pair))
 
 

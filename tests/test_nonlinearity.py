@@ -475,18 +475,99 @@ def test_factor_pairings_match_per_probe_oracle():
         except TailTruncationError as err:
             # the same guard raises with the same share
             with pytest.raises(TailTruncationError, match=str(err)[:32]):
-                nonlinearity._factor_pairings(*args)
+                nonlinearity._factor_pairings(*args, None)
             raised += 1
             continue
-        got = nonlinearity._factor_pairings(*args)
+        got = nonlinearity._factor_pairings(*args, None)
         assert np.all(np.abs(got - want) <= PAIRING_MASS_TOL * mass)
     # the four window norms at ell <= 1 on the shorter range
     assert raised == 4
 
 
+# every ell at which each power kind's F^(ell) is finite at x = 0
+PARITY_ELLS = {"power_even": (0, 1, 2), "power_odd": (0, 1, 2, 3)}
+# the routes differ where F_delta^(ell)(-x) is not bit for bit
+# +-F_delta^(ell)(x); the window norms of F^(ell) alone are bit-equal.  The
+# largest |parity pairing - whole-grid pairing| over the cases is 1.4e-18
+# of sum_x |Psi_j| (|F^(ell)| + |F_delta^(ell)|) dx / 2 pi, the scale both
+# derivatives round at.  In units of the difference's own mass the gaps
+# reach 3.1e-13, at ell = 0 and delta = 0.05, where F and F_delta cancel to
+# 1e-8 of their size
+PARITY_TERM_TOL = 2.2e-16
+
+
+def test_parity_pairings_match_whole_grid():
+    # the window norm of F^(ell) (delta = 0) and the difference norm at three
+    # delta; ranges are the outer loop so the probe transform cache holds
+    raised = 0
+    for x_max in (750.0, 1500.0):
+        x, psi, _ = nonlinearity._probe_transform(6, 4, x_max, 0.006)
+        # |Psi_j| and the terms are even: a mass is twice its x >= 0 half
+        xpos = x[x.size // 2:]
+        weight = np.abs(psi[:, x.size // 2:]) * (2.0 * 0.006 / (2.0 * math.pi))
+        for kind, ells in PARITY_ELLS.items():
+            f = make_nonlinearity(kind, beta=0.5)
+            for ell in ells:
+                parity = round(f.deriv(ell, -2.0) / f.deriv(ell, 2.0))
+                assert nonlinearity._parity(f, ell) == parity
+                for delta in (0.0, 0.4, 0.2, 0.05):
+                    moll = mollify(f, delta)
+
+                    def values(x, ell=ell, moll=moll, delta=delta):
+                        fx = f.deriv(ell, x)
+                        return fx - moll.deriv(ell, x) if delta else fx
+                    terms = np.abs(f.deriv(ell, xpos))
+                    if delta:
+                        terms += np.abs(moll.deriv(ell, xpos))
+                    got, want = (_pairings_or_message(
+                        values, 4, 4, 6, x_max, 0.006, p) for p in (parity, None))
+                    if isinstance(want, str):
+                        # the same guard raises with the same share
+                        assert got == want
+                        raised += 1
+                        continue
+                    if not delta:
+                        assert np.array_equal(got, want)
+                    gap = np.abs(got - want)
+                    assert np.all(gap <= PARITY_TERM_TOL * (weight @ terms))
+    # on the shorter range: the window norms at ell <= 1, and power_odd's
+    # at ell = 2 and its three difference norms at ell = 0
+    assert raised == 8
+
+
+def _pairings_or_message(*args):
+    try:
+        return nonlinearity._factor_pairings(*args)
+    except TailTruncationError as err:
+        return str(err)
+
+
+def test_window_norms_evaluate_power_kinds_on_the_half(monkeypatch):
+    # at x_max = 750 the grid holds 122,231 points x >= 0 of 244,461, and
+    # the tail guard adds 200 beyond x_max: a power kind's derivatives are
+    # taken on x >= 0 only, a polynomial's on the whole grid
+    calls = []
+    deriv = NonlinearitySpec.deriv
+
+    def counting(self, ell, u):
+        calls.append((float(np.min(u)) >= 0.0, np.size(u)))
+        return deriv(self, ell, u)
+    monkeypatch.setattr(NonlinearitySpec, "deriv", counting)
+    q = WindowNormQuery(ells=(2,), center=(4,), m_probe=4)
+    window_norm_difference(make_nonlinearity("power_even", beta=0.5), 0.2, q,
+                           x_max=750.0)
+    assert calls == [(True, 122_231)] * 2 + [(True, 200)] * 2
+    calls.clear()
+    window_norm(make_nonlinearity("polynomial", coeffs=[0.0, 0.0, 1.0]), q,
+                x_max=750.0)
+    assert calls == [(False, 244_461), (True, 200)]
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"n_probes": 0}, "n_probes"), ({"n_probes": -2}, "n_probes"),
-    ({"m_probe": -1}, "m_probe"), ({"ells": (), "center": ()}, "ells")])
+    ({"m_probe": -1}, "m_probe"), ({"ells": (), "center": ()}, "ells"),
+    ({"center": (math.nan,)}, "center"), ({"center": (math.inf,)}, "center"),
+    ({"ells": (2, 2), "center": (4, -math.inf)}, "center")])
 def test_window_norm_query_rejects_bad_arguments(kwargs, match):
     args = {"ells": (2,), "center": (4,), "m_probe": 4} | kwargs
     with pytest.raises(ValueError, match=match):
