@@ -240,15 +240,22 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
     lam^{-alpha} |<f, bump_lam_z>|, with the pairing done by periodic FFT
     correlation (the synthesized fields are periodic).  Refining the grid of
     scales or centers never lowers the estimate.  ValueError unless alpha is
-    negative, lambda_levels >= 1 and the lattice resolves the largest scale
-    (its base step at most half of it); finer scales the lattice cannot
-    resolve are left out.
+    negative, lambda_levels >= 1, ``values`` is finite and of the lattice's
+    shape, and the lattice resolves the largest scale (its base step at
+    most half of it); finer scales the lattice cannot resolve are left out.
     """
     if not -math.inf < alpha < 0.0:  # also rejects NaN
         raise ValueError(f"this norm is for finite negative regularity "
                          f"exponents, got alpha = {alpha!r}")
     if lambda_levels < 1:
         raise ValueError(f"lambda_levels must be at least 1, got {lambda_levels}")
+    if np.shape(values) != lat.shape:
+        raise ValueError(f"values must have the lattice shape {lat.shape}, "
+                         f"got {np.shape(values)}")
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ValueError(f"values must be finite: {bad} of {np.size(values)} "
+                         "are not")
     if _HOLDER_LAM0 < 2 * lat.base_step:
         raise ValueError(f"base step {lat.base_step:g} cannot resolve the largest "
                          f"probe scale {_HOLDER_LAM0:g} (needs step <= "

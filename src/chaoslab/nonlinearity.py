@@ -22,11 +22,12 @@ infinite ball of test functions, which is not computable; we maximise the
 pairing over a finite family of normalised bump-times-monomial probes and
 validate the *decay* of that lower bound, which is what the theory
 constrains.  The pairing with a frequency-window probe is pushed to the
-spatial side, where the probe's transform decays super-polynomially, and
-folded onto its x >= 0 half, since the probes are real.  F^(ell) of a power
-kind is even or odd, and so is its mollification by the even bump, so a
-power kind's window norms evaluate the derivative on x >= 0 only; a
-polynomial's is evaluated on the whole grid.
+spatial side, where the probe's transform decays super-polynomially; the
+probes are real, so the transform is kept on its grid's x >= 0 half only,
+and every pairing is folded onto that half.  F^(ell) of a power kind is
+even or odd, and so is its mollification by the even bump, so a power
+kind's window norms evaluate the derivative on x >= 0 only; a polynomial's
+is evaluated on the whole grid.
 """
 
 from __future__ import annotations
@@ -337,8 +338,9 @@ class WindowNormQuery:
     n_probes: int = 6
 
     def __post_init__(self):
-        if not self.ells:
-            raise ValueError("ells must hold at least one derivative order")
+        if not self.ells or not all(isinstance(ell, (int, np.integer)) and ell >= 0
+                                    for ell in self.ells):
+            raise ValueError(f"ells must hold one or more integers >= 0, got {self.ells!r}")
         if len(self.ells) != len(self.center):
             raise ValueError("one window center per derivative order required")
         if not all(math.isfinite(c) for c in self.center):
@@ -374,25 +376,27 @@ def _probe_family(n_probes: int, m_probe: int):
     return u[keep], np.stack([p[keep] for p in probes])
 
 
-# one entry at the default x_max holds about 45 MB and a window-norm call
-# reads one key: two entries keep the cache near 90 MB, where 64 held GBs
+# one entry at the default x_max holds about 25 MB and a window-norm call
+# reads one key: two entries keep the cache near 50 MB, where 64 held GBs
 @lru_cache(maxsize=2)
 def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float):
-    """Spatial transforms Psi_j(x) = int probe_j(u) e^{-iux} du on a uniform x-grid.
+    """Spatial transforms Psi_j(x) = int probe_j(u) e^{-iux} du on x >= 0.
 
-    The x-grid is every ``stride``-th bin of a length-2^21 DFT on the probes'
-    u-grid.  Bin k*stride of that DFT is bin k*(stride/g) of the length
-    2^21/g one, g = gcd(stride, 2^21), since the probes' support fits in the
-    shorter length; the probes are real, so one batched real FFT of that
-    length gives every kept bin, and Psi(-x) = conj(Psi(x)) gives the rest.
-    The grid reaches at most the Nyquist range pi/du: a wider x_max would
-    read aliased bins, and a stride whose shorter length cannot hold the
-    probes' support would truncate them, so both raise ValueError.  Also
-    returns per-probe decay fits (amp, rate) with
-    |Psi_j(x)| <~ amp * exp(-rate * sqrt(|x|)), estimated on the clean range
-    above the double-precision floor; the tail guard extrapolates with these
-    because the computed transform bottoms out near 1e-14.  An x_max or dx
-    that is not finite and positive raises ValueError.
+    Returns (x, Psi, step, fits).  The grid x = 0, step, ... up to x_max is
+    every ``stride``-th bin of a length-2^21 DFT on the probes' u-grid, so
+    step, which every sum over the grid is weighted by, is the multiple of
+    2 pi / (2^21 du) nearest to ``dx_target``.  Bin k*stride of that DFT is
+    bin k*(stride/g) of the length 2^21/g one, g = gcd(stride, 2^21), since
+    the probes' support fits in the shorter length; the probes are real, so
+    one batched real FFT of that length gives every kept bin.  The grid
+    reaches at most the Nyquist range pi/du: a wider x_max would read
+    aliased bins, and a stride whose shorter length cannot hold the probes'
+    support would truncate them, so both raise ValueError, as does an x_max
+    or dx that is not finite and positive.  The per-probe decay fits
+    (amp, rate), |Psi_j(x)| <~ amp * exp(-rate * sqrt(x)), are estimated on
+    the clean range above the double-precision floor; the tail guard
+    extrapolates with these because the computed transform bottoms out near
+    1e-14.
     """
     for name, value in (("x_max", x_max), ("dx", dx_target)):
         if not 0.0 < value < math.inf:  # also rejects NaN
@@ -402,8 +406,8 @@ def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float
     nfft = 1 << 21
     dx0 = 2.0 * math.pi / (nfft * du)
     stride = max(int(round(dx_target / dx0)), 1)
-    dx = stride * dx0
-    m_max = int(x_max / dx)
+    step = stride * dx0
+    m_max = int(x_max / step)
     if m_max * stride > nfft // 2:
         raise ValueError(f"x_max = {x_max:g} exceeds the probe transform's "
                          f"Nyquist range pi/du = {math.pi / du:.6g}")
@@ -411,24 +415,20 @@ def _probe_transform(n_probes: int, m_probe: int, x_max: float, dx_target: float
     if nfft // g < len(u):
         raise ValueError(f"dx = {dx_target:g} gives a real FFT of length "
                          f"{nfft // g}, shorter than the probes' {len(u)} samples")
-    xpos = np.arange(m_max + 1) * dx
-    out = np.empty((n_probes, 2 * m_max + 1), dtype=complex)
-    out_pos = out[:, m_max:]
-    out_pos[...] = np.fft.rfft(probes, n=nfft // g, axis=1)[:, ::stride // g][:, :m_max + 1]
-    out_pos *= du * np.exp(-1j * u[0] * xpos)
-    np.conjugate(out_pos[:, :0:-1], out=out[:, :m_max])
-    x = np.concatenate([-xpos[:0:-1], xpos])
+    x = np.arange(m_max + 1) * step
+    psi = np.fft.rfft(probes, n=nfft // g, axis=1)[:, ::stride // g][:, :m_max + 1]
+    psi = psi * (du * np.exp(-1j * u[0] * x))  # a copy: the cache keeps no FFT
     fits = []
     for j in range(n_probes):
-        mag = np.abs(out_pos[j])
-        sel = (xpos > 10.0) & (mag > 1e-12)
+        mag = np.abs(psi[j])
+        sel = (x > 10.0) & (mag > 1e-12)
         if np.sum(sel) > 50:
-            coeff = np.polyfit(np.sqrt(xpos[sel]), np.log(mag[sel]), 1)
+            coeff = np.polyfit(np.sqrt(x[sel]), np.log(mag[sel]), 1)
             rate, amp = -float(coeff[0]), math.exp(float(coeff[1]))
         else:
             rate, amp = 0.0, float(np.max(mag))
         fits.append((amp, max(rate, 0.0)))
-    return x, out, tuple(fits)
+    return x, psi, step, tuple(fits)
 
 
 def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
@@ -436,11 +436,12 @@ def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
     """|<transform of f, probe_j(. - center)>| for every probe.
 
     ``values(x)`` gives f on an array of x: a derivative F^(ell), or the
-    difference of two derivatives.  Every pairing is the trapezoid sum of
-    f(x) e^{-i center x} Psi_j(x) over the transform's grid, folded onto its
-    x >= 0 half: f is real and Psi_j(-x) = conj Psi_j(x), so with
-    g(h) = e^{-i center x} w h on x >= 0, where w = 1/2 at x = 0 and at
-    x_max, the pairing is Psi_j g(f+) + conj(Psi_j g(f-)), f+-(x) = f(+-x).
+    difference of two derivatives.  Every pairing is the trapezoid sum, at
+    the transform's step, of f(x) e^{-i center x} Psi_j(x) over -x_max..x_max,
+    folded onto the x >= 0 half the transform keeps: f is real and
+    Psi_j(-x) = conj Psi_j(x), so with g(h) = e^{-i center x} w h on x >= 0,
+    where w = 1/2 at x = 0 and at x_max, the pairing is
+    Psi_j g(f+) + conj(Psi_j g(f-)), f+-(x) = f(+-x).
     A ``parity`` p of +-1 says f(-x) = p f(x): f is evaluated on x >= 0
     only, the second product is p conj of the first and is skipped, and
     the pairing is twice the first's real (p = 1) or imaginary (p = -1)
@@ -450,15 +451,14 @@ def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
     complex matrix-vector product.  The tail guard integrates |f| against
     the fitted transform envelope beyond x_max (with a factor-100 safety
     margin) and raises when it exceeds _TAIL_TOL of the absolute integrand
-    mass sum_x |Psi_j| |f| dx over the whole grid, taken one probe row at a
-    time on the half; pairings themselves can be tiny through cancellation,
-    so they do not set the health scale.  A non-finite value of f (a
-    derivative singular at a grid point) raises ValueError instead of a NaN
-    norm.
+    mass sum_x |Psi_j| |f| step over the whole grid, taken one probe row at
+    a time on the half; pairings themselves can be tiny through
+    cancellation, so they do not set the health scale.  A non-finite value
+    of f (a derivative singular at a grid point) raises ValueError instead
+    of a NaN norm.
     """
-    x, psi, fits = _probe_transform(n_probes, m_probe, x_max, dx)
-    m_max = x.size // 2  # x[m_max] = 0
-    grid = x if parity is None else x[m_max:]
+    x, psi, step, fits = _probe_transform(n_probes, m_probe, x_max, dx)
+    grid = x if parity is not None else np.concatenate([-x[:0:-1], x])
     xt = np.geomspace(x_max, 20.0 * x_max, 200)
     with np.errstate(all="ignore"):
         fvals = values(grid)
@@ -469,32 +469,31 @@ def _factor_pairings(values, center: int, m_probe: int, n_probes: int,
             raise ValueError(f"paired function is not finite at x = "
                              f"{pts[bad][0]:.6g}")
     if parity is None:  # f+ and f-, each from x = 0 outward
-        fpos, fneg = fvals[m_max:], fvals[m_max::-1]
+        fpos, fneg = fvals[-x.size:], fvals[x.size - 1::-1]
     else:
         fpos = fneg = fvals
     fabs = np.abs(fpos)
     fabs += np.abs(fneg)
     fabs[0] *= 0.5  # x = 0 is one point of the whole grid
-    psi = psi[:, m_max:]
     for j in range(n_probes):
         amp, rate = fits[j]
         if rate <= 0.0:
             raise TailTruncationError("no usable decay fit; widen x_max")
-        whole_abs = float(np.abs(psi[j]) @ fabs) * dx
+        whole_abs = float(np.abs(psi[j]) @ fabs) * step
         tail_abs = 200.0 * float(np.trapezoid(
             ft * amp * np.exp(-rate * np.sqrt(xt)), xt))
         if tail_abs > _TAIL_TOL * whole_abs:
             raise TailTruncationError(
                 f"extrapolated tail share {tail_abs / whole_abs:.3g} exceeds "
                 f"{_TAIL_TOL:.1g}; widen x_max")
-    mod = np.exp(-1j * center * x[m_max:])
+    mod = np.exp(-1j * center * x)
     mod[[0, -1]] *= 0.5
     pair = psi @ (fpos * mod)
     if parity is None:
         pair += np.conj(psi @ (fneg * mod))
     else:  # f- = p f+: the second product is p conj of the first
         pair = 2.0 * (pair.real if parity > 0 else pair.imag)
-    return np.abs(pair) * (dx / (2.0 * math.pi))
+    return np.abs(pair) * (step / (2.0 * math.pi))
 
 
 def _parity(spec: NonlinearitySpec, ell: int):

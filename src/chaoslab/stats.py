@@ -79,9 +79,13 @@ def moment_norm(values, n: int, seed: int = 0, tag: int = 0):
     ``values`` holds the draws of V, and the result is one
     :class:`MomentEstimate`.  A (draws, cells) array gives a list of
     estimates, one per column, whose intervals share one set of resamples.
+    More than two dimensions raise ValueError.
     """
     _check_half_order(n)
     values = np.asarray(values, dtype=float)
+    if values.ndim > 2:
+        raise ValueError(f"values must be (draws,) or (draws, cells), got "
+                         f"shape {values.shape}")
     single = values.ndim != 2
     table = values.reshape(-1, 1) if single else values
     m = len(table)

@@ -916,7 +916,8 @@ def build_clusters(points, L_eps: float, g) -> ClusterPartition:
 
 def probe_transform_full_fft(n_probes: int, m_probe: int, x_max: float,
                              dx_target: float):
-    """(x, Psi) of ``nonlinearity._probe_transform`` by one complex FFT per probe.
+    """(x, Psi, step) of ``nonlinearity._probe_transform``, the x >= 0 half
+    and its grid step, by one complex FFT per probe.
 
     The slow route the package used before it took one batched real FFT at
     the shortest exact length: each probe is zero-padded to 2^21 samples,
@@ -928,32 +929,37 @@ def probe_transform_full_fft(n_probes: int, m_probe: int, x_max: float,
     nfft = 1 << 21
     dx0 = 2.0 * math.pi / (nfft * du)
     stride = max(int(round(dx_target / dx0)), 1)
-    m_max = int(x_max / (stride * dx0))
-    xpos = np.arange(m_max + 1) * (stride * dx0)
+    step = stride * dx0
+    m_max = int(x_max / step)
+    xpos = np.arange(m_max + 1) * step
     out_pos = np.empty((n_probes, m_max + 1), dtype=complex)
     for j in range(n_probes):
         padded = np.zeros(nfft)
         padded[:len(u)] = probes[j]
         fh = np.fft.fft(padded)[::stride][:m_max + 1]
         out_pos[j] = du * np.exp(-1j * u[0] * xpos) * fh
-    x = np.concatenate([-xpos[:0:-1], xpos])
-    return x, np.concatenate([np.conj(out_pos[:, :0:-1]), out_pos], axis=1)
-
+    return xpos, out_pos, step
 
 
 def per_probe_factor_pairings(values, center: int, m_probe: int,
                               n_probes: int, x_max: float, dx: float):
     """(pairings, absolute masses) of ``nonlinearity._factor_pairings``,
-    one probe at a time.
+    one probe at a time on the whole grid.
 
-    The route the package took before it formed f times the modulation once
-    and paired every probe in one matrix product: per probe, the integrand
-    f(x) e^{-i center x} Psi_j(x), its trapezoid sum and the sum of its
-    modulus, with the same tail guard.  The masses sum |integrand| dx / 2 pi
-    are the scale of the pairings' rounding.  Only the probe transform is
-    shared with the package.
+    The route the package took before it formed f times the modulation once,
+    paired every probe in one matrix product and folded the grid onto
+    x >= 0: the two-sided transform is rebuilt from Psi(-x) = conj Psi(x),
+    and per probe the integrand f(x) e^{-i center x} Psi_j(x) over
+    -x_max..x_max, its trapezoid sum at the grid's own spacing (the x >= 0
+    half's x[1] - x[0]) and the sum of its modulus, with the same tail
+    guard.  The masses sum |integrand| step / 2 pi are the scale of the
+    pairings' rounding.  Only the probe transform's x >= 0 half is shared
+    with the package.
     """
-    x, psi, fits = _probe_transform(n_probes, m_probe, x_max, dx)
+    xpos, psi_pos, _, fits = _probe_transform(n_probes, m_probe, x_max, dx)
+    step = float(xpos[1] - xpos[0])  # exact: xpos[0] = 0
+    x = np.concatenate([-xpos[:0:-1], xpos])
+    psi = np.concatenate([np.conj(psi_pos[:, :0:-1]), psi_pos], axis=1)
     xt = np.geomspace(x_max, 20.0 * x_max, 200)
     with np.errstate(all="ignore"):
         fvals = values(x)
@@ -963,8 +969,8 @@ def per_probe_factor_pairings(values, center: int, m_probe: int,
     mass = np.empty(n_probes)
     for j in range(n_probes):
         integrand = fvals * mod * psi[j]
-        total = np.trapezoid(integrand, dx=dx) / (2.0 * math.pi)
-        whole_abs = float(np.sum(np.abs(integrand))) * dx
+        total = np.trapezoid(integrand, dx=step) / (2.0 * math.pi)
+        whole_abs = float(np.sum(np.abs(integrand))) * step
         amp, rate = fits[j]
         if rate <= 0.0:
             raise TailTruncationError("no usable decay fit; widen x_max")
@@ -977,6 +983,7 @@ def per_probe_factor_pairings(values, center: int, m_probe: int,
         out[j] = abs(total)
         mass[j] = whole_abs / (2.0 * math.pi)
     return out, mass
+
 
 def _partial_pairings(legs: list[int]):
     """Yield (pairs, singles) decompositions of the index list ``legs``."""

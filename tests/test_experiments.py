@@ -50,6 +50,11 @@ def test_moment_norm_zero():
     assert est.ci == (0.0, 0.0)
 
 
+def test_moment_norm_rejects_more_than_two_dimensions():
+    with pytest.raises(ValueError, match=r"\(draws, cells\), got shape \(4, 3, 2\)"):
+        moment_norm(np.ones((4, 3, 2)), 1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_moment_norm_rejects_non_finite(bad):
     values = np.ones(300)

@@ -182,6 +182,14 @@ def test_holder_norm_rejects_empty_or_nan_estimate(h, alpha, levels):
         holder_norm(vals, lat, alpha=alpha, lambda_levels=levels)
 
 
+def test_holder_norm_rejects_bad_values():
+    lat = KPZ_SPEC.lattice()
+    with pytest.raises(ValueError, match="lattice shape"):
+        holder_norm(np.ones((10, 10)), lat, alpha=-0.5)
+    with pytest.raises(ValueError, match="1152 of 1152 are not"):
+        holder_norm(np.full(lat.shape, np.nan), lat, alpha=-0.5)
+
+
 def test_remainder_pairing_zero_delta():
     f = make_nonlinearity("power_even", beta=0.5)
     est = remainder_pairing("kpz", f, a=1.0, mfspec=KPZ_SPEC, delta=0.0,

@@ -453,9 +453,9 @@ PAIRING_CASES = [(x_max, ell, center, diff)
                  for x_max in (750.0, 1500.0) for ell in (0, 1, 2)
                  for center in (4, 8) for diff in (False, True)]
 # largest |pairing - oracle| over the cases, in units of the oracle's
-# absolute mass sum |f Psi_j| dx / 2 pi: 8.1e-16 (the difference norms at
-# ell = 2); as relative changes of the norm, at most 6.5e-13 (ell = 0 at
-# x_max = 1500, the transform's rounding floor) and 2.6e-15 elsewhere
+# absolute mass sum |f Psi_j| dx / 2 pi: 8.5e-16 (a difference norm at
+# ell = 2); as relative changes of the norm, at most 3.2e-13 (ell = 0 at
+# x_max = 1500, the transform's rounding floor) and 2.3e-14 elsewhere
 PAIRING_MASS_TOL = 2e-15
 
 
@@ -484,6 +484,28 @@ def test_factor_pairings_match_per_probe_oracle():
     assert raised == 4
 
 
+@pytest.mark.parametrize("center", [4, 8])
+def test_factor_pairings_match_closed_form_on_odd_probes(center):
+    # F'' = 3.75 |x|^lam, lam = 1/2, has the transform
+    # -2 Gamma(lam + 1) sin(pi lam / 2) |xi|^(-lam - 1) times 3.75, so the
+    # pairing is |int p_j(u) fhat(u + center) du| / 2 pi, summed on the
+    # probes' own u-grid.  The trapezoid rule's cusp error at x = 0 goes
+    # with Psi_j(0), which is 0 for the odd probes only; its next term goes
+    # like (center * step)^(3.5): measured 2.0e-8 at centre 4 and 2.4e-7 at
+    # centre 8.  Weighting by the requested dx, not the grid's step, puts
+    # every pairing 2.2e-2 low
+    lam = 0.5
+    f = make_nonlinearity("power_even", beta=lam)
+    u, probes = nonlinearity._probe_family(6, 4)
+    fhat = (3.75 * -2.0 * math.gamma(lam + 1.0) * math.sin(math.pi * lam / 2.0)
+            * np.abs(u + center) ** (-lam - 1.0))
+    want = np.abs(probes @ fhat) * float(u[1] - u[0]) / (2.0 * math.pi)
+    got = nonlinearity._factor_pairings(partial(f.deriv, 2), center, 4, 6,
+                                        750.0, 0.006, 1)
+    rel = np.abs(got / want - 1.0)[1::2]
+    assert np.all(rel < 2e-7 * (center / 4) ** 3.5)
+
+
 # every ell at which each power kind's F^(ell) is finite at x = 0
 PARITY_ELLS = {"power_even": (0, 1, 2), "power_odd": (0, 1, 2, 3)}
 # the routes differ where F_delta^(ell)(-x) is not bit for bit
@@ -501,10 +523,9 @@ def test_parity_pairings_match_whole_grid():
     # delta; ranges are the outer loop so the probe transform cache holds
     raised = 0
     for x_max in (750.0, 1500.0):
-        x, psi, _ = nonlinearity._probe_transform(6, 4, x_max, 0.006)
+        xpos, psi, step, _ = nonlinearity._probe_transform(6, 4, x_max, 0.006)
         # |Psi_j| and the terms are even: a mass is twice its x >= 0 half
-        xpos = x[x.size // 2:]
-        weight = np.abs(psi[:, x.size // 2:]) * (2.0 * 0.006 / (2.0 * math.pi))
+        weight = np.abs(psi) * (2.0 * step / (2.0 * math.pi))
         for kind, ells in PARITY_ELLS.items():
             f = make_nonlinearity(kind, beta=0.5)
             for ell in ells:
@@ -567,7 +588,8 @@ def test_window_norms_evaluate_power_kinds_on_the_half(monkeypatch):
     ({"n_probes": 0}, "n_probes"), ({"n_probes": -2}, "n_probes"),
     ({"m_probe": -1}, "m_probe"), ({"ells": (), "center": ()}, "ells"),
     ({"center": (math.nan,)}, "center"), ({"center": (math.inf,)}, "center"),
-    ({"ells": (2, 2), "center": (4, -math.inf)}, "center")])
+    ({"ells": (2, 2), "center": (4, -math.inf)}, "center"),
+    ({"ells": (2.0,)}, "ells"), ({"ells": (-1,)}, "ells")])
 def test_window_norm_query_rejects_bad_arguments(kwargs, match):
     args = {"ells": (2,), "center": (4,), "m_probe": 4} | kwargs
     with pytest.raises(ValueError, match=match):
@@ -591,18 +613,18 @@ _DX0 = 2.0 * math.pi * 512 / (1 << 21)
 
 
 def test_probe_transform_matches_direct_sum():
-    # du * sum_n p_n e^{-i u_n x}, the transform's definition, at 50 grid
-    # points spread over the range, including 0, near x_max and the last bin
-    x, psi, _ = nonlinearity._probe_transform(6, 4, 1500.0, 0.006)
+    # du * sum_n p_n e^{-i u_n x}, the transform's definition, at 50 points
+    # spread over the x >= 0 grid, including 0, near x_max and the last bin
+    x, psi, step, _ = nonlinearity._probe_transform(6, 4, 1500.0, 0.006)
     u, probes = nonlinearity._probe_family(6, 4)
     du = float(u[1] - u[0])
-    m_max = len(x) // 2
+    m_max = len(x) - 1
     idx = np.unique(np.concatenate([
-        m_max + np.linspace(0, m_max, 44).astype(int),
-        [m_max + 1, m_max + 7, len(x) - 2, 0, 3, m_max - 100]]))
+        np.linspace(0, m_max, 44).astype(int),
+        [1, 3, 7, 100, m_max - 100, m_max - 1]]))
     direct = du * probes @ np.exp(-1j * np.outer(u, x[idx]))
     scale = np.max(np.abs(psi), axis=1, keepdims=True)
-    assert len(idx) == 50 and x[m_max] == 0.0
+    assert len(idx) == 50 and x[0] == 0.0 and x[1] == step
     assert np.max(np.abs(psi[:, idx] - direct) / scale) < 1e-13
 
 
@@ -612,9 +634,9 @@ def test_probe_transform_matches_direct_sum():
     (2, 1000.0, 6 * _DX0),  # stride 6: real FFT of 2^20, every 3rd bin
 ])
 def test_probe_transform_matches_full_fft_oracle(n_probes, x_max, dx_target):
-    x, psi, _ = nonlinearity._probe_transform(n_probes, 4, x_max, dx_target)
-    x_ref, psi_ref = probe_transform_full_fft(n_probes, 4, x_max, dx_target)
-    assert np.array_equal(x, x_ref)
+    x, psi, step, _ = nonlinearity._probe_transform(n_probes, 4, x_max, dx_target)
+    x_ref, psi_ref, step_ref = probe_transform_full_fft(n_probes, 4, x_max, dx_target)
+    assert np.array_equal(x, x_ref) and step == step_ref
     assert np.max(np.abs(psi - psi_ref)) < 1e-15 * np.max(np.abs(psi_ref))
 
 
@@ -626,7 +648,7 @@ def test_probe_transform_rejects_aliased_range():
     for x_max in (2400.0, 3200.0):
         with pytest.raises(ValueError, match="pi/du"):
             window_norm(f, q, x_max=x_max)
-    x, _, _ = nonlinearity._probe_transform(1, 4, 1600.0, 0.006)
+    x, _, _, _ = nonlinearity._probe_transform(1, 4, 1600.0, 0.006)
     assert x[-1] <= 512 * math.pi
 
 
@@ -635,28 +657,32 @@ def test_probe_transform_rejects_truncating_stride():
     with pytest.raises(ValueError, match="shorter than the probes"):
         nonlinearity._probe_transform(1, 4, 100.0, 2048 * _DX0)
     # stride 1024 still fits them in 2048 samples
-    x, psi, _ = nonlinearity._probe_transform(1, 4, 100.0, 1024 * _DX0)
-    x_ref, psi_ref = probe_transform_full_fft(1, 4, 100.0, 1024 * _DX0)
-    assert np.array_equal(x, x_ref)
+    x, psi, step, _ = nonlinearity._probe_transform(1, 4, 100.0, 1024 * _DX0)
+    x_ref, psi_ref, step_ref = probe_transform_full_fft(1, 4, 100.0, 1024 * _DX0)
+    assert np.array_equal(x, x_ref) and step == step_ref == 1024 * _DX0
     assert np.max(np.abs(psi - psi_ref)) < 1e-15 * np.max(np.abs(psi_ref))
 
 
 def test_probe_transform_memory():
-    # one batched real FFT of 2^19: about 50 MB traced; the per-probe
-    # full-length complex FFTs it replaced peaked at about 130 MB
+    # one batched real FFT of 2^19 (25.2 MB) and the kept x >= 0 bins
+    # (12.7 MB): 40.0 MB traced at peak, 12.9 MB retained by the cache.  A
+    # two-sided transform peaks at 49.8 MB and retains 25.6 MB, and a view
+    # into the FFT retains 25.2 MB
     nonlinearity._probe_transform.cache_clear()
     tracemalloc.start()
     try:
         nonlinearity._probe_transform(6, 4, 750.0, 0.006)
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 80e6
+    assert peak < 45e6 and retained < 16e6
 
 
 def test_probe_transform_cache_is_bounded():
-    # one cached transform at x_max = 1500 holds about 45 MB: a cache of 64
-    # keys kept every x_max a process ever asked for
+    # one cached transform at x_max = 1500 holds 25.4 MB (the x >= 0 half),
+    # and a cache of 64 keys would keep every x_max a process asks for.  The
+    # two entries left here (x_max 1300 and 1200) retain 42.4 MB in all;
+    # two-sided transforms retain 84.7 MB
     f = make_nonlinearity("power_even", beta=0.5)
     q = WindowNormQuery(ells=(2,), center=(4,), m_probe=4)
     nonlinearity._probe_transform.cache_clear()
@@ -668,7 +694,7 @@ def test_probe_transform_cache_is_bounded():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained < 110e6
+    assert retained < 55e6
 
 
 def test_coupling_constant_quadratic():
