@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -106,6 +107,9 @@ class ChaosTruncSpec:
     def __post_init__(self):
         if self.trig not in _TRIG_PHASE:
             raise ValueError(f"trig must be one of {sorted(_TRIG_PHASE)}")
+        if not isinstance(self.m, Integral):
+            raise ValueError(f"truncation order m must be an integer, got "
+                             f"{self.m!r}")
         if self.m < 0:
             raise ValueError("truncation order must be non-negative")
         if not self.parity_ok:
@@ -133,9 +137,11 @@ class TwoPointFunctional:
     deriv: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        r1, r2 = self.deriv
-        if min(r1, r2) < 0 or max(r1, r2) > MAX_DERIV_ORDER:
-            raise ValueError(f"derivative orders must lie in [0, {MAX_DERIV_ORDER}]")
+        if len(self.deriv) != 2 or not all(
+                isinstance(r, Integral) and 0 <= r <= MAX_DERIV_ORDER
+                for r in self.deriv):
+            raise ValueError(f"deriv must be two integer orders in [0, "
+                             f"{MAX_DERIV_ORDER}], got {self.deriv!r}")
 
 
 def truncated_trig_deriv(x, theta: float, phase: int, m_remove: int, r: int, sigma2: float):

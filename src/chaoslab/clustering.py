@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -52,13 +53,14 @@ _MC_BATCH = 50_000
 
 
 def _check_mc(n: int, L: float, n_mc: int, **scales):
-    """ValueError for no configurations, no points, a scale constant L that
-    is not positive, or a named scale (a number or a grid of them) that is
-    empty, not finite or not positive."""
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be positive, got {n_mc}")
-    if n < 1 or not L > 0:  # also rejects NaN
-        raise ValueError(f"need n >= 1 and L > 0, got n = {n}, L = {L}")
+    """ValueError for no configurations or points, or a non-integer count
+    of either, a scale constant L that is not positive, or a named scale (a
+    number or a grid of them) that is empty, not finite or not positive."""
+    if not isinstance(n_mc, Integral) or n_mc < 1:
+        raise ValueError(f"n_mc must be positive and an integer, got {n_mc!r}")
+    if not isinstance(n, Integral) or n < 1 or not L > 0:  # also rejects NaN
+        raise ValueError(f"need an integer n >= 1 and L > 0, got n = {n!r}, "
+                         f"L = {L}")
     for name, value in scales.items():
         grid = np.atleast_1d(np.asarray(value, dtype=float))
         if grid.size == 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -161,9 +162,11 @@ def _study(design: StudyDesign, eps_grid: list[float], cells: list,
 
 
 def _check_study(n_samples: int, **grids):
-    """ValueError, naming the argument, for no draws or an empty grid."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    """ValueError, naming the argument, for a draw count that is not an
+    integer of at least 1 or an empty grid."""
+    if not isinstance(n_samples, Integral) or n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 and an integer, got "
+                         f"{n_samples!r}")
     for name, grid in grids.items():
         if len(grid) == 0:
             raise ValueError(f"{name} is empty")

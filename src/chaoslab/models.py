@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -240,15 +241,17 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
     lam^{-alpha} |<f, bump_lam_z>|, with the pairing done by periodic FFT
     correlation (the synthesized fields are periodic).  Refining the grid of
     scales or centers never lowers the estimate.  ValueError unless alpha is
-    negative, lambda_levels >= 1, ``values`` is finite and of the lattice's
-    shape, and the lattice resolves the largest scale (its base step at
-    most half of it); finer scales the lattice cannot resolve are left out.
+    negative, lambda_levels is an integer >= 1, ``values`` is finite and of
+    the lattice's shape, and the lattice resolves the largest scale (its
+    base step at most half of it); finer scales the lattice cannot resolve
+    are left out.
     """
     if not -math.inf < alpha < 0.0:  # also rejects NaN
         raise ValueError(f"this norm is for finite negative regularity "
                          f"exponents, got alpha = {alpha!r}")
-    if lambda_levels < 1:
-        raise ValueError(f"lambda_levels must be at least 1, got {lambda_levels}")
+    if not isinstance(lambda_levels, Integral) or lambda_levels < 1:
+        raise ValueError(f"lambda_levels must be at least 1 and an integer, "
+                         f"got {lambda_levels!r}")
     if np.shape(values) != lat.shape:
         raise ValueError(f"values must have the lattice shape {lat.shape}, "
                          f"got {np.shape(values)}")
@@ -310,6 +313,9 @@ def _gap_study(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec,
     a lattice array; the field and the bump are built once.  Bad arguments
     raise before either is built."""
     _check_half_order(n)
+    if not isinstance(n_samples, Integral) or n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 and an integer, got "
+                         f"{n_samples!r}")
     if not (math.isfinite(a) and a != 0.0):
         raise ValueError(f"a must be finite and non-zero, got {a!r}")
     if mfspec.epsilon < 2 * mfspec.h:

@@ -39,15 +39,13 @@ theta and sample block.
 ``field.sample_field_values`` returns them, against a plan.  A truncated
 trig factor is fixed by its key (theta, phase, m, r) and is a pointwise
 function of the draw, so each distinct key is evaluated once per batch, on
-the union of the lattice points at which any config needs it (the x
-supports of its x readers and the live y columns of its y readers), and
-each reader gathers its columns from that table at positions the plan
-computed once.  Only those union columns are normalised by eps^{alpha/2},
-which commutes exactly with the gather.  A y key's table holds the
-matrix's columns first, so each distinct y factor is contracted once, as
-G = f_y @ K^T over a leading slice of its table, and each config sums its
-own rows of G against its test weights and its x factor.  A table or
-contraction is freed after its last reader.
+the plan's one column set: the matrix's y columns, then the x rows that
+are not among them.  Only those columns are normalised by eps^{alpha/2}.
+Each cell reads its x factor at its rows' positions, which the plan
+computes once.  Each distinct y factor is a leading slice of its table and
+is contracted once, as G = f_y @ K^T, and each config sums its own rows of
+G against its test weights and its x factor.  A table or contraction is
+freed after its last reader.
 :func:`apply_batch` is the one-config case.  The two are the module's only
 evaluation routes: a single sum of one factor against the test function is
 not an operator value, and no study reads one.
@@ -143,56 +141,39 @@ def _lead(first: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.concatenate([first, np.setdiff1d(idx, first, assume_unique=True)])
 
 
-def _positions(have: np.ndarray, want: np.ndarray):
-    """Positions of the indices ``want`` in ``have``, which holds them all,
-    or None when the two are equal."""
-    if np.array_equal(have, want):
-        return None
-    sorter = np.argsort(have)
-    return sorter[np.searchsorted(have, want, sorter=sorter)]
-
-
 def _take(table: np.ndarray, positions) -> np.ndarray:
     return table if positions is None else table[:, positions]
 
 
 class OperatorPlan:
     """What :func:`apply_configs` reads of ``configs`` (cell -> config)
-    that no draw changes: the one kernel matrix, the union columns of every
-    factor key and each reader's positions in them (see the module
-    docstring).  The configs' set-ups must share kernel, lattice and y
-    radius; building the plan builds the kernel matrix."""
+    that no draw changes: the one kernel matrix, the plan's columns and
+    each cell's positions in them (see the module docstring).  The configs'
+    set-ups must share kernel, lattice and y radius; building the plan
+    builds the kernel matrix."""
 
     def __init__(self, configs: dict):
         setups = {id(cfg.setup): cfg.setup for cfg in configs.values()}
         block = _kernel_rows(list(setups.values()))
         own = dict(zip(setups, zip(block["rows"], block["xw"])))
         x_idx, y_idx = block["x_idx"], block["y_idx"]
+        # the matrix's columns first, so a y factor is a leading slice of
+        # its table, read without a copy
+        self.cols = _lead(y_idx, np.union1d(x_idx, y_idx))
+        sorter = np.argsort(self.cols)
+        xpos = sorter[np.searchsorted(self.cols, x_idx, sorter=sorter)]
+        self.shape = next(iter(setups.values())).lattice.shape
+        self.kmat, self.ny = block["kmat"], len(y_idx)
         # the last cell to read each factor table and each y key's contraction
-        uses, union, self.last, self.last_y = {}, {}, {}, {}
+        self.cells, self.last, self.last_y = {}, {}, {}
         for cell, cfg in configs.items():
             fn, (rows, xw) = cfg.functional, own[id(cfg.setup)]
             kx = (fn.theta[0], fn.spec_x.phase, fn.spec_x.m, fn.deriv[0])
             ky = (fn.theta[1], fn.spec_y.phase, fn.spec_y.m, fn.deriv[1])
-            uses[cell] = (kx, ky, rows, xw)
+            self.cells[cell] = (kx, xpos[rows], ky,
+                                None if len(rows) == len(x_idx) else rows, xw)
             self.last.update({kx: cell, ky: cell})
             self.last_y[ky] = cell
-            for key, idx in ((kx, x_idx[rows]), (ky, y_idx)):
-                union[key] = np.union1d(union[key], idx) if key in union else idx
-        # a y key's table holds the matrix's columns first, so its factor is
-        # a leading slice of the table, read without a copy
-        order = {key: _lead(y_idx, idx) if key in self.last_y else idx
-                 for key, idx in union.items()}
-        self.shape = next(iter(setups.values())).lattice.shape
-        self.kmat, self.ny = block["kmat"], len(y_idx)
-        self.cols = _lead(next(iter(order.values())),
-                          reduce(np.union1d, union.values()))
-        # key -> positions of its table's columns in cols
-        self.tables = {key: _positions(self.cols, idx)
-                       for key, idx in order.items()}
-        self.cells = {cell: (kx, _positions(order[kx], x_idx[rows]), ky,
-                             None if len(rows) == len(x_idx) else rows, xw)
-                      for cell, (kx, ky, rows, xw) in uses.items()}
 
 
 def apply_configs(plan: OperatorPlan, values: np.ndarray, sigma2: float,
@@ -200,21 +181,19 @@ def apply_configs(plan: OperatorPlan, values: np.ndarray, sigma2: float,
     """Double Riemann sums of phi_lam * K * F for every config of ``plan``
     over a batch of raw draws, shape (B, *lattice.shape): cell -> shape
     (B,).  sigma2, alpha and epsilon are those of the draws' spectrum.
-    Each distinct factor key is evaluated once, on the union of the points
-    its readers need (see the module docstring)."""
+    Each distinct factor key is evaluated once, on the plan's columns (see
+    the module docstring)."""
     if values.shape[1:] != plan.shape:
         raise ValueError(f"draws of shape {values.shape[1:]} do not match "
                          f"the operator lattice {plan.shape}")
     norm = values.reshape(len(values), -1)[:, plan.cols]  # a copy, scaled in place
     norm *= epsilon ** (alpha / 2.0)
-    tables, contracted, out, unbuilt = {}, {}, {}, set(plan.tables)
+    tables, contracted, out, unbuilt = {}, {}, {}, set(plan.last)
 
     def factor(key):
         nonlocal norm
         if key not in tables:
-            theta, phase, m, r = key
-            tables[key] = truncated_trig_deriv(
-                _take(norm, plan.tables[key]), theta, phase, m, r, sigma2)
+            tables[key] = truncated_trig_deriv(norm, *key, sigma2)
             unbuilt.discard(key)
             if not unbuilt:
                 norm = None  # every table is built
@@ -225,7 +204,7 @@ def apply_configs(plan: OperatorPlan, values: np.ndarray, sigma2: float,
             contracted[ky] = factor(ky)[:, :plan.ny] @ plan.kmat.T
         # one expression, so no gathered copy outlives its cell
         out[cell] = np.einsum("bx,x,bx->b", _take(contracted[ky], rows), xw,
-                              _take(factor(kx), xpos))
+                              factor(kx)[:, xpos])
         for key, store, last in ((kx, tables, plan.last),
                                  (ky, tables, plan.last),
                                  (ky, contracted, plan.last_y)):

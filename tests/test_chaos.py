@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaoslab.chaos import (
+    MAX_DERIV_ORDER,
     PHASE_COS,
     PHASE_SIN,
     ChaosTruncSpec,
@@ -87,6 +88,19 @@ def test_parity_enforced():
         ChaosTruncSpec("sin", 2)
     ChaosTruncSpec("cos", 2)
     ChaosTruncSpec("sin", 1)
+
+
+def test_factor_orders_must_be_integers():
+    # ChaosTruncSpec("sin", 3.0) was accepted and failed later inside range;
+    # deriv = (0.5, 0) gave NaN factors
+    with pytest.raises(ValueError, match="truncation order m must be an integer"):
+        ChaosTruncSpec("sin", 3.0)
+    sin1 = ChaosTruncSpec("sin", 1)
+    for deriv in ((0.5, 0), (0, 1.0), (0, -1),
+                  (0, MAX_DERIV_ORDER + 1), (1,)):
+        with pytest.raises(ValueError, match="deriv must be two integer orders"):
+            TwoPointFunctional(sin1, sin1, (1.0, 1.0), deriv)
+    TwoPointFunctional(sin1, sin1, (1.0, 1.0), (np.int64(2), 0))
 
 
 def test_truncated_trig_theta_zero():

@@ -128,8 +128,8 @@ def test_volume_bound_ratio_stable():
     assert max(ratios) / min(ratios) < 6.0
 
 
-@pytest.mark.parametrize("n, L", [(0, 1.0), (1, -1.0), (1, 0.0)],
-                         ids=["n0", "negative-L", "zero-L"])
+@pytest.mark.parametrize("n, L", [(0, 1.0), (1.5, 1.0), (1, -1.0), (1, 0.0)],
+                         ids=["n0", "fractional-n", "negative-L", "zero-L"])
 def test_volume_checks_reject_invalid_input(n, L):
     with pytest.raises(ValueError, match="n >= 1 and L > 0"):
         volume_Sc(n, 0.1, 0.25, G1, n_mc=100, L=L)
@@ -158,12 +158,16 @@ def test_volume_lemma_check_rejects_empty_grid(which):
         volume_lemma_check(1, kern, alpha=0.6, m2=1, n_mc=100, **grids)
 
 
-@pytest.mark.parametrize("n_mc", [0, -5])
+@pytest.mark.parametrize("n_mc", [0, -5, 100.0])
 def test_volume_checks_reject_no_samples(n_mc):
+    # a float count failed with a bare TypeError
     with pytest.raises(ValueError, match="n_mc must be positive"):
         volume_Sc(1, 0.1, 0.25, G1, n_mc=n_mc)
     with pytest.raises(ValueError, match="n_mc must be positive"):
         partition_sum_check(1, 0.1, 0.3, n_mc)
+    with pytest.raises(ValueError, match="n_mc must be positive"):
+        volume_lemma_check(1, RenormKernel(gamma=0.4, g=G1, r_e=1), [0.1],
+                           [0.5], alpha=0.6, m2=1, n_mc=n_mc)
 
 
 def test_partition_check_small():

@@ -401,6 +401,16 @@ def _no_draws(monkeypatch):
     monkeypatch.setattr(experiments, "sample_fields", fail)
 
 
+def test_freq_sweep_rejects_fractional_derivative_first(monkeypatch):
+    # deriv = (0.5, 0) ran the whole sweep and failed only in moment_norm on
+    # non-finite sample values
+    _no_draws(monkeypatch)
+    design = dataclasses.replace(DESIGN, deriv=(0.5, 0))
+    with pytest.raises(ValueError, match="deriv must be two integer orders"):
+        freq_sweep(design, eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0)], n=1,
+                   n_samples=4)
+
+
 def test_scaling_scan_resolution_guard(monkeypatch):
     # every eps is checked before the first draw, the last one included
     _no_draws(monkeypatch)
@@ -426,7 +436,9 @@ def test_studies_reject_bad_y_radius(monkeypatch, y_radius):
 
 @pytest.mark.parametrize("kwargs, match", [
     (dict(n_samples=0), "n_samples must be at least 1"),
-    (dict(theta_grid=[]), "theta_grid is empty")], ids=["no-draws", "no-theta"])
+    (dict(n_samples=4.0), "n_samples must be at least 1 and an integer"),
+    (dict(theta_grid=[]), "theta_grid is empty")],
+    ids=["no-draws", "float-draws", "no-theta"])
 def test_freq_sweep_rejects_empty_input(monkeypatch, kwargs, match):
     _no_draws(monkeypatch)
     args = dict(eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0)], n=1, n_samples=4)
@@ -436,9 +448,10 @@ def test_freq_sweep_rejects_empty_input(monkeypatch, kwargs, match):
 
 @pytest.mark.parametrize("kwargs, match", [
     (dict(n_samples=0), "n_samples must be at least 1"),
+    (dict(n_samples=4.0), "n_samples must be at least 1 and an integer"),
     (dict(eps_grid=[]), "eps_grid is empty"),
     (dict(lambda_grid=[]), "lambda_grid is empty")],
-    ids=["no-draws", "no-eps", "no-lam"])
+    ids=["no-draws", "float-draws", "no-eps", "no-lam"])
 def test_scaling_scan_rejects_empty_input(monkeypatch, kwargs, match):
     _no_draws(monkeypatch)
     args = dict(theta=(1.0, 1.0), eps_grid=[0.2], lambda_grid=[0.4], n=1,

@@ -239,7 +239,7 @@ def test_kernel_rejects_bad_cutoff(cutoff):
         RenormKernel(gamma=0.4, g=G1, r_e=0, cutoff=cutoff)
 
 
-@pytest.mark.parametrize("n_samples", [0, -3])
+@pytest.mark.parametrize("n_samples", [0, -3, 4000.0])
 def test_region_bounds_reject_no_samples(n_samples):
     k = RenormKernel(gamma=0.4, g=G1, r_e=1)
     with pytest.raises(ValueError, match="n_samples"):

@@ -173,8 +173,9 @@ def test_holder_norm_self_overlap():
 
 
 @pytest.mark.parametrize("h, alpha, levels", [
-    (0.3, -0.5, 4), (0.125, -0.5, 0), (0.125, float("nan"), 4)],
-    ids=["unresolved-scale", "no-levels", "nan-alpha"])
+    (0.3, -0.5, 4), (0.125, -0.5, 0), (0.125, -0.5, 2.5),
+    (0.125, float("nan"), 4)],
+    ids=["unresolved-scale", "no-levels", "fractional-levels", "nan-alpha"])
 def test_holder_norm_rejects_empty_or_nan_estimate(h, alpha, levels):
     lat = replace(KPZ_SPEC, h=h).lattice()
     vals = np.ones(lat.shape)
@@ -272,6 +273,28 @@ def test_studies_check_the_half_order_first(monkeypatch, study, n):
     args = dict(a=1.0, mfspec=KPZ_SPEC, delta=0.2, lam=0.4, n=n, n_samples=4,
                 seed=1)
     with pytest.raises(ValueError, match="half-order n must be an integer"):
+        if study == "remainder_pairing":
+            remainder_pairing("kpz", f, **args)
+        else:
+            mollification_gap(f, **args)
+
+
+@pytest.mark.parametrize("study", ["remainder_pairing", "mollification_gap"])
+@pytest.mark.parametrize("n_samples", [0, 4.0], ids=["zero", "float"])
+def test_studies_check_the_draw_count_first(monkeypatch, study, n_samples):
+    # n_samples = 0 failed with "empty sample" after the field was built, and
+    # 4.0 with a bare TypeError from range(); both raise before the field
+    _no_draws(monkeypatch)
+
+    def no_field(*args):
+        raise AssertionError("the study built its field before validating "
+                             "n_samples")
+
+    monkeypatch.setattr(models, "build_model_field", no_field)
+    f = make_nonlinearity("power_even", beta=0.5)
+    args = dict(a=1.0, mfspec=KPZ_SPEC, delta=0.2, lam=0.4, n=1,
+                n_samples=n_samples, seed=1)
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
         if study == "remainder_pairing":
             remainder_pairing("kpz", f, **args)
         else:

@@ -246,6 +246,17 @@ def test_shared_factors_evaluated_once_per_key(monkeypatch):
         own = operator._kernel_rows([c.setup])
         union |= set(own["x_idx"]) | set(own["y_idx"])
     assert calls == [(5, len(union))]
+    # mixed keys: a cos factor at theta 2 read only as the x factor, beside a
+    # sin key read as both; each is evaluated once, on all the plan's columns
+    calls.clear()
+    sin1, cos2 = ChaosTruncSpec("sin", 1), ChaosTruncSpec("cos", 2)
+    fns = (TwoPointFunctional(sin1, sin1, (1.0, 1.0)),
+           TwoPointFunctional(cos2, sin1, (2.0, 1.0)))
+    plan = OperatorPlan({(lam, i): OperatorConfig(c.setup, fn)
+                         for lam, c in configs.items()
+                         for i, fn in enumerate(fns)})
+    apply_configs(plan, values, *spectrum_args(spec))
+    assert calls == [(5, len(plan.cols))] * 2
 
 
 @pytest.mark.parametrize("r_e", [0, 2])
