@@ -2,11 +2,14 @@
 
 The operator studies (:func:`freq_sweep`, :func:`scaling_scan`) are two
 reports over one core, :func:`_study`: a table of 2n-th root moment norms,
-one per (eps, lam, theta) cell.  A call builds one kernel matrix, which
+one per (eps, lam, theta) cell.  A call reads one kernel matrix, which
 every lambda reads at the rows of its test support, one spectrum per eps
-and one noise per draw, all shared by every cell.  Each cell's operator
-values are taken over the same draws, and one ``moment_norm`` call
-resamples the (draws x cells) table once, so every cell's bootstrap
+and one noise per draw, all shared by every cell.  The matrix depends only
+on the design's kernel, lattice and y radius and on the lambdas: a call
+builds it once, and a call that repeats the last call's, at any eps, theta
+or seed, reads the operator's kept block and builds none.  Each cell's
+operator values are taken over the same draws, and one ``moment_norm``
+call resamples the (draws x cells) table once, so every cell's bootstrap
 interval comes from the same resamples.  The studies report
 single-constant domination against the target power laws and fitted slopes;
 the underlying bound is one-sided, so slope checks are lower bounds, never
@@ -133,9 +136,10 @@ def _study(design: StudyDesign, eps_grid: list[float], cells: list,
 
     One :class:`operator.OperatorPlan` serves every cell and every sample
     block: one kernel matrix on the union of the lams' test supports, which
-    each lam reads at its own rows.  It is built before any draw exists, so
-    it never stacks on the draws.  Each block of SAMPLE_CHUNK draws is
-    synthesised once for every eps (:func:`field.sample_fields`), and every
+    each lam reads at its own rows.  It is built, or read from the
+    operator's kept block, before any draw exists, so it never stacks on
+    the draws.  Each block of SAMPLE_CHUNK draws is synthesised once for
+    every eps (:func:`field.sample_fields`), and every
     sample's noise comes from its own counter substream, so the blocking
     changes no number.  The (draws x pairs) table is resampled once, from
     BOOTSTRAP tag ``tag``.  A bad half-order n raises before the plan is

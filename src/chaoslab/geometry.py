@@ -152,12 +152,26 @@ class Lattice:
     """Regular grid with per-axis spacing ``h**s_i`` covering a centered box.
 
     Iteration order over points is fixed row-major over the axes so that
-    deterministic reductions reproduce bit-for-bit.
+    deterministic reductions reproduce bit-for-bit.  Lattices are values:
+    two are equal, and hash alike, when their geometry, base step and axes
+    are, the axes compared bit for bit.
     """
 
     geometry: ScalingGeometry
     base_step: float
     axes: tuple[np.ndarray, ...] = field(repr=False)
+
+    def _value(self) -> tuple:
+        return (self.geometry, self.base_step,
+                tuple((a.dtype.str, a.shape, a.tobytes()) for a in self.axes))
+
+    def __eq__(self, other):
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self is other or self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     @property
     def steps(self) -> tuple[float, ...]:

@@ -20,20 +20,27 @@ evaluated at them.
 Neither the kernel matrix nor the test-function weights depend on the
 frequency theta, and the kernel matrix depends on the test function only
 through the x rows it is read at.  An ``OperatorSetup`` (kernel, test
-function, lattice, y radius) is a frozen value that holds no arrays, and an
+function, lattice, y radius) is a frozen, hashable value that holds no
+arrays (a lattice compares by geometry, step and axes), and an
 ``OperatorConfig`` pairs a set-up with the theta-dependent functional.
 :func:`_kernel_rows` is the one builder of the kernel matrix, by one
-``eval_K_many`` call.
+``eval_K_many`` call.  It keeps the last block it built (the matrix, its
+rows and columns, and each set-up's row positions and weights), and hands
+it back, not a copy, for set-ups equal to that block's by value; the
+block and its arrays are read-only, so no reader can change another's
+matrix.  One block is kept at most, dropped before the next one is built.
 
 An :class:`OperatorPlan` holds what the draws do not change of a dict of
-configs, and owns their one kernel matrix.  The configs' set-ups must share
+configs, and reads their one kernel block.  The configs' set-ups must share
 kernel, lattice and y radius; the matrix's rows are the union of their x
 supports, and each set-up keeps only its row positions in it and its test
 weights.  A y column that is live for the union but not for one set-up holds
 zeros in that set-up's rows, so its sum over the shared columns is its own
 sum; with numpy 2.4's OpenBLAS it is bit for bit, as the tests check.  The
 studies in ``experiments`` build one plan per call, shared by every lambda,
-theta and sample block.
+theta and sample block; a call whose lambdas and design repeat the last
+call's reads the kept block and builds no matrix, whatever its eps, theta
+and seed.
 
 :func:`apply_configs` reads a batch of draws, as
 ``field.sample_field_values`` returns them, against a plan.  A truncated
@@ -53,8 +60,10 @@ not an operator value, and no study reads one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,21 +76,31 @@ class ResolutionError(RuntimeError):
     """Test-function support contains no lattice point (scale below the step)."""
 
 
-def _kernel_rows(setups: list) -> dict:
+# the last block _kernel_rows built, keyed by its set-ups: one entry at most
+_LAST_BLOCK: dict = {}
+
+
+def _kernel_rows(setups) -> MappingProxyType:
     """One kernel matrix for ``setups``, times the cell volume: the
     operator's one matrix builder.
 
-    The set-ups must share kernel, lattice and y radius (ValueError
-    otherwise, or when there are none).  The matrix's rows are the union
-    ``x_idx`` of their test-function supports, its columns ``y_idx`` the
-    ball of radius y_radius less the points where K(., y) vanishes on every
-    row.  ``rows`` and ``xw`` hold, in the order of ``setups``, each
-    set-up's row positions and its test weights times the cell volume.
+    The set-ups must share kernel, lattice and y radius, compared by value
+    (ValueError otherwise, or when there are none).  The matrix's rows are
+    the union ``x_idx`` of their test-function supports, its columns
+    ``y_idx`` the ball of radius y_radius less the points where K(., y)
+    vanishes on every row.  ``rows`` and ``xw`` hold, in the order of
+    ``setups``, each set-up's row positions and its test weights times the
+    cell volume.  The last block built is kept, and set-ups equal to its
+    own, in the same order, get it back; the block and its arrays are
+    read-only.
     """
-    # lattices by identity, as their axes are arrays
-    if len({(st.kernel, id(st.lattice), st.y_radius) for st in setups}) != 1:
+    setups = tuple(setups)
+    if len({(st.kernel, st.lattice, st.y_radius) for st in setups}) != 1:
         raise ValueError("a kernel matrix needs one or more set-ups that "
                          "share kernel, lattice and y radius")
+    if setups in _LAST_BLOCK:
+        return _LAST_BLOCK[setups]
+    _LAST_BLOCK.clear()  # before the build: one block is held at most
     lat = setups[0].lattice
     pts = lat.points()
     supports, weights = [], []
@@ -98,9 +117,15 @@ def _kernel_rows(setups: list) -> dict:
     y_idx = np.nonzero(metric_many(pts, lat.geometry) <= setups[0].y_radius)[0]
     kmat = eval_K_many(pts[x_idx], pts[y_idx], setups[0].kernel, lat.base_step)
     live = np.any(kmat != 0.0, axis=0)
-    return dict(x_idx=x_idx, y_idx=y_idx[live],
-                kmat=kmat[:, live] * lat.cell_volume,
-                rows=[np.searchsorted(x_idx, s) for s in supports], xw=weights)
+    block = MappingProxyType(dict(
+        x_idx=x_idx, y_idx=y_idx[live], kmat=kmat[:, live] * lat.cell_volume,
+        rows=tuple(np.searchsorted(x_idx, s) for s in supports),
+        xw=tuple(weights)))
+    for arr in (block["x_idx"], block["y_idx"], block["kmat"], *block["rows"],
+                *block["xw"]):
+        arr.setflags(write=False)
+    _LAST_BLOCK[setups] = block
+    return block
 
 
 @dataclass(frozen=True)
@@ -130,7 +155,10 @@ class OperatorConfig:
 
     def sanity_envelope(self, f_sup: float) -> float:
         """Crude bound sup|F| * sum |K| |phi| * cell volumes for per-run
-        checks, on a kernel matrix built for the set-up alone."""
+        checks, on the kernel matrix of the set-up alone.  ``f_sup`` must be
+        finite and >= 0 (ValueError otherwise)."""
+        if not 0.0 <= f_sup < math.inf:  # NaN fails too
+            raise ValueError(f"f_sup must be finite and >= 0, got {f_sup!r}")
         st = _kernel_rows([self.setup])
         return float(np.sum(f_sup * np.abs(st["xw"][0]) @ np.abs(st["kmat"])))
 
@@ -149,12 +177,13 @@ class OperatorPlan:
     """What :func:`apply_configs` reads of ``configs`` (cell -> config)
     that no draw changes: the one kernel matrix, the plan's columns and
     each cell's positions in them (see the module docstring).  The configs'
-    set-ups must share kernel, lattice and y radius; building the plan
-    builds the kernel matrix."""
+    set-ups must share kernel, lattice and y radius, compared by value;
+    building the plan builds the kernel matrix, or reads the kept block of
+    equal set-ups, whose read-only ``kmat`` it shares."""
 
     def __init__(self, configs: dict):
-        setups = {id(cfg.setup): cfg.setup for cfg in configs.values()}
-        block = _kernel_rows(list(setups.values()))
+        setups = tuple(dict.fromkeys(cfg.setup for cfg in configs.values()))
+        block = _kernel_rows(setups)
         own = dict(zip(setups, zip(block["rows"], block["xw"])))
         x_idx, y_idx = block["x_idx"], block["y_idx"]
         # the matrix's columns first, so a y factor is a leading slice of
@@ -162,12 +191,12 @@ class OperatorPlan:
         self.cols = _lead(y_idx, np.union1d(x_idx, y_idx))
         sorter = np.argsort(self.cols)
         xpos = sorter[np.searchsorted(self.cols, x_idx, sorter=sorter)]
-        self.shape = next(iter(setups.values())).lattice.shape
+        self.shape = setups[0].lattice.shape
         self.kmat, self.ny = block["kmat"], len(y_idx)
         # the last cell to read each factor table and each y key's contraction
         self.cells, self.last, self.last_y = {}, {}, {}
         for cell, cfg in configs.items():
-            fn, (rows, xw) = cfg.functional, own[id(cfg.setup)]
+            fn, (rows, xw) = cfg.functional, own[cfg.setup]
             kx = (fn.theta[0], fn.spec_x.phase, fn.spec_x.m, fn.deriv[0])
             ky = (fn.theta[1], fn.spec_y.phase, fn.spec_y.m, fn.deriv[1])
             self.cells[cell] = (kx, xpos[rows], ky,
@@ -186,7 +215,8 @@ def apply_configs(plan: OperatorPlan, values: np.ndarray, sigma2: float,
     if values.shape[1:] != plan.shape:
         raise ValueError(f"draws of shape {values.shape[1:]} do not match "
                          f"the operator lattice {plan.shape}")
-    norm = values.reshape(len(values), -1)[:, plan.cols]  # a copy, scaled in place
+    # a copy, scaled in place; the column count also reshapes zero draws
+    norm = values.reshape(len(values), math.prod(plan.shape))[:, plan.cols]
     norm *= epsilon ** (alpha / 2.0)
     tables, contracted, out, unbuilt = {}, {}, {}, set(plan.last)
 

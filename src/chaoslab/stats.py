@@ -54,9 +54,13 @@ def bootstrap_means(x: np.ndarray, seed: int, tag: int) -> np.ndarray:
     """Means of BOOTSTRAP_RESAMPLES resamples of the rows of ``x``.
 
     ``x`` has shape (m, *rest); the result has shape
-    (BOOTSTRAP_RESAMPLES, *rest), one row per resample of the m rows.
+    (BOOTSTRAP_RESAMPLES, *rest), one row per resample of the m rows.  An
+    empty ``x`` raises ValueError before the stream is opened.
     """
     m = len(x)
+    if m == 0:
+        raise ValueError(f"empty sample: x of shape {np.shape(x)} has no "
+                         f"rows to resample")
     flat = x.reshape(m, -1)
     gen = rng.substream(seed, rng.BOOTSTRAP, tag)
     out = np.empty((BOOTSTRAP_RESAMPLES, flat.shape[1]))

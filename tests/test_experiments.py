@@ -265,6 +265,51 @@ def test_studies_build_each_setup_once(monkeypatch, n_samples):
     assert len(builds) == 1
 
 
+def test_studies_reuse_the_kept_kernel_block(monkeypatch):
+    # the kernel block depends on no eps, theta, seed or draw: a call whose
+    # set-ups equal the last call's builds nothing, and gives the numbers of
+    # a cold call; another lambda set builds once
+    builds = []
+    eval_K_many = operator.eval_K_many
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return eval_K_many(*args, **kwargs)
+
+    monkeypatch.setattr(operator, "eval_K_many", counting)
+    thetas = [(0.5, 0.5), (3.0, 2.0)]
+
+    def sweep(eps, seed):
+        return freq_sweep(DESIGN, eps=eps, lam=0.4, theta_grid=thetas, n=1,
+                          n_samples=50, seed=seed)
+
+    cold = sweep(0.2, 1)
+    assert len(builds) == 1
+    assert sweep(0.2, 1) == cold and len(builds) == 1
+    warm = sweep(0.4, 2)  # another eps and seed, the same lambda
+    assert len(builds) == 1
+    operator._LAST_BLOCK.clear()
+    assert sweep(0.4, 2) == warm and len(builds) == 2
+    scan = dict(theta=(1.0, 1.0), eps_grid=[0.4, 0.2], lambda_grid=[0.8, 0.4],
+                n=1, n_samples=50, seed=2)
+    builds.clear()
+    cold = scaling_scan(DESIGN, **scan)
+    assert len(builds) == 1
+    assert scaling_scan(DESIGN, **scan) == cold and len(builds) == 1
+
+
+def test_bootstrap_means_rejects_an_empty_sample(monkeypatch):
+    # no rows: a ValueError that names the empty sample, before a stream
+    # is opened
+    opened = []
+    monkeypatch.setattr(stats.rng, "substream",
+                        lambda *args: opened.append(args))
+    for x in (np.empty((0,)), np.empty((0, 3))):
+        with pytest.raises(ValueError, match="empty sample"):
+            stats.bootstrap_means(x, 1, 2)
+    assert opened == []
+
+
 def test_operator_at_taylor_depth_two_matches_pairwise_sum():
     # r_e = 2 against the double sum taken pair by pair from K0 and grad K0,
     # with the singular cell y = 0 and the excluded diagonal dropped; the
@@ -652,8 +697,10 @@ def _per_config_study(design, cells, eps_grid, n, n_samples, seed, tag,
 
 def _traced_peak(fn):
     """fn() and the peak traced allocation of that call, after one untraced
-    warm-up call (one-off imports and caches)."""
+    warm-up call (one-off imports and caches); the kept kernel block is
+    dropped after the warm-up, so every traced call builds its own."""
     fn()
+    operator._LAST_BLOCK.clear()
     tracemalloc.start()
     try:
         result = fn()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab.geometry import (
+    Lattice,
     ResourceBudgetError,
     ScalingGeometry,
     TestFunction,
@@ -101,6 +102,27 @@ def test_build_lattice_counts():
     assert lat.axes[0][0] == pytest.approx(-1.0)
     assert lat.axes[0][-1] == pytest.approx(1.0)
     assert np.array_equal(lat.axes[0], np.arange(-4, 5) * 0.25)
+
+
+def test_lattices_are_values():
+    # equal geometry, base step and axes (bit for bit) make equal lattices
+    # with equal hashes; a change to any of them makes another lattice
+    g = ScalingGeometry((2.0, 1.0))
+    lat = build_lattice(g, 0.1, 1.0)
+    copy = build_lattice(g, 0.1, 1.0)
+    assert copy is not lat and copy == lat and hash(copy) == hash(lat)
+    assert len({lat, copy}) == 1
+    for other in (build_lattice(g, 0.1, 1.5), build_lattice(g, 0.2, 1.0),
+                  build_lattice(ScalingGeometry((1.0, 1.0)), 0.1, 1.0),
+                  lattice_from_counts(g, 0.1, [21, 11])):
+        assert other != lat
+    rebuilt = Lattice(geometry=g, base_step=0.1,
+                      axes=tuple(np.array(a) for a in lat.axes))
+    assert rebuilt == lat and hash(rebuilt) == hash(lat)  # the same bits
+    nudged = Lattice(geometry=g, base_step=0.1,
+                     axes=(lat.axes[0], np.nextafter(lat.axes[1], 1.0)))
+    assert nudged != lat
+    assert lat != (lat.geometry, lat.base_step, lat.axes)
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])

@@ -137,7 +137,9 @@ def test_diagonal_policy_robust(monkeypatch):
     narrow = apply_batch(cfg1, s, *SYNTHETIC)[0]
     two_grid_err = abs(narrow - apply_batch(cfg_half, s_half, *SYNTHETIC)[0])
     monkeypatch.setattr(kernel, "DIAGONAL_CELLS", 2)
-    # a fresh set-up builds its kernel matrix under the patched width
+    # the kept block was built under the old width: drop it, so the equal
+    # set-up builds its kernel matrix under the patched one
+    operator._LAST_BLOCK.clear()
     cfg2 = OperatorConfig(dataclasses.replace(cfg1.setup), cfg1.functional)
     policy_diff = abs(apply_batch(cfg2, s, *SYNTHETIC)[0] - narrow)
     assert policy_diff < 2.0 * two_grid_err
@@ -320,18 +322,104 @@ def test_set_up_rejects_mixed_scaling_vectors():
 
 @pytest.mark.parametrize("change", ["kernel", "lattice", "y_radius", "none"])
 def test_plan_needs_one_kernel_lattice_and_y_radius(monkeypatch, change):
-    # a plan owns one kernel matrix, so set-ups with another kernel, another
-    # lattice object (an equal copy too: lattices are matched by identity)
-    # or another y radius, or no config at all, raise before any build
+    # a plan owns one kernel matrix, so set-ups with another kernel, a
+    # lattice of another value (here the same step on a wider box) or
+    # another y radius, or no config at all, raise before any build
     builds = []
     monkeypatch.setattr(operator, "eval_K_many",
                         lambda *args: builds.append(args))
     cfg, _ = make_setup()
     other = {"kernel": dict(kernel=RenormKernel(gamma=0.5, g=G1, r_e=0)),
-             "lattice": dict(lattice=build_lattice(G1, 0.05, 2.0)),
+             "lattice": dict(lattice=build_lattice(G1, 0.05, 2.5)),
              "y_radius": dict(y_radius=1.0)}
     configs = {} if change == "none" else {0: cfg, 1: dataclasses.replace(
         cfg, setup=dataclasses.replace(cfg.setup, **other[change]))}
     with pytest.raises(ValueError, match="share kernel, lattice and y radius"):
         OperatorPlan(configs)
     assert builds == []
+
+
+def test_equal_lattice_copies_share_one_kernel_block(monkeypatch):
+    # lattices are values: set-ups on two equal build_lattice copies share
+    # one plan and one matrix build, and a later plan on a third copy reads
+    # the kept block, the very same read-only arrays
+    builds = []
+    eval_K_many = operator.eval_K_many
+
+    def counting(*args):
+        builds.append(len(args[0]))
+        return eval_K_many(*args)
+
+    monkeypatch.setattr(operator, "eval_K_many", counting)
+    cfg, _ = make_setup()
+    copy = build_lattice(G1, 0.05, 2.0)
+    assert copy is not cfg.setup.lattice and copy == cfg.setup.lattice
+    other = OperatorConfig(dataclasses.replace(
+        cfg.setup, lattice=copy, test=TestFunction(geometry=G1, scale=0.8)),
+        cfg.functional)
+    plan = OperatorPlan({0: cfg, 1: other})
+    assert len(builds) == 1
+    again = OperatorPlan({0: dataclasses.replace(cfg, setup=dataclasses.replace(
+        cfg.setup, lattice=build_lattice(G1, 0.05, 2.0))), 1: other})
+    assert len(builds) == 1
+    assert again.kmat is plan.kmat
+    # another set of test functions is another block, built once
+    OperatorPlan({0: cfg})
+    assert len(builds) == 2
+
+
+def test_kept_kernel_block_is_read_only():
+    # a kept block is shared by every plan built on equal set-ups, so none
+    # of its arrays can be written through a plan or the builder
+    cfg, _ = make_setup()
+    plan = OperatorPlan({0: cfg})
+    with pytest.raises(ValueError, match="read-only"):
+        plan.kmat[0, 0] = 1.0
+    block = operator._kernel_rows([cfg.setup])
+    assert block["kmat"] is plan.kmat
+    with pytest.raises(TypeError):
+        block["kmat"] = np.zeros_like(plan.kmat)
+    for arr in (block["x_idx"], block["y_idx"], *block["rows"], *block["xw"]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_zero_draw_batch_gives_empty_values():
+    # a batch of no draws, as sample_field_values returns it for no
+    # indices, gives a zero-length value array per cell
+    cfg, spec = make_setup()
+    values = sample_field_values(spec, 1, [])
+    assert values.shape == (0,) + cfg.setup.lattice.shape
+    got = apply_batch(cfg, values, *spectrum_args(spec))
+    assert got.shape == (0,) and got.dtype == float
+    other = OperatorConfig(dataclasses.replace(
+        cfg.setup, test=TestFunction(geometry=G1, scale=0.8)), cfg.functional)
+    out = apply_configs(OperatorPlan({0: cfg, 1: other}), values,
+                        *spectrum_args(spec))
+    assert {cell: v.shape for cell, v in out.items()} == {0: (0,), 1: (0,)}
+
+
+@pytest.mark.parametrize("f_sup", [float("nan"), float("inf"), -1.0])
+def test_sanity_envelope_rejects_bad_sup(f_sup):
+    cfg, _ = make_setup()
+    with pytest.raises(ValueError, match="f_sup"):
+        cfg.sanity_envelope(f_sup)
+
+
+def test_kept_block_is_not_read_for_a_changed_lattice(monkeypatch):
+    # the kept block is found by the set-ups' hash and value, so a lattice
+    # whose axes were written after the build misses it and builds afresh
+    builds = []
+    eval_K_many = operator.eval_K_many
+
+    def counting(*args):
+        builds.append(1)
+        return eval_K_many(*args)
+
+    monkeypatch.setattr(operator, "eval_K_many", counting)
+    cfg, _ = make_setup()
+    before = OperatorPlan({0: cfg})
+    cfg.setup.lattice.axes[0][:] *= 0.5
+    after = OperatorPlan({0: cfg})
+    assert len(builds) == 2
+    assert not np.array_equal(after.kmat, before.kmat)
