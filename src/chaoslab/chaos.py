@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
+
+from .stats import check_integer
 
 PHASE_COS = 0
 PHASE_SIN = 3
@@ -27,6 +28,24 @@ MAX_DERIV_ORDER = 8
 
 _TRIG_PHASE = {"cos": PHASE_COS, "sin": PHASE_SIN}
 _PHASE_SIGN = (1.0, 0.0, -1.0, 0.0)  # cos(q*pi/2) for q mod 4
+
+
+def trig_phase(trig: str) -> int:
+    """Phase of a trig factor by name, or a ValueError naming the known ones."""
+    if trig not in _TRIG_PHASE:
+        raise ValueError(f"trig must be one of {sorted(_TRIG_PHASE)}, "
+                         f"got {trig!r}")
+    return _TRIG_PHASE[trig]
+
+
+def check_deriv(deriv) -> None:
+    """ValueError unless ``deriv`` is two theta-derivative orders, integers
+    in [0, MAX_DERIV_ORDER]."""
+    for r in deriv:
+        check_integer("deriv", r, 0)
+    if len(deriv) != 2 or max(deriv) > MAX_DERIV_ORDER:
+        raise ValueError(f"deriv must be two integer orders in [0, "
+                         f"{MAX_DERIV_ORDER}], got {deriv!r}")
 
 
 def hermite_value(k: int, z):
@@ -105,13 +124,8 @@ class ChaosTruncSpec:
     m: int
 
     def __post_init__(self):
-        if self.trig not in _TRIG_PHASE:
-            raise ValueError(f"trig must be one of {sorted(_TRIG_PHASE)}")
-        if not isinstance(self.m, Integral):
-            raise ValueError(f"truncation order m must be an integer, got "
-                             f"{self.m!r}")
-        if self.m < 0:
-            raise ValueError("truncation order must be non-negative")
+        trig_phase(self.trig)
+        check_integer("m", self.m, 0)
         if not self.parity_ok:
             raise ValueError(
                 f"parity violation: m={self.m} with trig={self.trig!r} "
@@ -119,11 +133,11 @@ class ChaosTruncSpec:
 
     @property
     def phase(self) -> int:
-        return _TRIG_PHASE[self.trig]
+        return trig_phase(self.trig)
 
     @property
     def parity_ok(self) -> bool:
-        want_odd = _TRIG_PHASE[self.trig] == PHASE_SIN
+        want_odd = self.phase == PHASE_SIN
         return (self.m % 2 == 1) == want_odd
 
 
@@ -137,11 +151,7 @@ class TwoPointFunctional:
     deriv: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        if len(self.deriv) != 2 or not all(
-                isinstance(r, Integral) and 0 <= r <= MAX_DERIV_ORDER
-                for r in self.deriv):
-            raise ValueError(f"deriv must be two integer orders in [0, "
-                             f"{MAX_DERIV_ORDER}], got {self.deriv!r}")
+        check_deriv(self.deriv)
 
 
 def truncated_trig_deriv(x, theta: float, phase: int, m_remove: int, r: int, sigma2: float):

@@ -21,13 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import rng
 from .geometry import ScalingGeometry, box_points, box_volume, pair_distances
 from .kernel import RenormKernel
+from .stats import check_integer
 
 
 def has_isolated_point(dist: np.ndarray, scale: float) -> np.ndarray:
@@ -56,11 +56,10 @@ def _check_mc(n: int, L: float, n_mc: int, **scales):
     """ValueError for no configurations or points, or a non-integer count
     of either, a scale constant L that is not positive, or a named scale (a
     number or a grid of them) that is empty, not finite or not positive."""
-    if not isinstance(n_mc, Integral) or n_mc < 1:
-        raise ValueError(f"n_mc must be positive and an integer, got {n_mc!r}")
-    if not isinstance(n, Integral) or n < 1 or not L > 0:  # also rejects NaN
-        raise ValueError(f"need an integer n >= 1 and L > 0, got n = {n!r}, "
-                         f"L = {L}")
+    check_integer("n_mc", n_mc, 1)
+    check_integer("n", n, 1)
+    if not L > 0:  # also rejects NaN
+        raise ValueError(f"L must be positive, got {L!r}")
     for name, value in scales.items():
         grid = np.atleast_1d(np.asarray(value, dtype=float))
         if grid.size == 0:
@@ -141,9 +140,11 @@ def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
     if g.s != (1.0,):
         raise NotImplementedError(
             "volume lemma sampling is implemented for d = 1 with s = (1,)")
+    _check_mc(n, L, n_mc, eps_grid=eps_grid, lambda_grid=lambda_grid)
     if 2 * n > 4:
         raise ValueError("volume lemma budget is 2n <= 4")
-    _check_mc(n, L, n_mc, eps_grid=eps_grid, lambda_grid=lambda_grid)
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
     q_far = g.total - kern.gamma + kern.r_e
     q_near = g.total - kern.gamma + kern.r_e - 1
     k = 2 * n
@@ -245,9 +246,9 @@ def partition_sum_check(n: int, eps: float, lam: float, n_mc: int,
     direction at one scale, and a reported witness is then meaningful data,
     not a bug.
     """
+    _check_mc(n, L, n_mc, eps=eps, lam=lam)
     if 2 * n > 8:
         raise ValueError("partition enumeration budget is 2n <= 8")
-    _check_mc(n, L, n_mc, eps=eps, lam=lam)
     if g is None:
         g = ScalingGeometry((1.0,))
     gen = rng.substream(seed, rng.POINTS, 2)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .operator import OperatorConfig, OperatorPlan, OperatorSetup, \
 # the benchmark's tracer wraps moment_norm and reads BOOTSTRAP_RESAMPLES here
 # by name: the studies resample through this name, once per call
 from .stats import BOOTSTRAP_RESAMPLES, MomentEstimate, moment_norm  # noqa: F401
-from .stats import _check_half_order
+from .stats import check_integer
 
 
 class QuadratureRefinementNeeded(RuntimeError):
@@ -145,7 +144,7 @@ def _study(design: StudyDesign, eps_grid: list[float], cells: list,
     BOOTSTRAP tag ``tag``.  A bad half-order n raises before the plan is
     built.
     """
-    _check_half_order(n)
+    check_integer("n", n, 1)
     lat = design.lattice()
     setups = {lam: design.operator_setup(lam, lat) for lam, _ in cells}
     spectra = [design.spectrum(eps, lat) for eps in eps_grid]
@@ -168,9 +167,7 @@ def _study(design: StudyDesign, eps_grid: list[float], cells: list,
 def _check_study(n_samples: int, **grids):
     """ValueError, naming the argument, for a draw count that is not an
     integer of at least 1 or an empty grid."""
-    if not isinstance(n_samples, Integral) or n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1 and an integer, got "
-                         f"{n_samples!r}")
+    check_integer("n_samples", n_samples, 1)
     for name, grid in grids.items():
         if len(grid) == 0:
             raise ValueError(f"{name} is empty")
@@ -235,6 +232,8 @@ def scaling_scan(design: StudyDesign, theta, eps_grid, lambda_grid, n: int,
     eps_grid = [float(eps) for eps in eps_grid]
     cells = [(float(lam), theta) for lam in lambda_grid]
     _check_study(n_samples, eps_grid=eps_grid, lambda_grid=cells)
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
     for eps in eps_grid:
         if eps < 2 * design.h:
             raise ValueError(f"eps {eps} below resolution 2h = {2 * design.h}")

@@ -40,14 +40,13 @@ not; its confidence band is the bootstrap of :mod:`stats`, over whole draws.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
 from .geometry import Lattice, metric_many
-from .stats import bootstrap_means
+from .stats import bootstrap_means, check_integer
 
 
 SAMPLE_CHUNK = 256  # draws per synthesis block in every sampling loop
@@ -298,9 +297,7 @@ def verify_assumption1(spectrum: Spectrum, n_samples: int, seed: int = 0,
     sandwich are flagged.  The draws are those of :func:`sample_fields`,
     read on the whole torus.
     """
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer of at least 2, got "
-                         f"{n_samples!r}")
+    check_integer("n_samples", n_samples, 2)
     if lambda_budget is not None and not (1.0 <= lambda_budget < math.inf):
         raise ValueError(f"lambda_budget must be finite and at least 1, got "
                          f"{lambda_budget!r}")

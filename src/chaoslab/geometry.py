@@ -12,15 +12,17 @@ configurations with :func:`box_points` and measures them with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .stats import check_integer
 
 DEFAULT_POINT_BUDGET = 1 << 22
 
 
 class ResourceBudgetError(RuntimeError):
-    """Raised when a requested lattice exceeds the configured point budget."""
+    """Raised when a requested lattice exceeds DEFAULT_POINT_BUDGET points."""
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,9 @@ class ScalingGeometry:
         s = tuple(float(v) for v in self.s)
         if len(s) == 0:
             raise ValueError("scaling vector must be non-empty")
-        if any(v < 1.0 for v in s):
-            raise ValueError("scaling exponents must all be >= 1")
+        if not all(1.0 <= v < math.inf for v in s):  # also rejects NaN
+            raise ValueError(f"scaling exponents s must be finite and >= 1, "
+                             f"got s = {s!r}")
         object.__setattr__(self, "s", s)
 
     @property
@@ -149,42 +152,60 @@ def eval_test_function_many(tf: TestFunction, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Regular grid with per-axis spacing ``h**s_i`` covering a centered box.
+    """Regular grid of ``counts`` points per axis, spaced ``h**s_i`` on axis
+    i and centered at 0.
 
     Iteration order over points is fixed row-major over the axes so that
-    deterministic reductions reproduce bit-for-bit.  Lattices are values:
-    two are equal, and hash alike, when their geometry, base step and axes
-    are, the axes compared bit for bit.
+    deterministic reductions reproduce bit-for-bit.  A lattice is the value
+    of its geometry, base step and counts: two are equal, and hash alike,
+    when those are.  The counts (one per axis, or one for every axis) are
+    integers >= 1 whose product stays within DEFAULT_POINT_BUDGET
+    (ResourceBudgetError); :func:`build_lattice` derives them from a box.
     """
 
     geometry: ScalingGeometry
     base_step: float
-    axes: tuple[np.ndarray, ...] = field(repr=False)
+    counts: tuple[int, ...]
 
-    def _value(self) -> tuple:
-        return (self.geometry, self.base_step,
-                tuple((a.dtype.str, a.shape, a.tobytes()) for a in self.axes))
+    def __post_init__(self):
+        h = self.base_step
+        if not 0.0 < h < np.inf:  # also rejects NaN
+            raise ValueError(f"base step must be positive and finite, got h = {h!r}")
+        counts = tuple(np.atleast_1d(self.counts).tolist())
+        if len(counts) == 1:
+            counts *= self.geometry.d
+        if len(counts) != self.geometry.d:
+            raise ValueError(f"counts must give one count per axis, got "
+                             f"{self.counts!r}")
+        for c in counts:
+            check_integer("counts", c, 1)
+        # Python ints: an int64 product of large counts wraps round
+        total = math.prod(counts)
+        if total > DEFAULT_POINT_BUDGET:
+            raise ResourceBudgetError(f"lattice would have {total} points, "
+                                      f"budget {DEFAULT_POINT_BUDGET}")
+        object.__setattr__(self, "base_step", float(h))
+        object.__setattr__(self, "counts", counts)
 
-    def __eq__(self, other):
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return self is other or self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
+    @property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """Per-axis coordinates ``(k - n // 2) * h**s_i`` for k < n, fresh
+        arrays on every read."""
+        return tuple((np.arange(n) - n // 2) * self.base_step ** si
+                     for si, n in zip(self.geometry.s, self.counts))
 
     @property
     def steps(self) -> tuple[float, ...]:
-        return tuple(float(self.base_step) ** si for si in self.geometry.s)
+        return tuple(self.base_step ** si for si in self.geometry.s)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.axes)
+        return self.counts
 
     @property
     def cell_volume(self) -> float:
         """Volume of one cell: base_step ** |s|."""
-        return float(self.base_step) ** self.geometry.total
+        return self.base_step ** self.geometry.total
 
     def points(self) -> np.ndarray:
         """All lattice points, shape (prod(shape), d), row-major order."""
@@ -192,12 +213,11 @@ class Lattice:
         return np.stack([gr.reshape(-1) for gr in grids], axis=-1)
 
 
-def build_lattice(g: ScalingGeometry, h: float, extent,
-                  budget: int = DEFAULT_POINT_BUDGET) -> Lattice:
+def build_lattice(g: ScalingGeometry, h: float, extent) -> Lattice:
     """Lattice covering the centered box with per-axis half-width ``extent``.
 
     Each axis carries points ``k * h**s_i`` for integer k with
-    ``|k * h**s_i| <= extent_i``.
+    ``|k * h**s_i| <= extent_i``: the :class:`Lattice` of those counts.
     """
     if not 0.0 < h < np.inf:  # also rejects NaN
         raise ValueError(f"base step must be positive and finite, got h = {h!r}")
@@ -207,29 +227,4 @@ def build_lattice(g: ScalingGeometry, h: float, extent,
     if len(ext) != g.d or not np.all((ext > 0) & np.isfinite(ext)):
         raise ValueError(f"extent must be positive and finite per axis, got {extent!r}")
     counts = [2 * int(np.floor(ei / h ** si + 1e-12)) + 1 for si, ei in zip(g.s, ext)]
-    return lattice_from_counts(g, h, counts, budget)
-
-
-def lattice_from_counts(g: ScalingGeometry, h: float, counts,
-                        budget: int = DEFAULT_POINT_BUDGET) -> Lattice:
-    """Lattice with an explicit point count per axis (centered at 0).
-
-    Used when an exact grid size matters more than an exact box, e.g. a
-    power-of-two axis for spectral synthesis.
-    """
-    if not 0.0 < h < np.inf:  # also rejects NaN
-        raise ValueError(f"base step must be positive and finite, got h = {h!r}")
-    counts = [int(c) for c in np.atleast_1d(counts)]
-    if len(counts) == 1 and g.d > 1:
-        counts *= g.d
-    if len(counts) != g.d or min(counts) < 1:
-        raise ValueError("counts must be positive per axis")
-    # Python ints: an int64 product of large counts wraps round
-    total = math.prod(counts)
-    if total > budget:
-        raise ResourceBudgetError(f"lattice would have {total} points, budget {budget}")
-    axes = []
-    for si, ni in zip(g.s, counts):
-        step = h ** si
-        axes.append((np.arange(ni) - ni // 2) * step)
-    return Lattice(geometry=g, base_step=float(h), axes=tuple(axes))
+    return Lattice(g, h, counts)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from . import chaos, rng
 from .clustering import has_isolated_point
 from .field import CovarianceSpec
 from .geometry import ScalingGeometry, box_points, pair_distances
+from .stats import check_integer
 
 
 def _checked_cov(cov, k: int) -> np.ndarray:
@@ -36,14 +36,6 @@ def _checked_cov(cov, k: int) -> np.ndarray:
     if not np.all(np.isfinite(cov)):
         raise ValueError("covariance entries must be finite")
     return cov
-
-
-def _trig_phase(trig: str) -> int:
-    """Phase of a trig factor by name, or a ValueError naming the known ones."""
-    if trig not in chaos._TRIG_PHASE:
-        raise ValueError(f"trig must be one of {sorted(chaos._TRIG_PHASE)}, "
-                         f"got {trig!r}")
-    return chaos._TRIG_PHASE[trig]
 
 
 def _exp_series(terms, hi: list[int]) -> np.ndarray:
@@ -84,9 +76,9 @@ def wick_sum_moment(ranges, cov) -> float:
     covariances enter: Wick powers have no self-contractions.  A single
     degree vector is the case lo_i = hi_i.
     """
-    if not all(isinstance(a, Integral) and isinstance(b, Integral) and 0 <= a <= b
-               for a, b in ranges):
-        raise ValueError(f"ranges must be integer pairs, 0 <= lo <= hi: {list(ranges)}")
+    for a, b in ranges:
+        check_integer("lo", a, 0)
+        check_integer("hi", b, a)
     lo, hi = [int(a) for a, _ in ranges], [int(b) for _, b in ranges]
     k = len(hi)
     cov = _checked_cov(cov, k)
@@ -113,7 +105,7 @@ def _factor_atoms(trig: str, n: int, theta: float, t: int, r: int,
     Leibniz carries theta^n through the theta-derivatives; at n = 0 the one
     prefactor is exactly 1.0.
     """
-    phase = _trig_phase(trig) + n
+    phase = chaos.trig_phase(trig) + n
     sigma = math.sqrt(sigma2)
     atoms: list[tuple[float, int, float | None, int]] = []
     for s in range(min(r, n) + 1):
@@ -231,7 +223,7 @@ class ClusterCoeffQuery:
                 == len(self.trigs) == k):
             raise ValueError("per-member fields must have equal length")
         for trig in self.trigs:
-            _trig_phase(trig)
+            chaos.trig_phase(trig)
         _checked_cov(self.cov, k)
 
 
@@ -288,22 +280,12 @@ class LemmaCheckConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("n", "m1", "m2", "n_configs", "seed"):
-            if not isinstance(value := getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if self.n_configs < 1:
-            raise ValueError(f"n_configs must be at least 1, got {self.n_configs}")
-        if min(self.m1, self.m2) < 0:
-            raise ValueError("truncation orders m1, m2 must be non-negative")
-        _trig_phase(self.trig1)
-        _trig_phase(self.trig2)
-        if len(self.deriv) != 2 or not all(
-                isinstance(r, Integral) and 0 <= r <= chaos.MAX_DERIV_ORDER
-                for r in self.deriv):
-            raise ValueError(f"deriv must be two integer orders in [0, "
-                             f"{chaos.MAX_DERIV_ORDER}], got {self.deriv}")
+        for name, low in (("n", 1), ("m1", 0), ("m2", 0), ("n_configs", 1),
+                          ("seed", 0)):
+            check_integer(name, getattr(self, name), low)
+        chaos.trig_phase(self.trig1)
+        chaos.trig_phase(self.trig2)
+        chaos.check_deriv(self.deriv)
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if not (0.0 < self.eps < 1.0):

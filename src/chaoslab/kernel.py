@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import rng
 from .geometry import ScalingGeometry, box_points, metric_many
+from .stats import check_integer
 
 
 DIAGONAL_CELLS = 1  # lattice steps around x = y that every quadrature drops
@@ -259,9 +259,7 @@ def check_region_bounds(k: RenormKernel, n_samples: int, seed: int = 0) -> Regio
     Regions (for r_e >= 1): |y| > 2|x|, |x|/2 < |y| <= 2|x|, |y| <= |x|/2.
     For r_e = 0 the single bound |x-y|^{gamma-|s|} applies everywhere.
     """
-    if not isinstance(n_samples, Integral) or n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1 and an integer, got "
-                         f"{n_samples!r}")
+    check_integer("n_samples", n_samples, 1)
     gen = rng.substream(seed, rng.POINTS, 4)
     g = k.g
     x = box_points(gen, (n_samples,), g, 1.0)

@@ -44,17 +44,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
 from . import rng
 from .field import SAMPLE_CHUNK, synthesise
 from .geometry import Lattice, ScalingGeometry, TestFunction, bump_profile, \
-    eval_test_function_many, lattice_from_counts, metric_many
+    eval_test_function_many, metric_many
 from .kernel import smooth_cutoff
 from .nonlinearity import Derivative, NonlinearitySpec, gaussian_mean, mollify
-from .stats import MomentEstimate, _check_half_order, moment_norm
+from .stats import MomentEstimate, check_integer, moment_norm
 
 KPZ_GEOMETRY = ScalingGeometry((2.0, 1.0))
 PHI4_GEOMETRY = ScalingGeometry((2.0, 1.0, 1.0, 1.0))
@@ -86,7 +85,7 @@ class ModelFieldSpec:
         return KPZ_GEOMETRY if self.family == "kpz" else PHI4_GEOMETRY
 
     def lattice(self) -> Lattice:
-        return lattice_from_counts(self.geometry, self.h, self.counts)
+        return Lattice(self.geometry, self.h, self.counts)
 
 
 def heat_kernel(points: np.ndarray, derivative: bool) -> np.ndarray:
@@ -249,9 +248,7 @@ def holder_norm(values: np.ndarray, lat: Lattice, alpha: float,
     if not -math.inf < alpha < 0.0:  # also rejects NaN
         raise ValueError(f"this norm is for finite negative regularity "
                          f"exponents, got alpha = {alpha!r}")
-    if not isinstance(lambda_levels, Integral) or lambda_levels < 1:
-        raise ValueError(f"lambda_levels must be at least 1 and an integer, "
-                         f"got {lambda_levels!r}")
+    check_integer("lambda_levels", lambda_levels, 1)
     if np.shape(values) != lat.shape:
         raise ValueError(f"values must have the lattice shape {lat.shape}, "
                          f"got {np.shape(values)}")
@@ -312,10 +309,8 @@ def _gap_study(nonlin: NonlinearitySpec, a: float, mfspec: ModelFieldSpec,
     with the bump at scale lam.  make_object(fl, a, field) maps one draw to
     a lattice array; the field and the bump are built once.  Bad arguments
     raise before either is built."""
-    _check_half_order(n)
-    if not isinstance(n_samples, Integral) or n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1 and an integer, got "
-                         f"{n_samples!r}")
+    check_integer("n", n, 1)
+    check_integer("n_samples", n_samples, 1)
     if not (math.isfinite(a) and a != 0.0):
         raise ValueError(f"a must be finite and non-zero, got {a!r}")
     if mfspec.epsilon < 2 * mfspec.h:

@@ -40,6 +40,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .geometry import bump_of_gap, bump_profile
+from .stats import check_integer
 
 _BUMP_NODES = 32  # Gauss rule for the bump weight, away from the kink
 # the mass of rho on (-1, 1); the 256-node sum _bump_rule is built from is
@@ -83,9 +84,7 @@ class NonlinearitySpec:
 
     def deriv(self, ell: int, u):
         """ell-th derivative at u (mollified when delta > 0)."""
-        if not isinstance(ell, (int, np.integer)) or ell < 0:
-            raise ValueError(f"derivative order must be a non-negative integer, "
-                             f"got {ell!r}")
+        check_integer("ell", ell, 0)
         if self.delta > 0.0:
             return _mollified_deriv(self, ell, u)
         return self._raw_deriv(ell, u)
@@ -338,17 +337,16 @@ class WindowNormQuery:
     n_probes: int = 6
 
     def __post_init__(self):
-        if not self.ells or not all(isinstance(ell, (int, np.integer)) and ell >= 0
-                                    for ell in self.ells):
-            raise ValueError(f"ells must hold one or more integers >= 0, got {self.ells!r}")
+        if not self.ells:
+            raise ValueError("ells must hold one or more derivative orders")
+        for ell in self.ells:
+            check_integer("ells", ell, 0)
         if len(self.ells) != len(self.center):
             raise ValueError("one window center per derivative order required")
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError(f"center must be finite, got {self.center!r}")
-        for name, low in (("m_probe", 0), ("n_probes", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_integer("m_probe", self.m_probe, 0)
+        check_integer("n_probes", self.n_probes, 1)
 
 
 @lru_cache(maxsize=32)

@@ -21,7 +21,7 @@ Neither the kernel matrix nor the test-function weights depend on the
 frequency theta, and the kernel matrix depends on the test function only
 through the x rows it is read at.  An ``OperatorSetup`` (kernel, test
 function, lattice, y radius) is a frozen, hashable value that holds no
-arrays (a lattice compares by geometry, step and axes), and an
+arrays (a lattice is the value of its geometry, step and counts), and an
 ``OperatorConfig`` pairs a set-up with the theta-dependent functional.
 :func:`_kernel_rows` is the one builder of the kernel matrix, by one
 ``eval_K_many`` call.  It keeps the last block it built (the matrix, its

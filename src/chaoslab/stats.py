@@ -43,11 +43,11 @@ class MomentEstimate:
     n_samples: int
 
 
-def _check_half_order(n) -> None:
-    """ValueError, naming ``n``, unless the half-order n is an integer >= 1;
-    the studies call it before their first draw."""
-    if not isinstance(n, Integral) or n < 1:
-        raise ValueError(f"half-order n must be an integer >= 1, got {n!r}")
+def check_integer(name: str, value, low: int) -> None:
+    """ValueError, naming the argument, unless ``value`` is an integer of at
+    least ``low``: the package's one rule for counts and orders."""
+    if not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def bootstrap_means(x: np.ndarray, seed: int, tag: int) -> np.ndarray:
@@ -85,7 +85,7 @@ def moment_norm(values, n: int, seed: int = 0, tag: int = 0):
     estimates, one per column, whose intervals share one set of resamples.
     More than two dimensions raise ValueError.
     """
-    _check_half_order(n)
+    check_integer("n", n, 1)
     values = np.asarray(values, dtype=float)
     if values.ndim > 2:
         raise ValueError(f"values must be (draws,) or (draws, cells), got "

@@ -93,12 +93,15 @@ def test_parity_enforced():
 def test_factor_orders_must_be_integers():
     # ChaosTruncSpec("sin", 3.0) was accepted and failed later inside range;
     # deriv = (0.5, 0) gave NaN factors
-    with pytest.raises(ValueError, match="truncation order m must be an integer"):
+    with pytest.raises(ValueError, match="m must be an integer >= 0, got 3.0"):
         ChaosTruncSpec("sin", 3.0)
     sin1 = ChaosTruncSpec("sin", 1)
-    for deriv in ((0.5, 0), (0, 1.0), (0, -1),
-                  (0, MAX_DERIV_ORDER + 1), (1,)):
-        with pytest.raises(ValueError, match="deriv must be two integer orders"):
+    for deriv, match in (((0.5, 0), "deriv must be an integer >= 0, got 0.5"),
+                         ((0, 1.0), "deriv must be an integer >= 0, got 1.0"),
+                         ((0, -1), "deriv must be an integer >= 0, got -1"),
+                         ((0, MAX_DERIV_ORDER + 1), "deriv must be two integer orders"),
+                         ((1,), "deriv must be two integer orders")):
+        with pytest.raises(ValueError, match=match):
             TwoPointFunctional(sin1, sin1, (1.0, 1.0), deriv)
     TwoPointFunctional(sin1, sin1, (1.0, 1.0), (np.int64(2), 0))
 

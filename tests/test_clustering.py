@@ -128,12 +128,18 @@ def test_volume_bound_ratio_stable():
     assert max(ratios) / min(ratios) < 6.0
 
 
-@pytest.mark.parametrize("n, L", [(0, 1.0), (1.5, 1.0), (1, -1.0), (1, 0.0)],
-                         ids=["n0", "fractional-n", "negative-L", "zero-L"])
-def test_volume_checks_reject_invalid_input(n, L):
-    with pytest.raises(ValueError, match="n >= 1 and L > 0"):
+@pytest.mark.parametrize("n, L, match", [
+    (0, 1.0, "n must be an integer >= 1, got 0"),
+    (1.5, 1.0, "n must be an integer >= 1, got 1.5"),
+    # partition_sum_check raised a bare TypeError from its 2n budget test
+    (None, 1.0, "n must be an integer >= 1, got None"),
+    (1, -1.0, "L must be positive, got -1.0"),
+    (1, 0.0, "L must be positive, got 0.0")],
+    ids=["n0", "fractional-n", "none-n", "negative-L", "zero-L"])
+def test_volume_checks_reject_invalid_input(n, L, match):
+    with pytest.raises(ValueError, match=match):
         volume_Sc(n, 0.1, 0.25, G1, n_mc=100, L=L)
-    with pytest.raises(ValueError, match="n >= 1 and L > 0"):
+    with pytest.raises(ValueError, match=match):
         partition_sum_check(n, 0.1, 0.25, n_mc=100, L=L)
 
 
@@ -161,11 +167,11 @@ def test_volume_lemma_check_rejects_empty_grid(which):
 @pytest.mark.parametrize("n_mc", [0, -5, 100.0])
 def test_volume_checks_reject_no_samples(n_mc):
     # a float count failed with a bare TypeError
-    with pytest.raises(ValueError, match="n_mc must be positive"):
+    with pytest.raises(ValueError, match="n_mc must be an integer >= 1"):
         volume_Sc(1, 0.1, 0.25, G1, n_mc=n_mc)
-    with pytest.raises(ValueError, match="n_mc must be positive"):
+    with pytest.raises(ValueError, match="n_mc must be an integer >= 1"):
         partition_sum_check(1, 0.1, 0.3, n_mc)
-    with pytest.raises(ValueError, match="n_mc must be positive"):
+    with pytest.raises(ValueError, match="n_mc must be an integer >= 1"):
         volume_lemma_check(1, RenormKernel(gamma=0.4, g=G1, r_e=1), [0.1],
                            [0.5], alpha=0.6, m2=1, n_mc=n_mc)
 

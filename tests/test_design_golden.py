@@ -48,7 +48,7 @@ from chaoslab.clustering import partition_sum_check, volume_lemma_check, \
     volume_Sc
 from chaoslab.experiments import second_moment_G, second_moment_H
 from chaoslab.field import CovarianceSpec, build_spectrum, verify_assumption1
-from chaoslab.geometry import ScalingGeometry, TestFunction, lattice_from_counts
+from chaoslab.geometry import Lattice, ScalingGeometry, TestFunction
 from chaoslab.isserlis import LemmaCheckConfig, check_correlation_lemma
 from chaoslab.kernel import RenormKernel
 from chaoslab.models import (
@@ -137,7 +137,7 @@ def design_outputs() -> dict:
                                   seed=13)))
     out["check_correlation_lemma"] = lemma
 
-    lat = lattice_from_counts(G1, 8.0 / 256, (256,))
+    lat = Lattice(G1, 8.0 / 256, (256,))
     sp = build_spectrum(CovarianceSpec(alpha=0.6, epsilon=0.1), lat)
     rep = verify_assumption1(sp, n_samples=40, seed=3, lambda_budget=1.5)
     out["verify_assumption1"] = {

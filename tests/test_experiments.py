@@ -451,7 +451,7 @@ def test_freq_sweep_rejects_fractional_derivative_first(monkeypatch):
     # non-finite sample values
     _no_draws(monkeypatch)
     design = dataclasses.replace(DESIGN, deriv=(0.5, 0))
-    with pytest.raises(ValueError, match="deriv must be two integer orders"):
+    with pytest.raises(ValueError, match="deriv must be an integer >= 0, got 0.5"):
         freq_sweep(design, eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0)], n=1,
                    n_samples=4)
 
@@ -480,8 +480,8 @@ def test_studies_reject_bad_y_radius(monkeypatch, y_radius):
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    (dict(n_samples=0), "n_samples must be at least 1"),
-    (dict(n_samples=4.0), "n_samples must be at least 1 and an integer"),
+    (dict(n_samples=0), "n_samples must be an integer >= 1, got 0"),
+    (dict(n_samples=4.0), "n_samples must be an integer >= 1, got 4.0"),
     (dict(theta_grid=[]), "theta_grid is empty")],
     ids=["no-draws", "float-draws", "no-theta"])
 def test_freq_sweep_rejects_empty_input(monkeypatch, kwargs, match):
@@ -492,11 +492,14 @@ def test_freq_sweep_rejects_empty_input(monkeypatch, kwargs, match):
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    (dict(n_samples=0), "n_samples must be at least 1"),
-    (dict(n_samples=4.0), "n_samples must be at least 1 and an integer"),
+    (dict(n_samples=0), "n_samples must be an integer >= 1, got 0"),
+    (dict(n_samples=4.0), "n_samples must be an integer >= 1, got 4.0"),
     (dict(eps_grid=[]), "eps_grid is empty"),
-    (dict(lambda_grid=[]), "lambda_grid is empty")],
-    ids=["no-draws", "float-draws", "no-eps", "no-lam"])
+    (dict(lambda_grid=[]), "lambda_grid is empty"),
+    # a NaN eta gave bound_constant 0.0, since max(0.0, nan) is 0.0
+    (dict(eta=math.nan), "eta must be finite, got nan"),
+    (dict(eta=math.inf), "eta must be finite, got inf")],
+    ids=["no-draws", "float-draws", "no-eps", "no-lam", "nan-eta", "inf-eta"])
 def test_scaling_scan_rejects_empty_input(monkeypatch, kwargs, match):
     _no_draws(monkeypatch)
     args = dict(theta=(1.0, 1.0), eps_grid=[0.2], lambda_grid=[0.4], n=1,
@@ -516,7 +519,7 @@ def test_studies_check_the_half_order_first(monkeypatch, n):
         raise AssertionError("the study built its plan before validating n")
 
     monkeypatch.setattr(experiments, "OperatorPlan", no_plan)
-    match = "half-order n must be an integer >= 1"
+    match = "n must be an integer >= 1"
     with pytest.raises(ValueError, match=match):
         freq_sweep(DESIGN, eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0)], n=n,
                    n_samples=4)
@@ -652,14 +655,28 @@ def test_volume_lemma_far_unrestricted_when_clustered():
     assert row.integral_near is None  # r_e = 0 skips the near lemma
 
 
-@pytest.mark.parametrize("n, L, n_mc", [(0, 1.0, 100), (1, -1.0, 100),
-                                         (1, 0.0, 100), (1, 1.0, 0)],
-                         ids=["n0", "negative-L", "zero-L", "no-samples"])
-def test_volume_lemma_rejects_invalid_input(n, L, n_mc):
+@pytest.mark.parametrize("n, L, n_mc, eta, match", [
+    (0, 1.0, 100, 0.1, "n must be an integer >= 1"),
+    # a non-number n raised a bare TypeError from the 2n budget test
+    (None, 1.0, 100, 0.1, "n must be an integer >= 1, got None"),
+    (1, -1.0, 100, 0.1, "L must be positive"),
+    (1, 0.0, 100, 0.1, "L must be positive"),
+    (1, 1.0, 0, 0.1, "n_mc must be an integer >= 1"),
+    # a NaN eta gave NaN max_ratio_far and max_ratio_near
+    (1, 1.0, 100, math.nan, "eta must be finite, got nan"),
+    (1, 1.0, 100, -math.inf, "eta must be finite, got -inf")],
+    ids=["n0", "none-n", "negative-L", "zero-L", "no-samples", "nan-eta",
+         "inf-eta"])
+def test_volume_lemma_rejects_invalid_input(monkeypatch, n, L, n_mc, eta,
+                                            match):
+    def no_stream(*args):
+        raise AssertionError("the check drew before validating its input")
+
+    monkeypatch.setattr(rng, "substream", no_stream)
     kern = RenormKernel(gamma=0.4, g=G1, r_e=1)
-    with pytest.raises(ValueError, match=r"n >= 1|n_mc"):
+    with pytest.raises(ValueError, match=match):
         volume_lemma_check(n, kern, [0.1], [0.2], alpha=0.6, m2=1, n_mc=n_mc,
-                           L=L)
+                           eta=eta, L=L)
 
 
 def test_volume_lemma_near_part_present_for_re1():

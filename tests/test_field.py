@@ -15,8 +15,7 @@ from chaoslab.field import (
     synthesise,
     verify_assumption1,
 )
-from chaoslab.geometry import ScalingGeometry, build_lattice, \
-    lattice_from_counts
+from chaoslab.geometry import Lattice, ScalingGeometry, build_lattice
 from oracles import full_complex_field_values, full_torus_field_values, \
     torus_lag_products
 
@@ -25,7 +24,7 @@ G2 = ScalingGeometry((2.0, 1.0))
 
 
 def small_spectrum(alpha=0.6, eps=0.1, n=2048, extent=4.0):
-    lat = lattice_from_counts(G1, 2 * extent / n, (n,))
+    lat = Lattice(G1, 2 * extent / n, (n,))
     return build_spectrum(CovarianceSpec(alpha=alpha, epsilon=eps), lat)
 
 
@@ -61,7 +60,7 @@ def test_sampling_deterministic():
 
 
 def small_spectrum_2d(alpha=0.6, eps=0.1):
-    lat = lattice_from_counts(G2, 0.2, (40, 20))
+    lat = Lattice(G2, 0.2, (40, 20))
     return build_spectrum(CovarianceSpec(alpha=alpha, epsilon=eps), lat,
                           clip_threshold=1.0)
 
@@ -281,7 +280,7 @@ def test_infeasible_embedding_raises():
     # in d = 1 the wrapped convex covariance embeds exactly (zero clipping);
     # a tight anisotropic 2-d box does clip, and past the threshold it raises
     g2 = ScalingGeometry((2.0, 1.0))
-    lat = lattice_from_counts(g2, 2 * 0.5 / 32, (32, 32))
+    lat = Lattice(g2, 2 * 0.5 / 32, (32, 32))
     with pytest.raises(InfeasibleEmbeddingError):
         build_spectrum(CovarianceSpec(alpha=0.9, epsilon=0.05), lat,
                        clip_threshold=0.01)
@@ -401,7 +400,7 @@ def test_bad_arguments_rejected_before_any_draw(monkeypatch):
             next(synthesise([np.ones(64)], window, 1, 1, [0]))
     # 601 and 605 points both pad to a 625-point torus, whose windows differ
     spectra = [build_spectrum(CovarianceSpec(alpha=0.6, epsilon=0.1),
-                              lattice_from_counts(G1, 0.01, (n,)))
+                              Lattice(G1, 0.01, (n,)))
                for n in (601, 605)]
     assert {s.eigenvalues.shape for s in spectra} == {(625,)}
     with pytest.raises(ValueError, match="one lattice shape"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from chaoslab.geometry import (
     TestFunction,
     build_lattice,
     eval_test_function_many,
-    lattice_from_counts,
     metric_many,
 )
 
@@ -44,8 +45,11 @@ def test_geometry_invariants():
     g = ScalingGeometry((2.0, 1.0))
     assert g.d == 2
     assert g.total == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        ScalingGeometry((0.5, 1.0))
+    # a NaN exponent gave a NaN metric, and an infinite one put every point,
+    # the origin too, at distance 1
+    for bad in (0.5, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="exponents s must be finite and >= 1"):
+            ScalingGeometry((bad, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,24 +109,51 @@ def test_build_lattice_counts():
 
 
 def test_lattices_are_values():
-    # equal geometry, base step and axes (bit for bit) make equal lattices
-    # with equal hashes; a change to any of them makes another lattice
+    # a lattice is the value of its geometry, base step and counts: equal
+    # ones are equal with equal hashes however they were made, and a change
+    # to any of the three makes another lattice
     g = ScalingGeometry((2.0, 1.0))
     lat = build_lattice(g, 0.1, 1.0)
+    assert lat.counts == lat.shape == (201, 21)
     copy = build_lattice(g, 0.1, 1.0)
     assert copy is not lat and copy == lat and hash(copy) == hash(lat)
     assert len({lat, copy}) == 1
+    for same in (Lattice(g, 0.1, [201, 21]),
+                 Lattice(g, np.float64(0.1), np.array([201, 21]))):
+        assert same == lat and hash(same) == hash(lat)
+        assert type(same.base_step) is float
+        assert all(type(n) is int for n in same.counts)
+    assert Lattice(g, 0.1, 5) == Lattice(g, 0.1, (5, 5))  # one for every axis
     for other in (build_lattice(g, 0.1, 1.5), build_lattice(g, 0.2, 1.0),
                   build_lattice(ScalingGeometry((1.0, 1.0)), 0.1, 1.0),
-                  lattice_from_counts(g, 0.1, [21, 11])):
+                  Lattice(g, 0.1, [21, 11])):
         assert other != lat
-    rebuilt = Lattice(geometry=g, base_step=0.1,
-                      axes=tuple(np.array(a) for a in lat.axes))
-    assert rebuilt == lat and hash(rebuilt) == hash(lat)  # the same bits
-    nudged = Lattice(geometry=g, base_step=0.1,
-                     axes=(lat.axes[0], np.nextafter(lat.axes[1], 1.0)))
-    assert nudged != lat
-    assert lat != (lat.geometry, lat.base_step, lat.axes)
+    assert lat != (lat.geometry, lat.base_step, lat.counts)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lat.counts = (21, 11)
+
+
+def test_lattice_axes_are_computed_from_the_counts():
+    # every read gives fresh arrays, (k - n // 2) * h**s_i bit for bit, so
+    # writing into one read changes neither the lattice nor the next read
+    g = ScalingGeometry((2.0, 1.0))
+    lat = Lattice(g, 0.1, (8, 5))
+    want = ((np.arange(8) - 4) * 0.1 ** 2.0, (np.arange(5) - 2) * 0.1 ** 1.0)
+    axes = lat.axes
+    assert all(np.array_equal(a, w) for a, w in zip(axes, want))
+    axes[0][:] = 0.0
+    assert np.array_equal(lat.axes[0], want[0])
+    assert lat == Lattice(g, 0.1, (8, 5))
+
+
+@pytest.mark.parametrize("counts, match", [
+    ((21, 0), "counts must be an integer >= 1, got 0"),
+    ((21.0, 11), "counts must be an integer >= 1, got 21.0"),
+    ((21, 11, 3), "one count per axis"),
+], ids=["zero", "float", "three-axes"])
+def test_lattice_rejects_bad_counts(counts, match):
+    with pytest.raises(ValueError, match=match):
+        Lattice(ScalingGeometry((2.0, 1.0)), 0.1, counts)
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
@@ -131,7 +162,7 @@ def test_lattice_rejects_bad_step(h):
     with pytest.raises(ValueError, match="base step must be positive"):
         build_lattice(g, h, 1.0)
     with pytest.raises(ValueError, match="base step must be positive"):
-        lattice_from_counts(g, h, 8)
+        Lattice(g, h, 8)
     with pytest.raises(ValueError, match="extent"):
         build_lattice(g, 0.25, float("nan"))
 
@@ -146,13 +177,13 @@ def test_build_lattice_steps_and_volume():
 def test_build_lattice_budget():
     g = ScalingGeometry((1.0, 1.0))
     with pytest.raises(ResourceBudgetError):
-        build_lattice(g, 1e-4, (1.0, 1.0), budget=10_000)
+        build_lattice(g, 1e-4, (1.0, 1.0))
     # counts far beyond int64
     with pytest.raises(ResourceBudgetError):
         build_lattice(g, 1e-300, (1.0, 1.0))
     # the int64 product of these counts is 2**64, which wraps round to 0
     with pytest.raises(ResourceBudgetError, match=str(2**64)):
-        lattice_from_counts(ScalingGeometry((1.0,) * 4), 0.1, (2**16,) * 4)
+        Lattice(ScalingGeometry((1.0,) * 4), 0.1, (2**16,) * 4)
 
 
 def test_riemann_sum_two_grid():

@@ -539,12 +539,12 @@ def test_lemma_n3_runs(which):
     ({"eps": math.nan}, "eps"),
     ({"eps": 1.5}, "eps"),
     ({"alpha": math.nan}, "alpha"),
-    ({"m1": -1}, "truncation"),
+    ({"m1": -1}, "m1 must be an integer >= 0, got -1"),
     ({"deriv": (0, -1)}, "deriv"),
     ({"n": 2.0}, "n must be an integer"),
     ({"n_configs": 2.0}, "n_configs must be an integer"),
     ({"m1": 1.0}, "m1 must be an integer"),
-    ({"deriv": (1.0, 0)}, "deriv must be two integer"),
+    ({"deriv": (1.0, 0)}, "deriv must be an integer >= 0, got 1.0"),
     ({"seed": 7.0}, "seed must be an integer"),
 ], ids=["no-configs", "n-zero", "empty-grid", "inf-theta", "trig1", "trig2",
         "nan-eps", "eps-above-one", "nan-alpha", "negative-m1", "negative-deriv",
@@ -555,8 +555,8 @@ def test_lemma_config_rejects_bad_input(bad, match):
 
 
 @pytest.mark.parametrize("ranges, cov, match", [
-    ([(2, 1)] * 2, np.eye(2), "lo <= hi"),
-    ([(-1, 1)] * 2, np.eye(2), "lo <= hi"),
+    ([(2, 1)] * 2, np.eye(2), "hi must be an integer >= 2, got 1"),
+    ([(-1, 1)] * 2, np.eye(2), "lo must be an integer >= 0, got -1"),
     ([(1, 2)] * 2, np.array([[1.0, math.nan], [math.nan, 1.0]]), "finite"),
     ([(1, 2)] * 2, np.eye(3), "shape"),
     ([(1, 1.9)], np.eye(1), "integer"),  # once truncated to (1, 1)

@@ -272,7 +272,7 @@ def test_studies_check_the_half_order_first(monkeypatch, study, n):
     f = make_nonlinearity("power_even", beta=0.5)
     args = dict(a=1.0, mfspec=KPZ_SPEC, delta=0.2, lam=0.4, n=n, n_samples=4,
                 seed=1)
-    with pytest.raises(ValueError, match="half-order n must be an integer"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         if study == "remainder_pairing":
             remainder_pairing("kpz", f, **args)
         else:
@@ -294,7 +294,7 @@ def test_studies_check_the_draw_count_first(monkeypatch, study, n_samples):
     f = make_nonlinearity("power_even", beta=0.5)
     args = dict(a=1.0, mfspec=KPZ_SPEC, delta=0.2, lam=0.4, n=1,
                 n_samples=n_samples, seed=1)
-    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
         if study == "remainder_pairing":
             remainder_pairing("kpz", f, **args)
         else:

@@ -318,7 +318,7 @@ def test_raw_deriv_matches_allocating_form(kind, beta):
 def test_deriv_rejects_negative_order():
     f = make_nonlinearity("power_even", beta=0.5)
     for spec in (f, mollify(f, 0.2)):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="ell must be an integer >= 0, got -1"):
             spec.deriv(-1, 2.0)
 
 

@@ -404,22 +404,3 @@ def test_sanity_envelope_rejects_bad_sup(f_sup):
     cfg, _ = make_setup()
     with pytest.raises(ValueError, match="f_sup"):
         cfg.sanity_envelope(f_sup)
-
-
-def test_kept_block_is_not_read_for_a_changed_lattice(monkeypatch):
-    # the kept block is found by the set-ups' hash and value, so a lattice
-    # whose axes were written after the build misses it and builds afresh
-    builds = []
-    eval_K_many = operator.eval_K_many
-
-    def counting(*args):
-        builds.append(1)
-        return eval_K_many(*args)
-
-    monkeypatch.setattr(operator, "eval_K_many", counting)
-    cfg, _ = make_setup()
-    before = OperatorPlan({0: cfg})
-    cfg.setup.lattice.axes[0][:] *= 0.5
-    after = OperatorPlan({0: cfg})
-    assert len(builds) == 2
-    assert not np.array_equal(after.kmat, before.kmat)
