@@ -64,8 +64,7 @@ def hermite_value(k: int, z):
 
 def wick_power(x, k: int, sigma2: float):
     """k-th Wick power of the value ``x`` of a centered Gaussian with variance sigma2."""
-    if k < 0:
-        raise ValueError("Wick power order must be non-negative")
+    check_integer("k", k, 0)
     if sigma2 <= 0:
         raise ValueError("variance must be positive")
     sigma = math.sqrt(sigma2)
@@ -151,6 +150,9 @@ class TwoPointFunctional:
     deriv: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
+        if len(self.theta) != 2 or not all(map(math.isfinite, self.theta)):
+            raise ValueError(f"theta must be two finite frequencies, got "
+                             f"{self.theta!r}")
         check_deriv(self.deriv)
 
 

@@ -141,6 +141,7 @@ def volume_lemma_check(n: int, kern: RenormKernel, eps_grid, lambda_grid,
         raise NotImplementedError(
             "volume lemma sampling is implemented for d = 1 with s = (1,)")
     _check_mc(n, L, n_mc, eps_grid=eps_grid, lambda_grid=lambda_grid)
+    check_integer("m2", m2, 0)
     if 2 * n > 4:
         raise ValueError("volume lemma budget is 2n <= 4")
     if not math.isfinite(eta):

@@ -68,7 +68,7 @@ class StudyDesign:
     cutoff: float = 1.0
     deriv: tuple[int, int] = (0, 0)
     y_radius: float = 2.0
-    lambda_budget: float = 2.0
+    lambda_const: float = 2.0
 
     @property
     def geometry(self) -> ScalingGeometry:
@@ -101,7 +101,7 @@ class StudyDesign:
     def spectrum(self, eps: float, lattice: Lattice) -> Spectrum:
         return build_spectrum(
             CovarianceSpec(alpha=self.alpha, epsilon=eps,
-                           lambda_const=self.lambda_budget), lattice)
+                           lambda_const=self.lambda_const), lattice)
 
     def operator_setup(self, lam: float, lattice=None) -> OperatorSetup:
         lat = lattice if lattice is not None else self.lattice()
@@ -305,6 +305,7 @@ def second_moment_G(x, kern: RenormKernel, m2: int, cov: CovarianceSpec,
     Deterministic double quadrature of m2! * |K||K| rho^{m2} on the target
     covariance, square-rooted and certified on two grids.
     """
+    check_integer("m2", m2, 0)
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
     return _smeared_wick_norm(
         kern, lambda step: (build_lattice(kern.g, step, y_radius).points(), 1.0),
@@ -315,6 +316,7 @@ def second_moment_G(x, kern: RenormKernel, m2: int, cov: CovarianceSpec,
 def second_moment_H(y, kern: RenormKernel, test: TestFunction, m1: int,
                     cov: CovarianceSpec, h: float = 0.005) -> float:
     """L2 norm of the |K phi|-smeared Wick power of the x-variable at point y."""
+    check_integer("m1", m1, 0)
     y_arr = np.atleast_2d(np.asarray(y, dtype=float))
 
     def grid(step):

@@ -84,7 +84,8 @@ class RenormKernel:
     def __post_init__(self):
         if not (0.0 < self.gamma <= self.g.total / 2.0 + 1e-12):
             raise ValueError("smoothing order must lie in (0, |s|/2]")
-        if self.r_e < 0 or self.r_e > 2:
+        check_integer("r_e", self.r_e, 0)
+        if self.r_e > 2:
             raise ValueError("supported Taylor depth is r_e in {0, 1, 2}")
         if not 0.0 < self.cutoff < math.inf:  # also rejects NaN
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff!r}")

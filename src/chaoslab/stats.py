@@ -45,8 +45,10 @@ class MomentEstimate:
 
 def check_integer(name: str, value, low: int) -> None:
     """ValueError, naming the argument, unless ``value`` is an integer of at
-    least ``low``: the package's one rule for counts and orders."""
-    if not isinstance(value, Integral) or value < low:
+    least ``low``: the package's one rule for counts and orders.  A bool is
+    an Integral but not a count, and is rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral) \
+            or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

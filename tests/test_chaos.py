@@ -47,6 +47,17 @@ def test_wick_power_examples():
     assert wick_power(1.0, 3, 1.0) == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("k, match", [
+    # 1.5 raised a bare TypeError from range
+    (1.5, "k must be an integer >= 0, got 1.5"),
+    (-1, "k must be an integer >= 0, got -1"),
+    (True, "k must be an integer >= 0, got True")],
+    ids=["fraction", "negative", "bool"])
+def test_wick_power_rejects_bad_order(k, match):
+    with pytest.raises(ValueError, match=match):
+        wick_power(2.0, k, 1.0)
+
+
 def test_wick_power_vectorized():
     x = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(wick_power(x, 2, 1.0), x**2 - 1.0)

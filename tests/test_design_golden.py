@@ -138,8 +138,9 @@ def design_outputs() -> dict:
     out["check_correlation_lemma"] = lemma
 
     lat = Lattice(G1, 8.0 / 256, (256,))
-    sp = build_spectrum(CovarianceSpec(alpha=0.6, epsilon=0.1), lat)
-    rep = verify_assumption1(sp, n_samples=40, seed=3, lambda_budget=1.5)
+    sp = build_spectrum(CovarianceSpec(alpha=0.6, epsilon=0.1,
+                                       lambda_const=1.5), lat)
+    rep = verify_assumption1(sp, n_samples=40, seed=3)
     out["verify_assumption1"] = {
         "lambda_hat": rep.lambda_hat,
         "per_lag": [[e.lag, e.c_hat, e.lo, e.hi, e.target] for e in rep.per_lag],

@@ -479,6 +479,42 @@ def test_studies_reject_bad_y_radius(monkeypatch, y_radius):
                      lambda_grid=[0.4], n=1, n_samples=4)
 
 
+@pytest.mark.parametrize("re_override", [math.nan, 1.5, True],
+                         ids=["nan", "fraction", "bool"])
+def test_studies_reject_bad_re_override(monkeypatch, re_override):
+    # re_override = nan ran the kernel with no Taylor term (freq_sweep read
+    # 1.599 where the design's own r_e = 1 reads 0.119); 1.5 and True acted
+    # as 1; both studies refuse before drawing
+    _no_draws(monkeypatch)
+    design = dataclasses.replace(DESIGN, re_override=re_override)
+    match = f"r_e must be an integer >= 0, got {re_override!r}"
+    with pytest.raises(ValueError, match=match):
+        freq_sweep(design, eps=0.2, lam=0.4, theta_grid=[(1.0, 1.0)], n=1,
+                   n_samples=4)
+    with pytest.raises(ValueError, match=match):
+        scaling_scan(design, theta=(1.0, 1.0), eps_grid=[0.2],
+                     lambda_grid=[0.4], n=1, n_samples=4)
+
+
+@pytest.mark.parametrize("theta", [(math.nan, 1.0), (1.0, math.inf),
+                                   (-math.inf, 1.0)],
+                         ids=["nan", "inf", "minus-inf"])
+def test_studies_reject_non_finite_theta(monkeypatch, theta):
+    # theta = (nan, 1) drew every sample and failed only in moment_norm on
+    # non-finite values; inf gave NaN values; both studies now refuse before
+    # any noise stream opens
+    def no_stream(*args):
+        raise AssertionError("a noise stream was opened")
+
+    monkeypatch.setattr(rng, "substream_opener", no_stream)
+    with pytest.raises(ValueError, match="theta must be two finite"):
+        freq_sweep(DESIGN, eps=0.2, lam=0.4, theta_grid=[theta], n=1,
+                   n_samples=4)
+    with pytest.raises(ValueError, match="theta must be two finite"):
+        scaling_scan(DESIGN, theta=theta, eps_grid=[0.2], lambda_grid=[0.4],
+                     n=1, n_samples=4)
+
+
 @pytest.mark.parametrize("kwargs, match", [
     (dict(n_samples=0), "n_samples must be an integer >= 1, got 0"),
     (dict(n_samples=4.0), "n_samples must be an integer >= 1, got 4.0"),
@@ -508,11 +544,12 @@ def test_scaling_scan_rejects_empty_input(monkeypatch, kwargs, match):
         scaling_scan(DESIGN, **{**args, **kwargs})
 
 
-@pytest.mark.parametrize("n", [0, 1.5], ids=["zero", "fraction"])
+@pytest.mark.parametrize("n", [0, 1.5, True], ids=["zero", "fraction", "bool"])
 def test_studies_check_the_half_order_first(monkeypatch, n):
     # n = 0 raised only after every draw and contraction, and n = 1.5 ran and
     # returned an estimate of order 1.5; both raise before the plan's kernel
-    # matrix or any draw, and moment_norm rejects them itself
+    # matrix or any draw, and moment_norm rejects them itself; a bool is not
+    # an order, though it is an Integral
     _no_draws(monkeypatch)
 
     def no_plan(*args):
@@ -621,6 +658,22 @@ def test_second_moment_rejects_non_positive_step(h):
                         cov, h=h)
 
 
+@pytest.mark.parametrize("order, match", [
+    # 1.5 raised a bare TypeError from factorial, -1 an unnamed ValueError
+    (1.5, "must be an integer >= 0, got 1.5"),
+    (-1, "must be an integer >= 0, got -1"),
+    (True, "must be an integer >= 0, got True")],
+    ids=["fraction", "negative", "bool"])
+def test_second_moment_rejects_bad_order(order, match):
+    kern = RenormKernel(gamma=0.4, g=G1, r_e=0)
+    cov = CovarianceSpec(alpha=0.6, epsilon=0.1)
+    with pytest.raises(ValueError, match="m2 " + match):
+        second_moment_G((0.1,), kern, order, cov, h=0.02)
+    with pytest.raises(ValueError, match="m1 " + match):
+        second_moment_H((0.8,), kern, TestFunction(geometry=G1, scale=0.3),
+                        order, cov, h=0.01)
+
+
 def test_second_moment_g_positive_and_certified():
     kern = RenormKernel(gamma=0.4, g=G1, r_e=0)
     cov = CovarianceSpec(alpha=0.6, epsilon=0.1)
@@ -655,19 +708,22 @@ def test_volume_lemma_far_unrestricted_when_clustered():
     assert row.integral_near is None  # r_e = 0 skips the near lemma
 
 
-@pytest.mark.parametrize("n, L, n_mc, eta, match", [
-    (0, 1.0, 100, 0.1, "n must be an integer >= 1"),
+@pytest.mark.parametrize("n, L, n_mc, eta, m2, match", [
+    (0, 1.0, 100, 0.1, 1, "n must be an integer >= 1"),
     # a non-number n raised a bare TypeError from the 2n budget test
-    (None, 1.0, 100, 0.1, "n must be an integer >= 1, got None"),
-    (1, -1.0, 100, 0.1, "L must be positive"),
-    (1, 0.0, 100, 0.1, "L must be positive"),
-    (1, 1.0, 0, 0.1, "n_mc must be an integer >= 1"),
+    (None, 1.0, 100, 0.1, 1, "n must be an integer >= 1, got None"),
+    (1, -1.0, 100, 0.1, 1, "L must be positive"),
+    (1, 0.0, 100, 0.1, 1, "L must be positive"),
+    (1, 1.0, 0, 0.1, 1, "n_mc must be an integer >= 1"),
     # a NaN eta gave NaN max_ratio_far and max_ratio_near
-    (1, 1.0, 100, math.nan, "eta must be finite, got nan"),
-    (1, 1.0, 100, -math.inf, "eta must be finite, got -inf")],
+    (1, 1.0, 100, math.nan, 1, "eta must be finite, got nan"),
+    (1, 1.0, 100, -math.inf, 1, "eta must be finite, got -inf"),
+    # m2 = -1 returned max_ratio_far 0.087
+    (1, 1.0, 100, 0.1, -1, "m2 must be an integer >= 0, got -1"),
+    (1, 1.0, 100, 0.1, 1.5, "m2 must be an integer >= 0, got 1.5")],
     ids=["n0", "none-n", "negative-L", "zero-L", "no-samples", "nan-eta",
-         "inf-eta"])
-def test_volume_lemma_rejects_invalid_input(monkeypatch, n, L, n_mc, eta,
+         "inf-eta", "negative-m2", "fraction-m2"])
+def test_volume_lemma_rejects_invalid_input(monkeypatch, n, L, n_mc, eta, m2,
                                             match):
     def no_stream(*args):
         raise AssertionError("the check drew before validating its input")
@@ -675,7 +731,7 @@ def test_volume_lemma_rejects_invalid_input(monkeypatch, n, L, n_mc, eta,
     monkeypatch.setattr(rng, "substream", no_stream)
     kern = RenormKernel(gamma=0.4, g=G1, r_e=1)
     with pytest.raises(ValueError, match=match):
-        volume_lemma_check(n, kern, [0.1], [0.2], alpha=0.6, m2=1, n_mc=n_mc,
+        volume_lemma_check(n, kern, [0.1], [0.2], alpha=0.6, m2=m2, n_mc=n_mc,
                            eta=eta, L=L)
 
 

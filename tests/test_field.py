@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -257,6 +258,51 @@ def test_verify_assumption1_sampled():
         assert e.lo <= e.c_hat <= e.hi
 
 
+def _golden_line_spectrum():
+    return build_spectrum(CovarianceSpec(alpha=0.6, epsilon=0.1),
+                          Lattice(G1, 8.0 / 256, (256,)))
+
+
+@pytest.mark.parametrize("c", [1.05, 3.0, 1.0 / 3.0])
+def test_exact_lambda_hat_sees_a_scaled_covariance(c):
+    # mutation: eigenvalues scaled by c scale the covariance by c, so the
+    # sandwich constant, 1 up to rounding on this line, becomes max(c, 1/c)
+    sp = _golden_line_spectrum()
+    base = exact_lambda_hat(sp)
+    assert base == pytest.approx(1.0, abs=1e-12)
+    scaled = dataclasses.replace(sp, eigenvalues=c * sp.eigenvalues)
+    assert exact_lambda_hat(scaled) == pytest.approx(max(c, 1.0 / c) * base,
+                                                     rel=1e-12)
+
+
+def test_verify_assumption1_flags_a_scaled_covariance():
+    # mutation: the draws of a covariance scaled by 3 leave the default
+    # budget's sandwich (lambda_const = 2) at all but the longest lag, where
+    # the band is widest; the unscaled draws leave it nowhere
+    sp = _golden_line_spectrum()
+    assert sp.spec.lambda_const == 2.0
+    assert verify_assumption1(sp, n_samples=400, seed=3).violations == []
+    scaled = dataclasses.replace(sp, eigenvalues=3.0 * sp.eigenvalues)
+    rep = verify_assumption1(scaled, n_samples=400, seed=3)
+    assert len(rep.per_lag) == 36
+    assert len(rep.violations) == 35
+    assert rep.lambda_hat > 2.0
+
+
+def test_sandwich_is_infinite_at_a_non_positive_covariance():
+    # all the mass at the Nyquist frequency: C(k) = (-1)^k, negative at every
+    # odd lag, so neither check can cover it with a finite constant
+    sp = _golden_line_spectrum()
+    nyquist = np.zeros_like(sp.eigenvalues)
+    nyquist[nyquist.size // 2] = nyquist.size
+    alternating = dataclasses.replace(sp, eigenvalues=nyquist)
+    assert alternating.covariance()[1] == pytest.approx(-1.0)
+    assert exact_lambda_hat(alternating) == math.inf
+    rep = verify_assumption1(alternating, n_samples=8, seed=3)
+    assert rep.lambda_hat == math.inf
+    assert rep.violations
+
+
 def test_sandwich_monotone_in_lag():
     sp = small_spectrum()
     rep = verify_assumption1(sp, n_samples=400, seed=3)
@@ -300,8 +346,9 @@ def test_covariance_spec_validation():
     for field, kwargs in (("alpha", dict(alpha=math.nan, epsilon=0.1)),
                           ("alpha", dict(alpha=math.inf, epsilon=0.1)),
                           ("epsilon", dict(alpha=0.6, epsilon=math.nan)),
-                          ("lambda_const", dict(alpha=0.6, epsilon=0.1,
-                                                lambda_const=math.nan))):
+                          *(("lambda_const", dict(alpha=0.6, epsilon=0.1,
+                                                  lambda_const=budget))
+                            for budget in (math.nan, 0.5, math.inf, -2.0))):
         with pytest.raises(ValueError, match=field):
             CovarianceSpec(**kwargs)
 
@@ -367,8 +414,7 @@ def test_windowed_fields_at_non_smooth_lengths(design, eps, n_samples):
     assert exact_lambda_hat(sp) <= sp.spec.lambda_const
     # the sandwich check averages the lag products of whole torus draws and
     # passes at the tolerances of the smooth-length tests
-    rep = verify_assumption1(sp, n_samples, seed=3,
-                             lambda_budget=sp.spec.lambda_const)
+    rep = verify_assumption1(sp, n_samples, seed=3)
     lags = field._lag_indices(sp.eigenvalues.shape[0], sp.lattice.geometry.d)
     draws = full_torus_field_values(sp, 3, np.arange(n_samples))
     products = torus_lag_products(draws, lags).mean(axis=0)
@@ -408,9 +454,6 @@ def test_bad_arguments_rejected_before_any_draw(monkeypatch):
     for n_samples in (2.5, 1, math.nan, "4"):
         with pytest.raises(ValueError, match="n_samples"):
             verify_assumption1(sp, n_samples)
-    for budget in (math.nan, 0.5, math.inf, -2.0):
-        with pytest.raises(ValueError, match="lambda_budget"):
-            verify_assumption1(sp, 4, lambda_budget=budget)
     for threshold in (math.nan, -0.01, 1.5, math.inf):
         with pytest.raises(ValueError, match="clip_threshold"):
             build_spectrum(sp.spec, sp.lattice, clip_threshold=threshold)

@@ -239,6 +239,19 @@ def test_kernel_rejects_bad_cutoff(cutoff):
         RenormKernel(gamma=0.4, g=G1, r_e=0, cutoff=cutoff)
 
 
+@pytest.mark.parametrize("r_e, match", [
+    (-1, "r_e must be an integer >= 0, got -1"),
+    (3, "supported Taylor depth"),
+    # NaN ran the kernel with no Taylor term; 1.5 and True acted as 1
+    (math.nan, "r_e must be an integer >= 0, got nan"),
+    (1.5, "r_e must be an integer >= 0, got 1.5"),
+    (True, "r_e must be an integer >= 0, got True")],
+    ids=["negative", "three", "nan", "fraction", "bool"])
+def test_kernel_rejects_bad_taylor_depth(r_e, match):
+    with pytest.raises(ValueError, match=match):
+        RenormKernel(gamma=0.4, g=G1, r_e=r_e)
+
+
 @pytest.mark.parametrize("n_samples", [0, -3, 4000.0])
 def test_region_bounds_reject_no_samples(n_samples):
     k = RenormKernel(gamma=0.4, g=G1, r_e=1)
