@@ -68,7 +68,6 @@ class StudyDesign:
     cutoff: float = 1.0
     deriv: tuple[int, int] = (0, 0)
     y_radius: float = 2.0
-    lambda_const: float = 2.0
 
     @property
     def geometry(self) -> ScalingGeometry:
@@ -99,9 +98,8 @@ class StudyDesign:
             (float(theta[0]), float(theta[1])), self.deriv)
 
     def spectrum(self, eps: float, lattice: Lattice) -> Spectrum:
-        return build_spectrum(
-            CovarianceSpec(alpha=self.alpha, epsilon=eps,
-                           lambda_const=self.lambda_const), lattice)
+        return build_spectrum(CovarianceSpec(alpha=self.alpha, epsilon=eps),
+                              lattice)
 
     def operator_setup(self, lam: float, lattice=None) -> OperatorSetup:
         lat = lattice if lattice is not None else self.lattice()

@@ -369,7 +369,7 @@ def test_entry_points_exist():
 # is a required field, not an option.  The count is exact: a change that adds
 # an option raises it in the same diff and says why in CHANGES.md, and a
 # change that removes one lowers it.
-OPTION_CEILING = 63
+OPTION_CEILING = 62
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
